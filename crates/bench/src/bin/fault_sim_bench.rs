@@ -7,7 +7,7 @@
 //! cargo run --release -p bench --bin fault_sim_bench -- --rows 16 --cols 16
 //! cargo run --release -p bench --bin fault_sim_bench -- --passes 5 --out custom.json
 //! cargo run --release -p bench --bin fault_sim_bench -- --dense-size 512x512 --dense-faults 50000
-//! cargo run --release -p bench --bin fault_sim_bench -- --no-dense --no-campaign --no-daemon --no-scheduler
+//! cargo run --release -p bench --bin fault_sim_bench -- --no-dense --no-campaign --no-daemon
 //! ```
 //!
 //! The workload is the acceptance sweep of the kernel work: the standard
@@ -22,12 +22,9 @@
 //! 1024×1024 and the address-aware packer vs. the greedy planner on an
 //! overlap-heavy population (skip with `--no-dense`) — and the campaign
 //! section, the crash-safe campaign runner's jobs/sec against a direct
-//! per-job loop (skip with `--no-campaign`), the daemon section, the
+//! per-job loop (skip with `--no-campaign`), and the daemon section, the
 //! dynamic-intake path's sustained jobs/sec and overload shed fraction
-//! (skip with `--no-daemon`), and the scheduler section, interned
-//! `OutcomeCode` report assembly against the classic
-//! three-strings-per-fault `CoverageReport` (skip with
-//! `--no-scheduler`).
+//! (skip with `--no-daemon`).
 //!
 //! Exit codes: `0` on success, `2` for a malformed command line, `3` when
 //! the output file cannot be written.
@@ -79,14 +76,12 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
     };
     let campaign = !args.iter().any(|a| a == "--no-campaign");
     let daemon = !args.iter().any(|a| a == "--no-daemon");
-    let scheduler = !args.iter().any(|a| a == "--no-scheduler");
 
     println!(
         "# Fault-simulation sweep throughput ({} organizations, {passes} passes per variant)",
         organizations.len()
     );
-    let sweep =
-        FaultSimSweep::measure_full(&organizations, passes, dense, campaign, daemon, scheduler);
+    let sweep = FaultSimSweep::measure_full(&organizations, passes, dense, campaign, daemon);
     for result in &sweep.sizes {
         println!(
             "{}x{}: {} algorithms x {} faults, {} threads",
@@ -154,11 +149,6 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
             section.speedup_shuffled_vs_ordered()
         );
         println!(
-            "  boxed dispatch (escape-hatch ablation):    {:>12.1} faults/sec   (enum {:.2}x faster)",
-            section.boxed.faults_per_sec,
-            section.speedup_enum_vs_boxed()
-        );
-        println!(
             "  packer vs greedy ({} overlap-heavy faults): {} vs {} merged steps ({:.2}x smaller)",
             section.packer.fault_count,
             section.packer.packed_schedule_steps,
@@ -197,22 +187,6 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
             "  overload shed (queue bound {}):             {:.0}% answered queue-full",
             section.queue_limit,
             section.shed_fraction * 100.0
-        );
-    }
-
-    if let Some(section) = &sweep.scheduler {
-        println!(
-            "scheduler section ({} outcomes per pass):",
-            section.outcomes
-        );
-        println!(
-            "  strings assembly (3 strings per outcome):  {:>12.1} outcomes/sec",
-            section.strings_outcomes_per_sec
-        );
-        println!(
-            "  interned assembly (16-byte codes):         {:>12.1} outcomes/sec   ({:.2}x vs strings)",
-            section.interned_outcomes_per_sec,
-            section.speedup_interned_vs_strings()
         );
     }
 

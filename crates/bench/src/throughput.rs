@@ -29,15 +29,16 @@
 //! ([`march_test::faultgen::FaultGen`]) against the 48-fault standard
 //! list on the same 1024×1024 walk, plus the address-aware packer's
 //! merged-schedule steps against the list-order greedy baseline on an
-//! overlap-heavy population. The section also times two execution-model
-//! ablations on the same population: a **shuffled copy**
-//! (`speedup_shuffled_vs_ordered` — packed-order execution with the
-//! streaming probe/outcome permutation should make population order
-//! free) and a **boxed-dispatch replica** whose faults hide their inline
-//! [`LaneFaultKind`](march_test::faults::LaneFaultKind) and ride the
-//! `Box<dyn LaneFault>` escape hatch (`speedup_enum_vs_boxed` — what
-//! devirtualizing the lane hot path buys). All ratios are
-//! machine-relative and carry the tight CI gate.
+//! overlap-heavy population. The section also times a **shuffled copy**
+//! of the same population (`speedup_shuffled_vs_ordered` — packed-order
+//! execution with the streaming probe/outcome permutation should make
+//! population order free). All ratios are machine-relative and carry the
+//! tight CI gate.
+//!
+//! Timed sweeps call the interned entry points
+//! ([`evaluate_coverage_interned_on_walk`]) that campaign jobs run, so the
+//! rates time the kernel rather than report materialization; the
+//! untimed equivalence gates compare materialized reports.
 
 use std::time::{Duration, Instant};
 
@@ -51,13 +52,11 @@ use march_test::coverage::{
 use march_test::executor::{MarchWalk, Mismatch};
 use march_test::fault_sim::{DetectionMode, FaultSimOutcome};
 use march_test::faultgen::FaultGen;
-use march_test::faults::{Fault, FaultFactory, FaultyMemory, LaneFault};
-use march_test::intern::{InternedSweep, NameTable, OutcomeCode};
+use march_test::faults::{FaultFactory, FaultyMemory};
 use march_test::library;
 use march_test::memory::{GoodMemory, MemoryModel};
 use march_test::parallel::max_threads;
 use march_test::rng::SplitMix64;
-use sram_model::address::Address;
 use sram_model::config::ArrayOrganization;
 
 /// Seed of the committed dense benchmark populations: fixed so the
@@ -70,38 +69,6 @@ pub const DENSE_POPULATION_SEED: u64 = 0x2006_DA7E;
 /// by this fixed permutation, so the measured ratio isolates population
 /// order from workload content.
 pub const DENSE_SHUFFLE_SEED: u64 = 0x005A_FF1E;
-
-/// Delegating wrapper that hides its inner fault's inline
-/// [`march_test::faults::LaneFaultKind`] and exposes only the boxed
-/// [`Fault::lane_form`] — the external-fault escape hatch, instantiated
-/// here as a measured ablation. A population wrapped in this rides
-/// `Cohort::BoxedLanes` (virtual dispatch, one heap allocation per lane
-/// form) through the *same* kernel as the inline enum cohorts, so the
-/// `speedup_enum_vs_boxed` ratio isolates exactly what devirtualization
-/// buys.
-#[derive(Debug)]
-struct BoxedDispatch(Box<dyn Fault>);
-
-impl Fault for BoxedDispatch {
-    fn name(&self) -> String {
-        self.0.name()
-    }
-    fn kind(&self) -> march_test::faults::FaultKind {
-        self.0.kind()
-    }
-    fn write(&mut self, memory: &mut GoodMemory, address: Address, value: bool) {
-        self.0.write(memory, address, value);
-    }
-    fn read(&mut self, memory: &mut GoodMemory, address: Address) -> bool {
-        self.0.read(memory, address)
-    }
-    fn involved_addresses(&self) -> Option<Vec<Address>> {
-        self.0.involved_addresses()
-    }
-    fn lane_form(&self) -> Option<Box<dyn LaneFault>> {
-        self.0.lane_form()
-    }
-}
 
 pub use crate::BASELINE_CELL_CAP;
 
@@ -357,9 +324,6 @@ pub struct DenseSweepSection {
     /// ([`DENSE_SHUFFLE_SEED`]), serial — the packed-order execution
     /// ablation.
     pub dense_shuffled: SweepTiming,
-    /// The same population forced through the boxed `Box<dyn LaneFault>`
-    /// escape hatch, serial — the devirtualization ablation.
-    pub boxed: SweepTiming,
     /// The packer-vs-greedy schedule comparison on an overlap-heavy
     /// population.
     pub packer: PackerComparison,
@@ -382,14 +346,6 @@ impl DenseSweepSection {
     /// CI.
     pub fn speedup_shuffled_vs_ordered(&self) -> f64 {
         self.dense_shuffled.faults_per_sec / self.dense.faults_per_sec
-    }
-
-    /// Inline-enum-dispatch throughput relative to the boxed
-    /// `Box<dyn LaneFault>` escape hatch on the same population —
-    /// machine-relative, `> 1.0` is the devirtualization win the refactor
-    /// exists for.
-    pub fn speedup_enum_vs_boxed(&self) -> f64 {
-        self.dense.faults_per_sec / self.boxed.faults_per_sec
     }
 
     /// Renders the section as the `dense` member of the sweep JSON.
@@ -434,20 +390,12 @@ impl DenseSweepSection {
                 self.dense_shuffled.faults_per_sec
             ),
             format!(
-                "\"boxed_dispatch_batched_faults_per_sec\": {:.1}",
-                self.boxed.faults_per_sec
-            ),
-            format!(
                 "\"speedup_dense_vs_standard\": {:.3}",
                 self.speedup_dense_vs_standard()
             ),
             format!(
                 "\"speedup_shuffled_vs_ordered\": {:.3}",
                 self.speedup_shuffled_vs_ordered()
-            ),
-            format!(
-                "\"speedup_enum_vs_boxed\": {:.3}",
-                self.speedup_enum_vs_boxed()
             ),
             format!("\"packer\": {{\n      {}\n    }}", packer.join(",\n      ")),
         ];
@@ -460,12 +408,12 @@ impl DenseSweepSection {
 ///
 /// The generated population rides the batched backend only — the
 /// per-fault golden path at 1024×1024 would take minutes per pass — so
-/// correctness is gated in two layers before timing: the address-aware
-/// and list-order planners (serial and parallel) must produce identical
-/// reports on the *full* population, and a scaled-down replica of the
-/// profile must match the per-fault golden path exactly on a small array
-/// (the randomized differential harness in `crates/march` covers the
-/// remaining space seed by seed).
+/// correctness is gated in two layers before timing: the serial and
+/// parallel sweeps (and the shuffled copy, through its permutation) must
+/// produce identical reports on the *full* population, and a scaled-down
+/// replica of the profile must match the per-fault golden path exactly
+/// on a small array (the randomized differential harness in
+/// `crates/march` covers the remaining space seed by seed).
 ///
 /// # Panics
 ///
@@ -495,28 +443,11 @@ pub fn dense_sweep(rows: u32, cols: u32, fault_count: usize, passes: usize) -> D
         .collect();
     drop(slots);
 
-    // The boxed-dispatch ablation: the same population, every fault
-    // wrapped so only the Box<dyn LaneFault> escape hatch is visible.
-    let boxed: Vec<FaultFactory> = FaultGen::new(organization, DENSE_POPULATION_SEED)
-        .dense_profile(fault_count)
-        .factories
-        .into_iter()
-        .map(|factory| {
-            let wrapped: FaultFactory =
-                Box::new(move || Box::new(BoxedDispatch(factory())) as Box<dyn Fault>);
-            wrapped
-        })
-        .collect();
-
     let serial_options = SweepOptions {
         background: false,
         mode: DetectionMode::FirstMismatch,
         parallel: false,
         backend: SweepBackend::LaneBatched,
-    };
-    let greedy_options = SweepOptions {
-        backend: SweepBackend::LaneBatchedListOrder,
-        ..serial_options
     };
     let parallel_options = SweepOptions {
         parallel: true,
@@ -530,23 +461,12 @@ pub fn dense_sweep(rows: u32, cols: u32, fault_count: usize, passes: usize) -> D
     // measurably slows the dense passes.
     {
         let packed_report = evaluate_coverage_on_walk(&walk, &population, serial_options);
-        for options in [greedy_options, parallel_options] {
-            let other = evaluate_coverage_on_walk(&walk, &population, options);
-            assert_eq!(
-                packed_report, other,
-                "dense sweep variants diverged ({options:?})"
-            );
-        }
-        // The boxed-dispatch replica must reproduce the inline-enum
-        // report outcome for outcome (the wrapper delegates names, so
-        // reports are comparable directly)…
-        let boxed_report = evaluate_coverage_on_walk(&walk, &boxed, serial_options);
         assert_eq!(
-            packed_report.outcomes(),
-            boxed_report.outcomes(),
-            "boxed-dispatch sweep diverged from the inline-enum sweep"
+            packed_report,
+            evaluate_coverage_on_walk(&walk, &population, parallel_options),
+            "parallel dense sweep diverged from the serial one"
         );
-        // …and the shuffled copy must be exactly the ordered report seen
+        // The shuffled copy must be exactly the ordered report seen
         // through the permutation.
         let shuffled_report = evaluate_coverage_on_walk(&walk, &shuffled, serial_options);
         assert_eq!(shuffled_report.total(), packed_report.total());
@@ -571,23 +491,11 @@ pub fn dense_sweep(rows: u32, cols: u32, fault_count: usize, passes: usize) -> D
                 ..serial_options
             },
         );
-        for backend in [
-            SweepBackend::LaneBatched,
-            SweepBackend::LaneBatchedListOrder,
-        ] {
-            let batched = evaluate_coverage_on_walk(
-                &small_walk,
-                &small_population,
-                SweepOptions {
-                    backend,
-                    ..serial_options
-                },
-            );
-            assert_eq!(
-                golden, batched,
-                "dense profile diverged from the golden path at 64x64 ({backend:?})"
-            );
-        }
+        let batched = evaluate_coverage_on_walk(&small_walk, &small_population, serial_options);
+        assert_eq!(
+            golden, batched,
+            "dense profile diverged from the golden path at 64x64"
+        );
     }
 
     // The standard list keeps its own tight timing loop: its 48-fault
@@ -596,48 +504,46 @@ pub fn dense_sweep(rows: u32, cols: u32, fault_count: usize, passes: usize) -> D
     // metric was introduced (inside a rotation it would time cold caches
     // left behind by the 100k-fault variants instead).
     let standard_timing = time_passes(passes, standard.len(), || {
-        std::hint::black_box(evaluate_coverage_on_walk(&walk, &standard, serial_options));
+        std::hint::black_box(evaluate_coverage_interned_on_walk(
+            &walk,
+            &standard,
+            serial_options,
+        ));
     });
-    // The four dense-scale variants are timed in one interleaved rotation
-    // (see `time_rotation`): the committed dense metrics are ratios
-    // between them, and disjoint timing windows would let a burst of
-    // runner interference corrupt a ratio that no engine change caused.
+    // The three dense-scale variants are timed in one interleaved
+    // rotation (see `time_rotation`): the committed dense metrics are
+    // ratios between them, and disjoint timing windows would let a burst
+    // of runner interference corrupt a ratio that no engine change
+    // caused.
     let timings = time_rotation(
         passes,
         &mut [
             (population.len(), &mut || {
-                std::hint::black_box(evaluate_coverage_on_walk(
+                std::hint::black_box(evaluate_coverage_interned_on_walk(
                     &walk,
                     &population,
                     serial_options,
                 ));
             }),
             (population.len(), &mut || {
-                std::hint::black_box(evaluate_coverage_on_walk(
+                std::hint::black_box(evaluate_coverage_interned_on_walk(
                     &walk,
                     &population,
                     parallel_options,
                 ));
             }),
             (shuffled.len(), &mut || {
-                std::hint::black_box(evaluate_coverage_on_walk(&walk, &shuffled, serial_options));
-            }),
-            (boxed.len(), &mut || {
-                std::hint::black_box(evaluate_coverage_on_walk(&walk, &boxed, serial_options));
+                std::hint::black_box(evaluate_coverage_interned_on_walk(
+                    &walk,
+                    &shuffled,
+                    serial_options,
+                ));
             }),
         ],
     );
-    let [dense_timing, dense_parallel_timing, dense_shuffled_timing, boxed_timing] =
-        timings.as_slice()
-    else {
+    let [dense_timing, dense_parallel_timing, dense_shuffled_timing] = timings[..] else {
         unreachable!("rotation returns one timing per variant");
     };
-    let (dense_timing, dense_parallel_timing, dense_shuffled_timing, boxed_timing) = (
-        *dense_timing,
-        *dense_parallel_timing,
-        *dense_shuffled_timing,
-        *boxed_timing,
-    );
 
     // The packer comparison runs on an overlap-heavy shuffled population:
     // many faults per victim, scattered through the list — the shape that
@@ -665,7 +571,6 @@ pub fn dense_sweep(rows: u32, cols: u32, fault_count: usize, passes: usize) -> D
         dense: dense_timing,
         dense_parallel: dense_parallel_timing,
         dense_shuffled: dense_shuffled_timing,
-        boxed: boxed_timing,
         packer,
     }
 }
@@ -836,167 +741,6 @@ pub fn campaign_bench(passes: usize) -> CampaignBenchSection {
         direct_jobs_per_sec: timings[0].faults_per_sec,
         campaign_jobs_per_sec: timings[1].faults_per_sec,
         campaign_parallel_jobs_per_sec: timings[2].faults_per_sec,
-    }
-}
-
-/// The unified-scheduler section: outcome assembly for the *same* sweep
-/// results timed two ways.
-///
-/// * **strings** — the classic [`CoverageReport`] shape: three heap
-///   strings per fault (the instance name plus fresh copies of the test
-///   and order names) in a fat [`FaultSimOutcome`] struct.
-/// * **interned** — the scheduler-era [`InternedSweep`] shape: one
-///   instance-name string pushed into a shared [`NameTable`] and a
-///   16-byte [`OutcomeCode`] per fault.
-///
-/// Both passes assemble (and drop) a full report from identical
-/// pre-swept per-fault results, so the gated
-/// `speedup_interned_vs_strings` ratio isolates exactly what the interned
-/// report type buys the scheduler's hot outcome path — the sweeps
-/// themselves are identical by construction (asserted digest-for-digest
-/// before timing).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchedulerBenchSection {
-    /// Worker threads the unified pool would run with on this machine.
-    pub workers: usize,
-    /// Outcomes assembled per pass.
-    pub outcomes: usize,
-    /// Outcomes per second through the three-strings `CoverageReport`
-    /// assembly.
-    pub strings_outcomes_per_sec: f64,
-    /// Outcomes per second through the interned `OutcomeCode` assembly.
-    pub interned_outcomes_per_sec: f64,
-}
-
-impl SchedulerBenchSection {
-    /// Interned assembly throughput relative to the strings assembly —
-    /// machine-relative, carried in the committed JSON and gated by CI.
-    pub fn speedup_interned_vs_strings(&self) -> f64 {
-        self.interned_outcomes_per_sec / self.strings_outcomes_per_sec
-    }
-
-    /// Renders the section as the `scheduler` member of the sweep JSON.
-    fn to_json_entry(&self) -> String {
-        let fields = [
-            format!("\"workers\": {}", self.workers),
-            format!("\"outcomes\": {}", self.outcomes),
-            format!(
-                "\"strings_outcomes_per_sec\": {:.1}",
-                self.strings_outcomes_per_sec
-            ),
-            format!(
-                "\"interned_outcomes_per_sec\": {:.1}",
-                self.interned_outcomes_per_sec
-            ),
-            format!(
-                "\"speedup_interned_vs_strings\": {:.3}",
-                self.speedup_interned_vs_strings()
-            ),
-        ];
-        format!("  {{\n    {}\n  }}", fields.join(",\n    "))
-    }
-}
-
-/// Measures the unified-scheduler section.
-///
-/// One sweep runs up front through each report path; the interned
-/// report's digest and materialized form are asserted identical to the
-/// classic report's (the same bit-identity contract the campaign journal
-/// relies on). The timed passes then rebuild each report shape from the
-/// pre-instantiated faults and pre-swept results in one interleaved
-/// rotation (`time_rotation`, the dense section's scheme), so the
-/// committed ratio times outcome assembly and nothing else.
-///
-/// # Panics
-///
-/// Panics if the interned sweep diverges from the classic one.
-pub fn scheduler_bench(passes: usize) -> SchedulerBenchSection {
-    let organization = ArrayOrganization::new(64, 64).expect("valid organization");
-    let test = library::march_ss();
-    let order = march_test::address_order::WordLineAfterWordLine;
-    let walk = MarchWalk::new(&test, &order, &organization);
-    let population = FaultGen::new(organization, DENSE_POPULATION_SEED).dense_profile(50_000);
-    let options = SweepOptions {
-        background: false,
-        mode: DetectionMode::FirstMismatch,
-        parallel: false,
-        backend: SweepBackend::LaneBatched,
-    };
-
-    // Equivalence gate: the interned path must be indistinguishable from
-    // the classic one before either assembly shape is worth timing.
-    let interned = evaluate_coverage_interned_on_walk(&walk, &population, options);
-    {
-        let classic = evaluate_coverage_on_walk(&walk, &population, options);
-        assert_eq!(
-            interned.digest(),
-            classic.digest(),
-            "interned sweep digest diverged from the classic report"
-        );
-        assert_eq!(
-            interned.materialize(),
-            classic,
-            "interned sweep materialized into a different report"
-        );
-    }
-
-    // Pre-instantiate the fault boxes and pair them with their swept
-    // results: the timed passes measure pure outcome assembly.
-    let faults: Vec<Box<dyn Fault>> = population.iter().map(|factory| factory()).collect();
-    let results: Vec<(bool, u32)> = interned
-        .codes()
-        .iter()
-        .map(|code| (code.detected, code.mismatches))
-        .collect();
-    drop(interned);
-    let test_name = walk.test_name();
-    let order_name = walk.order_name();
-
-    let outcomes = faults.len();
-    let mut strings_pass = || {
-        let assembled: Vec<FaultSimOutcome> = faults
-            .iter()
-            .zip(&results)
-            .map(|(fault, &(detected, mismatches))| FaultSimOutcome {
-                fault_name: fault.name(),
-                fault_kind: fault.kind(),
-                test_name: test_name.to_string(),
-                order_name: order_name.to_string(),
-                detected,
-                mismatches: mismatches as usize,
-            })
-            .collect();
-        std::hint::black_box(CoverageReport::new(test_name, order_name, assembled));
-    };
-    let mut interned_pass = || {
-        let mut names = NameTable::new();
-        let test_id = names.intern(test_name);
-        let order_id = names.intern(order_name);
-        let codes: Vec<OutcomeCode> = faults
-            .iter()
-            .zip(&results)
-            .map(|(fault, &(detected, mismatches))| OutcomeCode {
-                name: names.push(fault.name()),
-                kind: fault.kind(),
-                detected,
-                mismatches,
-            })
-            .collect();
-        std::hint::black_box(InternedSweep::new(test_id, order_id, names, codes));
-    };
-    let timings = time_rotation(
-        passes,
-        &mut [
-            (outcomes, &mut strings_pass),
-            (outcomes, &mut interned_pass),
-        ],
-    );
-
-    SchedulerBenchSection {
-        workers: max_threads(),
-        outcomes,
-        strings_outcomes_per_sec: timings[0].faults_per_sec,
-        interned_outcomes_per_sec: timings[1].faults_per_sec,
     }
 }
 
@@ -1180,9 +924,6 @@ pub struct FaultSimSweep {
     pub campaign: Option<CampaignBenchSection>,
     /// The daemon-intake (dynamic admission) section, when measured.
     pub daemon: Option<DaemonBenchSection>,
-    /// The unified-scheduler (interned outcome assembly) section, when
-    /// measured.
-    pub scheduler: Option<SchedulerBenchSection>,
 }
 
 impl FaultSimSweep {
@@ -1209,24 +950,23 @@ impl FaultSimSweep {
         passes: usize,
         dense: Option<(u32, u32, usize)>,
     ) -> Self {
-        Self::measure_full(organizations, passes, dense, false, false, false)
+        Self::measure_full(organizations, passes, dense, false, false)
     }
 
-    /// Measures the size sweep plus the optional dense, campaign-overhead,
-    /// daemon-intake and scheduler sections.
+    /// Measures the size sweep plus the optional dense, campaign-overhead
+    /// and daemon-intake sections.
     ///
     /// # Panics
     ///
     /// Panics if any organization is invalid or any equivalence gate
     /// fails (see [`fault_sim_throughput`], [`dense_sweep`],
-    /// [`campaign_bench`], [`daemon_bench`] and [`scheduler_bench`]).
+    /// [`campaign_bench`] and [`daemon_bench`]).
     pub fn measure_full(
         organizations: &[(u32, u32)],
         passes: usize,
         dense: Option<(u32, u32, usize)>,
         campaign: bool,
         daemon: bool,
-        scheduler: bool,
     ) -> Self {
         // The dense section runs first, on a pristine heap: the size
         // ladder cycles gigabytes of walk arrays, and the fragmented
@@ -1235,13 +975,11 @@ impl FaultSimSweep {
         // unaffected, which would skew the gated ratio).
         let dense =
             dense.map(|(rows, cols, fault_count)| dense_sweep(rows, cols, fault_count, passes));
-        // The campaign and scheduler sections' gated metrics are ratios
-        // between variants timed back to back, so heap state cancels;
-        // they run second, still ahead of the allocation-heavy size
-        // ladder.
+        // The campaign section's gated metric is a ratio between
+        // variants timed back to back, so heap state cancels; it runs
+        // second, still ahead of the allocation-heavy size ladder.
         let campaign = campaign.then(|| campaign_bench(passes));
         let daemon = daemon.then(|| daemon_bench(passes));
-        let scheduler = scheduler.then(|| scheduler_bench(passes));
         Self {
             sizes: organizations
                 .iter()
@@ -1250,7 +988,6 @@ impl FaultSimSweep {
             dense,
             campaign,
             daemon,
-            scheduler,
         }
     }
 
@@ -1288,14 +1025,9 @@ impl FaultSimSweep {
             .as_ref()
             .map(|section| format!(",\n  \"daemon\":\n{}", section.to_json_entry()))
             .unwrap_or_default();
-        let scheduler = self
-            .scheduler
-            .as_ref()
-            .map(|section| format!(",\n  \"scheduler\":\n{}", section.to_json_entry()))
-            .unwrap_or_default();
         format!(
             "{{\n  \"benchmark\": \"fault_sim_sweep\",\n  \"algorithms\": [{algorithms}],\n  \
-             \"passes\": {},\n  \"threads\": {},\n  \"sizes\": [\n{entries}\n  ]{dense}{campaign}{daemon}{scheduler}\n}}\n",
+             \"passes\": {},\n  \"threads\": {},\n  \"sizes\": [\n{entries}\n  ]{dense}{campaign}{daemon}\n}}\n",
             first.map_or(0, |s| s.passes),
             first.map_or(0, |s| s.threads),
         )
@@ -1336,8 +1068,8 @@ fn time_passes(passes: usize, simulations: usize, mut sweep: impl FnMut()) -> Sw
 /// until each variant has accumulated [`MIN_TIMING_SECONDS`].
 ///
 /// The dense section's committed metrics are *ratios between variants*
-/// (`speedup_dense_vs_standard`, `speedup_shuffled_vs_ordered`,
-/// `speedup_enum_vs_boxed`). Measured in disjoint windows — as
+/// (`speedup_dense_vs_standard`, `speedup_shuffled_vs_ordered`).
+/// Measured in disjoint windows — as
 /// [`time_passes`] would — a burst of runner interference (CPU steal on
 /// shared CI hardware) lands in one variant's window and corrupts the
 /// ratio even though neither engine changed. Interleaving spreads any
@@ -1468,7 +1200,7 @@ pub fn fault_sim_throughput(rows: u32, cols: u32, passes: usize) -> FaultSimThro
     let time_variant = |options: SweepOptions| {
         time_passes(passes, simulations, || {
             for walk in &walks {
-                std::hint::black_box(evaluate_coverage_on_walk(walk, &faults, options));
+                std::hint::black_box(evaluate_coverage_interned_on_walk(walk, &faults, options));
             }
         })
     };
@@ -1557,10 +1289,8 @@ mod tests {
         assert!(section.dense.faults_per_sec > 0.0);
         assert!(section.dense_parallel.faults_per_sec > 0.0);
         assert!(section.dense_shuffled.faults_per_sec > 0.0);
-        assert!(section.boxed.faults_per_sec > 0.0);
         assert!(section.speedup_dense_vs_standard() > 0.0);
         assert!(section.speedup_shuffled_vs_ordered() > 0.0);
-        assert!(section.speedup_enum_vs_boxed() > 0.0);
         assert!(
             section.packer.speedup_packed_schedule() >= 1.0,
             "the packer is never worse than greedy"
@@ -1571,7 +1301,6 @@ mod tests {
             dense: Some(section),
             campaign: None,
             daemon: None,
-            scheduler: None,
         };
         let json = sweep.to_json();
         assert!(json.contains("\"dense\":"));
@@ -1580,9 +1309,7 @@ mod tests {
         assert!(json.contains("\"standard_batched_faults_per_sec\""));
         assert!(json.contains("\"speedup_dense_vs_standard\""));
         assert!(json.contains("\"dense_shuffled_batched_faults_per_sec\""));
-        assert!(json.contains("\"boxed_dispatch_batched_faults_per_sec\""));
         assert!(json.contains("\"speedup_shuffled_vs_ordered\""));
-        assert!(json.contains("\"speedup_enum_vs_boxed\""));
         assert!(json.contains("\"packer\": {"));
         assert!(json.contains("\"greedy_schedule_steps\""));
         assert!(json.contains("\"speedup_packed_schedule\""));
@@ -1595,38 +1322,10 @@ mod tests {
         assert!(sweep.dense.is_none());
         assert!(sweep.campaign.is_none());
         assert!(sweep.daemon.is_none());
-        assert!(sweep.scheduler.is_none());
         let json = sweep.to_json();
         assert!(!json.contains("\"dense\""));
         assert!(!json.contains("\"campaign\""));
         assert!(!json.contains("\"daemon\""));
-        assert!(!json.contains("\"scheduler\""));
-        crate::json::parse(&json).expect("sweep JSON parses");
-    }
-
-    #[test]
-    fn scheduler_section_renders_its_gated_fields() {
-        let section = SchedulerBenchSection {
-            workers: 4,
-            outcomes: 50_000,
-            strings_outcomes_per_sec: 1_000_000.0,
-            interned_outcomes_per_sec: 2_000_000.0,
-        };
-        assert!((section.speedup_interned_vs_strings() - 2.0).abs() < 1e-12);
-        let sweep = FaultSimSweep {
-            sizes: vec![],
-            dense: None,
-            campaign: None,
-            daemon: None,
-            scheduler: Some(section),
-        };
-        let json = sweep.to_json();
-        assert!(json.contains("\"scheduler\":"));
-        assert!(json.contains("\"workers\": 4"));
-        assert!(json.contains("\"outcomes\": 50000"));
-        assert!(json.contains("\"strings_outcomes_per_sec\": 1000000.0"));
-        assert!(json.contains("\"interned_outcomes_per_sec\": 2000000.0"));
-        assert!(json.contains("\"speedup_interned_vs_strings\": 2.000"));
         crate::json::parse(&json).expect("sweep JSON parses");
     }
 
@@ -1645,7 +1344,6 @@ mod tests {
             dense: None,
             campaign: Some(section),
             daemon: None,
-            scheduler: None,
         };
         let json = sweep.to_json();
         assert!(json.contains("\"campaign\":"));
@@ -1670,7 +1368,6 @@ mod tests {
             dense: None,
             campaign: None,
             daemon: Some(section),
-            scheduler: None,
         };
         let json = sweep.to_json();
         assert!(json.contains("\"daemon\":"));

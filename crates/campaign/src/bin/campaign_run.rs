@@ -24,7 +24,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use campaign::runner::{run_campaign, CampaignOptions};
-use campaign::spec::{CampaignPlan, PopulationSpec};
+use campaign::spec::{backend_by_name, CampaignPlan, PopulationSpec};
 use campaign::{FaultInjector, Injection, Shard};
 use march_test::coverage::SweepBackend;
 use march_test::library::table1_algorithms;
@@ -53,7 +53,7 @@ const USAGE: &str = "usage: campaign_run --journal PATH [options]
   --orders A,B,...      address orders (default \"word line after word line\")
   --backgrounds 0,1     initial cell values (default 0)
   --population SPEC     standard | mixed:N | dense:N (default mixed:256)
-  --backend NAME        lane | list-order | per-fault (default lane)
+  --backend NAME        lane | per-fault (default lane)
   --shard K/N           0-based shard of the plan (default 0/1)
   --threads N           worker threads (default: all cores)
   --max-attempts N      attempts before poison quarantine (default 3)
@@ -208,16 +208,10 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         Some(raw) => PopulationSpec::parse(&raw)
             .ok_or_else(|| UsageError::new("--population", format!("cannot parse \"{raw}\"")))?,
     };
-    let backend = match arg_value(args, "--backend").as_deref() {
-        None | Some("lane") => SweepBackend::LaneBatched,
-        Some("list-order") => SweepBackend::LaneBatchedListOrder,
-        Some("per-fault") => SweepBackend::PerFault,
-        Some(other) => {
-            return Err(UsageError::new(
-                "--backend",
-                format!("unknown backend \"{other}\""),
-            ));
-        }
+    let backend = match arg_value(args, "--backend") {
+        None => SweepBackend::LaneBatched,
+        Some(name) => backend_by_name(&name)
+            .ok_or_else(|| UsageError::new("--backend", format!("unknown backend \"{name}\"")))?,
     };
     let shard = match arg_value(args, "--shard") {
         None => Shard::whole(),

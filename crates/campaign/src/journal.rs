@@ -43,7 +43,9 @@ use march_test::rng::Fnv1a;
 
 use crate::error::CampaignError;
 use crate::faultpoint::{FaultInjector, JournalAction};
-use crate::spec::{algorithm_catalog, CampaignPlan, JobSpec, PopulationSpec, ORDER_CATALOG};
+use crate::spec::{
+    algorithm_catalog, backend_byte, CampaignPlan, JobSpec, PopulationSpec, ORDER_CATALOG,
+};
 
 /// Journal header magic: `b"SRAMCAMP"`.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"SRAMCAMP";
@@ -160,7 +162,7 @@ pub struct JobWire {
     pub order: u8,
     /// Initial cell value.
     pub background: bool,
-    /// Sweep backend byte (0 lane, 1 list-order, 2 per-fault).
+    /// Sweep backend byte (0 lane, 2 per-fault; 1 is reserved).
     pub backend: u8,
     /// Population profile tag (0 standard, 1 mixed, 2 dense).
     pub population_tag: u8,
@@ -198,11 +200,7 @@ impl JobWire {
             algorithm: algorithm as u8,
             order: order as u8,
             background: spec.background,
-            backend: match spec.backend {
-                SweepBackend::LaneBatched => 0,
-                SweepBackend::LaneBatchedListOrder => 1,
-                SweepBackend::PerFault => 2,
-            },
+            backend: backend_byte(spec.backend),
             population_tag,
             population_count,
             spec_digest: spec.digest(),
@@ -241,7 +239,6 @@ impl JobWire {
             background: self.background,
             backend: match self.backend {
                 0 => SweepBackend::LaneBatched,
-                1 => SweepBackend::LaneBatchedListOrder,
                 2 => SweepBackend::PerFault,
                 other => return Err(format!("unknown backend byte {other}")),
             },
@@ -1063,6 +1060,29 @@ mod tests {
         wire.spec_digest ^= 1;
         let error = wire.to_spec().expect_err("must refuse");
         assert!(error.contains("digest mismatch"), "got: {error}");
+    }
+
+    #[test]
+    fn wire_form_keeps_backend_bytes_and_refuses_the_reserved_one() {
+        // Bytes 0 (lane) and 2 (per-fault) are what stored records and
+        // spec digests carry; renumbering them would orphan journals.
+        for (backend, byte) in [
+            (SweepBackend::LaneBatched, 0u8),
+            (SweepBackend::PerFault, 2),
+        ] {
+            let mut job = spec(3);
+            job.backend = backend;
+            let wire = JobWire::from_spec(&job).expect("encode");
+            assert_eq!(wire.backend, byte, "{backend:?}");
+            assert_eq!(wire.to_spec().expect("decode"), job);
+        }
+        // Byte 1 belonged to the retired list-order backend.
+        let mut wire = JobWire::from_spec(&spec(3)).expect("encode");
+        wire.backend = 1;
+        assert_eq!(
+            wire.to_spec().expect_err("must refuse"),
+            "unknown backend byte 1"
+        );
     }
 
     #[test]

@@ -56,7 +56,6 @@ pub fn algorithm_catalog() -> Vec<String> {
 pub fn backend_by_name(name: &str) -> Option<SweepBackend> {
     match name {
         "lane" => Some(SweepBackend::LaneBatched),
-        "list-order" => Some(SweepBackend::LaneBatchedListOrder),
         "per-fault" => Some(SweepBackend::PerFault),
         _ => None,
     }
@@ -67,8 +66,17 @@ pub fn backend_by_name(name: &str) -> Option<SweepBackend> {
 pub fn backend_name(backend: SweepBackend) -> &'static str {
     match backend {
         SweepBackend::LaneBatched => "lane",
-        SweepBackend::LaneBatchedListOrder => "list-order",
         SweepBackend::PerFault => "per-fault",
+    }
+}
+
+/// A sweep backend's byte in job digests and journal job records. Byte
+/// `1` belonged to a retired list-order backend and stays reserved:
+/// renumbering would change every stored spec digest.
+pub(crate) fn backend_byte(backend: SweepBackend) -> u8 {
+    match backend {
+        SweepBackend::LaneBatched => 0,
+        SweepBackend::PerFault => 2,
     }
 }
 
@@ -255,11 +263,7 @@ impl JobSpec {
         hasher.write(self.order.as_bytes());
         hasher.write_u8(0xFF);
         hasher.write_u8(u8::from(self.background));
-        hasher.write_u8(match self.backend {
-            SweepBackend::LaneBatched => 0,
-            SweepBackend::LaneBatchedListOrder => 1,
-            SweepBackend::PerFault => 2,
-        });
+        hasher.write_u8(backend_byte(self.backend));
         hasher.write(self.population.render().as_bytes());
         hasher.write_u8(0xFF);
     }

@@ -356,7 +356,7 @@ mod tests {
             ),
             (
                 3,
-                SweepBackend::LaneBatchedListOrder,
+                SweepBackend::LaneBatched,
                 PopulationSpec::Dense { target: 50 },
             ),
         ] {
@@ -377,6 +377,9 @@ mod tests {
             ("CJOB1|16x16|x|a|b|0|lane|standard", "seed"),
             ("CJOB1|16x16|1|a|b|2|lane|standard", "background"),
             ("CJOB1|16x16|1|a|b|0|warp|standard", "backend"),
+            // The retired list-order backend is answered like any
+            // unknown name.
+            ("CJOB1|16x16|1|a|b|0|list-order|standard", "backend"),
             ("CJOB1|16x16|1|a|b|0|lane|weird:4", "population"),
             ("CJOB1|16x16|1|a|b|0|lane", "population"),
             ("CJOB1|16x16|1|a|b|0|lane|standard|extra", "trailing"),

@@ -54,6 +54,30 @@ fn campaign_run_help_documents_its_exit_codes() {
 }
 
 #[test]
+fn campaign_run_rejects_the_retired_list_order_backend() {
+    let journal = std::env::temp_dir().join(format!(
+        "campaign-cli-list-order-{}.journal",
+        std::process::id()
+    ));
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_campaign_run"))
+        .arg("--journal")
+        .arg(&journal)
+        .args(["--backend", "list-order"])
+        .output()
+        .expect("campaign_run runs");
+    assert_eq!(output.status.code(), Some(2), "a usage error exits 2");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("unknown backend \"list-order\""),
+        "stderr: {stderr}"
+    );
+    assert!(
+        !journal.exists(),
+        "a usage error must not create the journal"
+    );
+}
+
+#[test]
 fn campaign_daemon_help_documents_its_exit_codes() {
     let help = help_output(env!("CARGO_BIN_EXE_campaign_daemon"));
     assert_exit_codes("campaign_daemon", &help, &[0, 2, 3, 4]);

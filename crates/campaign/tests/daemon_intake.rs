@@ -201,6 +201,12 @@ fn unparsable_and_invalid_submissions_are_rejected_explicitly() {
     let mut unknown = spec(2);
     unknown.algorithm = "March Nope".to_string();
     spool.submit("j0002", &unknown).expect("submit");
+    // A job naming the retired list-order backend.
+    std::fs::write(
+        dir.join("j0003.job"),
+        "CJOB1|16x16|3|March C-|linear|0|list-order|mixed:64\n",
+    )
+    .expect("write");
     let summary = run_daemon(
         &spool,
         &journal,
@@ -209,9 +215,9 @@ fn unparsable_and_invalid_submissions_are_rejected_explicitly() {
     )
     .expect("daemon run");
     assert_eq!(summary.accepted, 1);
-    assert_eq!(summary.rejected, 2);
+    assert_eq!(summary.rejected, 3);
     assert_eq!(summary.plan.len(), 1);
-    for name in ["j0001", "j0002"] {
+    for name in ["j0001", "j0002", "j0003"] {
         match spool.read_response(name) {
             Some(SpoolResponse::Rejected { .. }) => {}
             other => panic!("{name}: expected Rejected, got {other:?}"),

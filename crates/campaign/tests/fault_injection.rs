@@ -6,7 +6,7 @@
 //! **byte-identical** to an uninterrupted run. Injection points covered:
 //!
 //! 1. worker kill (panic at job start, retried to success)
-//! 2. lane-model panic (detonates inside the batched kernel)
+//! 2. fault-model panic (detonates inside the sweep kernel)
 //! 3. torn journal write (half a record on disk)
 //! 4. checksum flip (corrupted record on disk)
 //! 5. abort between records (clean SIGKILL analogue) + double resume

@@ -16,27 +16,27 @@
 //!
 //! ```text
 //!  fault list (factories, list order)
-//!      │  probe: one instantiation per factory → lane kind (inline
-//!      │         LaneFaultKind) | boxed lane form | neither, plus the
-//!      ▼         involved addresses with their walk step counts
+//!      │  probe: one instantiation per factory → inline lane kind
+//!      │         (LaneFaultKind) or none, plus the involved addresses
+//!      ▼         with their walk step counts
 //!  probes (list order)
-//!      │  plan: classify into lane / boxed / serial candidates, then
-//!      │        group the lane candidates (CohortPlanner) into ≤64-lane
-//!      ▼        cohorts closed at the kernel's address budget
-//!  cohorts: Lanes(…) …, BoxedLanes(…) …, Serial(…) …
+//!      │  plan: classify into lane / serial candidates, then group the
+//!      ▼        lane candidates (CohortPlanner) into ≤64-lane cohorts
+//!  cohorts: Lanes(…) …, Serial(…) …
 //!      │  pack: concatenate the lane cohorts' members into one
 //!      ⇢        contiguous Vec<LaneFaultKind> — **packed order**, the
-//!      │        kernel's native order — recording the fault→packed-slot
-//!      ▼        inverse permutation as it goes
+//!      │        kernel's native order — with the serial singletons in
+//!      │        the slots after it, recording the fault→slot inverse
+//!      ▼        permutation as it goes
 //!  packed lane array + per-cohort (start, len) ranges
 //!      │  execute: one run_march_lanes dispatch per cohort over its
-//!      │           slice of the packed array; detections land in
-//!      ▼           packed-order flat arrays (sequential writes)
-//!  packed detections  +  parked outcomes (boxed/serial, rare)
-//!      │  scatter: one list-order assembly pass reads each fault's
-//!      │           detection through the inverse permutation and its
-//!      ▼           name/kind from the sequential probe array
-//!  outcomes (fault-list order — byte-identical to the per-fault path)
+//!      │           slice of the packed array, one per-fault run per
+//!      ▼           serial singleton; mismatch counts land in slot order
+//!  mismatch counts (slot order, sequential writes)
+//!      │  scatter: one list-order pass reads each fault's count through
+//!      │           the inverse permutation and its name/kind from the
+//!      ▼           sequential probe array
+//!  InternedSweep (fault-list order — identical to the per-fault path)
 //! ```
 //!
 //! Shuffled populations therefore cost exactly one permutation hop (the
@@ -50,19 +50,15 @@
 //! [`FaultBatch::plan_with`] partitions a fault list into dispatchable
 //! [`Cohort`]s:
 //!
-//! * a fault joins an **enum lane cohort** ([`Cohort::Lanes`]) when the
-//!   walk is [`MarchWalk::locality_safe`] and the fault provides a
+//! * a fault joins a **lane cohort** ([`Cohort::Lanes`]) when the walk is
+//!   [`MarchWalk::locality_safe`] and the fault provides a
 //!   [`Fault::lane_kind`] — its lane form stored inline, dispatched by a
 //!   match on plain data with no per-owner pointer chase;
-//! * a fault with no inline kind but a boxed [`Fault::lane_form`] (the
-//!   extensibility escape hatch for external fault types) joins a
-//!   **boxed cohort** ([`Cohort::BoxedLanes`]), which runs the same
-//!   generic kernel through virtual dispatch;
-//! * lane cohorts close at [`LaneMemory::LANES`] (64) members or at the
+//! * lane cohorts close at [`LaneMemory::LANES`] (64) members — a lane
+//!   kind involves at most two cells, so a full cohort stays within the
 //!   kernel's [`crate::executor::COHORT_ADDRESS_BUDGET`];
-//! * everything else (no lane form at all, an over-budget involved set,
-//!   or a non-locality-safe walk) becomes a serial singleton that runs
-//!   the per-fault golden path.
+//! * everything else (no lane kind, or a non-locality-safe walk) becomes
+//!   a serial singleton that runs the per-fault golden path.
 //!
 //! *Which* faults share a cohort is the [`CohortPlanner`]'s choice, and
 //! it decides how much walk each cohort dispatches: a cohort's schedule
@@ -73,26 +69,30 @@
 //! kernel's per-owner match running the same arm in long runs) and never
 //! plans a worse total schedule than list order — it keeps whichever
 //! grouping dispatches fewer steps; [`CohortPlanner::ListOrderGreedy`] is
-//! the PR 3 baseline, kept for comparison benchmarks. Because the
-//! address-signature clustering is insensitive to the input order, a
-//! shuffled copy of a population packs into cohorts with identical
-//! merged schedules (up to cohort order) as the generation-ordered
-//! original.
+//! the list-order baseline, kept so plans can be compared against it.
+//! Because the address-signature clustering is insensitive to the input
+//! order, a shuffled copy of a population packs into cohorts with
+//! identical merged schedules (up to cohort order) as the
+//! generation-ordered original.
 //!
 //! Cohort membership never changes *results*: lanes are independent
-//! universes and [`sweep_batched`] reassembles outcomes in fault-list
-//! order, so batched sweeps are byte-identical to per-fault ones under
-//! every planner (the randomized differential harness in
-//! `tests/dense_population_differential.rs` proves it seed by seed,
-//! including shuffled-permutation seeds).
+//! universes and the sweep reassembles outcomes in fault-list order, so
+//! batched sweeps are byte-identical to per-fault ones (the randomized
+//! differential harness in `tests/dense_population_differential.rs`
+//! proves it seed by seed, including shuffled-permutation seeds).
 
 use sram_model::address::Address;
 
-use crate::executor::{run_march_lanes_scratch, LaneScratch, MarchWalk};
-use crate::fault_sim::{simulate_fault_counts_on_walk, DetectionMode, FaultSimOutcome};
-use crate::faults::{Fault, FaultFactory, FaultKind, LaneFault, LaneFaultKind};
+use crate::executor::{run_march_lanes_scratch, LaneScratch, MarchWalk, COHORT_ADDRESS_BUDGET};
+use crate::fault_sim::{simulate_fault_counts_on_walk, DetectionMode};
+use crate::faults::{Fault, FaultFactory, FaultKind, LaneFaultKind};
+use crate::intern::InternedSweep;
 use crate::memory::{GoodMemory, LaneMemory};
-use crate::parallel::par_chunk_flat_map_balanced_scratch;
+use crate::parallel::par_chunk_map;
+
+// A lane kind involves at most two cells, so no cohort the planner
+// closes at `LANES` members can exceed the kernel's address budget.
+const _: () = assert!(LaneMemory::LANES * 2 <= COHORT_ADDRESS_BUDGET);
 
 /// One unit of sweep work produced by the [`FaultBatch`] planner.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,10 +102,6 @@ pub enum Cohort {
     /// packed cohort array; the values are indices into the planned fault
     /// list, and each fault's lane is its position in the vector.
     Lanes(Vec<usize>),
-    /// Up to [`LaneMemory::LANES`] faults whose lane form is only
-    /// available boxed ([`Fault::lane_form`] — the external-fault escape
-    /// hatch); same kernel, virtual dispatch.
-    BoxedLanes(Vec<usize>),
     /// A fault that must run the per-fault path: its index in the planned
     /// fault list.
     Serial(usize),
@@ -115,7 +111,7 @@ impl Cohort {
     /// Number of faults this cohort simulates.
     pub fn len(&self) -> usize {
         match self {
-            Cohort::Lanes(indices) | Cohort::BoxedLanes(indices) => indices.len(),
+            Cohort::Lanes(indices) => indices.len(),
             Cohort::Serial(_) => 1,
         }
     }
@@ -135,7 +131,7 @@ impl Cohort {
 /// dispatch, which decides each cohort's merged-schedule size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CohortPlanner {
-    /// Lane-capable faults are chunked in fault-list order — the PR 3
+    /// Lane-capable faults are chunked in fault-list order — the
     /// baseline the address-aware packer is measured against.
     ListOrderGreedy,
     /// Lane-capable faults are sorted by their **victim-major**
@@ -149,7 +145,8 @@ pub enum CohortPlanner {
     /// merged schedule, so it is never worse than the greedy baseline.
     /// The signature sort does not depend on list positions (beyond
     /// final tie-breaking), which is what makes packed schedules
-    /// invariant under population shuffles. The default.
+    /// invariant under population shuffles. The default, and what every
+    /// sweep plans with.
     #[default]
     AddressAware,
 }
@@ -176,9 +173,9 @@ fn union_schedule_steps(walk: &MarchWalk, sets: &[&[Address]]) -> u64 {
 }
 
 /// Probed faults in struct-of-arrays layout: the instances, the inline
-/// lane kinds (when the walk admits them), the boxed escape-hatch lane
-/// forms (only probed when there is no kind) and a CSR of the sorted
-/// involved addresses, each paired with its walk step count.
+/// lane kinds (when the walk admits them) and a CSR of the sorted
+/// involved addresses of the kind-capable faults, each paired with its
+/// walk step count.
 ///
 /// Probing happens in fault-list order, once, and serves planning,
 /// packing and outcome assembly — re-instantiating 100k faults per phase
@@ -190,16 +187,12 @@ fn union_schedule_steps(walk: &MarchWalk, sets: &[&[Address]]) -> u64 {
 /// populations those permuted passes are what the sweep's throughput
 /// hinges on.
 struct ProbeSet {
-    /// `None` once a boxed cohort or serial singleton consumed the
-    /// instance (its outcome is then parked, name included, so the slot
-    /// is never read again).
-    faults: Vec<Option<Box<dyn Fault>>>,
+    /// One instance per factory; the scatter stage reads each fault's
+    /// name and kind from it.
+    faults: Vec<Box<dyn Fault>>,
     /// The inline lane forms — `Copy`, so the pack stage moves them into
     /// the packed cohort array without touching the heap.
     kinds: Vec<Option<LaneFaultKind>>,
-    /// The boxed escape-hatch lane forms, probed only when the kind is
-    /// `None`.
-    boxed: Vec<Option<Box<dyn LaneFault>>>,
     /// `(address, steps touching it)` involved entries, ascending by
     /// address within each fault, concatenated in fault-list order.
     entries: Vec<(u32, u32)>,
@@ -257,7 +250,6 @@ fn probe_faults(walk: &MarchWalk, faults: &[FaultFactory]) -> ProbeSet {
     let mut probes = ProbeSet {
         faults: Vec::with_capacity(faults.len()),
         kinds: Vec::with_capacity(faults.len()),
-        boxed: Vec::with_capacity(faults.len()),
         entries: Vec::with_capacity(faults.len()),
         offsets: Vec::with_capacity(faults.len() + 1),
         sigs: Vec::with_capacity(faults.len()),
@@ -265,43 +257,30 @@ fn probe_faults(walk: &MarchWalk, faults: &[FaultFactory]) -> ProbeSet {
     probes.offsets.push(0);
     for factory in faults {
         let fault = factory();
-        let (kind, boxed) = if locality_safe {
-            match fault.lane_kind() {
-                Some(kind) => (Some(kind), None),
-                None => (None, fault.lane_form()),
-            }
+        let kind = if locality_safe {
+            fault.lane_kind()
         } else {
-            (None, None)
+            None
         };
         let mut sig = 0u64;
-        match (&kind, &boxed) {
-            (Some(kind), _) => {
-                let involved = kind.involved();
-                sig = match *involved {
-                    [only] => u64::from(only.value()) << 32 | u64::from(u32::MAX),
-                    [secondary, victim] => {
-                        u64::from(victim.value()) << 32 | u64::from(secondary.value())
-                    }
-                    _ => unreachable!("enum lane kinds involve one or two cells"),
-                };
-                push_involved_steps(walk, &involved, &mut probes.entries);
-            }
-            (None, Some(form)) => push_involved_steps(walk, &form.involved(), &mut probes.entries),
-            _ => {}
+        if let Some(kind) = &kind {
+            let involved = kind.involved();
+            sig = match *involved {
+                [only] => u64::from(only.value()) << 32 | u64::from(u32::MAX),
+                [secondary, victim] => {
+                    u64::from(victim.value()) << 32 | u64::from(secondary.value())
+                }
+                _ => unreachable!("enum lane kinds involve one or two cells"),
+            };
+            push_involved_steps(walk, &involved, &mut probes.entries);
         }
         probes.offsets.push(probes.entries.len() as u32);
-        probes.faults.push(Some(fault));
+        probes.faults.push(fault);
         probes.kinds.push(kind);
-        probes.boxed.push(boxed);
         probes.sigs.push(sig);
     }
     probes
 }
-
-/// Sentinel of the fault→packed-slot inverse permutation: the fault does
-/// not ride an enum lane cohort (boxed or serial — its outcome parks
-/// instead).
-const UNPACKED: u32 = u32::MAX;
 
 /// One clustered-sort entry of the address-aware packer: the victim-major
 /// signature, kind rank and fault index form the sort key, and the entry
@@ -317,16 +296,30 @@ struct ClusterKey {
     kind: LaneFaultKind,
 }
 
-/// The pack-stage output when the planner could emit it directly from
-/// its clustered pass: the contiguous lane-form array in packed
-/// (execution) order, the fault→packed-slot inverse permutation and the
-/// per-cohort `(start, len)` ranges. Producing this inside the planner
-/// means a shuffled population pays exactly one permuted store per fault
-/// (the `of_fault` write) for the whole instantiation side.
+/// The pack-stage output: the contiguous lane-form array in packed
+/// (execution) order, the fault→slot inverse permutation and the
+/// per-cohort `(start, len)` ranges. The address-aware planner emits it
+/// straight out of its clustered pass, so a shuffled population pays
+/// exactly one permuted store per fault (the `of_fault` write) for the
+/// whole instantiation side.
 struct PackedLanes {
     lanes: Vec<LaneFaultKind>,
+    /// Each fault's execution slot: its packed-lane position, or — once
+    /// the sweep assigns them — a slot after the packed lanes for a
+    /// serial singleton.
     of_fault: Vec<u32>,
     ranges: Vec<(u32, u32)>,
+}
+
+impl PackedLanes {
+    fn with_capacity(lanes: usize, faults: usize) -> Self {
+        Self {
+            lanes: Vec::with_capacity(lanes),
+            // Placeholder until every fault has its slot.
+            of_fault: vec![u32::MAX; faults],
+            ranges: Vec::new(),
+        }
+    }
 }
 
 /// Sorts, deduplicates and sums a cohort union accumulated in `scratch`,
@@ -337,41 +330,6 @@ fn close_union(scratch: &mut Vec<(u32, u32)>) -> u64 {
     let steps = scratch.iter().map(|&(_, s)| u64::from(s)).sum();
     scratch.clear();
     steps
-}
-
-/// Chunks `positions` (indices into `involved`) into cohorts — closing at
-/// 64 lanes or when the summed involved sets (an upper bound on the union
-/// size) would exceed the kernel's address budget; today's ≤2-address
-/// faults never trigger the latter, but the planner must not hand the
-/// kernel a cohort it would reject — and computes the grouping's total
-/// merged-schedule steps in the same pass, so a clustered evaluation
-/// visits the (possibly permuted) involved slices exactly once.
-fn chunk_and_cost(
-    involved: &[&[(u32, u32)]],
-    positions: &[usize],
-    scratch: &mut Vec<(u32, u32)>,
-) -> (Vec<Vec<usize>>, u64) {
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut pending: Vec<usize> = Vec::new();
-    let mut total = 0u64;
-    scratch.clear();
-    for &position in positions {
-        let set = involved[position];
-        if !pending.is_empty()
-            && (pending.len() == LaneMemory::LANES
-                || scratch.len() + set.len() > crate::executor::COHORT_ADDRESS_BUDGET)
-        {
-            total += close_union(scratch);
-            groups.push(std::mem::take(&mut pending));
-        }
-        pending.push(position);
-        scratch.extend_from_slice(set);
-    }
-    if !pending.is_empty() {
-        total += close_union(scratch);
-        groups.push(pending);
-    }
-    (groups, total)
 }
 
 /// Stable, order-invariant rank of a fault kind for the address-aware
@@ -397,7 +355,7 @@ fn kind_rank(kind: FaultKind) -> u8 {
 impl FaultBatch {
     /// Plans the cohorts of `faults` over `walk` with the default
     /// [`CohortPlanner::AddressAware`] packer. Planning instantiates one
-    /// probe fault per factory to query its lane form and involved
+    /// probe fault per factory to query its lane kind and involved
     /// addresses.
     pub fn plan(walk: &MarchWalk, faults: &[FaultFactory]) -> Self {
         Self::plan_with(walk, faults, CohortPlanner::default())
@@ -441,7 +399,7 @@ impl FaultBatch {
 
     /// Plans from already-probed faults — the shared core of
     /// [`FaultBatch::plan_with`] and the sweep driver, which probes once
-    /// and reuses the instances for packing and execution. With
+    /// and reuses the instances for packing and assembly. With
     /// `want_packed`, the address-aware clustered pass also emits the
     /// packed lane array directly (see [`PackedLanes`]) — the kinds are
     /// already in hand there, in packed order, so the sweep skips a
@@ -459,34 +417,18 @@ impl FaultBatch {
         // because cohort assembly below gathers them in the planner's
         // clustered order — a permuted pass on shuffled populations.
         let mut lane_indices: Vec<u32> = Vec::new();
-        let mut lane_kinds: Vec<u8> = Vec::new();
-        let mut lane_kind_values: Vec<LaneFaultKind> = Vec::new();
-        let mut lane_sigs: Vec<u64> = Vec::new();
         let mut involved: Vec<&[(u32, u32)]> = Vec::new();
-        let mut boxed_indices: Vec<u32> = Vec::new();
-        let mut boxed_involved: Vec<&[(u32, u32)]> = Vec::new();
         let mut serial: Vec<usize> = Vec::new();
         let mut serial_steps = 0u64;
-        for index in 0..probes.len() {
-            let set = probes.involved(index);
-            // A lane form whose involved set alone exceeds the kernel's
-            // address budget can never share (or even fill) a cohort the
-            // kernel would accept — it runs the per-fault path instead.
-            let within_budget = set.len() <= crate::executor::COHORT_ADDRESS_BUDGET;
-            if let Some(kind) = probes.kinds[index].filter(|_| within_budget) {
+        for (index, kind) in probes.kinds.iter().enumerate() {
+            if kind.is_some() {
                 lane_indices.push(index as u32);
-                lane_kinds.push(kind_rank(kind.kind()));
-                lane_kind_values.push(kind);
-                lane_sigs.push(probes.sigs[index]);
-                involved.push(set);
-            } else if probes.boxed[index].is_some() && within_budget {
-                boxed_indices.push(index as u32);
-                boxed_involved.push(set);
+                involved.push(probes.involved(index));
             } else {
-                let fault = probes.faults[index]
-                    .as_ref()
-                    .expect("fresh probes hold their fault");
-                serial_steps += match fault.involved_addresses().filter(|_| locality_safe) {
+                serial_steps += match probes.faults[index]
+                    .involved_addresses()
+                    .filter(|_| locality_safe)
+                {
                     Some(addresses) => union_schedule_steps(walk, &[&addresses]),
                     None => walk.len() as u64,
                 };
@@ -494,48 +436,44 @@ impl FaultBatch {
             }
         }
 
+        // The list-order grouping and its cost, in one sequential pass.
         let mut scratch: Vec<(u32, u32)> = Vec::new();
-        let list_order: Vec<usize> = (0..lane_indices.len()).collect();
-        let (greedy, greedy_steps) = chunk_and_cost(&involved, &list_order, &mut scratch);
-        // Greedy groups hold candidate positions; resolve them to fault
-        // indices (a sequential pass — greedy positions are in candidate
-        // order).
-        let greedy_to_indices = |groups: Vec<Vec<usize>>| -> Vec<Vec<usize>> {
-            groups
-                .into_iter()
-                .map(|members| {
-                    members
-                        .into_iter()
-                        .map(|position| lane_indices[position] as usize)
-                        .collect()
-                })
+        let mut greedy_steps = 0u64;
+        for sets in involved.chunks(LaneMemory::LANES) {
+            for set in sets {
+                scratch.extend_from_slice(set);
+            }
+            greedy_steps += close_union(&mut scratch);
+        }
+        let greedy = || -> Vec<Vec<usize>> {
+            lane_indices
+                .chunks(LaneMemory::LANES)
+                .map(|members| members.iter().map(|&index| index as usize).collect())
                 .collect()
         };
         let mut packed_lanes: Option<PackedLanes> = None;
         let (lane_groups, lane_steps) = match planner {
-            CohortPlanner::ListOrderGreedy => (greedy_to_indices(greedy), greedy_steps),
+            CohortPlanner::ListOrderGreedy => (greedy(), greedy_steps),
             CohortPlanner::AddressAware => {
                 // Cluster by the victim-major involved-address signature
                 // (see `ProbeSet::sigs`): a victim's single-cell models
                 // and its coupling pairs sort adjacently (kind rank,
                 // then fault index, break the remaining ties
-                // deterministically — candidate positions are ascending
-                // in fault index, so the two tie-breaks order
-                // identically), and chunking the sorted order packs
+                // deterministically), and chunking the sorted order packs
                 // overlapping faults into shared cohorts. Each key also
                 // carries the fault index, the lane form and the
                 // per-address step counts, so after the sort the
-                // chunk-and-cost pass below builds fault-index cohorts
-                // (and, on request, the packed lane array) from the keys
+                // chunking pass below builds fault-index cohorts (and,
+                // on request, the packed lane array) from the keys
                 // *sequentially*: on a shuffled 100k population it never
-                // chases the permuted `involved` slices (or the
-                // candidate-index table) at all.
-                let mut keyed: Vec<ClusterKey> = involved
+                // chases the permuted `involved` slices at all.
+                let mut keyed: Vec<ClusterKey> = lane_indices
                     .iter()
-                    .enumerate()
-                    .map(|(position, set)| {
-                        debug_assert!(set.len() <= 2, "enum lane kinds involve at most two cells");
-                        let sig = lane_sigs[position];
+                    .zip(&involved)
+                    .map(|(&index, set)| {
+                        let kind =
+                            probes.kinds[index as usize].expect("lane candidates have kinds");
+                        let sig = probes.sigs[index as usize];
                         // Step counts in the signature's (primary,
                         // secondary) order — `set` is sorted by address,
                         // the signature by semantic role.
@@ -549,58 +487,44 @@ impl FaultBatch {
                         };
                         ClusterKey {
                             sig,
-                            rank: lane_kinds[position],
-                            index: lane_indices[position],
+                            rank: kind_rank(kind.kind()),
+                            index,
                             steps,
-                            kind: lane_kind_values[position],
+                            kind,
                         }
                     })
                     .collect();
                 keyed.sort_unstable_by_key(|key| (key.sig, key.rank, key.index));
                 let mut packed: Vec<Vec<usize>> = Vec::new();
-                let mut pending: Vec<usize> = Vec::new();
                 let mut packed_steps = 0u64;
                 // The clustered order *is* packed execution order, so
                 // when the caller wants the packed array this single
                 // sequential pass emits it — lane forms in order, the
                 // inverse permutation as the one scattered store.
-                let mut emitted = want_packed.then(|| PackedLanes {
-                    lanes: Vec::with_capacity(keyed.len()),
-                    of_fault: vec![UNPACKED; probes.len()],
-                    ranges: Vec::new(),
-                });
-                scratch.clear();
-                for &ClusterKey {
-                    sig,
-                    index,
-                    steps,
-                    kind,
-                    ..
-                } in &keyed
-                {
-                    // A second address of `u32::MAX` marks a one-cell
-                    // involved set (real addresses are `< capacity`).
-                    let len = if sig as u32 == u32::MAX { 1 } else { 2 };
-                    if !pending.is_empty()
-                        && (pending.len() == LaneMemory::LANES
-                            || scratch.len() + len > crate::executor::COHORT_ADDRESS_BUDGET)
+                let mut emitted =
+                    want_packed.then(|| PackedLanes::with_capacity(keyed.len(), probes.len()));
+                for cohort in keyed.chunks(LaneMemory::LANES) {
+                    for &ClusterKey {
+                        sig,
+                        index,
+                        steps,
+                        kind,
+                        ..
+                    } in cohort
                     {
-                        packed_steps += close_union(&mut scratch);
-                        packed.push(std::mem::take(&mut pending));
+                        if let Some(emitted) = &mut emitted {
+                            emitted.of_fault[index as usize] = emitted.lanes.len() as u32;
+                            emitted.lanes.push(kind);
+                        }
+                        scratch.push(((sig >> 32) as u32, steps.0));
+                        // A second address of `u32::MAX` marks a one-cell
+                        // involved set (real addresses are `< capacity`).
+                        if sig as u32 != u32::MAX {
+                            scratch.push((sig as u32, steps.1));
+                        }
                     }
-                    pending.push(index as usize);
-                    if let Some(emitted) = &mut emitted {
-                        emitted.of_fault[index as usize] = emitted.lanes.len() as u32;
-                        emitted.lanes.push(kind);
-                    }
-                    scratch.push(((sig >> 32) as u32, steps.0));
-                    if len == 2 {
-                        scratch.push((sig as u32, steps.1));
-                    }
-                }
-                if !pending.is_empty() {
                     packed_steps += close_union(&mut scratch);
-                    packed.push(pending);
+                    packed.push(cohort.iter().map(|key| key.index as usize).collect());
                 }
                 // Keep whichever grouping dispatches less walk: the
                 // packer is never worse than the greedy baseline.
@@ -622,42 +546,26 @@ impl FaultBatch {
                     // The greedy grouping won: the emitted clustered pack
                     // does not match it, so the sweep falls back to
                     // gather-packing off the cohort lists.
-                    (greedy_to_indices(greedy), greedy_steps)
+                    (greedy(), greedy_steps)
                 }
             }
         };
 
-        // Boxed escape-hatch cohorts are grouped in list order — external
-        // fault types are rare by construction, so they take the simple
-        // grouping under either planner.
-        let boxed_positions: Vec<usize> = (0..boxed_indices.len()).collect();
-        let (boxed_groups, boxed_steps) =
-            chunk_and_cost(&boxed_involved, &boxed_positions, &mut scratch);
-
         let mut cohorts: Vec<Cohort> = lane_groups.into_iter().map(Cohort::Lanes).collect();
-        cohorts.extend(boxed_groups.into_iter().map(|members| {
-            Cohort::BoxedLanes(
-                members
-                    .into_iter()
-                    .map(|position| boxed_indices[position] as usize)
-                    .collect(),
-            )
-        }));
         cohorts.extend(serial.into_iter().map(Cohort::Serial));
         (
             Self {
                 cohorts,
                 faults: probes.len(),
                 planner,
-                schedule_steps: lane_steps + boxed_steps + serial_steps,
+                schedule_steps: lane_steps + serial_steps,
             },
             packed_lanes,
         )
     }
 
-    /// The planned cohorts: enum lane cohorts first (in the planner's
-    /// packing order), then boxed escape-hatch cohorts, then the serial
-    /// singletons in fault-list order.
+    /// The planned cohorts: lane cohorts first (in the planner's packing
+    /// order), then the serial singletons in fault-list order.
     pub fn cohorts(&self) -> &[Cohort] {
         &self.cohorts
     }
@@ -681,13 +589,12 @@ impl FaultBatch {
         self.faults
     }
 
-    /// Number of faults that ride lane cohorts — inline enum or boxed
-    /// escape hatch (the rest run serially).
+    /// Number of faults that ride lane cohorts (the rest run serially).
     pub fn lane_fault_count(&self) -> usize {
         self.cohorts
             .iter()
             .map(|cohort| match cohort {
-                Cohort::Lanes(indices) | Cohort::BoxedLanes(indices) => indices.len(),
+                Cohort::Lanes(indices) => indices.len(),
                 Cohort::Serial(_) => 0,
             })
             .sum()
@@ -695,127 +602,49 @@ impl FaultBatch {
 }
 
 /// Simulates every fault in `faults` over `walk` through the lane-batched
-/// backend with the default [`CohortPlanner::AddressAware`] packer,
-/// returning outcomes in fault-list order. See [`sweep_batched_with`].
-pub fn sweep_batched(
-    walk: &MarchWalk,
-    faults: &[FaultFactory],
-    background: bool,
-    mode: DetectionMode,
-    threads: usize,
-) -> Vec<FaultSimOutcome> {
-    sweep_batched_with(
-        walk,
-        faults,
-        background,
-        mode,
-        threads,
-        CohortPlanner::default(),
-    )
-}
-
-fn park_lane_outcome(
-    walk: &MarchWalk,
-    fault: &dyn Fault,
-    detected: bool,
-    mismatches: usize,
-) -> FaultSimOutcome {
-    FaultSimOutcome {
-        fault_name: fault.name(),
-        fault_kind: fault.kind(),
-        test_name: walk.test_name().to_string(),
-        order_name: walk.order_name().to_string(),
-        detected,
-        mismatches,
-    }
-}
-
-/// Simulates every fault in `faults` over `walk` through the lane-batched
-/// backend under an explicit cohort `planner`, returning outcomes in
-/// fault-list order.
+/// backend — the body of every batched coverage sweep — returning the
+/// interned report in fault-list order.
 ///
 /// Execution follows the packed-order lifecycle described in the module
 /// docs: every fault is probed exactly once, in fault-list order; the
-/// plan is built from the probes; the lane cohorts' inline (`Copy`)
-/// forms are packed into one contiguous array in execution order while
-/// the fault→packed-slot inverse permutation is recorded; the cohorts
-/// execute off packed slices — serially, or fanned out across `threads`
-/// worker threads with whole cohorts as the unit of work, load-balanced
-/// because generated populations produce cohorts of very uneven cost.
-/// Detections land in packed-order flat arrays (sequential writes), and
-/// one final pass assembles outcomes in list order through the inverse
-/// permutation, so the result is identical to the per-fault path
-/// regardless of population order, scheduling or planner.
+/// plan is built from the probes with the address-aware packer; the lane
+/// cohorts' inline (`Copy`) forms are packed into one contiguous array in
+/// execution order while the fault→slot inverse permutation is recorded;
+/// the cohorts and serial singletons execute — on the current thread, or
+/// fanned out across `threads` pool workers with whole cohorts as the
+/// unit of work, load-balanced because generated populations produce
+/// cohorts of very uneven cost. Mismatch counts come back in slot order
+/// (sequential writes), and one final pass assembles outcomes in list
+/// order through the inverse permutation, so the result is identical to
+/// the per-fault path regardless of population order or scheduling.
 ///
-/// The parallel path holds no locks on the hot path: workers copy each
-/// cohort's inline lane forms (16 bytes apiece) out of the shared packed
-/// array instead of taking mutex-guarded ownership of boxed forms, and
-/// the rare boxed/serial stragglers re-instantiate from the `Sync`
-/// factories inside the worker.
-pub fn sweep_batched_with(
+/// Workers hold no locks on the hot path: each copies a claimed cohort's
+/// inline lane forms (16 bytes apiece) out of the shared packed array
+/// into its own buffer, and serial singletons re-instantiate from their
+/// `Sync` factories inside the worker.
+pub(crate) fn sweep_batched(
     walk: &MarchWalk,
     faults: &[FaultFactory],
     background: bool,
     mode: DetectionMode,
     threads: usize,
-    planner: CohortPlanner,
-) -> Vec<FaultSimOutcome> {
-    sweep_batched_assemble(
-        walk,
-        faults,
-        background,
-        mode,
-        threads,
-        planner,
-        &|fault, detected, mismatches| park_lane_outcome(walk, fault, detected, mismatches),
-    )
-}
+) -> InternedSweep {
+    let probes = probe_faults(walk, faults);
+    let (plan, packed) = FaultBatch::plan_probed(walk, &probes, CohortPlanner::AddressAware, true);
 
-/// [`sweep_batched_with`], generic over the per-fault outcome assembly:
-/// `assemble(fault, detected, mismatches)` renders each fault's result
-/// into whatever report entry the caller wants — the full string-bearing
-/// [`FaultSimOutcome`] ([`sweep_batched_with`] itself), or the interned
-/// [`OutcomeCode`](crate::intern::OutcomeCode) form that skips the
-/// three-strings-per-fault allocation
-/// ([`crate::coverage::evaluate_coverage_interned`]).
-///
-/// `assemble` runs once per fault, in no guaranteed order (workers call
-/// it for their own cohorts), but the returned vector is always in
-/// fault-list order. It must be a pure function of its arguments.
-pub fn sweep_batched_assemble<O, A>(
-    walk: &MarchWalk,
-    faults: &[FaultFactory],
-    background: bool,
-    mode: DetectionMode,
-    threads: usize,
-    planner: CohortPlanner,
-    assemble: &A,
-) -> Vec<O>
-where
-    O: Send + Sync,
-    A: Fn(&dyn Fault, bool, usize) -> O + Sync,
-{
-    let mut probes = probe_faults(walk, faults);
-    let (plan, packed) = FaultBatch::plan_probed(walk, &probes, planner, true);
-
-    // Pack stage: concatenate the lane cohorts' members into the kernel's
-    // native execution order. The address-aware planner usually emitted
-    // the packed array straight out of its clustered pass (one permuted
-    // store per fault, everything else sequential); when it could not
-    // (greedy grouping won, or was requested), one streaming pass over
-    // the cohort lists gathers each member's inline (`Copy`) lane form
-    // from the dense kind array and records the inverse permutation —
-    // two independent accesses per fault that pipeline across iterations.
+    // Pack stage: the address-aware planner usually emitted the packed
+    // array straight out of its clustered pass (one permuted store per
+    // fault, everything else sequential); when the greedy grouping won,
+    // one streaming pass over the cohort lists gathers each member's
+    // inline (`Copy`) lane form from the dense kind array and records the
+    // inverse permutation — two independent accesses per fault that
+    // pipeline across iterations.
     let PackedLanes {
-        lanes: mut packed_lanes,
-        of_fault: packed_of_fault,
-        ranges: lane_ranges,
+        lanes,
+        mut of_fault,
+        ranges,
     } = packed.unwrap_or_else(|| {
-        let mut emitted = PackedLanes {
-            lanes: Vec::with_capacity(plan.lane_fault_count()),
-            of_fault: vec![UNPACKED; probes.len()],
-            ranges: Vec::new(),
-        };
+        let mut emitted = PackedLanes::with_capacity(plan.lane_fault_count(), probes.len());
         for cohort in plan.cohorts() {
             if let Cohort::Lanes(indices) = cohort {
                 emitted
@@ -832,214 +661,78 @@ where
         emitted
     });
 
-    // Per-packed-slot mismatch counts: the kernel's detection flag is
-    // exactly `mismatches > 0` (a lane is detected iff at least one of
-    // its reads mismatched), so one dense `u32` array carries the whole
-    // outcome and the assembly pass gathers four bytes per fault.
-    let mut counts_packed = vec![0u32; packed_lanes.len()];
-    let mut parked: Vec<(usize, O)> = Vec::new();
-
-    if threads <= 1 {
-        let mut scratch: Option<GoodMemory> = None;
-        // One set of kernel dispatch buffers serves every cohort of the
-        // sweep — the serial analogue of the per-worker scratch reuse of
-        // the parallel path below.
-        let mut lane_scratch = LaneScratch::new();
-        let mut lane_cursor = 0usize;
-        for cohort in plan.cohorts() {
-            match cohort {
-                Cohort::Lanes(_) => {
-                    let (start, len) = lane_ranges[lane_cursor];
-                    lane_cursor += 1;
-                    let (start, len) = (start as usize, len as usize);
-                    let detections = run_march_lanes_scratch(
-                        walk,
-                        &mut packed_lanes[start..start + len],
-                        background,
-                        mode,
-                        &mut lane_scratch,
-                    );
-                    for (offset, detection) in detections.iter().enumerate() {
-                        counts_packed[start + offset] = detection.mismatches as u32;
-                    }
-                }
-                Cohort::BoxedLanes(indices) => {
-                    let mut lanes: Vec<Box<dyn LaneFault>> = indices
-                        .iter()
-                        .map(|&index| {
-                            probes.boxed[index]
-                                .take()
-                                .expect("planned boxed faults have lane forms")
-                        })
-                        .collect();
-                    let detections = run_march_lanes_scratch(
-                        walk,
-                        &mut lanes,
-                        background,
-                        mode,
-                        &mut lane_scratch,
-                    );
-                    for (&index, detection) in indices.iter().zip(detections) {
-                        let fault = probes.faults[index].take().expect("probe holds its fault");
-                        parked.push((
-                            index,
-                            assemble(fault.as_ref(), detection.detected, detection.mismatches),
-                        ));
-                    }
-                }
-                Cohort::Serial(index) => {
-                    let scratch = scratch.get_or_insert_with(|| GoodMemory::new(walk.capacity()));
-                    let fault = probes.faults[*index].take().expect("probe holds its fault");
-                    let (fault, detected, mismatches) =
-                        simulate_fault_counts_on_walk(walk, scratch, fault, background, mode);
-                    parked.push((*index, assemble(fault.as_ref(), detected, mismatches)));
-                }
-            }
-        }
-    } else {
-        // Lock-free fan-out: enum cohorts are read-only slices of the
-        // packed array, and each worker copies the (Copy, 16-byte) lane
-        // forms of a claimed cohort into its own buffer before running
-        // the kernel — ownership by copy, no mutexes. Boxed cohorts and
-        // serial singletons re-instantiate from their `Sync` factories
-        // inside the worker (both are rare by construction).
-        enum Work<'a> {
-            Lanes {
-                start: usize,
-                lanes: &'a [LaneFaultKind],
-            },
-            Boxed(&'a [usize]),
-            Serial(usize),
-        }
-        enum Record<O> {
-            Lane { position: usize, mismatches: u32 },
-            Parked((usize, O)),
-        }
-        let mut work: Vec<Work> = Vec::with_capacity(plan.cohorts().len());
-        let mut lane_cursor = 0usize;
-        for cohort in plan.cohorts() {
-            match cohort {
-                Cohort::Lanes(_) => {
-                    let (start, len) = lane_ranges[lane_cursor];
-                    lane_cursor += 1;
-                    let (start, len) = (start as usize, len as usize);
-                    work.push(Work::Lanes {
-                        start,
-                        lanes: &packed_lanes[start..start + len],
-                    });
-                }
-                Cohort::BoxedLanes(indices) => work.push(Work::Boxed(indices)),
-                Cohort::Serial(index) => work.push(Work::Serial(*index)),
-            }
-        }
-        let tagged = par_chunk_flat_map_balanced_scratch(&work, threads, |chunk, worker| {
-            let mut scratch: Option<GoodMemory> = None;
-            let mut local: Vec<LaneFaultKind> = Vec::new();
-            let mut records: Vec<Record<O>> = Vec::new();
-            // The kernel dispatch buffers live in the claiming worker's
-            // pool scratch, so every chunk the worker claims — across the
-            // whole sweep — reuses one set of allocations.
-            let lane_scratch: &mut LaneScratch = worker.get_or_insert_with(LaneScratch::new);
-            for item in chunk {
-                match item {
-                    Work::Lanes { start, lanes } => {
-                        local.clear();
-                        local.extend_from_slice(lanes);
-                        let detections = run_march_lanes_scratch(
-                            walk,
-                            &mut local,
-                            background,
-                            mode,
-                            lane_scratch,
-                        );
-                        records.extend(detections.iter().enumerate().map(|(offset, detection)| {
-                            Record::Lane {
-                                position: start + offset,
-                                mismatches: detection.mismatches as u32,
-                            }
-                        }));
-                    }
-                    Work::Boxed(indices) => {
-                        let mut lanes = Vec::with_capacity(indices.len());
-                        let mut instances = Vec::with_capacity(indices.len());
-                        for &index in *indices {
-                            let fault = faults[index]();
-                            lanes.push(
-                                fault
-                                    .lane_form()
-                                    .expect("planned boxed faults have lane forms"),
-                            );
-                            instances.push(fault);
-                        }
-                        let detections = run_march_lanes_scratch(
-                            walk,
-                            &mut lanes,
-                            background,
-                            mode,
-                            lane_scratch,
-                        );
-                        records.extend(indices.iter().zip(instances).zip(detections).map(
-                            |((&index, fault), detection)| {
-                                Record::Parked((
-                                    index,
-                                    assemble(
-                                        fault.as_ref(),
-                                        detection.detected,
-                                        detection.mismatches,
-                                    ),
-                                ))
-                            },
-                        ));
-                    }
-                    Work::Serial(index) => {
-                        let scratch =
-                            scratch.get_or_insert_with(|| GoodMemory::new(walk.capacity()));
-                        let (fault, detected, mismatches) = simulate_fault_counts_on_walk(
-                            walk,
-                            scratch,
-                            faults[*index](),
-                            background,
-                            mode,
-                        );
-                        records.push(Record::Parked((
-                            *index,
-                            assemble(fault.as_ref(), detected, mismatches),
-                        )));
-                    }
-                }
-            }
-            records
-        });
-        for record in tagged {
-            match record {
-                Record::Lane {
-                    position,
-                    mismatches,
-                } => counts_packed[position] = mismatches,
-                Record::Parked(entry) => parked.push(entry),
-            }
+    // The work list in slot order: the lane cohorts' slices of the packed
+    // array, then the serial singletons, which take the slots after the
+    // packed lanes.
+    enum Work<'a> {
+        Lanes(&'a [LaneFaultKind]),
+        Serial(usize),
+    }
+    let mut work: Vec<Work> = ranges
+        .iter()
+        .map(|&(start, len)| Work::Lanes(&lanes[start as usize..(start + len) as usize]))
+        .collect();
+    let mut slot = lanes.len() as u32;
+    for cohort in plan.cohorts() {
+        if let Cohort::Serial(index) = *cohort {
+            of_fault[index] = slot;
+            slot += 1;
+            work.push(Work::Serial(index));
         }
     }
 
-    // Scatter stage: one list-order pass; lane outcomes are read through
-    // the inverse permutation, parked (boxed/serial) outcomes merge in by
-    // index.
-    parked.sort_unstable_by_key(|(index, _)| *index);
-    let mut parked = parked.into_iter().peekable();
-    (0..probes.len())
-        .map(|index| {
-            if parked.peek().is_some_and(|(i, _)| *i == index) {
-                return parked.next().expect("peeked").1;
+    // Execute stage: per-slot mismatch counts. The detection flag is
+    // exactly `mismatches > 0` on every path, so one dense `u32` array
+    // carries the whole outcome and the scatter pass gathers four bytes
+    // per fault.
+    let counts: Vec<u32> = par_chunk_map(&work, threads, |chunk, worker| {
+        // The kernel dispatch buffers live in the claiming worker's pool
+        // scratch, so every chunk the worker claims — across the whole
+        // sweep — reuses one set of allocations.
+        let lane_scratch: &mut LaneScratch = worker.get_or_insert_with(LaneScratch::new);
+        let mut local: Vec<LaneFaultKind> = Vec::new();
+        let mut memory: Option<GoodMemory> = None;
+        let mut counts = Vec::new();
+        for item in chunk {
+            match *item {
+                Work::Lanes(cohort) => {
+                    local.clear();
+                    local.extend_from_slice(cohort);
+                    let detections =
+                        run_march_lanes_scratch(walk, &mut local, background, mode, lane_scratch);
+                    counts.extend(
+                        detections
+                            .iter()
+                            .map(|detection| detection.mismatches as u32),
+                    );
+                }
+                Work::Serial(index) => {
+                    let memory = memory.get_or_insert_with(|| GoodMemory::new(walk.capacity()));
+                    let (_, _, mismatches) = simulate_fault_counts_on_walk(
+                        walk,
+                        memory,
+                        faults[index](),
+                        background,
+                        mode,
+                    );
+                    counts.push(u32::try_from(mismatches).expect("mismatch counts fit u32"));
+                }
             }
-            let position = packed_of_fault[index];
-            debug_assert_ne!(position, UNPACKED, "non-parked faults ride lane cohorts");
-            let fault = probes.faults[index]
-                .as_ref()
-                .expect("lane probes keep their fault");
-            let count = counts_packed[position as usize];
-            assemble(fault.as_ref(), count > 0, count as usize)
-        })
-        .collect()
+        }
+        counts
+    });
+
+    // Scatter stage: one list-order pass reading each fault's count
+    // through the inverse permutation.
+    InternedSweep::from_outcomes(
+        walk.test_name(),
+        walk.order_name(),
+        probes
+            .faults
+            .iter()
+            .zip(&of_fault)
+            .map(|(fault, &slot)| (fault.name(), fault.kind(), counts[slot as usize] as usize)),
+    )
 }
 
 #[cfg(test)]
@@ -1047,8 +740,9 @@ mod tests {
     use super::*;
     use crate::address_order::WordLineAfterWordLine;
     use crate::algorithm::MarchTest;
+    use crate::coverage::{evaluate_coverage_on_walk, SweepBackend, SweepOptions};
     use crate::element::MarchElement;
-    use crate::faults::{standard_fault_list, StuckAtFault};
+    use crate::faults::{standard_fault_list, CouplingIdempotentFault, StuckAtFault};
     use crate::library;
     use crate::operation::MarchOp;
     use sram_model::address::Address;
@@ -1068,30 +762,12 @@ mod tests {
             .collect()
     }
 
-    /// A delegating wrapper that hides its inner fault's inline lane kind
-    /// and only exposes the boxed lane form — the external-fault escape
-    /// hatch, as a test double.
-    #[derive(Debug)]
-    struct BoxedOnly(Box<dyn Fault>);
-
-    impl Fault for BoxedOnly {
-        fn name(&self) -> String {
-            self.0.name()
-        }
-        fn kind(&self) -> crate::faults::FaultKind {
-            self.0.kind()
-        }
-        fn write(&mut self, memory: &mut GoodMemory, address: Address, value: bool) {
-            self.0.write(memory, address, value);
-        }
-        fn read(&mut self, memory: &mut GoodMemory, address: Address) -> bool {
-            self.0.read(memory, address)
-        }
-        fn involved_addresses(&self) -> Option<Vec<Address>> {
-            self.0.involved_addresses()
-        }
-        fn lane_form(&self) -> Option<Box<dyn LaneFault>> {
-            self.0.lane_form()
+    fn options(mode: DetectionMode, parallel: bool, backend: SweepBackend) -> SweepOptions {
+        SweepOptions {
+            background: false,
+            mode,
+            parallel,
+            backend,
         }
     }
 
@@ -1146,15 +822,18 @@ mod tests {
             .iter()
             .all(|cohort| matches!(cohort, Cohort::Serial(_))));
         // The serial fallback still yields outcomes in list order.
-        let outcomes = sweep_batched(&walk, &faults, false, DetectionMode::Full, 1);
-        assert_eq!(outcomes.len(), 4);
-        assert_eq!(outcomes[3].fault_name, "SAF0@3");
+        let report = evaluate_coverage_on_walk(
+            &walk,
+            &faults,
+            options(DetectionMode::Full, false, SweepBackend::LaneBatched),
+        );
+        assert_eq!(report.total(), 4);
+        assert_eq!(report.outcomes()[3].fault_name, "SAF0@3");
     }
 
     #[test]
-    fn faults_without_a_lane_form_fall_back_to_the_serial_path() {
-        /// A fault that keeps the default `lane_kind`/`lane_form` of
-        /// `None`.
+    fn faults_without_a_lane_kind_fall_back_to_the_serial_path() {
+        /// A fault that keeps the default `lane_kind` of `None`.
         #[derive(Debug)]
         struct Opaque;
         impl Fault for Opaque {
@@ -1182,39 +861,21 @@ mod tests {
             2,
             "one serial singleton + one lane cohort"
         );
-        let outcomes = sweep_batched(&walk, &faults, false, DetectionMode::FirstMismatch, 1);
-        assert_eq!(outcomes[1].fault_name, "OPAQUE");
-        assert!(outcomes[1].detected, "stuck-at-1-everything is detected");
-    }
-
-    #[test]
-    fn boxed_escape_hatch_faults_ride_boxed_cohorts_with_identical_results() {
-        // Faults that only expose the boxed lane form (external types)
-        // batch into `Cohort::BoxedLanes` and produce outcomes identical
-        // to the same faults riding inline enum cohorts — serial and
-        // parallel.
-        let organization = ArrayOrganization::new(8, 8).unwrap();
-        let walk = MarchWalk::new(&library::march_ss(), &WordLineAfterWordLine, &organization);
-        let inline: Vec<FaultFactory> = standard_fault_list(&organization);
-        let boxed: Vec<FaultFactory> = standard_fault_list(&organization)
-            .into_iter()
-            .map(|factory| {
-                let wrapped: FaultFactory = Box::new(move || Box::new(BoxedOnly(factory())));
-                wrapped
-            })
-            .collect();
-        let plan = FaultBatch::plan(&walk, &boxed);
-        assert_eq!(plan.lane_fault_count(), boxed.len());
-        assert!(plan
-            .cohorts()
-            .iter()
-            .all(|cohort| matches!(cohort, Cohort::BoxedLanes(_))));
-        for mode in [DetectionMode::Full, DetectionMode::FirstMismatch] {
-            let reference = sweep_batched(&walk, &inline, false, mode, 1);
-            for threads in [1, 4] {
-                let via_boxed = sweep_batched(&walk, &boxed, false, mode, threads);
-                assert_eq!(reference, via_boxed, "{mode:?} threads={threads}");
-            }
+        for parallel in [false, true] {
+            let report = evaluate_coverage_on_walk(
+                &walk,
+                &faults,
+                options(
+                    DetectionMode::FirstMismatch,
+                    parallel,
+                    SweepBackend::LaneBatched,
+                ),
+            );
+            assert_eq!(report.outcomes()[1].fault_name, "OPAQUE");
+            assert!(
+                report.outcomes()[1].detected,
+                "stuck-at-1-everything is detected"
+            );
         }
     }
 
@@ -1241,18 +902,70 @@ mod tests {
             packed.merged_schedule_steps(),
             greedy.merged_schedule_steps()
         );
-        // Same results either way, in fault-list order.
+        // The clustered sweep reproduces the golden path, in fault-list
+        // order.
         for mode in [DetectionMode::Full, DetectionMode::FirstMismatch] {
-            let a = sweep_batched_with(&walk, &faults, false, mode, 1, CohortPlanner::AddressAware);
-            let b = sweep_batched_with(
+            let golden = evaluate_coverage_on_walk(
                 &walk,
                 &faults,
-                false,
-                mode,
-                1,
-                CohortPlanner::ListOrderGreedy,
+                options(mode, false, SweepBackend::PerFault),
             );
-            assert_eq!(a, b, "{mode:?}");
+            let batched = evaluate_coverage_on_walk(
+                &walk,
+                &faults,
+                options(mode, false, SweepBackend::LaneBatched),
+            );
+            assert_eq!(golden, batched, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn greedy_grouping_wins_when_strictly_cheaper_and_sweeps_through_the_gather_pack() {
+        // Two aggressors, each coupled to 64 victims of one parity. List
+        // order keeps each aggressor in one cohort (65 addresses apiece);
+        // the victim-major clustering interleaves the parities, so both
+        // of its cohorts span both aggressors (66 addresses apiece). The
+        // packer must keep the greedy grouping, and the sweep must then
+        // pack by gathering off the cohort lists.
+        let organization = ArrayOrganization::new(16, 16).unwrap();
+        let walk = MarchWalk::new(&library::march_ss(), &WordLineAfterWordLine, &organization);
+        let faults: Vec<FaultFactory> = [(200u32, 0u32), (201, 1)]
+            .into_iter()
+            .flat_map(|(aggressor, parity)| {
+                (0..64u32).map(move |k| {
+                    let victim = 2 * k + parity;
+                    let factory: FaultFactory = Box::new(move || {
+                        Box::new(CouplingIdempotentFault::new(
+                            Address::new(aggressor),
+                            Address::new(victim),
+                            k % 2 == 0,
+                            k % 3 == 0,
+                        ))
+                    });
+                    factory
+                })
+            })
+            .collect();
+        let packed = FaultBatch::plan(&walk, &faults);
+        let greedy = FaultBatch::plan_with(&walk, &faults, CohortPlanner::ListOrderGreedy);
+        assert_eq!(packed.cohorts(), greedy.cohorts());
+        assert_eq!(packed.cohorts().len(), 2);
+        assert_eq!(packed.merged_schedule_steps(), 2_860);
+        assert_eq!(greedy.merged_schedule_steps(), 2_860);
+        for mode in [DetectionMode::Full, DetectionMode::FirstMismatch] {
+            let golden = evaluate_coverage_on_walk(
+                &walk,
+                &faults,
+                options(mode, false, SweepBackend::PerFault),
+            );
+            for parallel in [false, true] {
+                let batched = evaluate_coverage_on_walk(
+                    &walk,
+                    &faults,
+                    options(mode, parallel, SweepBackend::LaneBatched),
+                );
+                assert_eq!(golden, batched, "{mode:?} parallel={parallel}");
+            }
         }
     }
 
@@ -1272,75 +985,6 @@ mod tests {
         let plan = FaultBatch::plan(&walk, &faults);
         assert_eq!(plan.cohorts().len(), 1);
         assert_eq!(plan.merged_schedule_steps(), victim_steps + other_steps);
-    }
-
-    #[test]
-    fn lane_forms_exceeding_the_address_budget_fall_back_to_the_serial_path() {
-        use crate::executor::COHORT_ADDRESS_BUDGET;
-        use crate::memory::LaneMemory;
-
-        /// A fault whose lane form claims more involved addresses than
-        /// one cohort may span — the planner must not hand it to the
-        /// kernel as a lane cohort.
-        #[derive(Debug, Clone, Copy)]
-        struct WideFault;
-        impl Fault for WideFault {
-            fn name(&self) -> String {
-                "WIDE".into()
-            }
-            fn kind(&self) -> crate::faults::FaultKind {
-                crate::faults::FaultKind::StuckAt
-            }
-            fn write(&mut self, memory: &mut GoodMemory, address: Address, _value: bool) {
-                memory.set(address, true);
-            }
-            fn read(&mut self, memory: &mut GoodMemory, address: Address) -> bool {
-                memory.get(address)
-            }
-            fn lane_form(&self) -> Option<Box<dyn LaneFault>> {
-                Some(Box::new(*self))
-            }
-        }
-        impl LaneFault for WideFault {
-            fn involved(&self) -> Vec<Address> {
-                (0..COHORT_ADDRESS_BUDGET as u32 + 1)
-                    .map(Address::new)
-                    .collect()
-            }
-            fn lane_write(
-                &mut self,
-                memory: &mut LaneMemory,
-                lane: u32,
-                address: Address,
-                _value: bool,
-            ) {
-                memory.set_lane(address, lane, true);
-            }
-            fn lane_read(
-                &mut self,
-                memory: &mut LaneMemory,
-                lane: u32,
-                address: Address,
-                _sensed: bool,
-            ) -> bool {
-                memory.get_lane(address, lane)
-            }
-        }
-        let organization = ArrayOrganization::new(32, 16).unwrap();
-        let walk = MarchWalk::new(&library::mats_plus(), &WordLineAfterWordLine, &organization);
-        let mut faults = saf_list(2);
-        faults.insert(1, Box::new(|| Box::new(WideFault)));
-        let plan = FaultBatch::plan(&walk, &faults);
-        assert_eq!(plan.lane_fault_count(), 2, "the wide fault runs serially");
-        assert!(plan
-            .cohorts()
-            .iter()
-            .any(|cohort| matches!(cohort, Cohort::Serial(1))));
-        // The sweep still completes (through the per-fault path) and
-        // keeps fault-list order.
-        let outcomes = sweep_batched(&walk, &faults, false, DetectionMode::Full, 1);
-        assert_eq!(outcomes[1].fault_name, "WIDE");
-        assert!(outcomes[1].detected, "stuck-at-1-everything is detected");
     }
 
     #[test]

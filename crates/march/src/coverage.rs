@@ -1,9 +1,9 @@
 //! Fault-coverage evaluation over a fault list.
 //!
-//! [`evaluate_coverage`] is the sweep driver on top of the executor
-//! kernel: it precomputes one [`MarchWalk`] per `(test, order,
-//! organization)`, reuses one scratch memory per worker across the whole
-//! fault list, and — via [`SweepOptions`] — optionally stops each
+//! [`evaluate_coverage_interned_on_walk`] is the sweep driver on top of
+//! the executor kernel and the one body every coverage entry point runs:
+//! it sweeps a precomputed [`MarchWalk`] per `(test, order,
+//! organization)`, and — via [`SweepOptions`] — optionally stops each
 //! simulation at the first mismatch and fans the work out across threads.
 //! By default the sweep rides the lane-batched backend
 //! ([`crate::batch`]): compatible faults are grouped into ≤64-lane
@@ -11,6 +11,11 @@
 //! kept as the golden reference ([`SweepBackend::PerFault`]). Both
 //! backends, serial or parallel, produce **identical** reports: outcomes
 //! are kept in fault-list order regardless of scheduling.
+//!
+//! Every sweep produces an [`InternedSweep`]; the [`CoverageReport`]
+//! entry points ([`evaluate_coverage`], [`evaluate_coverage_with`],
+//! [`evaluate_coverage_on_walk`]) are its
+//! [`materialize`](InternedSweep::materialize)d form.
 
 use std::collections::BTreeMap;
 
@@ -18,13 +23,11 @@ use sram_model::config::ArrayOrganization;
 
 use crate::address_order::AddressOrder;
 use crate::algorithm::MarchTest;
-use crate::batch::{sweep_batched_assemble, sweep_batched_with, CohortPlanner};
+use crate::batch::sweep_batched;
 use crate::executor::MarchWalk;
-use crate::fault_sim::{
-    simulate_fault_counts_on_walk, simulate_fault_on_walk, DetectionMode, FaultSimOutcome,
-};
-use crate::faults::{FaultFactory, FaultKind};
-use crate::intern::{InternedSweep, NameTable, OutcomeCode};
+use crate::fault_sim::{simulate_fault_counts_on_walk, DetectionMode, FaultSimOutcome};
+use crate::faults::FaultFactory;
+use crate::intern::InternedSweep;
 use crate::memory::GoodMemory;
 use crate::parallel::{max_threads, par_chunk_map};
 use crate::rng::Fnv1a;
@@ -34,18 +37,13 @@ use crate::rng::Fnv1a;
 pub enum SweepBackend {
     /// The lane-batched backend: compatible faults grouped into ≤64-lane
     /// cohorts by the address-aware packer
-    /// ([`CohortPlanner::AddressAware`]), lane forms stored inline as
-    /// [`crate::faults::LaneFaultKind`] enum values executed in packed
-    /// order (match dispatch, no per-owner pointer chase), one walk
-    /// dispatch per cohort, serial fallback for the rest
+    /// ([`crate::batch::CohortPlanner::AddressAware`]), lane forms stored
+    /// inline as [`crate::faults::LaneFaultKind`] enum values executed in
+    /// packed order (match dispatch, no per-owner pointer chase), one
+    /// walk dispatch per cohort, serial fallback for the rest
     /// ([`crate::batch::FaultBatch`]). The default.
     #[default]
     LaneBatched,
-    /// The lane-batched backend with the list-order greedy planner
-    /// ([`CohortPlanner::ListOrderGreedy`]) — the packing baseline dense
-    /// benchmarks compare against. Results are identical to
-    /// [`SweepBackend::LaneBatched`]; only the cohort schedules differ.
-    LaneBatchedListOrder,
     /// One filtered walk per fault — the golden reference path that
     /// batched sweeps are verified against.
     PerFault,
@@ -181,7 +179,7 @@ impl CoverageReport {
         for outcome in &self.outcomes {
             hasher.write(outcome.fault_name.as_bytes());
             hasher.write_u8(0xFE);
-            hasher.write(outcome.fault_kind.to_string().as_bytes());
+            hasher.write(outcome.fault_kind.as_str().as_bytes());
             hasher.write_u8(u8::from(outcome.detected));
             hasher.write_u64(outcome.mismatches as u64);
         }
@@ -190,74 +188,34 @@ impl CoverageReport {
 
     /// Per-fault-kind `(detected, total)` counts.
     pub fn by_kind(&self) -> BTreeMap<String, (usize, usize)> {
-        let mut map: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+        let mut map: BTreeMap<&'static str, (usize, usize)> = BTreeMap::new();
         for outcome in &self.outcomes {
-            let entry = map.entry(outcome.fault_kind.to_string()).or_insert((0, 0));
+            let entry = map.entry(outcome.fault_kind.as_str()).or_insert((0, 0));
             entry.1 += 1;
             if outcome.detected {
                 entry.0 += 1;
             }
         }
-        map
+        map.into_iter()
+            .map(|(kind, counts)| (kind.to_string(), counts))
+            .collect()
     }
 }
 
-/// Simulates every fault in `faults` over a precomputed `walk`.
-///
-/// This is the sweep driver. Under the default
-/// [`SweepBackend::LaneBatched`] the list is planned into ≤64-lane
-/// cohorts that each share one walk dispatch (threads take whole cohorts
-/// when `parallel` is set). Under [`SweepBackend::PerFault`] serial
-/// sweeps reuse one scratch memory for the entire list and parallel
-/// sweeps give each worker thread its own scratch memory and a contiguous
-/// chunk of the list. Either way the outcomes are reassembled in
-/// fault-list order, so every backend/threading combination yields an
-/// identical report.
+/// Simulates every fault in `faults` over a precomputed `walk` into the
+/// string-bearing report: [`evaluate_coverage_interned_on_walk`],
+/// materialized.
 pub fn evaluate_coverage_on_walk(
     walk: &MarchWalk,
     faults: &[FaultFactory],
     options: SweepOptions,
 ) -> CoverageReport {
-    let threads = if options.parallel { max_threads() } else { 1 };
-    let outcomes = match options.backend {
-        SweepBackend::LaneBatched | SweepBackend::LaneBatchedListOrder => {
-            let planner = match options.backend {
-                SweepBackend::LaneBatchedListOrder => CohortPlanner::ListOrderGreedy,
-                _ => CohortPlanner::AddressAware,
-            };
-            sweep_batched_with(
-                walk,
-                faults,
-                options.background,
-                options.mode,
-                threads,
-                planner,
-            )
-        }
-        SweepBackend::PerFault => {
-            let sweep_chunk = |chunk: &[FaultFactory]| -> Vec<FaultSimOutcome> {
-                let mut scratch = GoodMemory::new(walk.capacity());
-                chunk
-                    .iter()
-                    .map(|factory| {
-                        simulate_fault_on_walk(
-                            walk,
-                            &mut scratch,
-                            factory(),
-                            options.background,
-                            options.mode,
-                        )
-                    })
-                    .collect()
-            };
-            par_chunk_map(faults, threads, sweep_chunk)
-        }
-    };
-    CoverageReport::new(walk.test_name(), walk.order_name(), outcomes)
+    evaluate_coverage_interned_on_walk(walk, faults, options).materialize()
 }
 
 /// Simulates every fault in `faults` under `test`/`order` with explicit
-/// sweep options, precomputing the walk once for the whole list.
+/// sweep options, precomputing the walk once for the whole list:
+/// [`evaluate_coverage_interned`], materialized.
 pub fn evaluate_coverage_with(
     test: &MarchTest,
     order: &dyn AddressOrder,
@@ -265,22 +223,22 @@ pub fn evaluate_coverage_with(
     faults: &[FaultFactory],
     options: SweepOptions,
 ) -> CoverageReport {
-    let walk = MarchWalk::new(test, order, organization);
-    evaluate_coverage_on_walk(&walk, faults, options)
+    evaluate_coverage_interned(test, order, organization, faults, options).materialize()
 }
 
 /// Simulates every fault in `faults` under `test`/`order` and aggregates
 /// the outcomes (full mismatch counts, single-threaded, on the default
-/// lane-batched backend — report-identical to the seed API's serial
-/// per-fault sweep; use [`evaluate_coverage_with`] and
-/// [`SweepOptions::fast`] for throughput sweeps).
+/// lane-batched backend — report-identical to a serial per-fault sweep;
+/// use [`evaluate_coverage_with`] and [`SweepOptions::fast`] for
+/// throughput sweeps).
 pub fn evaluate_coverage(
     test: &MarchTest,
     order: &dyn AddressOrder,
     organization: &ArrayOrganization,
     faults: &[FaultFactory],
 ) -> CoverageReport {
-    evaluate_coverage_with(test, order, organization, faults, SweepOptions::default())
+    evaluate_coverage_interned(test, order, organization, faults, SweepOptions::default())
+        .materialize()
 }
 
 /// A panic captured by the panic-safe sweep wrappers: the payload rendered
@@ -314,111 +272,56 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The panic-safe job-level sweep entry point: like
-/// [`evaluate_coverage_with`], but a panic anywhere inside the sweep — a
-/// misbehaving fault model, a lane form violating its involved-address
-/// contract, an assertion in the kernel — is caught and returned as a
-/// [`SweepPanic`] instead of unwinding into the caller. This is what lets
-/// a campaign worker pool treat a panicking fault model as *one failed
-/// job* rather than a dead campaign.
+/// Simulates every fault in `faults` over a precomputed `walk` — the
+/// sweep driver, and the one body every coverage entry point runs.
 ///
-/// The sweep mutates only state it owns (scratch memories, outcome
-/// buffers), so a caught panic leaves no observable inconsistency behind;
-/// `AssertUnwindSafe` is sound here.
-pub fn evaluate_coverage_caught(
-    test: &MarchTest,
-    order: &dyn AddressOrder,
-    organization: &ArrayOrganization,
-    faults: &[FaultFactory],
-    options: SweepOptions,
-) -> Result<CoverageReport, SweepPanic> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        evaluate_coverage_with(test, order, organization, faults, options)
-    }))
-    .map_err(|payload| SweepPanic {
-        message: panic_message(&*payload),
-    })
-}
-
-/// Per-fault result carried between the sweep workers and the final
-/// intern pass: the rendered instance name plus the raw counts. One
-/// string per fault — the test/order copies of the classic path are
-/// gone, and the name moves into the [`NameTable`] without reallocating.
-type RawOutcome = (String, FaultKind, bool, usize);
-
-/// Folds sweep-ordered raw outcomes into an [`InternedSweep`]: one
-/// serial pass pushing each name into the table and compressing the
-/// counts into 16-byte [`OutcomeCode`]s.
-fn intern_outcomes(walk: &MarchWalk, raw: Vec<RawOutcome>) -> InternedSweep {
-    let mut names = NameTable::new();
-    let test = names.intern(walk.test_name());
-    let order = names.intern(walk.order_name());
-    let codes = raw
-        .into_iter()
-        .map(|(name, kind, detected, mismatches)| OutcomeCode {
-            name: names.push(name),
-            kind,
-            detected,
-            mismatches: u32::try_from(mismatches).expect("mismatch counts fit u32"),
-        })
-        .collect();
-    InternedSweep::new(test, order, names, codes)
-}
-
-/// The interned twin of [`evaluate_coverage_on_walk`]: the same kernel,
-/// planner and threading, but outcomes assemble into an
-/// [`InternedSweep`] — one name string per fault instead of three, and a
-/// 16-byte code instead of a fat outcome struct. The result's
-/// [`digest`](InternedSweep::digest) is bit-identical to the classic
-/// report's, and [`materialize`](InternedSweep::materialize) recovers
-/// the classic report exactly.
+/// Under the default [`SweepBackend::LaneBatched`] the list is planned
+/// into ≤64-lane cohorts that each share one walk dispatch (threads take
+/// whole cohorts when `parallel` is set). Under [`SweepBackend::PerFault`]
+/// each fault runs its own filtered walk over a scratch memory reused
+/// across a chunk of the list (threads take whole chunks). Either way the
+/// outcomes are reassembled in fault-list order into one [`NameTable`]
+/// (one name string per fault) and 16-byte
+/// [`OutcomeCode`](crate::intern::OutcomeCode)s, so every
+/// backend/threading combination yields an identical report.
+///
+/// [`NameTable`]: crate::intern::NameTable
 pub fn evaluate_coverage_interned_on_walk(
     walk: &MarchWalk,
     faults: &[FaultFactory],
     options: SweepOptions,
 ) -> InternedSweep {
     let threads = if options.parallel { max_threads() } else { 1 };
-    let raw: Vec<RawOutcome> = match options.backend {
-        SweepBackend::LaneBatched | SweepBackend::LaneBatchedListOrder => {
-            let planner = match options.backend {
-                SweepBackend::LaneBatchedListOrder => CohortPlanner::ListOrderGreedy,
-                _ => CohortPlanner::AddressAware,
-            };
-            sweep_batched_assemble(
-                walk,
-                faults,
-                options.background,
-                options.mode,
-                threads,
-                planner,
-                &|fault, detected, mismatches| (fault.name(), fault.kind(), detected, mismatches),
-            )
+    match options.backend {
+        SweepBackend::LaneBatched => {
+            sweep_batched(walk, faults, options.background, options.mode, threads)
         }
         SweepBackend::PerFault => {
-            let sweep_chunk = |chunk: &[FaultFactory]| -> Vec<RawOutcome> {
+            let outcomes = par_chunk_map(faults, threads, |chunk, _| {
                 let mut scratch = GoodMemory::new(walk.capacity());
                 chunk
                     .iter()
                     .map(|factory| {
-                        let (fault, detected, mismatches) = simulate_fault_counts_on_walk(
+                        let (fault, _, mismatches) = simulate_fault_counts_on_walk(
                             walk,
                             &mut scratch,
                             factory(),
                             options.background,
                             options.mode,
                         );
-                        (fault.name(), fault.kind(), detected, mismatches)
+                        (fault.name(), fault.kind(), mismatches)
                     })
                     .collect()
-            };
-            par_chunk_map(faults, threads, sweep_chunk)
+            });
+            assert_eq!(outcomes.len(), faults.len(), "per-fault chunks map 1:1");
+            InternedSweep::from_outcomes(walk.test_name(), walk.order_name(), outcomes)
         }
-    };
-    intern_outcomes(walk, raw)
+    }
 }
 
-/// The interned twin of [`evaluate_coverage_with`]: precomputes the walk
-/// once and sweeps into an [`InternedSweep`].
+/// Simulates every fault in `faults` under `test`/`order`, precomputing
+/// the walk once for the whole list — [`evaluate_coverage_interned_on_walk`]
+/// over a fresh walk.
 pub fn evaluate_coverage_interned(
     test: &MarchTest,
     order: &dyn AddressOrder,
@@ -430,11 +333,17 @@ pub fn evaluate_coverage_interned(
     evaluate_coverage_interned_on_walk(&walk, faults, options)
 }
 
-/// The panic-safe interned sweep — the [`InternedSweep`] counterpart of
-/// [`evaluate_coverage_caught`], with the same unwind-safety argument:
-/// the sweep mutates only state it owns, so a caught panic leaves no
-/// observable inconsistency behind. This is the entry point campaign
-/// workers use.
+/// The panic-safe job-level sweep entry point: like
+/// [`evaluate_coverage_interned`], but a panic anywhere inside the sweep
+/// — a misbehaving fault model, an assertion in the kernel, a panic on a
+/// pool worker — is caught and returned as a [`SweepPanic`] instead of
+/// unwinding into the caller. This is what lets a campaign worker pool
+/// treat a panicking fault model as *one failed job* rather than a dead
+/// campaign, and it is the entry point campaign workers use.
+///
+/// The sweep mutates only state it owns (scratch memories, outcome
+/// buffers), so a caught panic leaves no observable inconsistency behind;
+/// `AssertUnwindSafe` is sound here.
 pub fn evaluate_coverage_interned_caught(
     test: &MarchTest,
     order: &dyn AddressOrder,
@@ -454,8 +363,9 @@ pub fn evaluate_coverage_interned_caught(
 mod tests {
     use super::*;
     use crate::address_order::WordLineAfterWordLine;
-    use crate::faults::standard_fault_list;
+    use crate::faults::{standard_fault_list, Fault, FaultKind};
     use crate::library;
+    use sram_model::address::Address;
 
     fn org() -> ArrayOrganization {
         ArrayOrganization::new(4, 4).unwrap()
@@ -531,11 +441,7 @@ mod tests {
                         backend: SweepBackend::PerFault,
                     },
                 );
-                for backend in [
-                    SweepBackend::PerFault,
-                    SweepBackend::LaneBatched,
-                    SweepBackend::LaneBatchedListOrder,
-                ] {
+                for backend in [SweepBackend::PerFault, SweepBackend::LaneBatched] {
                     for parallel in [false, true] {
                         let other = evaluate_coverage_with(
                             &test,
@@ -571,16 +477,26 @@ mod tests {
     }
 
     #[test]
-    fn interned_sweep_matches_the_string_path_across_every_combination() {
+    fn every_outcome_equals_the_fault_simulated_alone() {
+        use crate::fault_sim::simulate_fault_on_walk;
+
+        // Report assembly checked against an independent reference: each
+        // fault simulated on its own, its outcome built field by field,
+        // and the report digested from those outcomes.
         let organization = org();
         let faults = standard_fault_list(&organization);
         for test in library::table1_algorithms() {
+            let walk = MarchWalk::new(&test, &WordLineAfterWordLine, &organization);
             for mode in [DetectionMode::Full, DetectionMode::FirstMismatch] {
-                for backend in [
-                    SweepBackend::PerFault,
-                    SweepBackend::LaneBatched,
-                    SweepBackend::LaneBatchedListOrder,
-                ] {
+                let mut scratch = GoodMemory::new(walk.capacity());
+                let alone: Vec<FaultSimOutcome> = faults
+                    .iter()
+                    .map(|factory| {
+                        simulate_fault_on_walk(&walk, &mut scratch, factory(), false, mode)
+                    })
+                    .collect();
+                let reference = CoverageReport::new(walk.test_name(), walk.order_name(), alone);
+                for backend in [SweepBackend::PerFault, SweepBackend::LaneBatched] {
                     for parallel in [false, true] {
                         let options = SweepOptions {
                             background: false,
@@ -588,62 +504,32 @@ mod tests {
                             parallel,
                             backend,
                         };
-                        let classic = evaluate_coverage_with(
-                            &test,
-                            &WordLineAfterWordLine,
-                            &organization,
-                            &faults,
-                            options,
-                        );
-                        let interned = evaluate_coverage_interned(
-                            &test,
-                            &WordLineAfterWordLine,
-                            &organization,
-                            &faults,
-                            options,
-                        );
+                        let sweep = evaluate_coverage_interned_on_walk(&walk, &faults, options);
                         let context = format!(
                             "{} ({mode:?}, {backend:?}, parallel={parallel})",
                             test.name()
                         );
-                        assert_eq!(interned.digest(), classic.digest(), "{context}");
-                        assert_eq!(interned.materialize(), classic, "{context}");
-                        assert_eq!(interned.detected(), classic.detected(), "{context}");
-                        assert_eq!(interned.total(), classic.total(), "{context}");
+                        let report = sweep.materialize();
+                        for (index, (outcome, expected)) in report
+                            .outcomes()
+                            .iter()
+                            .zip(reference.outcomes())
+                            .enumerate()
+                        {
+                            assert_eq!(outcome, expected, "{context}: outcome {index}");
+                        }
+                        assert_eq!(report, reference, "{context}");
+                        assert_eq!(sweep.digest(), reference.digest(), "{context}");
+                        assert_eq!(sweep.detected(), reference.detected(), "{context}");
                         assert_eq!(
-                            interned.total_mismatches(),
-                            classic.total_mismatches(),
+                            sweep.total_mismatches(),
+                            reference.total_mismatches(),
                             "{context}"
                         );
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn interned_caught_sweep_agrees_with_the_classic_caught_sweep() {
-        let organization = org();
-        let faults = standard_fault_list(&organization);
-        let test = library::march_ss();
-        let classic = evaluate_coverage_caught(
-            &test,
-            &WordLineAfterWordLine,
-            &organization,
-            &faults,
-            SweepOptions::fast(),
-        )
-        .expect("classic sweep completes");
-        let interned = evaluate_coverage_interned_caught(
-            &test,
-            &WordLineAfterWordLine,
-            &organization,
-            &faults,
-            SweepOptions::fast(),
-        )
-        .expect("interned sweep completes");
-        assert_eq!(interned.digest(), classic.digest());
-        assert_eq!(interned.materialize(), classic);
     }
 
     #[test]
@@ -680,7 +566,7 @@ mod tests {
         use crate::faultgen::FaultGen;
 
         // A dense generated population (mixed kinds, shuffled) must sweep
-        // through the batched backends exactly like the per-fault golden
+        // through the batched backend exactly like the per-fault golden
         // path — the report is the contract, whatever the fault source.
         let organization = ArrayOrganization::new(8, 8).unwrap();
         let population = FaultGen::new(organization, 0xD15E).dense_profile(300);
@@ -694,25 +580,20 @@ mod tests {
         );
         assert_eq!(golden.total(), population.len());
         assert!(golden.coverage() > 0.0);
-        for backend in [
-            SweepBackend::LaneBatched,
-            SweepBackend::LaneBatchedListOrder,
-        ] {
-            for parallel in [false, true] {
-                let batched = evaluate_coverage_with(
-                    &library::march_ss(),
-                    &WordLineAfterWordLine,
-                    &organization,
-                    &population,
-                    SweepOptions {
-                        background: false,
-                        mode: DetectionMode::Full,
-                        parallel,
-                        backend,
-                    },
-                );
-                assert_eq!(golden, batched, "{backend:?} parallel={parallel}");
-            }
+        for parallel in [false, true] {
+            let batched = evaluate_coverage_with(
+                &library::march_ss(),
+                &WordLineAfterWordLine,
+                &organization,
+                &population,
+                SweepOptions {
+                    background: false,
+                    mode: DetectionMode::Full,
+                    parallel,
+                    backend: SweepBackend::LaneBatched,
+                },
+            );
+            assert_eq!(golden, batched, "parallel={parallel}");
         }
     }
 
@@ -761,7 +642,7 @@ mod tests {
             &organization,
             &faults,
         );
-        let caught = evaluate_coverage_caught(
+        let caught = evaluate_coverage_interned_caught(
             &library::march_ss(),
             &WordLineAfterWordLine,
             &organization,
@@ -769,42 +650,44 @@ mod tests {
             SweepOptions::default(),
         )
         .expect("healthy sweep must not panic");
-        assert_eq!(direct, caught);
+        assert_eq!(caught.digest(), direct.digest());
+        assert_eq!(caught.materialize(), direct);
+    }
+
+    /// A fault model that panics on its first read. It has no lane kind,
+    /// so it runs the per-fault path on whichever thread sweeps it.
+    #[derive(Debug)]
+    struct ExplodingFault;
+
+    impl Fault for ExplodingFault {
+        fn name(&self) -> String {
+            "EXPLODE@0".to_string()
+        }
+        fn kind(&self) -> FaultKind {
+            FaultKind::StuckAt
+        }
+        fn write(&mut self, _memory: &mut GoodMemory, _address: Address, _value: bool) {}
+        fn read(&mut self, _memory: &mut GoodMemory, _address: Address) -> bool {
+            panic!("faultpoint: exploding fault model")
+        }
+        fn involved_addresses(&self) -> Option<Vec<Address>> {
+            Some(vec![Address::new(0)])
+        }
+    }
+
+    fn exploding() -> FaultFactory {
+        Box::new(|| Box::new(ExplodingFault))
     }
 
     #[test]
     fn caught_sweep_reports_a_panicking_fault_model_as_an_error() {
-        use crate::faults::{Fault, FaultKind};
-        use sram_model::address::Address;
-
-        // A fault model that panics on its first read: the wrapper must
-        // catch it and surface the payload message.
-        #[derive(Debug)]
-        struct ExplodingFault;
-        impl Fault for ExplodingFault {
-            fn name(&self) -> String {
-                "EXPLODE@0".to_string()
-            }
-            fn kind(&self) -> FaultKind {
-                FaultKind::StuckAt
-            }
-            fn write(&mut self, _memory: &mut GoodMemory, _address: Address, _value: bool) {}
-            fn read(&mut self, _memory: &mut GoodMemory, _address: Address) -> bool {
-                panic!("faultpoint: exploding fault model")
-            }
-            fn involved_addresses(&self) -> Option<Vec<Address>> {
-                Some(vec![Address::new(0)])
-            }
-        }
-
+        // The wrapper must catch the panic and surface the payload message.
         let organization = org();
-        let faults: Vec<crate::faults::FaultFactory> =
-            vec![Box::new(|| Box::new(ExplodingFault) as Box<dyn Fault>)];
-        let error = evaluate_coverage_caught(
+        let error = evaluate_coverage_interned_caught(
             &library::mats_plus(),
             &WordLineAfterWordLine,
             &organization,
-            &faults,
+            &[exploding()],
             SweepOptions::golden(),
         )
         .expect_err("the exploding model must surface as SweepPanic");
@@ -813,6 +696,35 @@ mod tests {
             "payload lost: {error}"
         );
         assert!(error.to_string().starts_with("sweep panicked:"));
+    }
+
+    #[test]
+    fn caught_sweep_catches_a_panic_on_a_pool_worker() {
+        // Amid a batched population, the exploding model runs as a serial
+        // singleton on a pool worker; the panic must cross the pool and
+        // still surface as a SweepPanic, on either backend.
+        let organization = ArrayOrganization::new(8, 8).unwrap();
+        let mut faults = standard_fault_list(&organization);
+        faults.insert(17, exploding());
+        for backend in [SweepBackend::LaneBatched, SweepBackend::PerFault] {
+            let error = evaluate_coverage_interned_caught(
+                &library::march_ss(),
+                &WordLineAfterWordLine,
+                &organization,
+                &faults,
+                SweepOptions {
+                    backend,
+                    ..SweepOptions::fast()
+                },
+            )
+            .expect_err("the exploding model must surface as SweepPanic");
+            // A worker's panic reaches the caller through the pool's
+            // scope, which may replace the payload with its own message.
+            assert!(
+                error.to_string().starts_with("sweep panicked:"),
+                "{backend:?}: {error}"
+            );
+        }
     }
 
     #[test]

@@ -592,10 +592,10 @@ pub struct LaneDetection {
 
 /// Largest number of distinct addresses one lane cohort may involve: the
 /// packed schedule entry of [`run_march_lanes`] keeps the union slot in
-/// eight bits. [`crate::batch::FaultBatch`] closes cohorts before their
-/// summed involved sets can exceed this, so the limit only binds custom
-/// callers assembling cohorts by hand (today's fault models involve at
-/// most two addresses each — 64 lanes stay well under half the budget).
+/// eight bits. A lane kind involves at most two addresses, so the
+/// 64-lane cohorts [`crate::batch::FaultBatch`] plans stay within half
+/// the budget; the limit only binds custom callers assembling cohorts of
+/// their own [`LaneFault`] types by hand.
 pub const COHORT_ADDRESS_BUDGET: usize = 256;
 
 #[inline]
@@ -610,13 +610,10 @@ fn lane_mask(lanes: usize) -> u64 {
 /// Runs up to sixty-four faults through one walk scan, one bit lane each —
 /// the lane-batched sweep kernel.
 ///
-/// The kernel is generic over the lane representation: cohorts of the
-/// crate's own fault models pass `&mut [LaneFaultKind]` — lane forms
-/// stored inline, every faulty dispatch a monomorphized match on plain
-/// enum data with no per-owner pointer chase — while the external-fault
-/// escape hatch passes `&mut [Box<dyn LaneFault>]` and pays virtual
-/// dispatch. Both instantiations run the identical algorithm, so their
-/// results are interchangeable.
+/// The kernel is generic over the lane representation; sweeps pass
+/// `&mut [LaneFaultKind]` — lane forms stored inline, every faulty
+/// dispatch a monomorphized match on plain enum data with no per-owner
+/// pointer chase.
 ///
 /// Each element of `lanes` owns the bit lane of its position in the slice:
 /// a sparse [`LaneMemory`] over the cohort's merged involved addresses is

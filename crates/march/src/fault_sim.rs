@@ -114,9 +114,10 @@ pub fn simulate_fault_on_walk(
 /// simulation but reports only the detection bit and mismatch count,
 /// handing the fault instance back so the caller can render names however
 /// it wants (full [`FaultSimOutcome`] strings, or an interned
-/// [`OutcomeCode`](crate::intern::OutcomeCode)). The outcome-type sweeps
-/// ([`crate::batch::sweep_batched_assemble`]) build on this so the hot
-/// path never allocates per-fault name strings it may not need.
+/// [`OutcomeCode`](crate::intern::OutcomeCode)). The coverage sweeps
+/// ([`crate::coverage::evaluate_coverage_interned_on_walk`]) build on
+/// this so the hot path never allocates per-fault strings beyond the
+/// instance name.
 pub fn simulate_fault_counts_on_walk(
     walk: &MarchWalk,
     scratch: &mut GoodMemory,

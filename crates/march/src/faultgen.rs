@@ -99,8 +99,8 @@ impl std::error::Error for FaultGenError {}
 /// A named, generated fault list: the output of one [`FaultGen`] profile.
 ///
 /// Dereferences to `[FaultFactory]`, so a population drops into every API
-/// that sweeps a fault list (`evaluate_coverage_with`, `sweep_batched`,
-/// `verify_order_independence`, …).
+/// that sweeps a fault list (`evaluate_coverage_with`,
+/// `evaluate_coverage_interned`, `verify_order_independence`, …).
 pub struct FaultPopulation {
     /// Profile label, e.g. `"mixed-100000"` — used by benches and reports.
     pub name: String,

@@ -67,9 +67,11 @@ pub enum FaultKind {
     AddressDecoder,
 }
 
-impl fmt::Display for FaultKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl FaultKind {
+    /// The short class mnemonic (`"SAF"`, `"CFid"`, …) — what `Display`
+    /// writes and what report digests hash, without allocating.
+    pub fn as_str(self) -> &'static str {
+        match self {
             FaultKind::StuckAt => "SAF",
             FaultKind::Transition => "TF",
             FaultKind::CouplingInversion => "CFin",
@@ -81,8 +83,13 @@ impl fmt::Display for FaultKind {
             FaultKind::StuckOpen => "SOF",
             FaultKind::WriteDisturb => "WDF",
             FaultKind::AddressDecoder => "AF",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for FaultKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -130,38 +137,23 @@ pub trait Fault: fmt::Debug {
     /// returns its variant; the cohort kernel then dispatches it by a
     /// match on plain enum data — no per-owner pointer chase. The default
     /// is the conservative `None`, which makes the
-    /// [`crate::batch::FaultBatch`] planner try [`Fault::lane_form`] and
-    /// finally fall back to a serial singleton cohort.
+    /// [`crate::batch::FaultBatch`] planner run the fault as a serial
+    /// singleton cohort on the per-fault path.
     fn lane_kind(&self) -> Option<LaneFaultKind> {
         None
-    }
-
-    /// The boxed lane-masked injection form of this fault — the
-    /// extensibility escape hatch for *external* fault types that cannot
-    /// add a [`LaneFaultKind`] variant. The returned object must
-    /// reproduce this fault's behaviour exactly, confined to one bit lane
-    /// of a [`LaneMemory`]; the planner batches such faults into separate
-    /// boxed cohorts that run the same (generic) kernel through virtual
-    /// dispatch. The default derives the form from [`Fault::lane_kind`],
-    /// so in-crate models need not implement it; a fault with neither
-    /// runs the per-fault path.
-    fn lane_form(&self) -> Option<Box<dyn LaneFault>> {
-        self.lane_kind()
-            .map(|kind| Box::new(kind) as Box<dyn LaneFault>)
     }
 }
 
 /// The lane-masked form of one of the crate's own fault models, stored
-/// **inline** — the devirtualized counterpart of `Box<dyn LaneFault>`.
+/// **inline**.
 ///
-/// Cohorts of the batched backend hold `Vec<LaneFaultKind>` instead of
-/// `Vec<Box<dyn LaneFault>>`, so the kernel's per-owner dispatch is a
-/// match on plain enum data sitting contiguously in the cohort array: no
-/// heap allocation per fault, no vtable pointer chase per step. The enum
-/// is `Copy` and intentionally small (a unit test pins
-/// `size_of::<LaneFaultKind>() <= 32`) so packed cohort arrays stay
-/// cache-dense; external fault types that cannot appear here use the
-/// boxed [`Fault::lane_form`] escape hatch instead.
+/// Cohorts of the batched backend hold `Vec<LaneFaultKind>`, so the
+/// kernel's per-owner dispatch is a match on plain enum data sitting
+/// contiguously in the cohort array: no heap allocation per fault, no
+/// vtable pointer chase per step. The enum is `Copy` and intentionally
+/// small (a unit test pins `size_of::<LaneFaultKind>() <= 32`) so packed
+/// cohort arrays stay cache-dense; fault types without a variant here
+/// run the per-fault path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum LaneFaultKind {
@@ -368,32 +360,6 @@ impl LaneFault for LaneFaultKind {
         sensed_before: bool,
     ) -> bool {
         LaneFaultKind::lane_read(self, memory, lane, address, sensed_before)
-    }
-}
-
-/// Boxed lane forms (the external-fault escape hatch) flow through the
-/// same generic kernel as inline enum cohorts.
-impl LaneFault for Box<dyn LaneFault> {
-    fn involved(&self) -> Vec<Address> {
-        (**self).involved()
-    }
-
-    fn involved_into(&self, out: &mut Vec<Address>) {
-        (**self).involved_into(out);
-    }
-
-    fn lane_write(&mut self, memory: &mut LaneMemory, lane: u32, address: Address, value: bool) {
-        (**self).lane_write(memory, lane, address, value);
-    }
-
-    fn lane_read(
-        &mut self,
-        memory: &mut LaneMemory,
-        lane: u32,
-        address: Address,
-        sensed_before: bool,
-    ) -> bool {
-        (**self).lane_read(memory, lane, address, sensed_before)
     }
 }
 
@@ -623,11 +589,10 @@ mod tests {
                 .lane_kind()
                 .unwrap_or_else(|| panic!("{} has no lane kind", fault.name()));
             assert_eq!(kind.kind(), fault.kind(), "{}", fault.name());
-            // The derived boxed form (the escape hatch) and the inline
-            // involved set agree with the trait contract.
-            let boxed = fault.lane_form().expect("derived from lane_kind");
+            // The trait's allocating involved set and the inline one
+            // agree.
             assert_eq!(
-                LaneFault::involved(&boxed),
+                LaneFault::involved(&kind),
                 LaneFaultKind::involved(&kind).to_vec(),
                 "{}",
                 fault.name()
@@ -651,6 +616,7 @@ mod tests {
         assert_eq!(FaultKind::StuckAt.to_string(), "SAF");
         assert_eq!(FaultKind::DeceptiveReadDestructive.to_string(), "DRDF");
         assert_eq!(FaultKind::AddressDecoder.to_string(), "AF");
+        assert_eq!(FaultKind::CouplingIdempotent.as_str(), "CFid");
     }
 
     #[test]

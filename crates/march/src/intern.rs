@@ -1,28 +1,22 @@
-//! Interned, index-based sweep reports.
+//! Interned, index-based sweep reports — the one report shape the sweep
+//! kernel produces.
 //!
-//! The classic [`CoverageReport`] carries
-//! three heap strings per outcome — the fault's instance name plus a fresh
-//! copy of the test and order names — which dominates outcome-assembly
-//! cost once sweeps reach hundreds of thousands of faults and is pure
-//! waste for consumers that only want a digest (campaign journals pin a
-//! 64-bit fingerprint, not megabytes of outcomes).
-//!
-//! This module is the allocation-flat alternative: a sweep builds one
-//! [`NameTable`] holding every rendered string exactly once, and each
-//! fault's result compresses to a 16-byte [`OutcomeCode`] — a `u32` index
-//! into the table, the [`FaultKind`], the detection bit and the mismatch
-//! count. The [`InternedSweep`] report offers the same aggregate
-//! accessors as `CoverageReport`, a [`digest`](InternedSweep::digest)
-//! that is **bit-identical** to [`CoverageReport::digest`] on
-//! the same results (the equivalence tests pin this), lazy per-outcome
-//! [`Display`](std::fmt::Display) rendering, and a
-//! [`materialize`](InternedSweep::materialize) escape hatch producing the
-//! classic string-bearing report when a consumer really wants one.
+//! A sweep builds one [`NameTable`] holding every rendered string exactly
+//! once, and each fault's result compresses to a 16-byte [`OutcomeCode`]
+//! — a `u32` index into the table, the [`FaultKind`], the detection bit
+//! and the mismatch count. The [`InternedSweep`] report offers the
+//! aggregate accessors consumers need, a stable 64-bit
+//! [`digest`](InternedSweep::digest) (campaign journals pin this
+//! fingerprint, not megabytes of outcomes), lazy per-outcome
+//! [`Display`](std::fmt::Display) rendering, and
+//! [`materialize`](InternedSweep::materialize), which expands it into the
+//! string-bearing [`CoverageReport`] — three heap strings per outcome —
+//! for consumers that want per-fault structs. The materialized report's
+//! [`CoverageReport::digest`] is **bit-identical** to the sweep's.
 //!
 //! Sweeps produce it through
-//! [`evaluate_coverage_interned`](crate::coverage::evaluate_coverage_interned),
-//! which rides the exact same kernel and planner as the string path — only
-//! the final assembly differs.
+//! [`evaluate_coverage_interned`](crate::coverage::evaluate_coverage_interned);
+//! the `CoverageReport` entry points materialize that result.
 
 use std::fmt;
 
@@ -122,9 +116,9 @@ pub struct OutcomeCode {
     pub mismatches: u32,
 }
 
-/// A coverage sweep report with interned names: the index-based
-/// equivalent of [`CoverageReport`], built without the three per-fault
-/// string allocations.
+/// A coverage sweep report with interned names — what every sweep
+/// produces; [`CoverageReport`] is its materialized, string-bearing
+/// form.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InternedSweep {
     test: u32,
@@ -149,6 +143,30 @@ impl InternedSweep {
             codes,
             detected,
         }
+    }
+
+    /// Interns one sweep's results: `outcomes` yields every fault's
+    /// instance name, kind and mismatch count in fault-list order. A
+    /// fault is detected exactly when at least one read mismatched, which
+    /// is how every simulation path reports it.
+    pub(crate) fn from_outcomes(
+        test: &str,
+        order: &str,
+        outcomes: impl IntoIterator<Item = (String, FaultKind, usize)>,
+    ) -> Self {
+        let mut names = NameTable::new();
+        let test = names.intern(test);
+        let order = names.intern(order);
+        let codes = outcomes
+            .into_iter()
+            .map(|(name, kind, mismatches)| OutcomeCode {
+                name: names.push(name),
+                kind,
+                detected: mismatches > 0,
+                mismatches: u32::try_from(mismatches).expect("mismatch counts fit u32"),
+            })
+            .collect();
+        Self::new(test, order, names, codes)
     }
 
     /// Name of the March test evaluated.
@@ -211,10 +229,11 @@ impl InternedSweep {
         }
     }
 
-    /// A stable 64-bit digest of the whole report, **bit-identical** to
-    /// [`CoverageReport::digest`] of the materialized report: campaign
-    /// journals written from interned sweeps verify against journals
-    /// written from classic reports and vice versa.
+    /// A stable 64-bit digest of the whole report: test and order names
+    /// plus every outcome's name, kind, detection bit and mismatch count,
+    /// absorbed in fault-list order through [`Fnv1a`]. **Bit-identical**
+    /// to [`CoverageReport::digest`] of the materialized report, so
+    /// journals pinned from either shape verify against the other.
     pub fn digest(&self) -> u64 {
         let mut hasher = Fnv1a::new();
         hasher.write(self.test_name().as_bytes());
@@ -224,18 +243,17 @@ impl InternedSweep {
         for code in &self.codes {
             hasher.write(self.names.get(code.name).as_bytes());
             hasher.write_u8(0xFE);
-            hasher.write(code.kind.to_string().as_bytes());
+            hasher.write(code.kind.as_str().as_bytes());
             hasher.write_u8(u8::from(code.detected));
             hasher.write_u64(u64::from(code.mismatches));
         }
         hasher.finish()
     }
 
-    /// Expands this report into the classic string-bearing
-    /// [`CoverageReport`] — one string allocation per outcome plus the
-    /// test/order copies, for consumers that want the old shape. The
-    /// result compares equal (and digest-equal) to the report the string
-    /// path would have produced for the same sweep.
+    /// Expands this report into the string-bearing [`CoverageReport`] —
+    /// one string allocation per outcome plus the test/order copies, for
+    /// consumers that want per-fault structs. The result is digest-equal
+    /// to this report.
     pub fn materialize(&self) -> CoverageReport {
         let outcomes = self
             .codes

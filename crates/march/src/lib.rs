@@ -44,9 +44,10 @@
 //!    the detected/missed bit stop each simulation at the first
 //!    mismatching read instead of finishing the walk.
 //! 4. **Parallel sweeps** ([`coverage::SweepOptions`], [`parallel`]) —
-//!    the sweep work fans out across scoped worker threads, one scratch
-//!    memory per worker, with outcomes reassembled in fault-list order so
-//!    parallel reports are byte-identical to serial ones.
+//!    the sweep work fans out across the worker pool through one
+//!    order-preserving, load-balanced chunk map, with outcomes
+//!    reassembled in fault-list order so parallel reports are
+//!    byte-identical to serial ones.
 //! 5. **Lane batching** ([`batch::FaultBatch`], [`memory::LaneMemory`],
 //!    [`executor::run_march_lanes`]) — up to sixty-four independent
 //!    faults ride *one* walk dispatch, each owning a bit lane of a
@@ -55,20 +56,21 @@
 //!    driving the per-lane early exit. Lane forms are stored **inline**
 //!    as [`faults::LaneFaultKind`] enum values (cohorts are
 //!    `Vec<LaneFaultKind>`, dispatched by a monomorphized match — no
-//!    per-owner `Box<dyn …>` pointer chase; the boxed
-//!    [`faults::Fault::lane_form`] survives as the extensibility escape
-//!    hatch for external fault types), and sweeps execute in **packed
-//!    order** with one streaming permutation for probes and outcomes, so
-//!    shuffled populations sweep at generation-ordered speed. Coverage
-//!    sweeps ride this backend by default and keep the per-fault path as
-//!    the golden reference.
+//!    per-owner pointer chase); a fault without a lane kind runs the
+//!    per-fault path. Sweeps execute in **packed order** with one
+//!    streaming permutation for probes and outcomes, so shuffled
+//!    populations sweep at generation-ordered speed, and every sweep
+//!    assembles one report shape, the interned [`intern::InternedSweep`].
+//!    Coverage sweeps ride this backend by default and keep the
+//!    per-fault path as the golden reference.
 //! 6. **Address-aware cohort packing** ([`batch::CohortPlanner`]) —
 //!    cohorts are packed so faults sharing involved addresses land in the
 //!    same walk dispatch, shrinking each cohort's merged step schedule on
 //!    the dense populations synthesized by [`faultgen::FaultGen`]
 //!    (per-row/per-column victims, neighbourhood coupling sets, mixed
-//!    profiles of 100k+ faults); the list-order greedy planner is kept as
-//!    the measured baseline.
+//!    profiles of 100k+ faults); the packer keeps the list-order grouping
+//!    whenever that is cheaper, and the list-order planner stays available
+//!    to compare plans against.
 //!
 //! The `bench` crate's `fault_sim_throughput` benchmark measures the
 //! kernel in faults/second against a frozen replica of the original
@@ -134,9 +136,8 @@ pub mod prelude {
     pub use crate::background::DataBackground;
     pub use crate::batch::{Cohort, CohortPlanner, FaultBatch};
     pub use crate::coverage::{
-        evaluate_coverage, evaluate_coverage_caught, evaluate_coverage_on_walk,
-        evaluate_coverage_with, panic_message, CoverageReport, SweepBackend, SweepOptions,
-        SweepPanic,
+        evaluate_coverage, evaluate_coverage_on_walk, evaluate_coverage_with, panic_message,
+        CoverageReport, SweepBackend, SweepOptions, SweepPanic,
     };
     pub use crate::element::{AddressDirection, MarchElement};
     pub use crate::executor::{

@@ -2,17 +2,17 @@
 //!
 //! The build environment cannot fetch `rayon`, so the parallel coverage
 //! and degree-of-freedom sweeps use the workspace's [`sched`] worker pool
-//! through these order-preserving wrappers. They keep the property that
-//! makes `rayon`'s ordered collects safe to use in experiments: **the
-//! output order is the input order**, regardless of how the work was
-//! scheduled, so parallel sweeps produce byte-identical reports to serial
-//! ones.
+//! through one order-preserving wrapper, [`par_chunk_map`]. It keeps the
+//! property that makes `rayon`'s ordered collects safe to use in
+//! experiments: **the output order is the input order**, regardless of
+//! how the work was scheduled, so parallel sweeps produce byte-identical
+//! reports to serial ones.
 //!
-//! Every fan-out below reaches the pool as [`sched::WorkKind::FaultSweep`]
-//! work items; each pool worker owns a [`WorkerScratch`] for its whole
-//! lifetime, which the `_scratch` variants expose to the chunk closure so
-//! the lane-batched hot path can reuse its dispatch buffers across chunks
-//! instead of reallocating per cohort.
+//! The fan-out reaches the pool as [`sched::WorkKind::FaultSweep`] work
+//! items; each pool worker owns a [`WorkerScratch`] for its whole
+//! lifetime, which the chunk closure receives so the lane-batched hot
+//! path can reuse its dispatch buffers across chunks instead of
+//! reallocating per cohort.
 
 use std::num::NonZeroUsize;
 use std::thread;
@@ -28,92 +28,46 @@ pub fn max_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Maps contiguous chunks of `items` across the worker pool and
-/// concatenates the per-chunk outputs **in input order**.
-///
-/// `map_chunk` is called once per chunk and must return one output per
-/// input item, in order; the chunking is how workers amortise per-thread
-/// setup (e.g. one scratch memory per worker instead of one per fault).
-/// With one item, one worker, or an empty input the call degenerates to
-/// `map_chunk(items)` on the current thread.
-///
-/// # Panics
-///
-/// Panics if a worker panics (the panic is propagated) or if `map_chunk`
-/// returns a different number of outputs than inputs for some chunk.
-pub fn par_chunk_map<T, R, F>(items: &[T], threads: usize, map_chunk: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send + Sync,
-    F: Fn(&[T]) -> Vec<R> + Sync,
-{
-    let results = par_chunk_flat_map(items, threads, map_chunk);
-    assert_eq!(results.len(), items.len(), "map_chunk must be 1:1");
-    results
-}
-
-/// Like [`par_chunk_map`], but each chunk may produce any number of
-/// outputs: the per-chunk output vectors are concatenated **in input
-/// order** without the 1:1 requirement.
-///
-/// The items are split into one contiguous chunk per worker — fault
-/// simulations in the standard list have near-uniform cost, so static
-/// partitioning is within a few percent of stealing here.
-pub fn par_chunk_flat_map<T, R, F>(items: &[T], threads: usize, map_chunk: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send + Sync,
-    F: Fn(&[T]) -> Vec<R> + Sync,
-{
-    let workers = threads.clamp(1, items.len().max(1));
-    sched::map_chunks(WorkKind::FaultSweep, items, workers, workers, |chunk, _| {
-        map_chunk(chunk)
-    })
-}
-
-/// Chunk oversubscription factor of [`par_chunk_flat_map_balanced`]: the
-/// item list is split into up to this many chunks per worker, so workers
-/// that draw cheap chunks claim (steal) more instead of idling.
+/// Chunk oversubscription factor of [`par_chunk_map`]: the item list is
+/// split into up to this many chunks per worker, so workers that draw
+/// cheap chunks claim (steal) more instead of idling.
 const CHUNKS_PER_WORKER: usize = 8;
 
-/// Like [`par_chunk_flat_map`], but with dynamic load balancing: the
-/// items are split into more chunks than workers and the pool's shared
-/// cursor hands chunks to whichever worker frees up first. Output order
-/// is still **input order** — per-chunk outputs are written into indexed
-/// write-once slots and concatenated in chunk order at the end.
+/// Maps contiguous chunks of `items` across up to `threads` pool workers
+/// and concatenates the per-chunk outputs **in input order**.
 ///
-/// This is the fan-out primitive for generated fault populations, whose
-/// cohorts have very uneven costs (64-lane cohorts that early-exit at
-/// different depths, interleaved with serial singletons): a static
-/// one-chunk-per-worker split can leave most workers idle behind one
-/// expensive chunk, which never happens to the near-uniform standard
-/// list.
+/// Each chunk may produce any number of outputs. The items are split
+/// into more chunks than workers and the pool's shared cursor hands
+/// chunks to whichever worker frees up first, so uneven work balances
+/// itself: generated fault populations produce cohorts of very uneven
+/// cost (64-lane cohorts that early-exit at different depths,
+/// interleaved with serial singletons), and a static one-chunk-per-worker
+/// split could leave most workers idle behind one expensive chunk.
+/// Per-chunk outputs land in indexed write-once slots and concatenate in
+/// chunk order, whatever the claiming order was.
+///
+/// `map_chunk` also receives the claiming worker's [`WorkerScratch`]:
+/// the lane-batched sweep keeps its dispatch buffers there, so
+/// consecutive chunks on one worker reuse the allocations. With one
+/// item, one worker, or an empty input the call degenerates to
+/// `map_chunk(items, scratch)` on the current thread.
+///
+/// # Examples
+///
+/// ```
+/// use march_test::parallel::par_chunk_map;
+///
+/// let items: Vec<u32> = (0..100).collect();
+/// let doubled = par_chunk_map(&items, 4, |chunk, _scratch| {
+///     chunk.iter().map(|&x| u64::from(x) * 2).collect()
+/// });
+/// assert_eq!(doubled, (0..100).map(|x| x * 2).collect::<Vec<u64>>());
+/// ```
 ///
 /// # Panics
 ///
 /// Panics if a worker panics (the panic is propagated by the pool).
-pub fn par_chunk_flat_map_balanced<T, R, F>(items: &[T], threads: usize, map_chunk: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send + Sync,
-    F: Fn(&[T]) -> Vec<R> + Sync,
-{
-    par_chunk_flat_map_balanced_scratch(items, threads, |chunk, _| map_chunk(chunk))
-}
-
-/// [`par_chunk_flat_map_balanced`] with access to the claiming worker's
-/// [`WorkerScratch`]: the lane-batched sweep keeps its dispatch buffers
-/// (lane memory backing stores, merged schedules, ownership masks) in the
-/// scratch so consecutive chunks on one worker reuse the allocations.
-///
-/// # Panics
-///
-/// Panics if a worker panics (the panic is propagated by the pool).
-pub fn par_chunk_flat_map_balanced_scratch<T, R, F>(
-    items: &[T],
-    threads: usize,
-    map_chunk: F,
-) -> Vec<R>
+pub fn par_chunk_map<T, R, F>(items: &[T], threads: usize, map_chunk: F) -> Vec<R>
 where
     T: Sync,
     R: Send + Sync,
@@ -133,7 +87,7 @@ mod tests {
         let items: Vec<u32> = (0..103).collect();
         let expected: Vec<u64> = items.iter().map(|&x| u64::from(x) * 3).collect();
         for threads in [1, 2, 3, 8, 64, 1000] {
-            let out = par_chunk_map(&items, threads, |chunk| {
+            let out = par_chunk_map(&items, threads, |chunk, _| {
                 chunk.iter().map(|&x| u64::from(x) * 3).collect()
             });
             assert_eq!(out, expected, "threads = {threads}");
@@ -142,7 +96,7 @@ mod tests {
 
     #[test]
     fn empty_input_yields_empty_output() {
-        let out: Vec<u8> = par_chunk_map(&[] as &[u8], 8, |chunk| chunk.to_vec());
+        let out: Vec<u8> = par_chunk_map(&[] as &[u8], 8, |chunk, _| chunk.to_vec());
         assert!(out.is_empty());
     }
 
@@ -152,13 +106,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "1:1")]
-    fn lossy_map_chunk_is_rejected() {
-        let _ = par_chunk_map(&[1, 2, 3], 1, |_| Vec::<u32>::new());
-    }
-
-    #[test]
-    fn balanced_flat_map_preserves_input_order_under_any_thread_count() {
+    fn uneven_outputs_concatenate_in_input_order_under_any_thread_count() {
         // Items of wildly different cost (cohort-like expansion) must
         // still concatenate in input order regardless of which worker
         // claimed which chunk.
@@ -168,7 +116,7 @@ mod tests {
             .flat_map(|&x| std::iter::repeat_n(x, (x % 3) as usize))
             .collect();
         for threads in [1, 2, 3, 8, 64, 1000] {
-            let out = par_chunk_flat_map_balanced(&items, threads, |chunk| {
+            let out = par_chunk_map(&items, threads, |chunk, _| {
                 chunk
                     .iter()
                     .flat_map(|&x| std::iter::repeat_n(x, (x % 3) as usize))
@@ -179,15 +127,15 @@ mod tests {
     }
 
     #[test]
-    fn balanced_flat_map_handles_empty_and_tiny_inputs() {
-        let empty: Vec<u8> = par_chunk_flat_map_balanced(&[] as &[u8], 8, |chunk| chunk.to_vec());
-        assert!(empty.is_empty());
-        let one = par_chunk_flat_map_balanced(&[7u8], 8, |chunk| chunk.to_vec());
+    fn tiny_inputs_run_as_one_chunk() {
+        let one = par_chunk_map(&[7u8], 8, |chunk, _| chunk.to_vec());
         assert_eq!(one, vec![7]);
+        let chunks = par_chunk_map(&[1u8, 2], 1, |chunk, _| vec![chunk.len()]);
+        assert_eq!(chunks, vec![2], "one worker maps the whole slice at once");
     }
 
     #[test]
-    fn flat_map_concatenates_variable_length_outputs_in_input_order() {
+    fn concatenates_variable_length_outputs_in_input_order() {
         // Each item expands to `item` copies of itself, like a cohort
         // expanding to one outcome per member fault.
         let items: Vec<u32> = vec![3, 0, 1, 4, 2];
@@ -196,7 +144,7 @@ mod tests {
             .flat_map(|&x| std::iter::repeat_n(x, x as usize))
             .collect();
         for threads in [1, 2, 3, 8, 64] {
-            let out = par_chunk_flat_map(&items, threads, |chunk| {
+            let out = par_chunk_map(&items, threads, |chunk, _| {
                 chunk
                     .iter()
                     .flat_map(|&x| std::iter::repeat_n(x, x as usize))
@@ -207,11 +155,11 @@ mod tests {
     }
 
     #[test]
-    fn scratch_variant_reuses_worker_state_across_chunks() {
+    fn worker_scratch_is_reused_across_chunks() {
         // With one worker every chunk lands on the same scratch, so an
         // allocation made by the first chunk is visible to all of them.
         let items: Vec<u32> = (0..64).collect();
-        let out = par_chunk_flat_map_balanced_scratch(&items, 1, |chunk, scratch| {
+        let out = par_chunk_map(&items, 1, |chunk, scratch| {
             let buffer: &mut Vec<u32> = scratch.get_or_insert_with(Vec::new);
             buffer.extend_from_slice(chunk);
             vec![buffer.len() as u32]

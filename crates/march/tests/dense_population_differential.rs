@@ -10,11 +10,10 @@
 //! asserts the batched path is **bit-identical** to the golden path:
 //!
 //! * the whole [`CoverageReport`] (detected/escaped and mismatch counts
-//!   per fault, in fault-list order) under both cohort planners, serial
-//!   and parallel;
+//!   per fault, in fault-list order), serial and parallel;
 //! * the first-detecting element/operation of every lane
 //!   ([`LaneDetection::first_mismatch`]) against the first entry of the
-//!   serial full-walk mismatch list.
+//!   serial full-walk mismatch list, for the cohorts of both planners.
 //!
 //! Every assertion message carries the scenario seed, so a failure
 //! reproduces with `scenario(seed)` alone — no fault list to copy around.
@@ -115,30 +114,20 @@ impl Scenario {
             },
         );
         assert_eq!(golden.total(), self.population.len(), "{}", self.tag());
-        for backend in [
-            SweepBackend::LaneBatched,
-            SweepBackend::LaneBatchedListOrder,
-        ] {
-            for parallel in [false, true] {
-                let batched = evaluate_coverage_with(
-                    &self.test,
-                    self.order.as_ref(),
-                    &self.organization,
-                    &self.population,
-                    SweepOptions {
-                        background: self.background,
-                        mode: self.mode,
-                        parallel,
-                        backend,
-                    },
-                );
-                assert_eq!(
-                    golden,
-                    batched,
-                    "{} [{backend:?}, parallel={parallel}]",
-                    self.tag()
-                );
-            }
+        for parallel in [false, true] {
+            let batched = evaluate_coverage_with(
+                &self.test,
+                self.order.as_ref(),
+                &self.organization,
+                &self.population,
+                SweepOptions {
+                    background: self.background,
+                    mode: self.mode,
+                    parallel,
+                    backend: SweepBackend::LaneBatched,
+                },
+            );
+            assert_eq!(golden, batched, "{} [parallel={parallel}]", self.tag());
         }
         self.check_first_mismatches();
     }
@@ -172,8 +161,8 @@ impl Scenario {
                     .iter()
                     .map(|&index| {
                         self.population[index]()
-                            .lane_form()
-                            .expect("planned lane faults have lane forms")
+                            .lane_kind()
+                            .expect("planned lane faults have lane kinds")
                     })
                     .collect();
                 let detections = run_march_lanes(&walk, &mut lanes, self.background, self.mode);

@@ -8,13 +8,13 @@
 //! cohort sizes around the 64-lane boundary.
 
 use march_test::address_order::{AddressOrder, ColumnMajor, WordLineAfterWordLine};
-use march_test::batch::{sweep_batched, Cohort, FaultBatch};
+use march_test::batch::{Cohort, FaultBatch};
 use march_test::coverage::{evaluate_coverage_with, SweepBackend, SweepOptions};
 use march_test::executor::{run_march_lanes, run_march_walk, MarchWalk};
 use march_test::fault_sim::DetectionMode;
 use march_test::faults::{
-    standard_fault_list, CouplingInversionFault, Fault, FaultFactory, FaultyMemory, StuckAtFault,
-    TransitionFault, WriteDisturbFault,
+    standard_fault_list, CouplingInversionFault, FaultFactory, FaultyMemory, LaneFaultKind,
+    StuckAtFault, TransitionFault, WriteDisturbFault,
 };
 use march_test::library;
 use march_test::memory::GoodMemory;
@@ -92,11 +92,13 @@ fn lane_detections_report_the_same_first_mismatch_as_the_full_walk() {
         for test in library::table1_algorithms() {
             let walk = MarchWalk::new(&test, &WordLineAfterWordLine, &organization);
             for background in [false, true] {
-                let instances: Vec<Box<dyn Fault>> =
-                    faults.iter().map(|factory| factory()).collect();
-                let mut lanes: Vec<_> = instances
+                let mut lanes: Vec<LaneFaultKind> = faults
                     .iter()
-                    .map(|fault| fault.lane_form().expect("standard faults have lane forms"))
+                    .map(|factory| {
+                        factory()
+                            .lane_kind()
+                            .expect("standard faults have lane kinds")
+                    })
                     .collect();
                 let detections =
                     run_march_lanes(&walk, &mut lanes, background, DetectionMode::Full);
@@ -124,51 +126,6 @@ fn lane_detections_report_the_same_first_mismatch_as_the_full_walk() {
                         detection.first_mismatch.as_ref(),
                         serial.mismatches.first(),
                         "{} / {name} / background {background}",
-                        test.name()
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The devirtualized kernel instantiation (`&mut [LaneFaultKind]`, match
-/// dispatch on inline enum data) must produce detections bit-identical to
-/// the boxed instantiation (`&mut [Box<dyn LaneFault>]`, the external
-/// escape hatch) for the same cohort — the two are the same algorithm
-/// monomorphized twice.
-#[test]
-fn enum_cohorts_and_boxed_cohorts_report_identical_detections() {
-    use march_test::faults::LaneFaultKind;
-
-    for organization in organizations() {
-        let faults = standard_fault_list(&organization);
-        for test in library::table1_algorithms() {
-            let walk = MarchWalk::new(&test, &WordLineAfterWordLine, &organization);
-            for background in [false, true] {
-                for mode in [DetectionMode::Full, DetectionMode::FirstMismatch] {
-                    let mut inline: Vec<LaneFaultKind> = faults
-                        .iter()
-                        .map(|factory| {
-                            factory()
-                                .lane_kind()
-                                .expect("standard faults have lane kinds")
-                        })
-                        .collect();
-                    let mut boxed: Vec<_> = faults
-                        .iter()
-                        .map(|factory| {
-                            factory()
-                                .lane_form()
-                                .expect("standard faults have lane forms")
-                        })
-                        .collect();
-                    let via_enum = run_march_lanes(&walk, &mut inline, background, mode);
-                    let via_boxed = run_march_lanes(&walk, &mut boxed, background, mode);
-                    assert_eq!(
-                        via_enum,
-                        via_boxed,
-                        "{} / background {background} / {mode:?}",
                         test.name()
                     );
                 }
@@ -232,10 +189,20 @@ fn odd_cohort_sizes_around_the_lane_width_stay_equivalent() {
                         backend: SweepBackend::PerFault,
                     },
                 );
-                let batched = sweep_batched(&walk, &faults, background, mode, 1);
+                let batched = evaluate_coverage_with(
+                    &test,
+                    &WordLineAfterWordLine,
+                    &organization,
+                    &faults,
+                    SweepOptions {
+                        background,
+                        mode,
+                        parallel: false,
+                        backend: SweepBackend::LaneBatched,
+                    },
+                );
                 assert_eq!(
-                    golden.outcomes(),
-                    batched.as_slice(),
+                    golden, batched,
                     "count {count} / {mode:?} / background {background}"
                 );
             }
@@ -269,7 +236,6 @@ fn dof_experiment_rides_the_batched_backend_unchanged() {
 #[test]
 fn scratch_reuse_across_cohorts_matches_fresh_dispatches() {
     use march_test::executor::{run_march_lanes_scratch, LaneScratch};
-    use march_test::faults::LaneFaultKind;
 
     let mut scratch = LaneScratch::new();
     for organization in organizations() {

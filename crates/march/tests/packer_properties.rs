@@ -5,7 +5,8 @@
 //!
 //! 1. every input fault lands in exactly one cohort lane, exactly once;
 //! 2. no lane cohort exceeds [`LaneMemory::LANES`] members;
-//! 3. sweep outcomes reassemble in fault-list order;
+//! 3. sweep outcomes (planned by the address-aware packer) reassemble
+//!    in fault-list order;
 //! 4. the address-aware packer's total merged-schedule steps never
 //!    exceed the list-order greedy baseline's — and shrink outright on
 //!    overlap-heavy populations.
@@ -14,7 +15,8 @@
 //! reproduces from the printed seed.
 
 use march_test::address_order::WordLineAfterWordLine;
-use march_test::batch::{sweep_batched_with, Cohort, CohortPlanner, FaultBatch};
+use march_test::batch::{Cohort, CohortPlanner, FaultBatch};
+use march_test::coverage::{evaluate_coverage_on_walk, SweepBackend, SweepOptions};
 use march_test::executor::MarchWalk;
 use march_test::fault_sim::DetectionMode;
 use march_test::faultgen::FaultGen;
@@ -64,7 +66,7 @@ fn every_fault_lands_in_exactly_one_lane_and_cohorts_cap_at_sixty_four() {
                 let mut seen: Vec<usize> = Vec::with_capacity(faults.len());
                 for cohort in plan.cohorts() {
                     match cohort {
-                        Cohort::Lanes(indices) | Cohort::BoxedLanes(indices) => {
+                        Cohort::Lanes(indices) => {
                             assert!(
                                 indices.len() <= LaneMemory::LANES,
                                 "seed {seed:#x} [{planner:?}]: cohort of {} lanes",
@@ -88,7 +90,7 @@ fn every_fault_lands_in_exactly_one_lane_and_cohorts_cap_at_sixty_four() {
 }
 
 /// Property 3: sweep outcomes come back in fault-list order — outcome `i`
-/// describes fault `i` — for both planners, serial and parallel.
+/// describes fault `i` — serial and parallel.
 #[test]
 fn outcomes_reassemble_in_fault_list_order() {
     for round in 0..8u64 {
@@ -99,25 +101,25 @@ fn outcomes_reassemble_in_fault_list_order() {
             &WordLineAfterWordLine,
             &organization,
         );
-        for planner in PLANNERS {
-            for threads in [1, 8] {
-                let outcomes = sweep_batched_with(
-                    &walk,
-                    &faults,
-                    false,
-                    DetectionMode::Full,
-                    threads,
-                    planner,
+        for parallel in [false, true] {
+            let report = evaluate_coverage_on_walk(
+                &walk,
+                &faults,
+                SweepOptions {
+                    background: false,
+                    mode: DetectionMode::Full,
+                    parallel,
+                    backend: SweepBackend::LaneBatched,
+                },
+            );
+            assert_eq!(report.total(), faults.len(), "seed {seed:#x}");
+            for (index, (outcome, factory)) in report.outcomes().iter().zip(&faults).enumerate() {
+                assert_eq!(
+                    outcome.fault_name,
+                    factory().name(),
+                    "seed {seed:#x} [parallel={parallel}]: outcome {index} must describe \
+                     fault {index}"
                 );
-                assert_eq!(outcomes.len(), faults.len(), "seed {seed:#x}");
-                for (index, (outcome, factory)) in outcomes.iter().zip(&faults).enumerate() {
-                    assert_eq!(
-                        outcome.fault_name,
-                        factory().name(),
-                        "seed {seed:#x} [{planner:?}, threads={threads}]: outcome {index} \
-                         must describe fault {index}"
-                    );
-                }
             }
         }
     }

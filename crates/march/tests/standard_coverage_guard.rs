@@ -27,11 +27,7 @@ const GOLDEN_DETECTED: [(&str, usize); 5] = [
     ("March G", 48),
 ];
 
-const BACKENDS: [SweepBackend; 3] = [
-    SweepBackend::PerFault,
-    SweepBackend::LaneBatched,
-    SweepBackend::LaneBatchedListOrder,
-];
+const BACKENDS: [SweepBackend; 2] = [SweepBackend::PerFault, SweepBackend::LaneBatched];
 
 #[test]
 fn golden_coverage_table_is_stable_across_planners_and_backends() {
@@ -113,7 +109,7 @@ fn dof_verdicts_are_stable_across_planners() {
         }
     }
     // The per-algorithm coverage fractions must be identical across the
-    // three backends, not merely internally consistent.
+    // backends, not merely internally consistent.
     let per_backend = coverages.len() / BACKENDS.len();
     for backend in 1..BACKENDS.len() {
         assert_eq!(
