@@ -17,8 +17,7 @@
 //! ```text
 //!  fault list (factories, list order)
 //!      │  probe: one instantiation per factory → inline lane kind
-//!      │         (LaneFaultKind) or none, plus the involved addresses
-//!      ▼         with their walk step counts
+//!      ▼         (LaneFaultKind) or none, plus the involved addresses
 //!  probes (list order)
 //!      │  plan: classify into lane / serial candidates, then group the
 //!      ▼        lane candidates (CohortPlanner) into ≤64-lane cohorts
@@ -54,15 +53,14 @@
 //!   [`MarchWalk::locality_safe`] and the fault provides a
 //!   [`Fault::lane_kind`] — its lane form stored inline, dispatched by a
 //!   match on plain data with no per-owner pointer chase;
-//! * lane cohorts close at [`LaneMemory::LANES`] (64) members — a lane
-//!   kind involves at most two cells, so a full cohort stays within the
-//!   kernel's [`crate::executor::COHORT_ADDRESS_BUDGET`];
+//! * lane cohorts close at [`LaneMemory::LANES`] (64) members;
 //! * everything else (no lane kind, or a non-locality-safe walk) becomes
 //!   a serial singleton that runs the per-fault golden path.
 //!
 //! *Which* faults share a cohort is the [`CohortPlanner`]'s choice, and
-//! it decides how much walk each cohort dispatches: a cohort's schedule
-//! is the union of its members' involved-step slices, so packing faults
+//! it decides how much walk each cohort dispatches: a cohort dispatches
+//! every step touching the union of its members' involved addresses —
+//! the test's operation count per distinct address — so packing faults
 //! that **share addresses** into the same cohort shrinks the union. The
 //! default [`CohortPlanner::AddressAware`] packer clusters by involved
 //! addresses (kind-homogeneous within an address group, which keeps the
@@ -81,18 +79,12 @@
 //! differential harness in `tests/dense_population_differential.rs`
 //! proves it seed by seed, including shuffled-permutation seeds).
 
-use sram_model::address::Address;
-
-use crate::executor::{run_march_lanes_scratch, LaneScratch, MarchWalk, COHORT_ADDRESS_BUDGET};
+use crate::executor::{run_march_lanes_scratch, LaneScratch, MarchWalk};
 use crate::fault_sim::{simulate_fault_counts_on_walk, DetectionMode};
 use crate::faults::{Fault, FaultFactory, FaultKind, LaneFaultKind};
 use crate::intern::InternedSweep;
 use crate::memory::{GoodMemory, LaneMemory};
 use crate::parallel::par_chunk_map;
-
-// A lane kind involves at most two cells, so no cohort the planner
-// closes at `LANES` members can exceed the kernel's address budget.
-const _: () = assert!(LaneMemory::LANES * 2 <= COHORT_ADDRESS_BUDGET);
 
 /// One unit of sweep work produced by the [`FaultBatch`] planner.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -160,29 +152,37 @@ pub struct FaultBatch {
     schedule_steps: u64,
 }
 
-/// Total walk steps the union of the given involved sets dispatches:
-/// per-address step counts summed over the deduplicated union.
-fn union_schedule_steps(walk: &MarchWalk, sets: &[&[Address]]) -> u64 {
-    let mut union: Vec<Address> = sets.iter().flat_map(|set| set.iter().copied()).collect();
-    union.sort_unstable();
-    union.dedup();
-    union
-        .iter()
-        .map(|&address| walk.steps_touching(address).len() as u64)
-        .sum()
+/// Sorts and deduplicates the addresses `scratch` accumulated for one
+/// dispatch, clearing it for the next, and returns the walk steps that
+/// dispatch runs: every distinct address costs the test's operation
+/// count.
+fn close_union(walk: &MarchWalk, scratch: &mut Vec<u32>) -> u64 {
+    scratch.sort_unstable();
+    scratch.dedup();
+    let steps = (scratch.len() * walk.ops_per_address()) as u64;
+    scratch.clear();
+    steps
+}
+
+/// Pushes the involved addresses a signature names (see `ProbeSet::sigs`).
+fn push_signature(sig: u64, scratch: &mut Vec<u32>) {
+    scratch.push((sig >> 32) as u32);
+    // A second address of `u32::MAX` marks a one-cell involved set (real
+    // addresses are `< capacity`).
+    if sig as u32 != u32::MAX {
+        scratch.push(sig as u32);
+    }
 }
 
 /// Probed faults in struct-of-arrays layout: the instances, the inline
-/// lane kinds (when the walk admits them) and a CSR of the sorted
-/// involved addresses of the kind-capable faults, each paired with its
-/// walk step count.
+/// lane kinds (when the walk admits them) and the clustering signatures,
+/// which also name each kind-capable fault's involved addresses.
 ///
 /// Probing happens in fault-list order, once, and serves planning,
 /// packing and outcome assembly — re-instantiating 100k faults per phase
-/// (and re-reading the walk's cold CSR offsets per grouping evaluation)
 /// is measurable at dense-population scale. The arrays are deliberately
-/// *dense* (16 bytes per kind, 8 bytes per involved entry, no per-fault
-/// heap spill): the packer visits them in clustered order and the pack
+/// *dense* (16 bytes per kind, 8 bytes per signature, no per-fault heap
+/// spill): the packer visits them in clustered order and the pack
 /// stage gathers through the packing permutation, and on shuffled
 /// populations those permuted passes are what the sweep's throughput
 /// hinges on.
@@ -193,12 +193,6 @@ struct ProbeSet {
     /// The inline lane forms — `Copy`, so the pack stage moves them into
     /// the packed cohort array without touching the heap.
     kinds: Vec<Option<LaneFaultKind>>,
-    /// `(address, steps touching it)` involved entries, ascending by
-    /// address within each fault, concatenated in fault-list order.
-    entries: Vec<(u32, u32)>,
-    /// CSR offsets into `entries`: fault `i` owns
-    /// `entries[offsets[i]..offsets[i + 1]]`.
-    offsets: Vec<u32>,
     /// Clustering signature of each *kind-capable* fault (`0` otherwise):
     /// the semantic primary address — the victim, the cell the fault is
     /// observed at, which is the **last** entry of the model's
@@ -216,32 +210,6 @@ impl ProbeSet {
     fn len(&self) -> usize {
         self.faults.len()
     }
-
-    /// The involved `(address, steps)` entries of fault `index`.
-    fn involved(&self, index: usize) -> &[(u32, u32)] {
-        &self.entries[self.offsets[index] as usize..self.offsets[index + 1] as usize]
-    }
-}
-
-/// Sorts, deduplicates and step-annotates an involved address set into
-/// the probe CSR.
-fn push_involved_steps(walk: &MarchWalk, addresses: &[Address], entries: &mut Vec<(u32, u32)>) {
-    let start = entries.len();
-    entries.extend(addresses.iter().map(|a| (a.value(), 0)));
-    entries[start..].sort_unstable_by_key(|entry| entry.0);
-    // Deduplicate the freshly pushed tail only (never across the CSR
-    // boundary into the previous fault's entries).
-    let mut write = start;
-    for read in start..entries.len() {
-        if write == start || entries[write - 1].0 != entries[read].0 {
-            entries[write] = entries[read];
-            write += 1;
-        }
-    }
-    entries.truncate(write);
-    for entry in &mut entries[start..] {
-        entry.1 = walk.steps_touching(Address::new(entry.0)).len() as u32;
-    }
 }
 
 /// Sequentially probes every factory of `faults` over `walk`.
@@ -250,11 +218,8 @@ fn probe_faults(walk: &MarchWalk, faults: &[FaultFactory]) -> ProbeSet {
     let mut probes = ProbeSet {
         faults: Vec::with_capacity(faults.len()),
         kinds: Vec::with_capacity(faults.len()),
-        entries: Vec::with_capacity(faults.len()),
-        offsets: Vec::with_capacity(faults.len() + 1),
         sigs: Vec::with_capacity(faults.len()),
     };
-    probes.offsets.push(0);
     for factory in faults {
         let fault = factory();
         let kind = if locality_safe {
@@ -262,19 +227,11 @@ fn probe_faults(walk: &MarchWalk, faults: &[FaultFactory]) -> ProbeSet {
         } else {
             None
         };
-        let mut sig = 0u64;
-        if let Some(kind) = &kind {
-            let involved = kind.involved();
-            sig = match *involved {
-                [only] => u64::from(only.value()) << 32 | u64::from(u32::MAX),
-                [secondary, victim] => {
-                    u64::from(victim.value()) << 32 | u64::from(secondary.value())
-                }
-                _ => unreachable!("enum lane kinds involve one or two cells"),
-            };
-            push_involved_steps(walk, &involved, &mut probes.entries);
-        }
-        probes.offsets.push(probes.entries.len() as u32);
+        let sig = kind.map_or(0, |kind| match *kind.involved() {
+            [only] => u64::from(only.value()) << 32 | u64::from(u32::MAX),
+            [secondary, victim] => u64::from(victim.value()) << 32 | u64::from(secondary.value()),
+            _ => unreachable!("enum lane kinds involve one or two cells"),
+        });
         probes.faults.push(fault);
         probes.kinds.push(kind);
         probes.sigs.push(sig);
@@ -284,15 +241,14 @@ fn probe_faults(walk: &MarchWalk, faults: &[FaultFactory]) -> ProbeSet {
 
 /// One clustered-sort entry of the address-aware packer: the victim-major
 /// signature, kind rank and fault index form the sort key, and the entry
-/// also carries everything the post-sort pass needs — per-address step
-/// counts for the union cost, the inline lane form for direct packed
+/// also carries everything the post-sort pass needs — the signature's
+/// addresses for the union cost, the inline lane form for direct packed
 /// emission — so that pass never touches the permuted probe tables.
 #[derive(Debug, Clone, Copy)]
 struct ClusterKey {
     sig: u64,
     rank: u8,
     index: u32,
-    steps: (u32, u32),
     kind: LaneFaultKind,
 }
 
@@ -320,16 +276,6 @@ impl PackedLanes {
             ranges: Vec::new(),
         }
     }
-}
-
-/// Sorts, deduplicates and sums a cohort union accumulated in `scratch`,
-/// clearing it for the next cohort.
-fn close_union(scratch: &mut Vec<(u32, u32)>) -> u64 {
-    scratch.sort_unstable();
-    scratch.dedup_by_key(|entry| entry.0);
-    let steps = scratch.iter().map(|&(_, s)| u64::from(s)).sum();
-    scratch.clear();
-    steps
 }
 
 /// Stable, order-invariant rank of a fault kind for the address-aware
@@ -417,19 +363,21 @@ impl FaultBatch {
         // because cohort assembly below gathers them in the planner's
         // clustered order — a permuted pass on shuffled populations.
         let mut lane_indices: Vec<u32> = Vec::new();
-        let mut involved: Vec<&[(u32, u32)]> = Vec::new();
         let mut serial: Vec<usize> = Vec::new();
         let mut serial_steps = 0u64;
+        let mut scratch: Vec<u32> = Vec::new();
         for (index, kind) in probes.kinds.iter().enumerate() {
             if kind.is_some() {
                 lane_indices.push(index as u32);
-                involved.push(probes.involved(index));
             } else {
                 serial_steps += match probes.faults[index]
                     .involved_addresses()
                     .filter(|_| locality_safe)
                 {
-                    Some(addresses) => union_schedule_steps(walk, &[&addresses]),
+                    Some(addresses) => {
+                        scratch.extend(addresses.iter().map(|a| a.value()));
+                        close_union(walk, &mut scratch)
+                    }
                     None => walk.len() as u64,
                 };
                 serial.push(index);
@@ -437,13 +385,12 @@ impl FaultBatch {
         }
 
         // The list-order grouping and its cost, in one sequential pass.
-        let mut scratch: Vec<(u32, u32)> = Vec::new();
         let mut greedy_steps = 0u64;
-        for sets in involved.chunks(LaneMemory::LANES) {
-            for set in sets {
-                scratch.extend_from_slice(set);
+        for members in lane_indices.chunks(LaneMemory::LANES) {
+            for &index in members {
+                push_signature(probes.sigs[index as usize], &mut scratch);
             }
-            greedy_steps += close_union(&mut scratch);
+            greedy_steps += close_union(walk, &mut scratch);
         }
         let greedy = || -> Vec<Vec<usize>> {
             lane_indices
@@ -461,35 +408,21 @@ impl FaultBatch {
                 // then fault index, break the remaining ties
                 // deterministically), and chunking the sorted order packs
                 // overlapping faults into shared cohorts. Each key also
-                // carries the fault index, the lane form and the
-                // per-address step counts, so after the sort the
-                // chunking pass below builds fault-index cohorts (and,
-                // on request, the packed lane array) from the keys
+                // carries the fault index and the lane form, and its
+                // signature names the involved addresses, so after the
+                // sort the chunking pass below builds fault-index cohorts
+                // (and, on request, the packed lane array) from the keys
                 // *sequentially*: on a shuffled 100k population it never
-                // chases the permuted `involved` slices at all.
+                // touches the permuted probe tables at all.
                 let mut keyed: Vec<ClusterKey> = lane_indices
                     .iter()
-                    .zip(&involved)
-                    .map(|(&index, set)| {
+                    .map(|&index| {
                         let kind =
                             probes.kinds[index as usize].expect("lane candidates have kinds");
-                        let sig = probes.sigs[index as usize];
-                        // Step counts in the signature's (primary,
-                        // secondary) order — `set` is sorted by address,
-                        // the signature by semantic role.
-                        let primary = (sig >> 32) as u32;
-                        let steps = if set.len() == 1 {
-                            (set[0].1, 0)
-                        } else if set[0].0 == primary {
-                            (set[0].1, set[1].1)
-                        } else {
-                            (set[1].1, set[0].1)
-                        };
                         ClusterKey {
-                            sig,
+                            sig: probes.sigs[index as usize],
                             rank: kind_rank(kind.kind()),
                             index,
-                            steps,
                             kind,
                         }
                     })
@@ -505,25 +438,16 @@ impl FaultBatch {
                     want_packed.then(|| PackedLanes::with_capacity(keyed.len(), probes.len()));
                 for cohort in keyed.chunks(LaneMemory::LANES) {
                     for &ClusterKey {
-                        sig,
-                        index,
-                        steps,
-                        kind,
-                        ..
+                        sig, index, kind, ..
                     } in cohort
                     {
                         if let Some(emitted) = &mut emitted {
                             emitted.of_fault[index as usize] = emitted.lanes.len() as u32;
                             emitted.lanes.push(kind);
                         }
-                        scratch.push(((sig >> 32) as u32, steps.0));
-                        // A second address of `u32::MAX` marks a one-cell
-                        // involved set (real addresses are `< capacity`).
-                        if sig as u32 != u32::MAX {
-                            scratch.push((sig as u32, steps.1));
-                        }
+                        push_signature(sig, &mut scratch);
                     }
-                    packed_steps += close_union(&mut scratch);
+                    packed_steps += close_union(walk, &mut scratch);
                     packed.push(cohort.iter().map(|key| key.index as usize).collect());
                 }
                 // Keep whichever grouping dispatches less walk: the
@@ -577,7 +501,9 @@ impl FaultBatch {
 
     /// Total walk steps the plan dispatches: each lane cohort's merged
     /// (deduplicated) involved-step schedule plus each serial singleton's
-    /// filtered slice — the metric the address-aware packer minimises,
+    /// filtered slice — the test's operation count per distinct address,
+    /// or the whole walk for an unfiltered singleton. This is the metric
+    /// the address-aware packer minimises,
     /// and the `speedup_packed_schedule` ratio the dense benchmark
     /// tracks against the greedy baseline.
     pub fn merged_schedule_steps(&self) -> u64 {
@@ -708,7 +634,7 @@ pub(crate) fn sweep_batched(
                 }
                 Work::Serial(index) => {
                     let memory = memory.get_or_insert_with(|| GoodMemory::new(walk.capacity()));
-                    let (_, _, mismatches) = simulate_fault_counts_on_walk(
+                    let (_, mismatches) = simulate_fault_counts_on_walk(
                         walk,
                         memory,
                         faults[index](),
@@ -975,8 +901,8 @@ mod tests {
         // union of two addresses.
         let organization = org();
         let walk = MarchWalk::new(&library::mats_plus(), &WordLineAfterWordLine, &organization);
-        let victim_steps = walk.steps_touching(Address::new(3)).len() as u64;
-        let other_steps = walk.steps_touching(Address::new(7)).len() as u64;
+        let per_address = library::mats_plus().operation_count() as u64;
+        assert_eq!(walk.ops_per_address() as u64, per_address);
         let faults: Vec<FaultFactory> = vec![
             Box::new(|| Box::new(StuckAtFault::new(Address::new(3), false))),
             Box::new(|| Box::new(StuckAtFault::new(Address::new(3), true))),
@@ -984,7 +910,7 @@ mod tests {
         ];
         let plan = FaultBatch::plan(&walk, &faults);
         assert_eq!(plan.cohorts().len(), 1);
-        assert_eq!(plan.merged_schedule_steps(), victim_steps + other_steps);
+        assert_eq!(plan.merged_schedule_steps(), 2 * per_address);
     }
 
     #[test]

@@ -302,7 +302,7 @@ pub fn evaluate_coverage_interned_on_walk(
                 chunk
                     .iter()
                     .map(|factory| {
-                        let (fault, _, mismatches) = simulate_fault_counts_on_walk(
+                        let (fault, mismatches) = simulate_fault_counts_on_walk(
                             walk,
                             &mut scratch,
                             factory(),

@@ -8,9 +8,11 @@
 //!   **once** and serves both directions by index arithmetic, so neither
 //!   the executor nor the low-power scheduler re-allocates address
 //!   sequences per element;
-//! * [`MarchWalk`] flattens a whole `(test, order, organization)` traversal
-//!   into a compact 8-byte-per-step array that is shared, read-only, across
-//!   every fault of a sweep (and across threads);
+//! * [`MarchWalk`] describes a whole `(test, order, organization)`
+//!   traversal implicitly — the permutation, its inverse and three rows of
+//!   code bytes per element, eight bytes per cell — and is shared,
+//!   read-only, across every fault of a sweep (and across threads); steps
+//!   are computed from the permutation, never stored;
 //! * [`run_march_walk`] executes a walk against any [`MemoryModel`] and
 //!   reports every mismatch; [`run_march_until_detected`] is the early-exit
 //!   variant for sweeps that only need the detected/missed bit — it stops
@@ -22,6 +24,8 @@
 //! [`MarchStep`]s so that higher layers (the low-power test engine in the
 //! `lp-precharge` crate) can map each operation onto a memory clock cycle
 //! without re-implementing the ordering rules.
+
+use std::ops::ControlFlow;
 
 use sram_model::address::Address;
 use sram_model::config::ArrayOrganization;
@@ -150,18 +154,9 @@ impl AddressPlan {
     }
 }
 
-/// One flattened step, packed into eight bytes: the raw address, the
-/// element index, the op index and a code byte (bits 0–1 the operation,
-/// bit 2 `last_op_on_address`, bit 3 `last_op_of_element`, bit 4 the
-/// sensed-before value — see [`SENSED_BEFORE`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PackedStep {
-    address: u32,
-    element: u16,
-    op_index: u8,
-    code: u8,
-}
-
+// The code byte of one walk step: bits 0–1 the operation, bit 2
+// `last_op_on_address`, bit 3 `last_op_of_element`, bit 4 the sensed-before
+// value (see `SENSED_BEFORE`).
 const OP_MASK: u8 = 0b0011;
 const READ_BIT: u8 = 0b0010;
 const VALUE_BIT: u8 = 0b0001;
@@ -177,6 +172,35 @@ const LAST_OF_ELEMENT: u8 = 0b1000;
 /// non-victim read returns its expected value, so the victim's bit-line
 /// history is a pure function of the walk and can be precomputed.
 const SENSED_BEFORE: u8 = 0b1_0000;
+
+/// The sense-amplifier history behind [`SENSED_BEFORE`]: the most recent
+/// read (address, expected value) and the expected value of the most
+/// recent read at a *different* address than that one. Writes leave the
+/// sensed value untouched.
+#[derive(Debug, Default)]
+struct SenseHistory {
+    last_read: Option<(u32, bool)>,
+    prior_distinct: bool,
+}
+
+impl SenseHistory {
+    /// Records a read of `address` expecting `expected` and returns the
+    /// value sensed before it.
+    fn read(&mut self, address: u32, expected: bool) -> bool {
+        let sensed = match self.last_read {
+            Some((last_address, _)) if last_address == address => self.prior_distinct,
+            Some((_, last_value)) => last_value,
+            None => false,
+        };
+        if let Some((last_address, last_value)) = self.last_read {
+            if last_address != address {
+                self.prior_distinct = last_value;
+            }
+        }
+        self.last_read = Some((address, expected));
+        sensed
+    }
+}
 
 #[inline]
 fn op_code(op: MarchOp) -> u8 {
@@ -198,15 +222,81 @@ fn decode_op(code: u8) -> MarchOp {
     }
 }
 
+/// One March element of a [`MarchWalk`]. Every element visits each cell
+/// exactly once, at position `p` of the ⇑ permutation (`capacity − 1 − p`
+/// under ⇓), so its step at `(position, op)` is `first_step + position ×
+/// ops + op` and its code bytes depend on the position only through the
+/// three rows kept here.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct WalkElement {
+    /// Walk index of the element's first step.
+    first_step: u32,
+    /// `true` for ⇓ (⇕ runs as ⇑).
+    descending: bool,
+    /// The code bytes of the element's operations, one row per kind of
+    /// position: the first, every middle one, the last. A permutation
+    /// never repeats an address, so every middle position senses the
+    /// element's own last read, made one address earlier, and carries the
+    /// same stamps; only the last position ends the element.
+    rows: [Box<[u8]>; 3],
+}
+
+impl WalkElement {
+    /// Operations applied to each address.
+    #[inline]
+    fn ops(&self) -> usize {
+        self.rows[0].len()
+    }
+
+    /// The code bytes at `position` of a walk whose last position is
+    /// `last`.
+    #[inline]
+    fn row(&self, position: usize, last: usize) -> &[u8] {
+        let row = if position == 0 {
+            0
+        } else if position == last {
+            2
+        } else {
+            1
+        };
+        &self.rows[row]
+    }
+}
+
+/// Visits `row`'s operations at each of `addresses` in turn, as steps of
+/// `element`.
+#[inline]
+fn try_visit_row<'a, F>(
+    element: usize,
+    row: &[u8],
+    addresses: impl Iterator<Item = &'a Address>,
+    visit: &mut F,
+) -> ControlFlow<()>
+where
+    F: FnMut(usize, Address, u8) -> ControlFlow<()>,
+{
+    for &address in addresses {
+        for &code in row {
+            visit(element, address, code)?;
+        }
+    }
+    ControlFlow::Continue(())
+}
+
 /// A `(test, order, organization)` traversal precomputed once and shared
 /// across every fault of a sweep.
 ///
-/// Construction costs one address permutation plus one flat step array
-/// (eight bytes per operation); execution afterwards is a branch-light
-/// scan — allocation-free for full walks and single-address filtered
-/// runs, one small merge buffer for multi-address faults — which is what
-/// makes million-fault sweeps tractable. The walk is immutable and
-/// `Sync`, so parallel sweeps share one instance across threads.
+/// The walk is implicit: it keeps the ⇑ permutation ([`AddressPlan`]), its
+/// inverse and three rows of code bytes per element — eight bytes per cell
+/// whatever the test's length — and computes each step from them. Full
+/// runs scan the permutation element by element; a localised fault finds
+/// each of its addresses at one position per element through the inverse,
+/// so its filtered run visits only its own steps. Construction is
+/// `O(cells)`, and execution is allocation-free for full walks and
+/// single-address filtered runs, with one small position buffer for
+/// multi-address faults — which is what makes million-fault sweeps
+/// tractable. The walk is immutable and `Sync`, so parallel sweeps share
+/// one instance across threads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MarchWalk {
     test_name: String,
@@ -214,20 +304,11 @@ pub struct MarchWalk {
     capacity: u32,
     reads: u64,
     writes: u64,
-    steps: Vec<PackedStep>,
-    /// CSR index of the steps by address: the step indices touching address
-    /// `a` are `step_index[offset[a] .. offset[a + 1]]`, ascending. This is
-    /// what lets localised faults execute only their own slice of the walk.
-    address_offsets: Vec<u32>,
-    address_steps: Vec<u32>,
-    /// Per-CSR-entry step payload, aligned with `address_steps`: the
-    /// element (bits 16–31), op index (bits 8–15) and code byte (bits
-    /// 0–7) of each step, laid out address-major. The cohort kernel reads
-    /// these slices *sequentially* instead of chasing `address_steps`
-    /// indices into the execution-ordered `steps` array — on megabit
-    /// walks (hundreds of MB of steps) those scattered loads are cache
-    /// misses that would otherwise dominate dense sweeps.
-    address_codes: Vec<u32>,
+    len: usize,
+    plan: AddressPlan,
+    /// The ⇑ position of each address: `plan.ascending[inverse[a]] == a`.
+    inverse: Vec<u32>,
+    elements: Vec<WalkElement>,
     locality_safe: bool,
 }
 
@@ -263,98 +344,102 @@ impl MarchWalk {
     ///
     /// Panics if the test has more than `u16::MAX` elements or an element
     /// has more than `u8::MAX` operations — far beyond any published March
-    /// algorithm — since the packed encoding reserves 16/8 bits for them.
+    /// algorithm — since step encodings reserve 16/8 bits for them; if the
+    /// walk has more than `u32::MAX` steps (checked before anything is
+    /// allocated), since step indices are `u32`; and if `order` breaks the
+    /// [`AddressOrder`] contract by not visiting every address of
+    /// `organization` exactly once.
     pub fn new(
         test: &MarchTest,
         order: &dyn AddressOrder,
         organization: &ArrayOrganization,
     ) -> Self {
-        let plan = AddressPlan::new(order, organization);
         let capacity = organization.capacity();
         assert!(
             test.element_count() <= usize::from(u16::MAX),
             "march test has too many elements for the packed walk"
         );
-        let mut steps = Vec::with_capacity(test.operation_count() * capacity as usize);
+        let len = test.operation_count() as u64 * u64::from(capacity);
+        assert!(
+            len <= u64::from(u32::MAX),
+            "walk too large for 32-bit step indices"
+        );
+        let plan = AddressPlan::new(order, organization);
+        assert_eq!(
+            plan.len(),
+            capacity as usize,
+            "address order {:?} must visit each of the {capacity} addresses exactly once",
+            order.name()
+        );
+        let mut inverse = vec![u32::MAX; capacity as usize];
+        for (position, address) in plan.ascending.iter().enumerate() {
+            let slot = inverse
+                .get_mut(address.value() as usize)
+                .unwrap_or_else(|| panic!("address order {:?} leaves the array", order.name()));
+            assert!(
+                *slot == u32::MAX,
+                "address order {:?} visits address {} twice",
+                order.name(),
+                address.value()
+            );
+            *slot = position as u32;
+        }
+        let last = plan.len() - 1;
         let mut reads = 0u64;
         let mut writes = 0u64;
-        // Sense-amplifier history for the SENSED_BEFORE stamp: the most
-        // recent read (address, expected value) and the expected value of
-        // the most recent read at a *different* address than that one.
-        // Writes leave the sensed value untouched.
-        let mut last_read: Option<(u32, bool)> = None;
-        let mut prior_distinct = false;
-        for (element_index, element) in test.elements().iter().enumerate() {
+        let mut first_step = 0u32;
+        let mut history = SenseHistory::default();
+        let mut elements = Vec::with_capacity(test.element_count());
+        for element in test.elements() {
             let ops = element.ops();
             assert!(
                 ops.len() <= usize::from(u8::MAX),
                 "march element has too many operations for the packed walk"
             );
-            let last_position = plan.len().saturating_sub(1);
-            for (position, address) in plan.iter(element.direction()).enumerate() {
-                for (op_index, &op) in ops.iter().enumerate() {
-                    let mut code = op_code(op);
-                    if op.is_read() {
-                        reads += 1;
-                        let sensed = match last_read {
-                            Some((last_address, _)) if last_address == address.value() => {
-                                prior_distinct
-                            }
-                            Some((_, last_value)) => last_value,
-                            None => false,
-                        };
-                        if sensed {
-                            code |= SENSED_BEFORE;
-                        }
-                        if let Some((last_address, last_value)) = last_read {
-                            if last_address != address.value() {
-                                prior_distinct = last_value;
+            // The code bytes at one position, advancing the sense history.
+            // Only positions 0, 1 and `last` are visited: every middle
+            // position repeats position 1's stamps (see `WalkElement::rows`),
+            // and skipping them leaves the history at `last` unchanged,
+            // because it only compares against the current address.
+            let mut codes_at = |position: usize| -> Box<[u8]> {
+                let address = plan
+                    .at(element.direction(), position)
+                    .expect("position < capacity")
+                    .value();
+                ops.iter()
+                    .enumerate()
+                    .map(|(op_index, &op)| {
+                        let mut code = op_code(op);
+                        if let Some(expected) = op.expected_value() {
+                            if history.read(address, expected) {
+                                code |= SENSED_BEFORE;
                             }
                         }
-                        let expected = op.expected_value().expect("reads have expectations");
-                        last_read = Some((address.value(), expected));
-                    } else {
-                        writes += 1;
-                    }
-                    if op_index == ops.len() - 1 {
-                        code |= LAST_ON_ADDRESS;
-                        if position == last_position {
-                            code |= LAST_OF_ELEMENT;
+                        if op_index == ops.len() - 1 {
+                            code |= LAST_ON_ADDRESS;
+                            if position == last {
+                                code |= LAST_OF_ELEMENT;
+                            }
                         }
-                    }
-                    steps.push(PackedStep {
-                        address: address.value(),
-                        element: element_index as u16,
-                        op_index: op_index as u8,
-                        code,
-                    });
-                }
-            }
-        }
-        // Counting-sort CSR of step indices by address: one pass to count,
-        // one to place. `u32` step indices hold any practical walk (a
-        // 512×512 March G is ~6M steps).
-        assert!(
-            steps.len() <= u32::MAX as usize,
-            "walk too large for 32-bit step indices"
-        );
-        let mut address_offsets = vec![0u32; capacity as usize + 1];
-        for step in &steps {
-            address_offsets[step.address as usize + 1] += 1;
-        }
-        for a in 0..capacity as usize {
-            address_offsets[a + 1] += address_offsets[a];
-        }
-        let mut cursor = address_offsets.clone();
-        let mut address_steps = vec![0u32; steps.len()];
-        let mut address_codes = vec![0u32; steps.len()];
-        for (index, step) in steps.iter().enumerate() {
-            let slot = cursor[step.address as usize] as usize;
-            address_steps[slot] = index as u32;
-            address_codes[slot] = u32::from(step.element) << 16
-                | u32::from(step.op_index) << 8
-                | u32::from(step.code);
-            cursor[step.address as usize] += 1;
+                        code
+                    })
+                    .collect()
+            };
+            let head = codes_at(0);
+            let middle = if last >= 2 { codes_at(1) } else { head.clone() };
+            let tail = if last >= 1 {
+                codes_at(last)
+            } else {
+                head.clone()
+            };
+            elements.push(WalkElement {
+                first_step,
+                descending: element.direction() == AddressDirection::Descending,
+                rows: [head, middle, tail],
+            });
+            first_step += (ops.len() * plan.len()) as u32;
+            reads += (element.read_count() * plan.len()) as u64;
+            writes += (element.write_count() * plan.len()) as u64;
         }
         Self {
             test_name: test.name().to_string(),
@@ -362,10 +447,10 @@ impl MarchWalk {
             capacity,
             reads,
             writes,
-            steps,
-            address_offsets,
-            address_steps,
-            address_codes,
+            len: len as usize,
+            plan,
+            inverse,
+            elements,
             locality_safe: fault_free_reads_always_match(test),
         }
     }
@@ -381,28 +466,114 @@ impl MarchWalk {
         self.locality_safe
     }
 
-    /// The indices (ascending) of the walk steps that touch `address`.
-    pub fn steps_touching(&self, address: Address) -> &[u32] {
-        let a = address.value() as usize;
-        assert!(a < self.capacity as usize, "address out of range");
-        let from = self.address_offsets[a] as usize;
-        let to = self.address_offsets[a + 1] as usize;
-        &self.address_steps[from..to]
+    /// Number of walk steps touching each address: every element applies
+    /// all of its operations to every cell, so this is the test's
+    /// operation count for every address alike.
+    pub(crate) fn ops_per_address(&self) -> usize {
+        self.elements.iter().map(WalkElement::ops).sum()
     }
 
-    /// The packed payloads of the steps touching `address`, aligned
-    /// entry-for-entry with [`MarchWalk::steps_touching`]: element in
-    /// bits 16–31, op index in bits 8–15, code byte (operation, last-on-
-    /// address/of-element flags and the sensed-before stamp) in bits 0–7.
-    /// Reading these contiguous slices is how the cohort kernel builds
-    /// dispatch schedules without scattered loads into the
-    /// execution-ordered step array.
-    pub fn step_payloads_touching(&self, address: Address) -> &[u32] {
-        let a = address.value() as usize;
-        assert!(a < self.capacity as usize, "address out of range");
-        let from = self.address_offsets[a] as usize;
-        let to = self.address_offsets[a + 1] as usize;
-        &self.address_codes[from..to]
+    /// The ⇑ position of `address`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `address` is outside the walk's capacity.
+    #[inline]
+    fn up_position(&self, address: Address) -> u32 {
+        self.inverse[address.value() as usize]
+    }
+
+    /// Visits every step of the walk in execution order as
+    /// `(element, address, code)`, stopping when `visit` breaks. Each
+    /// element runs its first position, then the middle positions on one
+    /// fixed row straight off the permutation (reversed under ⇓), then
+    /// its last — the full-walk loop of the per-fault path, with no
+    /// branch per position.
+    #[inline]
+    fn try_for_each_step<F>(&self, mut visit: F) -> ControlFlow<()>
+    where
+        F: FnMut(usize, Address, u8) -> ControlFlow<()>,
+    {
+        let visit = &mut visit;
+        for (index, element) in self.elements.iter().enumerate() {
+            let [head, middle, tail] = &element.rows;
+            match self.plan.ascending.as_slice() {
+                [] => {}
+                [only] => try_visit_row(index, head, [only].into_iter(), visit)?,
+                [first, inner @ .., last] if element.descending => {
+                    try_visit_row(index, head, [last].into_iter(), visit)?;
+                    try_visit_row(index, middle, inner.iter().rev(), visit)?;
+                    try_visit_row(index, tail, [first].into_iter(), visit)?;
+                }
+                [first, inner @ .., last] => {
+                    try_visit_row(index, head, [first].into_iter(), visit)?;
+                    try_visit_row(index, middle, inner.iter(), visit)?;
+                    try_visit_row(index, tail, [last].into_iter(), visit)?;
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// Visits every step touching one of `members` in execution order as
+    /// `(element, member, code)`, stopping when `visit` breaks. Each member
+    /// is an address's ⇑ position paired with what `visit` should receive
+    /// for it; `members` must be sorted by position, with no position
+    /// twice. Every element visits the members in position order — ⇓ in
+    /// reverse — applying each one's operations back to back, so the
+    /// visits come in ascending step order without a schedule to sort.
+    #[inline]
+    fn try_for_each_step_among<T, F>(&self, members: &[(u32, T)], mut visit: F) -> ControlFlow<()>
+    where
+        T: Copy,
+        F: FnMut(usize, T, u8) -> ControlFlow<()>,
+    {
+        let last = self.plan.len() - 1;
+        for (index, element) in self.elements.iter().enumerate() {
+            if element.descending {
+                for &(up, member) in members.iter().rev() {
+                    for &code in element.row(last - up as usize, last) {
+                        visit(index, member, code)?;
+                    }
+                }
+            } else {
+                for &(up, member) in members {
+                    for &code in element.row(up as usize, last) {
+                        visit(index, member, code)?;
+                    }
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// The walk step at `index` as `(element, op index, address, code)`.
+    fn step_at(&self, index: usize) -> (usize, usize, Address, u8) {
+        let element_index = self
+            .elements
+            .partition_point(|element| element.first_step as usize <= index)
+            - 1;
+        let element = &self.elements[element_index];
+        let offset = index - element.first_step as usize;
+        let (position, op_index) = (offset / element.ops(), offset % element.ops());
+        let last = self.plan.len() - 1;
+        let up = if element.descending {
+            last - position
+        } else {
+            position
+        };
+        let code = element.row(position, last)[op_index];
+        (element_index, op_index, self.plan.ascending[up], code)
+    }
+
+    /// A run's result: its `mismatches` with the full walk's totals.
+    fn result(&self, mismatches: Vec<Mismatch>) -> MarchResult {
+        MarchResult {
+            mismatches,
+            operations: self.reads + self.writes,
+            reads: self.reads,
+            writes: self.writes,
+        }
     }
 
     /// Name of the March test the walk was built from.
@@ -422,12 +593,12 @@ impl MarchWalk {
 
     /// Total number of operations in the walk.
     pub fn len(&self) -> usize {
-        self.steps.len()
+        self.len
     }
 
     /// `true` when the walk contains no operations.
     pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
+        self.len == 0
     }
 
     /// Number of read operations in the walk.
@@ -442,13 +613,16 @@ impl MarchWalk {
 
     /// The traversal as fully described [`MarchStep`]s, in execution order.
     pub fn steps(&self) -> impl ExactSizeIterator<Item = MarchStep> + '_ {
-        self.steps.iter().map(|step| MarchStep {
-            element: usize::from(step.element),
-            op_index: usize::from(step.op_index),
-            address: Address::new(step.address),
-            op: decode_op(step.code),
-            last_op_on_address: step.code & LAST_ON_ADDRESS != 0,
-            last_op_of_element: step.code & LAST_OF_ELEMENT != 0,
+        (0..self.len).map(|index| {
+            let (element, op_index, address, code) = self.step_at(index);
+            MarchStep {
+                element,
+                op_index,
+                address,
+                op: decode_op(code),
+                last_op_on_address: code & LAST_ON_ADDRESS != 0,
+                last_op_of_element: code & LAST_OF_ELEMENT != 0,
+            }
         })
     }
 }
@@ -466,32 +640,47 @@ pub fn march_walk(
     MarchWalk::new(test, order, organization).steps().collect()
 }
 
+/// Applies one step to `memory`: a write stores its value, a read returns
+/// `Some(observed)` when it mismatches its expectation.
+#[inline]
+fn apply_step<M: MemoryModel + ?Sized>(memory: &mut M, address: Address, code: u8) -> Option<bool> {
+    let value = code & VALUE_BIT != 0;
+    if code & READ_BIT == 0 {
+        memory.write(address, value);
+        None
+    } else {
+        let observed = memory.read(address);
+        (observed != value).then_some(observed)
+    }
+}
+
+/// Applies one step to `memory`, recording a mismatching read.
+#[inline]
+fn record_step<M: MemoryModel + ?Sized>(
+    memory: &mut M,
+    mismatches: &mut Vec<Mismatch>,
+    element: usize,
+    address: Address,
+    code: u8,
+) -> ControlFlow<()> {
+    if let Some(observed) = apply_step(memory, address, code) {
+        mismatches.push(Mismatch {
+            element,
+            address,
+            expected: !observed,
+            observed,
+        });
+    }
+    ControlFlow::Continue(())
+}
+
 /// Runs a precomputed `walk` on `memory` and reports every read mismatch.
 pub fn run_march_walk<M: MemoryModel + ?Sized>(walk: &MarchWalk, memory: &mut M) -> MarchResult {
     let mut mismatches = Vec::new();
-    for step in &walk.steps {
-        let address = Address::new(step.address);
-        if step.code & READ_BIT == 0 {
-            memory.write(address, step.code & VALUE_BIT != 0);
-        } else {
-            let expected = step.code & VALUE_BIT != 0;
-            let observed = memory.read(address);
-            if observed != expected {
-                mismatches.push(Mismatch {
-                    element: usize::from(step.element),
-                    address,
-                    expected,
-                    observed,
-                });
-            }
-        }
-    }
-    MarchResult {
-        mismatches,
-        operations: walk.reads + walk.writes,
-        reads: walk.reads,
-        writes: walk.writes,
-    }
+    let _ = walk.try_for_each_step(|element, address, code| {
+        record_step(memory, &mut mismatches, element, address, code)
+    });
+    walk.result(mismatches)
 }
 
 /// Runs a precomputed `walk` on `memory`, stopping at the first mismatching
@@ -502,76 +691,42 @@ pub fn run_march_walk<M: MemoryModel + ?Sized>(walk: &MarchWalk, memory: &mut M)
 /// mismatches within the first elements of the test, so the early exit
 /// skips most of the remaining `O(ops × cells)` work.
 pub fn run_march_until_detected<M: MemoryModel + ?Sized>(walk: &MarchWalk, memory: &mut M) -> bool {
-    for step in &walk.steps {
-        let address = Address::new(step.address);
-        if step.code & READ_BIT == 0 {
-            memory.write(address, step.code & VALUE_BIT != 0);
-        } else if memory.read(address) != (step.code & VALUE_BIT != 0) {
-            return true;
-        }
-    }
-    false
+    walk.try_for_each_step(|_, address, code| match apply_step(memory, address, code) {
+        Some(_) => ControlFlow::Break(()),
+        None => ControlFlow::Continue(()),
+    })
+    .is_break()
 }
 
-/// The ascending, deduplicated indices of the walk steps touching a set of
-/// involved addresses — the involved-step schedule shared by the per-fault
-/// filtered runners and the lane-batched cohort kernel.
-///
-/// Single-address faults (the bulk of every fault list) borrow their CSR
-/// slice directly — no allocation, no sort. Multi-address sets (the
-/// coupling pair, the decoder alias, a whole cohort's merged union)
-/// linearly merge their already-sorted slices, deduplicating shared
-/// indices. Produced by [`merged_step_indices`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FilteredSteps<'a> {
-    /// A CSR slice borrowed straight from the walk (zero or one address).
-    Borrowed(&'a [u32]),
-    /// The merged schedule of several addresses' slices.
-    Merged(Vec<u32>),
-}
-
-impl std::ops::Deref for FilteredSteps<'_> {
-    type Target = [u32];
-
-    fn deref(&self) -> &[u32] {
-        match self {
-            FilteredSteps::Borrowed(slice) => slice,
-            FilteredSteps::Merged(vec) => vec,
-        }
-    }
-}
-
-/// Builds the involved-step schedule of `involved` over `walk`: every walk
-/// step index touching at least one of the addresses, ascending, each
-/// index exactly once.
-///
-/// This is the single source of the involved-step filtering used by both
-/// the per-fault fast path ([`run_march_walk_filtered`],
-/// [`run_march_until_detected_filtered`]) and the lane-batched cohort
-/// kernel ([`run_march_lanes`]), which dispatches the merged union of a
-/// whole cohort's involved sets in one pass.
+/// Visits every step of `walk` touching one of the `involved` addresses,
+/// in execution order, each step once: the involved-step schedule of the
+/// per-fault filtered runners. A single address (the bulk of every fault
+/// list) is visited straight off the walk; several addresses (the
+/// coupling pair, the decoder alias) are first sorted by position into one
+/// small buffer, duplicates dropped.
 ///
 /// # Panics
 ///
 /// Panics if an involved address is outside the walk's capacity.
-pub fn merged_step_indices<'a>(walk: &'a MarchWalk, involved: &[Address]) -> FilteredSteps<'a> {
+fn try_for_each_involved_step<F>(
+    walk: &MarchWalk,
+    involved: &[Address],
+    visit: F,
+) -> ControlFlow<()>
+where
+    F: FnMut(usize, Address, u8) -> ControlFlow<()>,
+{
     match involved {
-        [] => FilteredSteps::Borrowed(&[]),
-        [address] => FilteredSteps::Borrowed(walk.steps_touching(*address)),
+        [] => ControlFlow::Continue(()),
+        [address] => walk.try_for_each_step_among(&[(walk.up_position(*address), *address)], visit),
         addresses => {
-            // Every walk step touches exactly one address, so distinct
-            // addresses contribute disjoint slices and a gather-and-sort
-            // builds the union in `O(E log E)` — the old head-minimum
-            // scan was `O(E × addresses)`, which dominated dense cohorts
-            // whose unions span dozens of addresses. The dedup only
-            // collapses duplicate addresses in `involved`.
-            let mut merged: Vec<u32> = addresses
+            let mut members: Vec<(u32, Address)> = addresses
                 .iter()
-                .flat_map(|&address| walk.steps_touching(address).iter().copied())
+                .map(|&address| (walk.up_position(address), address))
                 .collect();
-            merged.sort_unstable();
-            merged.dedup();
-            FilteredSteps::Merged(merged)
+            members.sort_unstable_by_key(|&(up, _)| up);
+            members.dedup_by_key(|&mut (up, _)| up);
+            walk.try_for_each_step_among(&members, visit)
         }
     }
 }
@@ -589,14 +744,6 @@ pub struct LaneDetection {
     /// list for the same fault.
     pub first_mismatch: Option<Mismatch>,
 }
-
-/// Largest number of distinct addresses one lane cohort may involve: the
-/// packed schedule entry of [`run_march_lanes`] keeps the union slot in
-/// eight bits. A lane kind involves at most two addresses, so the
-/// 64-lane cohorts [`crate::batch::FaultBatch`] plans stay within half
-/// the budget; the limit only binds custom callers assembling cohorts of
-/// their own [`LaneFault`] types by hand.
-pub const COHORT_ADDRESS_BUDGET: usize = 256;
 
 #[inline]
 fn lane_mask(lanes: usize) -> u64 {
@@ -617,14 +764,15 @@ fn lane_mask(lanes: usize) -> u64 {
 ///
 /// Each element of `lanes` owns the bit lane of its position in the slice:
 /// a sparse [`LaneMemory`] over the cohort's merged involved addresses is
-/// filled to `background`, the merged involved-step schedule (the same
-/// union [`merged_step_indices`] describes, gathered here with
-/// pre-resolved union slots) is dispatched once, and at every step the
-/// lanes whose fault involves the step's address run their faulty form
-/// while all remaining lanes take the fault-free whole-word `u64`
-/// operation. Read steps compare all lanes at once: the observed word is
-/// XORed against the splatted expected value and the resulting mismatch
-/// mask updates per-lane detection state; under
+/// filled to `background`, every walk step touching that union is
+/// dispatched once, in walk order — each element visits the union's
+/// addresses sorted by their position in the element's direction, so
+/// the steps come out in order with no schedule to gather or sort — and
+/// at every step the lanes whose fault involves the step's address run
+/// their faulty form while all remaining lanes take the fault-free
+/// whole-word `u64` operation. Read steps compare all lanes at once: the
+/// observed word is XORed against the splatted expected value and the
+/// resulting mismatch mask updates per-lane detection state; under
 /// [`DetectionMode::FirstMismatch`] the scan stops as soon as the
 /// undetected-lane mask has zero bits left.
 ///
@@ -640,9 +788,7 @@ fn lane_mask(lanes: usize) -> u64 {
 ///
 /// Panics if `lanes` is empty or longer than [`LaneMemory::LANES`], if
 /// `walk` is not [`MarchWalk::locality_safe`] (such walks must run the
-/// unfiltered per-fault path), if a lane involves no addresses, or if
-/// the cohort's union spans more than [`COHORT_ADDRESS_BUDGET`] distinct
-/// addresses.
+/// unfiltered per-fault path), or if a lane involves no addresses.
 pub fn run_march_lanes<L: LaneFault>(
     walk: &MarchWalk,
     lanes: &mut [L],
@@ -658,7 +804,7 @@ pub fn run_march_lanes<L: LaneFault>(
 ///
 /// One cohort dispatch needs half a dozen transient arrays — the gathered
 /// involved sets, the sorted union, per-slot ownership masks, the sparse
-/// [`LaneMemory`], the packed step schedule and the per-lane results.
+/// [`LaneMemory`], the union's dispatch order and the per-lane results.
 /// Allocating them per cohort is pure overhead once a sweep runs tens of
 /// thousands of cohorts, so [`run_march_lanes_scratch`] takes them from
 /// this scratch instead: every buffer is cleared and regrown in place, and
@@ -684,8 +830,9 @@ pub struct LaneScratch {
     /// The sparse lane store, retargeted per cohort via
     /// [`LaneMemory::reset_sorted`]. `None` until the first run.
     memory: Option<LaneMemory>,
-    /// Packed dispatch schedule (see [`run_march_lanes`]'s entry layout).
-    schedule: Vec<u64>,
+    /// The union's `(⇑ position, slot)` pairs, sorted: the order every
+    /// element visits the union in (reversed under ⇓).
+    order: Vec<(u32, u32)>,
     /// Per-lane outcomes of the most recent run.
     results: Vec<LaneDetection>,
 }
@@ -739,11 +886,6 @@ pub fn run_march_lanes_scratch<'s, L: LaneFault>(
     scratch.union.sort_unstable();
     scratch.union.dedup();
     let union = &scratch.union;
-    assert!(
-        union.len() <= COHORT_ADDRESS_BUDGET,
-        "a cohort may involve at most {COHORT_ADDRESS_BUDGET} distinct addresses \
-         (the planner enforces this for its own plans)"
-    );
     // Owner masks, aligned with the sorted union: which lanes' faults
     // involve each address. The whole-word ops skip these lanes and the
     // per-lane faulty dispatch iterates them straight off the mask bits.
@@ -776,95 +918,75 @@ pub fn run_march_lanes_scratch<'s, L: LaneFault>(
     scratch
         .results
         .resize(lanes.len(), LaneDetection::default());
-    // The cohort's dispatch schedule: every walk step touching a union
-    // address, ascending, pre-tagged with its union slot and packed
-    // payload. Each step touches exactly one address, so the per-address
-    // CSR slices are disjoint and a gather-and-sort replaces both a
-    // head-minimum merge and a per-step binary search over the union;
-    // carrying the payload keeps the dispatch loop entirely off the
-    // execution-ordered step array, whose scattered megabit-walk loads
-    // would otherwise be one cache miss per step. Each entry packs into
-    // one `u64` — step index (32) | element (16) | slot (8) | code (8) —
-    // so ordering the schedule is a plain integer sort and step indices
-    // are unique, making the order total.
-    scratch.schedule.clear();
-    scratch.schedule.reserve(
+    // The cohort's dispatch order: the union slots sorted by ⇑ position.
+    // Every element visits the union in that order (⇓ in reverse), one
+    // address's operations back to back, which is ascending step order
+    // over exactly the steps touching the union.
+    scratch.order.clear();
+    scratch.order.extend(
         union
             .iter()
-            .map(|&address| walk.steps_touching(address).len())
-            .sum(),
+            .enumerate()
+            .map(|(slot, &address)| (walk.up_position(address), slot as u32)),
     );
-    for (slot, &address) in union.iter().enumerate() {
-        let indices = walk.steps_touching(address);
-        let payloads = walk.step_payloads_touching(address);
-        scratch
-            .schedule
-            .extend(indices.iter().zip(payloads).map(|(&index, &payload)| {
-                u64::from(index) << 32
-                    | u64::from(payload & 0xFFFF_0000)
-                    | (slot as u64) << 8
-                    | u64::from(payload & 0xFF)
-            }));
-    }
-    scratch.schedule.sort_unstable();
-    for &entry in &scratch.schedule {
-        let code = entry as u8;
-        let element = (entry >> 16) as u16;
-        let slot = (entry >> 8) as u8 as usize;
+    scratch.order.sort_unstable();
+    let owned_masks = &scratch.owned_masks;
+    let results = &mut scratch.results;
+    let _ = walk.try_for_each_step_among(&scratch.order, |element, slot, code| {
+        let slot = slot as usize;
         let address = union[slot];
         if code & READ_BIT == 0 {
             let value = code & VALUE_BIT != 0;
-            let mut owners = scratch.owned_masks[slot];
+            let mut owners = owned_masks[slot];
             while owners != 0 {
                 let lane = owners.trailing_zeros();
                 lanes[lane as usize].lane_write(memory, lane, address, value);
                 owners &= owners - 1;
             }
-            memory.write_word_at(slot, value, scratch.owned_masks[slot]);
-        } else {
-            let expected = code & VALUE_BIT != 0;
-            let sensed_before = code & SENSED_BEFORE != 0;
-            let mut observed = memory.word_at(slot);
-            let mut owners = scratch.owned_masks[slot];
-            while owners != 0 {
-                let lane = owners.trailing_zeros();
-                let bit = lanes[lane as usize].lane_read(memory, lane, address, sensed_before);
-                observed = (observed & !(1u64 << lane)) | (u64::from(bit) << lane);
-                owners &= owners - 1;
-            }
-            let expected_word = if expected { u64::MAX } else { 0 };
-            let miss = (observed ^ expected_word) & active;
-            if miss != 0 {
-                let mut fresh = miss & !detected;
-                while fresh != 0 {
-                    let lane = fresh.trailing_zeros() as usize;
-                    scratch.results[lane].first_mismatch = Some(Mismatch {
-                        element: usize::from(element),
-                        address,
-                        expected,
-                        observed: observed >> lane & 1 == 1,
-                    });
-                    fresh &= fresh - 1;
-                }
-                detected |= miss;
-                match mode {
-                    DetectionMode::Full => {
-                        let mut each = miss;
-                        while each != 0 {
-                            let lane = each.trailing_zeros() as usize;
-                            scratch.results[lane].mismatches += 1;
-                            each &= each - 1;
-                        }
-                    }
-                    DetectionMode::FirstMismatch => {
-                        if (active & !detected).count_ones() == 0 {
-                            break;
-                        }
-                    }
-                }
-            }
+            memory.write_word_at(slot, value, owned_masks[slot]);
+            return ControlFlow::Continue(());
         }
-    }
+        let expected = code & VALUE_BIT != 0;
+        let sensed_before = code & SENSED_BEFORE != 0;
+        let mut observed = memory.word_at(slot);
+        let mut owners = owned_masks[slot];
+        while owners != 0 {
+            let lane = owners.trailing_zeros();
+            let bit = lanes[lane as usize].lane_read(memory, lane, address, sensed_before);
+            observed = (observed & !(1u64 << lane)) | (u64::from(bit) << lane);
+            owners &= owners - 1;
+        }
+        let expected_word = if expected { u64::MAX } else { 0 };
+        let miss = (observed ^ expected_word) & active;
+        if miss == 0 {
+            return ControlFlow::Continue(());
+        }
+        let mut fresh = miss & !detected;
+        while fresh != 0 {
+            let lane = fresh.trailing_zeros() as usize;
+            results[lane].first_mismatch = Some(Mismatch {
+                element,
+                address,
+                expected,
+                observed: observed >> lane & 1 == 1,
+            });
+            fresh &= fresh - 1;
+        }
+        detected |= miss;
+        match mode {
+            DetectionMode::Full => {
+                let mut each = miss;
+                while each != 0 {
+                    let lane = each.trailing_zeros() as usize;
+                    results[lane].mismatches += 1;
+                    each &= each - 1;
+                }
+                ControlFlow::Continue(())
+            }
+            DetectionMode::FirstMismatch if active & !detected == 0 => ControlFlow::Break(()),
+            DetectionMode::FirstMismatch => ControlFlow::Continue(()),
+        }
+    });
     for (lane, result) in scratch.results.iter_mut().enumerate() {
         result.detected = detected >> lane & 1 == 1;
         if mode == DetectionMode::FirstMismatch {
@@ -894,30 +1016,10 @@ pub fn run_march_walk_filtered<M: MemoryModel + ?Sized>(
     involved: &[Address],
 ) -> MarchResult {
     let mut mismatches = Vec::new();
-    for &index in merged_step_indices(walk, involved).iter() {
-        let step = &walk.steps[index as usize];
-        let address = Address::new(step.address);
-        if step.code & READ_BIT == 0 {
-            memory.write(address, step.code & VALUE_BIT != 0);
-        } else {
-            let expected = step.code & VALUE_BIT != 0;
-            let observed = memory.read(address);
-            if observed != expected {
-                mismatches.push(Mismatch {
-                    element: usize::from(step.element),
-                    address,
-                    expected,
-                    observed,
-                });
-            }
-        }
-    }
-    MarchResult {
-        mismatches,
-        operations: walk.reads + walk.writes,
-        reads: walk.reads,
-        writes: walk.writes,
-    }
+    let _ = try_for_each_involved_step(walk, involved, |element, address, code| {
+        record_step(memory, &mut mismatches, element, address, code)
+    });
+    walk.result(mismatches)
 }
 
 /// Early-exit variant of [`run_march_walk_filtered`]: runs only the steps
@@ -928,16 +1030,13 @@ pub fn run_march_until_detected_filtered<M: MemoryModel + ?Sized>(
     memory: &mut M,
     involved: &[Address],
 ) -> bool {
-    for &index in merged_step_indices(walk, involved).iter() {
-        let step = &walk.steps[index as usize];
-        let address = Address::new(step.address);
-        if step.code & READ_BIT == 0 {
-            memory.write(address, step.code & VALUE_BIT != 0);
-        } else if memory.read(address) != (step.code & VALUE_BIT != 0) {
-            return true;
+    try_for_each_involved_step(walk, involved, |_, address, code| {
+        match apply_step(memory, address, code) {
+            Some(_) => ControlFlow::Break(()),
+            None => ControlFlow::Continue(()),
         }
-    }
-    false
+    })
+    .is_break()
 }
 
 /// Runs `test` on `memory` and reports every read mismatch.
@@ -1169,22 +1268,253 @@ mod tests {
         }
     }
 
+    /// The `(step index, payload)` list of the steps touching `address` —
+    /// payload = element (bits 16–31), op index (bits 8–15), code byte
+    /// (bits 0–7) — read off the walk's per-address visit, with each step
+    /// index computed from the element's first step and the address's
+    /// position.
+    fn steps_at_address(walk: &MarchWalk, address: Address) -> Vec<(u32, u32)> {
+        let up = walk.up_position(address) as usize;
+        let last = walk.capacity as usize - 1;
+        let mut list = Vec::new();
+        let mut previous = (usize::MAX, 0usize);
+        let _ = walk.try_for_each_step_among(&[(up as u32, ())], |element, (), code| {
+            let op_index = if previous.0 == element {
+                previous.1 + 1
+            } else {
+                0
+            };
+            previous = (element, op_index);
+            let walk_element = &walk.elements[element];
+            let position = if walk_element.descending {
+                last - up
+            } else {
+                up
+            };
+            let index = walk_element.first_step as usize + position * walk_element.ops() + op_index;
+            list.push((
+                index as u32,
+                (element as u32) << 16 | (op_index as u32) << 8 | u32::from(code),
+            ));
+            ControlFlow::Continue(())
+        });
+        list
+    }
+
+    /// Every step of the walk as `(address, element, code)`, through the
+    /// full-walk loop.
+    fn scanned(walk: &MarchWalk) -> Vec<(u32, usize, u8)> {
+        let mut steps = Vec::new();
+        let _ = walk.try_for_each_step(|element, address, code| {
+            steps.push((address.value(), element, code));
+            ControlFlow::Continue(())
+        });
+        steps
+    }
+
+    /// The steps touching `involved` as `(address, element, code)`,
+    /// through the filtered runners' visit.
+    fn involved_steps(walk: &MarchWalk, involved: &[Address]) -> Vec<(u32, usize, u8)> {
+        let mut steps = Vec::new();
+        let _ = try_for_each_involved_step(walk, involved, |element, address, code| {
+            steps.push((address.value(), element, code));
+            ControlFlow::Continue(())
+        });
+        steps
+    }
+
+    /// One materialised step: `(address, element, op index, code)`.
+    type Step = (u32, u16, u8, u8);
+
+    /// The materialising walk builder the implicit walk replaced, kept as
+    /// the reference it is pinned to: every step in execution order, plus
+    /// the read and write totals.
+    fn materialised_walk(
+        test: &MarchTest,
+        order: &dyn AddressOrder,
+        organization: &ArrayOrganization,
+    ) -> (Vec<Step>, u64, u64) {
+        let plan = AddressPlan::new(order, organization);
+        let mut steps = Vec::new();
+        let mut reads = 0u64;
+        let mut writes = 0u64;
+        let mut last_read: Option<(u32, bool)> = None;
+        let mut prior_distinct = false;
+        for (element_index, element) in test.elements().iter().enumerate() {
+            let ops = element.ops();
+            let last_position = plan.len().saturating_sub(1);
+            for (position, address) in plan.iter(element.direction()).enumerate() {
+                for (op_index, &op) in ops.iter().enumerate() {
+                    let mut code = op_code(op);
+                    if op.is_read() {
+                        reads += 1;
+                        let sensed = match last_read {
+                            Some((last_address, _)) if last_address == address.value() => {
+                                prior_distinct
+                            }
+                            Some((_, last_value)) => last_value,
+                            None => false,
+                        };
+                        if sensed {
+                            code |= SENSED_BEFORE;
+                        }
+                        if let Some((last_address, last_value)) = last_read {
+                            if last_address != address.value() {
+                                prior_distinct = last_value;
+                            }
+                        }
+                        let expected = op.expected_value().expect("reads have expectations");
+                        last_read = Some((address.value(), expected));
+                    } else {
+                        writes += 1;
+                    }
+                    if op_index == ops.len() - 1 {
+                        code |= LAST_ON_ADDRESS;
+                        if position == last_position {
+                            code |= LAST_OF_ELEMENT;
+                        }
+                    }
+                    steps.push((address.value(), element_index as u16, op_index as u8, code));
+                }
+            }
+        }
+        (steps, reads, writes)
+    }
+
     #[test]
-    fn steps_touching_partitions_the_walk() {
+    fn implicit_walk_matches_the_materialising_builder() {
+        use crate::address_order::{AddressComplementOrder, LinearOrder};
+        use crate::element::MarchElement;
+        use MarchOp::{R0, R1, W0, W1};
+
+        let mut tests = library::all_algorithms();
+        tests.extend([
+            MarchTest::new(
+                "reads first",
+                vec![
+                    MarchElement::ascending(vec![R1, W0]),
+                    MarchElement::descending(vec![R0]),
+                ],
+            ),
+            MarchTest::new(
+                "back-to-back reads",
+                vec![
+                    MarchElement::ascending(vec![W0]),
+                    MarchElement::descending(vec![R0, R0, W1, R1, R1]),
+                    MarchElement::ascending(vec![R1, R1]),
+                ],
+            ),
+            MarchTest::new(
+                "either",
+                vec![
+                    MarchElement::either(vec![W1]),
+                    MarchElement::either(vec![R1, W0]),
+                    MarchElement::descending(vec![R0, W1]),
+                    MarchElement::either(vec![R1]),
+                ],
+            ),
+            MarchTest::new(
+                "single ops",
+                vec![
+                    MarchElement::ascending(vec![W0]),
+                    MarchElement::ascending(vec![R0]),
+                    MarchElement::descending(vec![W1]),
+                    MarchElement::descending(vec![R1]),
+                    MarchElement::either(vec![R1]),
+                ],
+            ),
+        ]);
+        let pseudo_random = PseudoRandomOrder::new(7);
+        let orders: [&dyn AddressOrder; 5] = [
+            &WordLineAfterWordLine,
+            &ColumnMajor,
+            &LinearOrder,
+            &pseudo_random,
+            &AddressComplementOrder,
+        ];
+        let mut combinations = 0;
+        for (rows, cols) in [
+            (1, 1),
+            (1, 2),
+            (2, 1),
+            (1, 3),
+            (2, 2),
+            (3, 7),
+            (4, 4),
+            (5, 3),
+            (8, 8),
+        ] {
+            let organization = ArrayOrganization::new(rows, cols).unwrap();
+            let capacity = organization.capacity();
+            for test in &tests {
+                for order in orders {
+                    let context = format!("{} / {} / {rows}x{cols}", test.name(), order.name());
+                    let walk = MarchWalk::new(test, order, &organization);
+                    let (reference, reads, writes) = materialised_walk(test, order, &organization);
+                    assert_eq!(
+                        (walk.len(), walk.reads(), walk.writes()),
+                        (reference.len(), reads, writes),
+                        "{context}: totals"
+                    );
+                    let at: Vec<Step> = (0..walk.len())
+                        .map(|index| {
+                            let (element, op_index, address, code) = walk.step_at(index);
+                            (address.value(), element as u16, op_index as u8, code)
+                        })
+                        .collect();
+                    assert_eq!(at, reference, "{context}: step_at");
+                    let projected: Vec<(u32, usize, u8)> = reference
+                        .iter()
+                        .map(|&(address, element, _, code)| (address, usize::from(element), code))
+                        .collect();
+                    assert_eq!(scanned(&walk), projected, "{context}: full walk");
+                    let mut lists = vec![Vec::new(); capacity as usize];
+                    for (index, &(address, element, op_index, code)) in reference.iter().enumerate()
+                    {
+                        lists[address as usize].push((
+                            index as u32,
+                            u32::from(element) << 16 | u32::from(op_index) << 8 | u32::from(code),
+                        ));
+                    }
+                    for (raw, list) in lists.iter().enumerate() {
+                        let address = Address::new(raw as u32);
+                        assert_eq!(
+                            &steps_at_address(&walk, address),
+                            list,
+                            "{context}: address {raw}"
+                        );
+                    }
+                    let pair = [Address::new(capacity / 2), Address::new(capacity - 1)];
+                    let filtered: Vec<(u32, usize, u8)> = projected
+                        .iter()
+                        .copied()
+                        .filter(|step| pair.contains(&Address::new(step.0)))
+                        .collect();
+                    assert_eq!(involved_steps(&walk, &pair), filtered, "{context}: pair");
+                    combinations += 1;
+                }
+            }
+        }
+        assert!(combinations > 400, "{combinations} combinations");
+    }
+
+    #[test]
+    fn every_address_owns_one_step_per_test_operation() {
         let organization = org();
         let test = library::march_ss();
         let walk = MarchWalk::new(&test, &ColumnMajor, &organization);
+        assert_eq!(walk.ops_per_address(), test.operation_count());
+        let steps: Vec<MarchStep> = walk.steps().collect();
+        assert_eq!(steps.len(), walk.len());
         let mut seen = 0usize;
         for raw in 0..organization.capacity() {
-            let indices = walk.steps_touching(Address::new(raw));
-            let payloads = walk.step_payloads_touching(Address::new(raw));
-            assert_eq!(indices.len(), test.operation_count());
-            assert_eq!(payloads.len(), indices.len(), "payloads align with indices");
-            assert!(indices.windows(2).all(|w| w[0] < w[1]), "ascending order");
-            for (&index, &payload) in indices.iter().zip(payloads) {
-                let step = walk.steps().nth(index as usize).unwrap();
+            let list = steps_at_address(&walk, Address::new(raw));
+            assert_eq!(list.len(), walk.ops_per_address());
+            assert!(list.windows(2).all(|w| w[0].0 < w[1].0), "ascending order");
+            for (index, payload) in list {
+                let step = steps[index as usize];
                 assert_eq!(step.address, Address::new(raw));
-                // The packed payload must reproduce the step exactly.
+                // The computed payload must reproduce the step exactly.
                 assert_eq!((payload >> 16) as usize, step.element);
                 assert_eq!((payload >> 8 & 0xFF) as usize, step.op_index);
                 assert_eq!(decode_op(payload as u8), step.op);
@@ -1192,42 +1522,74 @@ mod tests {
                     payload as u8 & LAST_ON_ADDRESS != 0,
                     step.last_op_on_address
                 );
+                assert_eq!(
+                    payload as u8 & LAST_OF_ELEMENT != 0,
+                    step.last_op_of_element
+                );
             }
-            seen += indices.len();
+            seen += walk.ops_per_address();
         }
         assert_eq!(seen, walk.len(), "every step belongs to exactly one cell");
     }
 
     #[test]
-    fn merged_step_indices_is_the_shared_involved_step_schedule() {
+    fn involved_steps_are_the_walk_filtered_to_the_involved_addresses() {
         let organization = org();
         let test = library::march_ss();
         let walk = MarchWalk::new(&test, &ColumnMajor, &organization);
-        // Empty set: empty borrowed schedule.
-        assert!(merged_step_indices(&walk, &[]).is_empty());
-        // Single address: the CSR slice itself, borrowed.
-        let single = merged_step_indices(&walk, &[Address::new(5)]);
-        assert!(matches!(single, FilteredSteps::Borrowed(_)));
-        assert_eq!(&*single, walk.steps_touching(Address::new(5)));
-        // Several addresses (duplicates included): ascending, deduplicated
-        // union of their slices.
+        let all = scanned(&walk);
+        let filtered = |addresses: &[u32]| -> Vec<(u32, usize, u8)> {
+            all.iter()
+                .copied()
+                .filter(|step| addresses.contains(&step.0))
+                .collect()
+        };
+        // Empty set: nothing to visit.
+        assert!(involved_steps(&walk, &[]).is_empty());
+        // Single address: its own steps, in walk order.
+        assert_eq!(involved_steps(&walk, &[Address::new(5)]), filtered(&[5]));
+        // Several addresses (duplicates included): the walk's steps
+        // touching any of them, each once, in walk order.
         let involved = [Address::new(5), Address::new(2), Address::new(5)];
-        let merged = merged_step_indices(&walk, &involved);
-        assert!(matches!(merged, FilteredSteps::Merged(_)));
-        let mut expected: Vec<u32> = walk
-            .steps_touching(Address::new(2))
-            .iter()
-            .chain(walk.steps_touching(Address::new(5)))
-            .copied()
+        assert_eq!(involved_steps(&walk, &involved), filtered(&[2, 5]));
+        // The whole array visits every step exactly once.
+        let every: Vec<Address> = (0..organization.capacity())
+            .rev()
+            .map(Address::new)
             .collect();
-        expected.sort_unstable();
-        expected.dedup();
-        assert_eq!(&*merged, expected.as_slice());
-        // The whole array merges back into every step exactly once.
-        let all: Vec<Address> = (0..organization.capacity()).map(Address::new).collect();
-        let complete = merged_step_indices(&walk, &all);
-        assert_eq!(complete.len(), walk.len());
-        assert!(complete.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(involved_steps(&walk, &every), all);
+    }
+
+    #[test]
+    #[should_panic(expected = "visits address 0 twice")]
+    fn an_order_that_repeats_an_address_is_rejected() {
+        struct Repeating;
+        impl AddressOrder for Repeating {
+            fn name(&self) -> &'static str {
+                "repeating"
+            }
+            fn ascending(&self, organization: &ArrayOrganization) -> Vec<Address> {
+                vec![Address::new(0); organization.capacity() as usize]
+            }
+        }
+        let _ = MarchWalk::new(&library::mats_plus(), &Repeating, &org());
+    }
+
+    #[test]
+    #[should_panic(expected = "walk too large for 32-bit step indices")]
+    fn an_oversized_walk_is_rejected_before_the_order_is_materialised() {
+        struct Unreachable;
+        impl AddressOrder for Unreachable {
+            fn name(&self) -> &'static str {
+                "unreachable"
+            }
+            fn ascending(&self, _: &ArrayOrganization) -> Vec<Address> {
+                panic!("the step bound must be checked before the order is materialised")
+            }
+        }
+        // 2^31 cells × 5 operations overflows `u32` step indices.
+        let organization = ArrayOrganization::new(65_536, 32_768).unwrap();
+        let _ = MarchWalk::new(&library::mats_plus(), &Unreachable, &organization);
     }
 
     #[test]
@@ -1247,10 +1609,9 @@ mod tests {
             ],
         );
         let walk = MarchWalk::new(&test, &WordLineAfterWordLine, &organization);
-        let sensed: Vec<Option<bool>> = walk
-            .steps
+        let sensed: Vec<Option<bool>> = scanned(&walk)
             .iter()
-            .map(|step| (step.code & READ_BIT != 0).then_some(step.code & SENSED_BEFORE != 0))
+            .map(|&(_, _, code)| (code & READ_BIT != 0).then_some(code & SENSED_BEFORE != 0))
             .collect();
         assert_eq!(
             sensed,

@@ -14,9 +14,9 @@
 //! go one step further through the lane-batched backend
 //! ([`crate::batch`]), which amortises a single walk dispatch over up to
 //! sixty-four faults and falls back to this per-fault path — the golden
-//! reference — for faults it cannot batch. The involved-step schedule
-//! both paths filter by is built by one shared helper,
-//! [`crate::executor::merged_step_indices`].
+//! reference — for faults it cannot batch. Both paths filter a localised
+//! fault down to the steps touching its involved cells, which the
+//! implicit [`MarchWalk`] finds at one permutation position per element.
 
 use sram_model::config::ArrayOrganization;
 
@@ -98,23 +98,23 @@ pub fn simulate_fault_on_walk(
 ) -> FaultSimOutcome {
     let fault_name = fault.name();
     let fault_kind = fault.kind();
-    let (_, detected, mismatches) =
-        simulate_fault_counts_on_walk(walk, scratch, fault, background, mode);
+    let (_, mismatches) = simulate_fault_counts_on_walk(walk, scratch, fault, background, mode);
     FaultSimOutcome {
         fault_name,
         fault_kind,
         test_name: walk.test_name().to_string(),
         order_name: walk.order_name().to_string(),
-        detected,
+        detected: mismatches > 0,
         mismatches,
     }
 }
 
 /// The assembly-free core of [`simulate_fault_on_walk`]: runs the same
-/// simulation but reports only the detection bit and mismatch count,
-/// handing the fault instance back so the caller can render names however
-/// it wants (full [`FaultSimOutcome`] strings, or an interned
-/// [`OutcomeCode`](crate::intern::OutcomeCode)). The coverage sweeps
+/// simulation but reports only the mismatch count — the fault is detected
+/// exactly when it is non-zero — handing the fault instance back so the
+/// caller can render names however it wants (full [`FaultSimOutcome`]
+/// strings, or an interned [`OutcomeCode`](crate::intern::OutcomeCode)).
+/// The coverage sweeps
 /// ([`crate::coverage::evaluate_coverage_interned_on_walk`]) build on
 /// this so the hot path never allocates per-fault strings beyond the
 /// instance name.
@@ -124,7 +124,7 @@ pub fn simulate_fault_counts_on_walk(
     fault: Box<dyn Fault>,
     background: bool,
     mode: DetectionMode,
-) -> (Box<dyn Fault>, bool, usize) {
+) -> (Box<dyn Fault>, usize) {
     assert_eq!(
         scratch.capacity(),
         walk.capacity(),
@@ -144,25 +144,21 @@ pub fn simulate_fault_counts_on_walk(
         base: scratch,
         fault,
     };
-    let (detected, mismatches) = match (mode, involved) {
+    let mismatches = match (mode, involved) {
         (DetectionMode::Full, Some(involved)) => {
-            let result = run_march_walk_filtered(walk, &mut memory, &involved);
-            (result.detected_fault(), result.mismatches.len())
+            run_march_walk_filtered(walk, &mut memory, &involved)
+                .mismatches
+                .len()
         }
-        (DetectionMode::Full, None) => {
-            let result = run_march_walk(walk, &mut memory);
-            (result.detected_fault(), result.mismatches.len())
-        }
-        (DetectionMode::FirstMismatch, Some(involved)) => {
-            let detected = run_march_until_detected_filtered(walk, &mut memory, &involved);
-            (detected, usize::from(detected))
-        }
+        (DetectionMode::Full, None) => run_march_walk(walk, &mut memory).mismatches.len(),
+        (DetectionMode::FirstMismatch, Some(involved)) => usize::from(
+            run_march_until_detected_filtered(walk, &mut memory, &involved),
+        ),
         (DetectionMode::FirstMismatch, None) => {
-            let detected = run_march_until_detected(walk, &mut memory);
-            (detected, usize::from(detected))
+            usize::from(run_march_until_detected(walk, &mut memory))
         }
     };
-    (memory.fault, detected, mismatches)
+    (memory.fault, mismatches)
 }
 
 /// Runs `test` over a memory containing exactly one injected fault. The

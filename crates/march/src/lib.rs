@@ -31,10 +31,13 @@
 //! The hot path is organised as a measured kernel with five ingredients:
 //!
 //! 1. **Walk caching** ([`executor::MarchWalk`], [`executor::AddressPlan`])
-//!    — the `(test, order, organization)` traversal is flattened once into
-//!    a compact 8-byte-per-step array and shared, read-only, across every
-//!    fault of a sweep; the ⇑ address permutation is materialised once and
-//!    serves ⇓ by index arithmetic. Nothing allocates per fault.
+//!    — the `(test, order, organization)` traversal is built once and
+//!    shared, read-only, across every fault of a sweep. It is implicit:
+//!    the ⇑ address permutation, materialised once, serves ⇓ by index
+//!    arithmetic, its inverse finds any address's position in `O(1)`, and
+//!    three rows of code bytes per element complete every step — eight
+//!    bytes per cell whatever the test's length, built in `O(cells)`.
+//!    Nothing allocates per fault.
 //! 2. **Bit-packed memory** ([`memory::GoodMemory`]) — cells live in
 //!    `u64` words (64 per word) and [`memory::GoodMemory::fill`] resets the
 //!    array with a few word stores, so one scratch allocation serves an

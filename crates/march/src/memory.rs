@@ -319,7 +319,7 @@ impl LaneMemory {
 
     /// All lanes' values of the cell at union slot `slot` — the
     /// slot-direct form of [`LaneMemory::word`] used by the batched
-    /// kernel, whose schedule already carries resolved slots.
+    /// kernel, whose dispatch order already carries resolved slots.
     ///
     /// # Panics
     ///
