@@ -32,25 +32,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use campaign::cli::{Args, UsageError};
 use campaign::daemon::{run_daemon, DaemonOptions};
 use campaign::trace::{load_trace, replay_trace_injected};
 use campaign::{FaultInjector, Injection, SpoolDir};
-
-/// A malformed command line: the offending flag and why.
-#[derive(Debug)]
-struct UsageError {
-    flag: String,
-    reason: String,
-}
-
-impl UsageError {
-    fn new(flag: &str, reason: impl Into<String>) -> Self {
-        Self {
-            flag: flag.to_string(),
-            reason: reason.into(),
-        }
-    }
-}
 
 const USAGE: &str = "usage: campaign_daemon --spool DIR --journal PATH [options]
   --spool DIR           spool directory for job intake (required)
@@ -82,6 +67,28 @@ exit codes:
   2  usage error (unknown flag, malformed value)
   3  campaign error (I/O, corrupt journal, injected crash)
   4  completed, but some jobs are poison-quarantined";
+
+/// Flags that take one value.
+const VALUE_FLAGS: [&str; 15] = [
+    "--spool",
+    "--journal",
+    "--threads",
+    "--max-attempts",
+    "--backoff-ms",
+    "--job-delay-ms",
+    "--queue-limit",
+    "--deadline-ms",
+    "--poll-ms",
+    "--trace",
+    "--export",
+    "--abort-after-records",
+    "--crash-mid-intake",
+    "--torn-spool",
+    "--stall-job",
+];
+
+/// Flags that take none.
+const BARE_FLAGS: [&str; 2] = ["--once", "--resume"];
 
 /// SIGTERM/SIGINT flag, set from the signal handler.
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
@@ -123,105 +130,42 @@ fn main() -> ExitCode {
     match run(&args) {
         Ok(code) => code,
         Err(usage) => {
-            eprintln!("campaign_daemon: {}: {}", usage.flag, usage.reason);
+            eprintln!("campaign_daemon: {usage}");
             eprintln!("{USAGE}");
             ExitCode::from(2)
         }
     }
 }
 
-/// Returns the value of `--flag value`, if present.
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// `true` when the bare flag is present.
-fn arg_present(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
-/// Parses `--flag` as `T`, with a typed error naming the flag.
-fn parse_arg<T: std::str::FromStr>(
-    args: &[String],
-    flag: &str,
-    default: T,
-) -> Result<T, UsageError> {
-    match arg_value(args, flag) {
-        None => Ok(default),
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| UsageError::new(flag, format!("cannot parse \"{raw}\""))),
-    }
-}
-
 fn run(args: &[String]) -> Result<ExitCode, UsageError> {
-    if arg_present(args, "--help") {
+    if args.iter().any(|arg| arg == "--help") {
         println!("{USAGE}");
         return Ok(ExitCode::SUCCESS);
     }
-    for (index, arg) in args.iter().enumerate() {
-        if arg.starts_with("--") {
-            let known = [
-                "--spool",
-                "--journal",
-                "--threads",
-                "--max-attempts",
-                "--backoff-ms",
-                "--job-delay-ms",
-                "--queue-limit",
-                "--deadline-ms",
-                "--poll-ms",
-                "--trace",
-                "--once",
-                "--export",
-                "--resume",
-                "--help",
-                "--abort-after-records",
-                "--crash-mid-intake",
-                "--torn-spool",
-                "--stall-job",
-            ];
-            if !known.contains(&arg.as_str()) {
-                return Err(UsageError::new(arg, "unknown flag"));
-            }
-        } else if index == 0 {
-            return Err(UsageError::new(arg, "expected a --flag"));
-        }
-    }
+    let args = &Args::scan(args, &VALUE_FLAGS, &BARE_FLAGS)?;
 
     let spool_dir = PathBuf::from(
-        arg_value(args, "--spool")
+        args.value("--spool")
             .ok_or_else(|| UsageError::new("--spool", "required flag missing"))?,
     );
     let journal = PathBuf::from(
-        arg_value(args, "--journal")
+        args.value("--journal")
             .ok_or_else(|| UsageError::new("--journal", "required flag missing"))?,
     );
-    let export_path = arg_value(args, "--export").map(PathBuf::from);
-    let trace_path = arg_value(args, "--trace").map(PathBuf::from);
+    let export_path = args.value("--export").map(PathBuf::from);
+    let trace_path = args.value("--trace").map(PathBuf::from);
 
     let mut injections = Vec::new();
-    if let Some(count) = arg_value(args, "--abort-after-records") {
-        let count = count
-            .parse()
-            .map_err(|_| UsageError::new("--abort-after-records", "cannot parse count"))?;
+    if let Some(count) = args.parse("--abort-after-records")? {
         injections.push(Injection::AbortAfterRecords { count });
     }
-    if let Some(submission) = arg_value(args, "--crash-mid-intake") {
-        let submission = submission
-            .parse()
-            .map_err(|_| UsageError::new("--crash-mid-intake", "cannot parse ordinal"))?;
+    if let Some(submission) = args.parse("--crash-mid-intake")? {
         injections.push(Injection::CrashMidIntake { submission });
     }
-    if let Some(submission) = arg_value(args, "--torn-spool") {
-        let submission = submission
-            .parse()
-            .map_err(|_| UsageError::new("--torn-spool", "cannot parse ordinal"))?;
+    if let Some(submission) = args.parse("--torn-spool")? {
         injections.push(Injection::TornSpoolWrite { submission });
     }
-    if let Some(raw) = arg_value(args, "--stall-job") {
+    if let Some(raw) = args.value("--stall-job") {
         // J@A:MS — job J stalls MS milliseconds on its first A attempts.
         let parsed = raw.split_once('@').and_then(|(job, rest)| {
             let (attempts, delay) = rest.split_once(':')?;
@@ -240,32 +184,26 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
     let shutdown = Arc::new(AtomicBool::new(false));
     let quiesce = Arc::new(AtomicBool::new(false));
     let options = DaemonOptions {
-        threads: parse_arg(args, "--threads", DaemonOptions::default().threads)?,
+        threads: args.parse_or("--threads", DaemonOptions::default().threads)?,
         max_attempts: {
-            let attempts: u8 = parse_arg(args, "--max-attempts", 3u8)?;
+            let attempts: u8 = args.parse_or("--max-attempts", 3u8)?;
             if attempts == 0 {
                 return Err(UsageError::new("--max-attempts", "must be at least 1"));
             }
             attempts
         },
-        backoff: Duration::from_millis(parse_arg(args, "--backoff-ms", 10u64)?),
-        resume: arg_present(args, "--resume"),
-        job_delay: Duration::from_millis(parse_arg(args, "--job-delay-ms", 0u64)?),
+        backoff: Duration::from_millis(args.parse_or("--backoff-ms", 10u64)?),
+        resume: args.present("--resume"),
+        job_delay: Duration::from_millis(args.parse_or("--job-delay-ms", 0u64)?),
         queue_limit: {
-            let limit: usize = parse_arg(args, "--queue-limit", 64usize)?;
+            let limit: usize = args.parse_or("--queue-limit", 64usize)?;
             if limit == 0 {
                 return Err(UsageError::new("--queue-limit", "must be at least 1"));
             }
             limit
         },
-        deadline: arg_value(args, "--deadline-ms")
-            .map(|raw| {
-                raw.parse::<u64>().map(Duration::from_millis).map_err(|_| {
-                    UsageError::new("--deadline-ms", format!("cannot parse \"{raw}\""))
-                })
-            })
-            .transpose()?,
-        poll_interval: Duration::from_millis(parse_arg(args, "--poll-ms", 2u64)?),
+        deadline: args.parse("--deadline-ms")?.map(Duration::from_millis),
+        poll_interval: Duration::from_millis(args.parse_or("--poll-ms", 2u64)?),
         shutdown: Arc::clone(&shutdown),
         quiesce: Arc::clone(&quiesce),
     };
@@ -310,7 +248,7 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
             result
         })
     });
-    if replay.is_none() && arg_present(args, "--once") {
+    if replay.is_none() && args.present("--once") {
         quiesce.store(true, Ordering::SeqCst);
     }
 

@@ -23,27 +23,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use campaign::cli::{Args, UsageError};
 use campaign::runner::{run_campaign, CampaignOptions};
 use campaign::spec::{backend_by_name, CampaignPlan, PopulationSpec};
 use campaign::{FaultInjector, Injection, Shard};
 use march_test::coverage::SweepBackend;
 use march_test::library::table1_algorithms;
-
-/// A malformed command line: the offending flag and why.
-#[derive(Debug)]
-struct UsageError {
-    flag: String,
-    reason: String,
-}
-
-impl UsageError {
-    fn new(flag: &str, reason: impl Into<String>) -> Self {
-        Self {
-            flag: flag.to_string(),
-            reason: reason.into(),
-        }
-    }
-}
 
 const USAGE: &str = "usage: campaign_run --journal PATH [options]
   --journal PATH        journal file (required)
@@ -74,52 +59,51 @@ exit codes:
   3  campaign error (I/O, corrupt journal, plan mismatch)
   4  campaign completed but some jobs are poison-quarantined";
 
+/// Flags that take one value.
+const VALUE_FLAGS: [&str; 18] = [
+    "--journal",
+    "--organization",
+    "--seeds",
+    "--algorithms",
+    "--orders",
+    "--backgrounds",
+    "--population",
+    "--backend",
+    "--shard",
+    "--threads",
+    "--max-attempts",
+    "--backoff-ms",
+    "--job-delay-ms",
+    "--export",
+    "--heartbeat",
+    "--abort-after-records",
+    "--stall-heartbeat-after",
+    "--wedge-after",
+];
+
+/// Flags that take none.
+const BARE_FLAGS: [&str; 2] = ["--resume", "--list"];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(code) => code,
         Err(usage) => {
-            eprintln!("campaign_run: {}: {}", usage.flag, usage.reason);
+            eprintln!("campaign_run: {usage}");
             eprintln!("{USAGE}");
             ExitCode::from(2)
         }
     }
 }
 
-/// Returns the value of `--flag value`, if present.
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// `true` when the bare flag is present.
-fn arg_present(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
-/// Parses `--flag` as `T`, with a typed error naming the flag.
-fn parse_arg<T: std::str::FromStr>(
-    args: &[String],
-    flag: &str,
-    default: T,
-) -> Result<T, UsageError> {
-    match arg_value(args, flag) {
-        None => Ok(default),
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| UsageError::new(flag, format!("cannot parse \"{raw}\""))),
-    }
-}
-
 /// Parses a comma-separated list with `parse_item`, with typed errors.
 fn parse_list<T>(
-    args: &[String],
+    args: &Args,
     flag: &str,
     default: Vec<T>,
     parse_item: impl Fn(&str) -> Option<T>,
 ) -> Result<Vec<T>, UsageError> {
-    let Some(raw) = arg_value(args, flag) else {
+    let Some(raw) = args.value(flag) else {
         return Ok(default);
     };
     let items: Vec<T> = raw
@@ -137,44 +121,13 @@ fn parse_list<T>(
 }
 
 fn run(args: &[String]) -> Result<ExitCode, UsageError> {
-    if arg_present(args, "--help") {
+    if args.iter().any(|arg| arg == "--help") {
         println!("{USAGE}");
         return Ok(ExitCode::SUCCESS);
     }
-    for (index, arg) in args.iter().enumerate() {
-        if arg.starts_with("--") {
-            let known = [
-                "--journal",
-                "--organization",
-                "--seeds",
-                "--algorithms",
-                "--orders",
-                "--backgrounds",
-                "--population",
-                "--backend",
-                "--shard",
-                "--threads",
-                "--max-attempts",
-                "--backoff-ms",
-                "--job-delay-ms",
-                "--export",
-                "--heartbeat",
-                "--resume",
-                "--list",
-                "--help",
-                "--abort-after-records",
-                "--stall-heartbeat-after",
-                "--wedge-after",
-            ];
-            if !known.contains(&arg.as_str()) {
-                return Err(UsageError::new(arg, "unknown flag"));
-            }
-        } else if index == 0 {
-            return Err(UsageError::new(arg, "expected a --flag"));
-        }
-    }
+    let args = &Args::scan(args, &VALUE_FLAGS, &BARE_FLAGS)?;
 
-    let organization = arg_value(args, "--organization").unwrap_or_else(|| "64x64".to_string());
+    let organization = args.value("--organization").unwrap_or("64x64");
     let (rows, cols) = organization
         .split_once('x')
         .and_then(|(r, c)| Some((r.trim().parse::<u32>().ok()?, c.trim().parse::<u32>().ok()?)))
@@ -203,56 +156,47 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         "1" => Some(true),
         _ => None,
     })?;
-    let population = match arg_value(args, "--population") {
+    let population = match args.value("--population") {
         None => PopulationSpec::Mixed { count: 256 },
-        Some(raw) => PopulationSpec::parse(&raw)
+        Some(raw) => PopulationSpec::parse(raw)
             .ok_or_else(|| UsageError::new("--population", format!("cannot parse \"{raw}\"")))?,
     };
-    let backend = match arg_value(args, "--backend") {
+    let backend = match args.value("--backend") {
         None => SweepBackend::LaneBatched,
-        Some(name) => backend_by_name(&name)
+        Some(name) => backend_by_name(name)
             .ok_or_else(|| UsageError::new("--backend", format!("unknown backend \"{name}\"")))?,
     };
-    let shard = match arg_value(args, "--shard") {
+    let shard = match args.value("--shard") {
         None => Shard::whole(),
         Some(raw) => {
-            Shard::parse(&raw).map_err(|error| UsageError::new("--shard", error.to_string()))?
+            Shard::parse(raw).map_err(|error| UsageError::new("--shard", error.to_string()))?
         }
     };
     let options = CampaignOptions {
-        threads: parse_arg(args, "--threads", CampaignOptions::default().threads)?,
+        threads: args.parse_or("--threads", CampaignOptions::default().threads)?,
         max_attempts: {
-            let attempts: u8 = parse_arg(args, "--max-attempts", 3u8)?;
+            let attempts: u8 = args.parse_or("--max-attempts", 3u8)?;
             if attempts == 0 {
                 return Err(UsageError::new("--max-attempts", "must be at least 1"));
             }
             attempts
         },
-        backoff: Duration::from_millis(parse_arg(args, "--backoff-ms", 10u64)?),
-        resume: arg_present(args, "--resume"),
-        job_delay: Duration::from_millis(parse_arg(args, "--job-delay-ms", 0u64)?),
-        heartbeat: arg_value(args, "--heartbeat").map(PathBuf::from),
+        backoff: Duration::from_millis(args.parse_or("--backoff-ms", 10u64)?),
+        resume: args.present("--resume"),
+        job_delay: Duration::from_millis(args.parse_or("--job-delay-ms", 0u64)?),
+        heartbeat: args.value("--heartbeat").map(PathBuf::from),
     };
 
     // Debug injections for the supervisor harness: deterministic crash,
     // silent-heartbeat and wedge behaviours, each armed by a flag.
     let mut injections = Vec::new();
-    if let Some(count) = arg_value(args, "--abort-after-records") {
-        let count = count
-            .parse()
-            .map_err(|_| UsageError::new("--abort-after-records", "cannot parse count"))?;
+    if let Some(count) = args.parse("--abort-after-records")? {
         injections.push(Injection::AbortAfterRecords { count });
     }
-    if let Some(after_jobs) = arg_value(args, "--stall-heartbeat-after") {
-        let after_jobs = after_jobs
-            .parse()
-            .map_err(|_| UsageError::new("--stall-heartbeat-after", "cannot parse count"))?;
+    if let Some(after_jobs) = args.parse("--stall-heartbeat-after")? {
         injections.push(Injection::StallHeartbeat { after_jobs });
     }
-    if let Some(after_jobs) = arg_value(args, "--wedge-after") {
-        let after_jobs = after_jobs
-            .parse()
-            .map_err(|_| UsageError::new("--wedge-after", "cannot parse count"))?;
+    if let Some(after_jobs) = args.parse("--wedge-after")? {
         injections.push(Injection::WedgeProcess { after_jobs });
     }
     let injector = FaultInjector::new(injections);
@@ -268,7 +212,7 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         population,
     );
 
-    if arg_present(args, "--list") {
+    if args.present("--list") {
         println!(
             "plan: {} jobs, digest {:#018x}, shard {}/{} owns {}",
             plan.len(),
@@ -294,10 +238,10 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
     }
 
     let journal = PathBuf::from(
-        arg_value(args, "--journal")
+        args.value("--journal")
             .ok_or_else(|| UsageError::new("--journal", "required flag missing"))?,
     );
-    let export_path = arg_value(args, "--export").map(PathBuf::from);
+    let export_path = args.value("--export").map(PathBuf::from);
 
     match run_campaign(&plan, shard, &journal, &options, &injector) {
         Ok(summary) => {

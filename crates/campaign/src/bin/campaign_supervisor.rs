@@ -24,24 +24,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use campaign::cli::{Args, UsageError};
 use campaign::supervise::{supervise, ShardCommand, ShardFate, SupervisorOptions};
 use campaign::{ProcessInjection, ProcessInjector};
-
-/// A malformed command line: the offending flag and why.
-#[derive(Debug)]
-struct UsageError {
-    flag: String,
-    reason: String,
-}
-
-impl UsageError {
-    fn new(flag: &str, reason: impl Into<String>) -> Self {
-        Self {
-            flag: flag.to_string(),
-            reason: reason.into(),
-        }
-    }
-}
 
 const USAGE: &str = "usage: campaign_supervisor --shards N --dir PATH [options] [plan flags]
   --shards N                shard processes to supervise (required)
@@ -89,7 +74,7 @@ const PLAN_FLAGS: [&str; 11] = [
 ];
 
 /// Flags the supervisor consumes itself, each taking one value.
-const SUPERVISOR_FLAGS: [&str; 9] = [
+const SUPERVISOR_FLAGS: [&str; 10] = [
     "--shards",
     "--dir",
     "--export",
@@ -99,6 +84,7 @@ const SUPERVISOR_FLAGS: [&str; 9] = [
     "--restart-backoff-ms",
     "--restart-backoff-cap-ms",
     "--poll-ms",
+    "--stall-timeout-ms",
 ];
 
 /// Injection flags, each taking one `K@N` value; repeatable.
@@ -114,20 +100,11 @@ fn main() -> ExitCode {
     match run(&args) {
         Ok(code) => code,
         Err(usage) => {
-            eprintln!("campaign_supervisor: {}: {}", usage.flag, usage.reason);
+            eprintln!("campaign_supervisor: {usage}");
             eprintln!("{USAGE}");
             ExitCode::from(2)
         }
     }
-}
-
-/// Parsed command line: the supervisor's own knobs, the pass-through
-/// plan flags, and the armed injections.
-struct Cli {
-    values: std::collections::HashMap<String, String>,
-    plan_args: Vec<String>,
-    injections: Vec<(String, u32, u64)>,
-    stall_timeout_ms: Option<u64>,
 }
 
 /// Splits `K@N` into `(shard, threshold)`.
@@ -137,49 +114,6 @@ fn parse_at(flag: &str, raw: &str) -> Result<(u32, u64), UsageError> {
             Some((shard.trim().parse().ok()?, threshold.trim().parse().ok()?))
         })
         .ok_or_else(|| UsageError::new(flag, format!("cannot parse \"{raw}\" (expected K@N)")))
-}
-
-fn parse_cli(args: &[String]) -> Result<Cli, UsageError> {
-    let mut cli = Cli {
-        values: std::collections::HashMap::new(),
-        plan_args: Vec::new(),
-        injections: Vec::new(),
-        stall_timeout_ms: None,
-    };
-    let mut index = 0;
-    while index < args.len() {
-        let arg = &args[index];
-        if !arg.starts_with("--") {
-            return Err(UsageError::new(arg, "expected a --flag"));
-        }
-        let value = |index: usize| -> Result<String, UsageError> {
-            args.get(index + 1)
-                .cloned()
-                .ok_or_else(|| UsageError::new(arg, "missing value"))
-        };
-        if arg == "--stall-timeout-ms" {
-            cli.stall_timeout_ms = Some(
-                value(index)?
-                    .parse()
-                    .map_err(|_| UsageError::new(arg, "cannot parse milliseconds"))?,
-            );
-            index += 2;
-        } else if SUPERVISOR_FLAGS.contains(&arg.as_str()) {
-            cli.values.insert(arg.clone(), value(index)?);
-            index += 2;
-        } else if INJECTION_FLAGS.contains(&arg.as_str()) {
-            let (shard, threshold) = parse_at(arg, &value(index)?)?;
-            cli.injections.push((arg.clone(), shard, threshold));
-            index += 2;
-        } else if PLAN_FLAGS.contains(&arg.as_str()) {
-            cli.plan_args.push(arg.clone());
-            cli.plan_args.push(value(index)?);
-            index += 2;
-        } else {
-            return Err(UsageError::new(arg, "unknown flag"));
-        }
-    }
-    Ok(cli)
 }
 
 /// Builds the [`ProcessInjector`] from the parsed injection flags.
@@ -216,50 +150,51 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         println!("{USAGE}");
         return Ok(ExitCode::SUCCESS);
     }
-    let cli = parse_cli(args)?;
-    let parse = |flag: &str, default: u64| -> Result<u64, UsageError> {
-        match cli.values.get(flag) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| UsageError::new(flag, format!("cannot parse \"{raw}\""))),
-        }
-    };
+    let valued: Vec<&str> = [&PLAN_FLAGS[..], &SUPERVISOR_FLAGS, &INJECTION_FLAGS].concat();
+    let cli = Args::scan(args, &valued, &[])?;
+    let parse = |flag: &str, default: u64| cli.parse_or(flag, default);
 
     let shards = parse("--shards", 0)?;
     if shards == 0 {
         return Err(UsageError::new("--shards", "required, and at least 1"));
     }
     let dir = cli
-        .values
-        .get("--dir")
+        .value("--dir")
         .map(PathBuf::from)
         .ok_or_else(|| UsageError::new("--dir", "required flag missing"))?;
 
     let mut options = SupervisorOptions::in_dir(dir, shards as u32);
-    if let Some(path) = cli.values.get("--export") {
+    if let Some(path) = cli.value("--export") {
         options.merged_export = PathBuf::from(path);
     }
-    if let Some(path) = cli.values.get("--manifest") {
+    if let Some(path) = cli.value("--manifest") {
         options.manifest = PathBuf::from(path);
     }
     options.restart_budget = parse("--restart-budget", 3)? as u32;
     options.backoff_base = Duration::from_millis(parse("--restart-backoff-ms", 100)?);
     options.backoff_cap = Duration::from_millis(parse("--restart-backoff-cap-ms", 2000)?);
     options.poll_interval = Duration::from_millis(parse("--poll-ms", 25)?);
-    options.stall_timeout = Duration::from_millis(cli.stall_timeout_ms.unwrap_or(10_000));
+    options.stall_timeout = Duration::from_millis(parse("--stall-timeout-ms", 10_000)?);
 
-    let program = match cli.values.get("--child") {
+    let program = match cli.value("--child") {
         Some(path) => PathBuf::from(path),
         None => default_child_path().ok_or_else(|| {
             UsageError::new("--child", "cannot locate campaign_run next to this binary")
         })?,
     };
-    let command = ShardCommand {
-        program,
-        plan_args: cli.plan_args,
-    };
-    let injector = build_injector(&cli.injections);
+    let mut plan_args = Vec::new();
+    let mut injections = Vec::new();
+    for (flag, value) in cli.iter() {
+        let value = value.unwrap_or_default();
+        if PLAN_FLAGS.contains(&flag) {
+            plan_args.extend([flag.to_string(), value.to_string()]);
+        } else if INJECTION_FLAGS.contains(&flag) {
+            let (shard, threshold) = parse_at(flag, value)?;
+            injections.push((flag.to_string(), shard, threshold));
+        }
+    }
+    let command = ShardCommand { program, plan_args };
+    let injector = build_injector(&injections);
 
     match supervise(&command, &options, &injector) {
         Ok(report) => {

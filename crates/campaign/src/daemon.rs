@@ -1,11 +1,17 @@
 //! The long-running campaign daemon: dynamic job intake feeding the
-//! `sched`-backed worker pool.
+//! attempt engine.
 //!
-//! [`run_daemon`] is the service half of ROADMAP item 5: instead of a
-//! plan fixed up front, jobs arrive *while the campaign runs*, through
+//! [`run_daemon`] is the service half of the campaign layer: instead of
+//! a plan fixed up front, jobs arrive *while the campaign runs*, through
 //! the [`crate::spool`] drop directory, and are appended to a dynamic
 //! (v2) journal as [`crate::journal::JournalRecord::JobAdded`] records.
-//! Robustness properties, each pinned by a test:
+//! The attempts themselves run on the same engine as
+//! [`crate::run_campaign`]; this module adds only the intake. The first
+//! spool scan runs on the calling thread before any worker starts; after
+//! that one intake thread scans every [`DaemonOptions::poll_interval`],
+//! so a submission is answered even while every worker is busy, and idle
+//! workers park instead of polling. Robustness properties, each pinned
+//! by a test:
 //!
 //! * **Bounded admission.** At most [`DaemonOptions::queue_limit`]
 //!   attempts wait in the queue; a submission that would exceed it gets
@@ -26,7 +32,9 @@
 //! * **Graceful drain.** When [`DaemonOptions::shutdown`] flips (the
 //!   binary's SIGTERM handler), intake stops, queued and in-flight jobs
 //!   finish, and the run returns with a journal in which every admitted
-//!   job has a final fate — exit 0, nothing lost. A SIGKILL instead
+//!   job has a final fate — exit 0, nothing lost. The spool is not
+//!   scanned again, so a submission committed after the flag stays in
+//!   the spool unanswered and the next run admits it. A SIGKILL instead
 //!   resumes from the journal and produces a byte-identical export; the
 //!   CI `daemon-drain-resume` job diffs exactly that.
 //!
@@ -37,26 +45,25 @@
 //! up-front plan — regardless of thread count, timeouts, crashes, or how
 //! ragged the arrival timing was.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use march_test::coverage::panic_message;
 use march_test::parallel::max_threads;
-use sched::{run_pool, Poll, WorkItem};
 
+use crate::engine::{Engine, Settings};
 use crate::error::CampaignError;
 use crate::faultpoint::FaultInjector;
-use crate::journal::{JobResult, JobWire, Journal, JournalRecord, Replay};
-use crate::output::{Export, JobOutcome, JobStatus};
-use crate::runner::execute_job;
+use crate::journal::{JobWire, Journal, Replay};
+use crate::output::Export;
 use crate::spec::{CampaignPlan, JobSpec};
 use crate::spool::{SpoolDir, SpoolResponse};
+
+/// The intake thread's shortest sleep between scans.
+const MIN_POLL: Duration = Duration::from_millis(1);
 
 /// Tuning knobs of a daemon run.
 #[derive(Debug, Clone)]
@@ -78,7 +85,8 @@ pub struct DaemonOptions {
     /// Per-attempt deadline; an overrunning attempt is abandoned and
     /// journaled as timed-out. `None` disables the watchdog.
     pub deadline: Option<Duration>,
-    /// Minimum interval between spool scans while idle.
+    /// Interval between spool scans on the intake thread (at least
+    /// 1 ms).
     pub poll_interval: Duration,
     /// Graceful-drain flag (the binary's SIGTERM handler sets it): stop
     /// intake, finish queued and in-flight work, return.
@@ -136,36 +144,6 @@ pub struct DaemonSummary {
     pub drained: bool,
 }
 
-/// State shared by the daemon's worker pool.
-struct Shared {
-    /// The dynamic plan, in journal order. Grows under intake.
-    plan: Mutex<Vec<JobSpec>>,
-    /// Spec digest → plan index, the dedup table.
-    digests: Mutex<BTreeMap<u64, u32>>,
-    queue: Mutex<VecDeque<(u32, u8)>>,
-    journal: Mutex<Journal>,
-    results: Mutex<BTreeMap<u32, JobResult>>,
-    poisoned: Mutex<BTreeMap<u32, String>>,
-    /// Serializes spool scans; holds the idle-poll clock and the intake
-    /// ordinal the crash-mid-intake injection runs on.
-    intake: Mutex<Intake>,
-    in_flight: AtomicUsize,
-    abort: Mutex<Option<CampaignError>>,
-    abort_flag: AtomicBool,
-    accepted: AtomicUsize,
-    duplicates: AtomicUsize,
-    shed: AtomicUsize,
-    rejected: AtomicUsize,
-    timed_out: AtomicUsize,
-    executed: AtomicUsize,
-    retries: AtomicUsize,
-}
-
-struct Intake {
-    last_scan: Option<Instant>,
-    submissions_seen: u64,
-}
-
 /// Runs (or resumes) a daemon campaign over `spool`, journaling to
 /// `journal_path`, until drained ([`DaemonOptions::shutdown`]) or
 /// quiesced ([`DaemonOptions::quiesce`] with an empty spool).
@@ -179,476 +157,169 @@ pub fn run_daemon(
     options: &DaemonOptions,
     injector: &FaultInjector,
 ) -> Result<DaemonSummary, CampaignError> {
-    let (journal, replay) = if options.resume && journal_path.exists() {
+    let (journal, mut replay) = if options.resume && journal_path.exists() {
         Journal::open_resume_dynamic(journal_path)?
     } else {
         (Journal::create_dynamic(journal_path)?, Replay::default())
     };
-    let shared = seed_shared(journal, replay, options, injector)?;
-    let skipped = shared.results.lock().expect("results lock").len();
+    let plan = std::mem::take(&mut replay.dynamic);
+    let mut intake = Intake {
+        spool,
+        options,
+        injector,
+        digests: plan.iter().map(JobSpec::digest).zip(0..).collect(),
+        seen: 0,
+        accepted: 0,
+        duplicates: 0,
+        shed: 0,
+        rejected: 0,
+    };
+    let owned = (0..plan.len() as u32).collect();
+    let settings = Settings {
+        max_attempts: options.max_attempts,
+        backoff: options.backoff,
+        job_delay: options.job_delay,
+        deadline: options.deadline,
+        heartbeat: None,
+        injector,
+    };
+    let engine = Engine::new(journal, replay, plan, owned, settings)?;
 
-    run_pool(options.threads.max(1), |_| {
-        poll_daemon_item(spool, options, injector, &shared)
+    // The first scan runs before any worker starts, so with one worker
+    // it admits `queue_limit` submissions and sheds the rest
+    // deterministically.
+    let serving = intake.round(&engine);
+    thread::scope(|scope| {
+        if serving {
+            scope.spawn(|| loop {
+                thread::sleep(options.poll_interval.max(MIN_POLL));
+                if !intake.round(&engine) {
+                    break;
+                }
+            });
+        }
+        engine.run(options.threads);
     });
-    if let Some(error) = shared.abort.lock().expect("abort lock").take() {
-        return Err(error);
-    }
 
-    let plan = CampaignPlan::new(shared.plan.into_inner().expect("plan lock"));
-    let results = shared.results.into_inner().expect("results lock");
-    let poisoned = shared.poisoned.into_inner().expect("poisoned lock");
-    let outcomes = (0..plan.len() as u32)
-        .map(|job| {
-            if let Some(result) = results.get(&job) {
-                Ok(JobOutcome {
-                    job,
-                    status: JobStatus::Completed,
-                    result: *result,
-                })
-            } else if poisoned.contains_key(&job) {
-                Ok(JobOutcome {
-                    job,
-                    status: JobStatus::Poisoned,
-                    result: JobResult {
-                        detected: 0,
-                        total: 0,
-                        mismatches: 0,
-                        digest: 0,
-                    },
-                })
-            } else {
-                Err(CampaignError::Corrupt {
-                    offset: 0,
-                    reason: format!("admitted job {job} finished the run unaccounted"),
-                })
-            }
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+    let run = engine.finish()?;
+    let plan = CampaignPlan::new(run.plan);
     Ok(DaemonSummary {
-        export: Export::new(plan.digest(), plan.len() as u32, outcomes),
-        accepted: shared.accepted.load(Ordering::Relaxed),
-        duplicates: shared.duplicates.load(Ordering::Relaxed),
-        shed: shared.shed.load(Ordering::Relaxed),
-        rejected: shared.rejected.load(Ordering::Relaxed),
-        timed_out: shared.timed_out.load(Ordering::Relaxed),
-        executed: shared.executed.load(Ordering::Relaxed),
-        skipped,
-        retries: shared.retries.load(Ordering::Relaxed),
-        poisoned: poisoned.keys().copied().collect(),
-        drained: options.shutdown.load(Ordering::SeqCst),
+        export: Export::new(plan.digest(), plan.len() as u32, run.outcomes),
         plan,
+        accepted: intake.accepted,
+        duplicates: intake.duplicates,
+        shed: intake.shed,
+        rejected: intake.rejected,
+        timed_out: run.timed_out,
+        executed: run.executed,
+        skipped: run.skipped,
+        retries: run.retries,
+        poisoned: run.poisoned,
+        drained: options.shutdown.load(Ordering::SeqCst),
     })
 }
 
-/// Builds the shared state from a freshly opened journal: the replayed
-/// dynamic plan, the dedup table, and the pending queue (with the same
-/// exhausted-attempt quarantine the static runner applies).
-fn seed_shared(
-    mut journal: Journal,
-    replay: Replay,
-    options: &DaemonOptions,
-    injector: &FaultInjector,
-) -> Result<Shared, CampaignError> {
-    let mut digests = BTreeMap::new();
-    for (index, spec) in replay.dynamic.iter().enumerate() {
-        digests.insert(spec.digest(), index as u32);
-    }
-    let mut poisoned = replay.poisoned;
-    let mut pending = VecDeque::new();
-    for job in 0..replay.dynamic.len() as u32 {
-        if replay.completed.contains_key(&job) || poisoned.contains_key(&job) {
-            continue;
-        }
-        let (used, last_message) = replay
-            .failed_attempts
-            .get(&job)
-            .cloned()
-            .unwrap_or((0, String::new()));
-        if used >= options.max_attempts {
-            journal.append(
-                &JournalRecord::Poisoned {
-                    job,
-                    attempt: used,
-                    message: last_message.clone(),
-                },
-                injector,
-            )?;
-            poisoned.insert(job, last_message);
-        } else {
-            pending.push_back((job, used + 1));
-        }
-    }
-    Ok(Shared {
-        plan: Mutex::new(replay.dynamic),
-        digests: Mutex::new(digests),
-        queue: Mutex::new(pending),
-        journal: Mutex::new(journal),
-        results: Mutex::new(replay.completed),
-        poisoned: Mutex::new(poisoned),
-        intake: Mutex::new(Intake {
-            last_scan: None,
-            submissions_seen: 0,
-        }),
-        in_flight: AtomicUsize::new(0),
-        abort: Mutex::new(None),
-        abort_flag: AtomicBool::new(false),
-        accepted: AtomicUsize::new(0),
-        duplicates: AtomicUsize::new(0),
-        shed: AtomicUsize::new(0),
-        rejected: AtomicUsize::new(0),
-        timed_out: AtomicUsize::new(0),
-        executed: AtomicUsize::new(0),
-        retries: AtomicUsize::new(0),
-    })
-}
-
-/// The daemon's [`sched::run_pool`] producer: drain the queue first;
-/// when it is empty, run one intake scan (unless draining); then decide
-/// between [`Poll::Pending`] (work in flight, or still serving) and
-/// [`Poll::Done`] (drained or quiesced).
-fn poll_daemon_item<'a>(
+/// The spool side of a daemon run: the dedup table, the intake ordinal
+/// the crash-mid-intake injection runs on, and the admission counters.
+struct Intake<'a> {
     spool: &'a SpoolDir,
     options: &'a DaemonOptions,
     injector: &'a FaultInjector,
-    shared: &'a Shared,
-) -> Poll<'a> {
-    if shared.abort_flag.load(Ordering::SeqCst) {
-        return Poll::Done;
-    }
-    let draining = options.shutdown.load(Ordering::SeqCst);
-    if !draining {
-        if let Err(error) = intake_scan(spool, options, injector, shared) {
-            let mut abort = shared.abort.lock().expect("abort lock");
-            if abort.is_none() {
-                *abort = Some(error);
-            }
-            shared.abort_flag.store(true, Ordering::SeqCst);
-            return Poll::Done;
-        }
-    }
-    let next = {
-        let mut queue = shared.queue.lock().expect("queue lock");
-        let next = queue.pop_front();
-        if next.is_some() {
-            shared.in_flight.fetch_add(1, Ordering::SeqCst);
-        }
-        next
-    };
-    match next {
-        Some((job, attempt)) => Poll::Item(WorkItem::campaign_job(move |_scratch| {
-            run_attempt(options, injector, shared, job, attempt);
-            shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        })),
-        None if shared.in_flight.load(Ordering::SeqCst) > 0 => Poll::Pending,
-        None if draining => Poll::Done,
-        None => {
-            // Idle with nothing in flight: quiesce mode returns once the
-            // spool holds no committed submissions either; service mode
-            // keeps polling (run_pool backs off between Pending polls).
-            let quiesce = options.quiesce.load(Ordering::SeqCst);
-            let spool_empty =
-                quiesce && matches!(spool.scan(), Ok(submissions) if submissions.is_empty());
-            if spool_empty {
-                Poll::Done
-            } else {
-                Poll::Pending
-            }
-        }
-    }
+    /// Spec digest → plan index.
+    digests: BTreeMap<u64, u32>,
+    seen: u64,
+    accepted: usize,
+    duplicates: usize,
+    shed: usize,
+    rejected: usize,
 }
 
-/// One spool scan, rate-limited by [`DaemonOptions::poll_interval`]:
-/// every committed submission is admitted, deduped, shed, or rejected,
-/// and answered explicitly. Only one worker scans at a time.
-fn intake_scan(
-    spool: &SpoolDir,
-    options: &DaemonOptions,
-    injector: &FaultInjector,
-    shared: &Shared,
-) -> Result<(), CampaignError> {
-    let Ok(mut intake) = shared.intake.try_lock() else {
-        return Ok(()); // another worker is scanning
-    };
-    if let Some(last) = intake.last_scan {
-        if last.elapsed() < options.poll_interval {
-            return Ok(());
+impl Intake<'_> {
+    /// One intake round. The drain flag closes the engine without a scan;
+    /// otherwise every committed submission is answered, and under
+    /// quiesce the engine closes once a scan answered nothing and nothing
+    /// is queued or in flight. An intake error aborts the run. Returns
+    /// `false` once the engine stopped serving.
+    fn round(&mut self, engine: &Engine) -> bool {
+        if !engine.serving() {
+            return false;
+        }
+        if self.options.shutdown.load(Ordering::SeqCst) {
+            engine.close();
+            return false;
+        }
+        // Read before the scan: a submission committed before the flag
+        // was set is then seen by this scan.
+        let quiesce = self.options.quiesce.load(Ordering::SeqCst);
+        match self.scan(engine) {
+            Ok(0) if quiesce => !engine.close_if_idle(),
+            Ok(_) => true,
+            Err(error) => {
+                engine.abort(error);
+                false
+            }
         }
     }
-    intake.last_scan = Some(Instant::now());
-    let submissions = spool.scan()?;
-    for submission in submissions {
-        let ordinal = intake.submissions_seen;
-        intake.submissions_seen += 1;
-        // The crash window the issue names: the submission was read from
-        // the spool ("spool-accept") but its JobAdded record has not been
-        // appended. Dying here must lose nothing — the .job file stays,
-        // restart re-offers it.
-        if injector.crash_mid_intake(ordinal) {
-            return Err(CampaignError::Injected {
-                point: format!("crash mid-intake at submission {ordinal}"),
-            });
+
+    /// One spool scan: every committed submission is admitted, deduped,
+    /// shed, or rejected, and answered explicitly. Returns how many
+    /// submissions it answered.
+    fn scan(&mut self, engine: &Engine) -> Result<usize, CampaignError> {
+        let submissions = self.spool.scan()?;
+        for submission in &submissions {
+            let ordinal = self.seen;
+            self.seen += 1;
+            // The crash window: the submission was read from the spool
+            // ("spool-accept") but its JobAdded record has not been
+            // appended. Dying here must lose nothing — the .job file
+            // stays, restart re-offers it.
+            if self.injector.crash_mid_intake(ordinal) {
+                return Err(CampaignError::Injected {
+                    point: format!("crash mid-intake at submission {ordinal}"),
+                });
+            }
+            let response = self.admit(engine, &submission.spec)?;
+            *match response {
+                SpoolResponse::Accepted { .. } => &mut self.accepted,
+                SpoolResponse::Duplicate { .. } => &mut self.duplicates,
+                SpoolResponse::QueueFull => &mut self.shed,
+                SpoolResponse::Rejected { .. } => &mut self.rejected,
+            } += 1;
+            self.spool.respond(&submission.name, &response)?;
+            self.spool.archive(&submission.name)?;
         }
-        let response = admit(options, injector, shared, &submission.spec)?;
-        match &response {
-            SpoolResponse::Accepted { .. } => shared.accepted.fetch_add(1, Ordering::Relaxed),
-            SpoolResponse::Duplicate { .. } => shared.duplicates.fetch_add(1, Ordering::Relaxed),
-            SpoolResponse::QueueFull => shared.shed.fetch_add(1, Ordering::Relaxed),
-            SpoolResponse::Rejected { .. } => shared.rejected.fetch_add(1, Ordering::Relaxed),
+        Ok(submissions.len())
+    }
+
+    /// Decides one submission's fate: rejected (unparsable, invalid, or
+    /// outside the wire catalogs), duplicate (digest already admitted),
+    /// queue-full (bounded admission), or accepted — in which case the
+    /// JobAdded record is fsynced to the journal *before* the job becomes
+    /// visible to workers or the client.
+    fn admit(
+        &mut self,
+        engine: &Engine,
+        spec: &Result<JobSpec, String>,
+    ) -> Result<SpoolResponse, CampaignError> {
+        let checked = spec.clone().and_then(|spec| {
+            spec.validate()?;
+            let wire = JobWire::from_spec(&spec)?;
+            Ok((spec, wire))
+        });
+        let (spec, wire) = match checked {
+            Ok(checked) => checked,
+            Err(reason) => return Ok(SpoolResponse::Rejected { reason }),
         };
-        spool.respond(&submission.name, &response)?;
-        spool.archive(&submission.name)?;
-    }
-    Ok(())
-}
-
-/// Decides one submission's fate: rejected (unparsable, invalid, or
-/// outside the wire catalogs), duplicate (digest already admitted),
-/// queue-full (bounded admission), or accepted — in which case the
-/// JobAdded record is fsynced to the journal *before* the job becomes
-/// visible to workers or the client.
-fn admit(
-    options: &DaemonOptions,
-    injector: &FaultInjector,
-    shared: &Shared,
-    spec: &Result<JobSpec, String>,
-) -> Result<SpoolResponse, CampaignError> {
-    let spec = match spec {
-        Ok(spec) => spec,
-        Err(reason) => {
-            return Ok(SpoolResponse::Rejected {
-                reason: reason.clone(),
-            })
+        if let Some(&job) = self.digests.get(&wire.spec_digest) {
+            return Ok(SpoolResponse::Duplicate { job });
         }
-    };
-    if let Err(reason) = spec.validate() {
-        return Ok(SpoolResponse::Rejected { reason });
-    }
-    let wire = match JobWire::from_spec(spec) {
-        Ok(wire) => wire,
-        Err(reason) => return Ok(SpoolResponse::Rejected { reason }),
-    };
-    let mut digests = shared.digests.lock().expect("digests lock");
-    if let Some(&job) = digests.get(&wire.spec_digest) {
-        return Ok(SpoolResponse::Duplicate { job });
-    }
-    let mut queue = shared.queue.lock().expect("queue lock");
-    if queue.len() >= options.queue_limit {
         // Shed *before* journaling: a queue-full submission leaves no
         // trace in the plan, so the client can resubmit identical bytes
         // later without tripping dedup.
-        return Ok(SpoolResponse::QueueFull);
-    }
-    let mut journal = shared.journal.lock().expect("journal lock");
-    let mut plan = shared.plan.lock().expect("plan lock");
-    let job = plan.len() as u32;
-    journal.append(&JournalRecord::JobAdded { job, wire }, injector)?;
-    plan.push(spec.clone());
-    digests.insert(wire.spec_digest, job);
-    queue.push_back((job, 1));
-    Ok(SpoolResponse::Accepted { job })
-}
-
-/// One journaled attempt at one job, run under the deadline watchdog:
-/// backoff, panic-isolated execution (abandoned at the deadline), journal
-/// append, then completion / retry / quarantine / abort bookkeeping.
-fn run_attempt(
-    options: &DaemonOptions,
-    injector: &FaultInjector,
-    shared: &Shared,
-    job: u32,
-    attempt: u8,
-) {
-    if attempt > 1 {
-        thread::sleep(options.backoff * u32::from(attempt - 1));
-    }
-    let spec = shared.plan.lock().expect("plan lock")[job as usize].clone();
-    let outcome = attempt_with_deadline(&spec, job, attempt, options, injector);
-    let timed_out = matches!(outcome, AttemptOutcome::TimedOut);
-    let final_attempt = attempt >= options.max_attempts;
-    let appended = {
-        let mut journal = shared.journal.lock().expect("journal lock");
-        let result = match &outcome {
-            AttemptOutcome::Finished(Ok(result)) => journal.append(
-                &JournalRecord::Completed {
-                    job,
-                    attempt,
-                    result: *result,
-                },
-                injector,
-            ),
-            AttemptOutcome::Finished(Err(message)) if !final_attempt => journal.append(
-                &JournalRecord::Failed {
-                    job,
-                    attempt,
-                    message: message.clone(),
-                },
-                injector,
-            ),
-            AttemptOutcome::Finished(Err(message)) => journal.append(
-                &JournalRecord::Poisoned {
-                    job,
-                    attempt,
-                    message: message.clone(),
-                },
-                injector,
-            ),
-            AttemptOutcome::TimedOut => {
-                // The timeout is its own record kind; at the attempt cap
-                // the quarantine record follows so the job's fate is
-                // final in the journal, same as an ordinary failure.
-                let message = timeout_message(options);
-                journal
-                    .append(
-                        &JournalRecord::TimedOut {
-                            job,
-                            attempt,
-                            message: message.clone(),
-                        },
-                        injector,
-                    )
-                    .and_then(|()| {
-                        if final_attempt {
-                            journal.append(
-                                &JournalRecord::Poisoned {
-                                    job,
-                                    attempt,
-                                    message,
-                                },
-                                injector,
-                            )
-                        } else {
-                            Ok(())
-                        }
-                    })
-            }
+        let Some(job) = engine.admit(spec, wire, self.options.queue_limit)? else {
+            return Ok(SpoolResponse::QueueFull);
         };
-        result.and_then(|()| {
-            if injector.should_abort(journal.records_written()) {
-                Err(CampaignError::Injected {
-                    point: format!("abort after {} records", journal.records_written()),
-                })
-            } else {
-                Ok(())
-            }
-        })
-    };
-    match appended {
-        Ok(()) => {
-            if timed_out {
-                shared.timed_out.fetch_add(1, Ordering::Relaxed);
-            }
-            match outcome {
-                AttemptOutcome::Finished(Ok(result)) => {
-                    shared
-                        .results
-                        .lock()
-                        .expect("results lock")
-                        .insert(job, result);
-                    shared.executed.fetch_add(1, Ordering::Relaxed);
-                }
-                AttemptOutcome::Finished(Err(message)) if final_attempt => {
-                    shared
-                        .poisoned
-                        .lock()
-                        .expect("poisoned lock")
-                        .insert(job, message);
-                }
-                AttemptOutcome::TimedOut if final_attempt => {
-                    shared
-                        .poisoned
-                        .lock()
-                        .expect("poisoned lock")
-                        .insert(job, timeout_message(options));
-                }
-                AttemptOutcome::Finished(Err(_)) | AttemptOutcome::TimedOut => {
-                    shared.retries.fetch_add(1, Ordering::Relaxed);
-                    shared
-                        .queue
-                        .lock()
-                        .expect("queue lock")
-                        .push_back((job, attempt + 1));
-                }
-            }
-        }
-        Err(error) => {
-            // Injected crash (or real I/O failure): stop without
-            // recording the in-memory outcome — exactly what dying
-            // mid-append loses.
-            let mut abort = shared.abort.lock().expect("abort lock");
-            if abort.is_none() {
-                *abort = Some(error);
-            }
-            shared.abort_flag.store(true, Ordering::SeqCst);
-        }
+        self.digests.insert(wire.spec_digest, job);
+        Ok(SpoolResponse::Accepted { job })
     }
-}
-
-/// How one attempt ended.
-enum AttemptOutcome {
-    /// The attempt ran to an end: a result or a failure message.
-    Finished(Result<JobResult, String>),
-    /// The attempt overran its deadline and was abandoned.
-    TimedOut,
-}
-
-/// Runs one attempt, under a watchdog when a deadline is configured: the
-/// job executes on a helper thread; if it misses the deadline the helper
-/// is abandoned (its eventual result lands in a closed channel) and the
-/// attempt reports [`AttemptOutcome::TimedOut`] — the worker slot is
-/// never wedged by a slow job.
-fn attempt_with_deadline(
-    spec: &JobSpec,
-    job: u32,
-    attempt: u8,
-    options: &DaemonOptions,
-    injector: &FaultInjector,
-) -> AttemptOutcome {
-    let Some(deadline) = options.deadline else {
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            execute_job(spec, job, attempt, options.job_delay, injector)
-        }));
-        return AttemptOutcome::Finished(flatten_caught(caught));
-    };
-    let (sender, receiver) = mpsc::channel();
-    let spec = spec.clone();
-    let injector = injector.clone();
-    let job_delay = options.job_delay;
-    thread::spawn(move || {
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            execute_job(&spec, job, attempt, job_delay, &injector)
-        }));
-        // The receiver may be long gone (deadline missed) — that is the
-        // abandonment working, not an error.
-        let _ = sender.send(flatten_caught(caught));
-    });
-    match receiver.recv_timeout(deadline) {
-        Ok(outcome) => AttemptOutcome::Finished(outcome),
-        Err(_) => AttemptOutcome::TimedOut,
-    }
-}
-
-/// Collapses a `catch_unwind` of [`execute_job`] into the journaled form.
-fn flatten_caught(
-    caught: Result<Result<JobResult, String>, Box<dyn std::any::Any + Send>>,
-) -> Result<JobResult, String> {
-    match caught {
-        Ok(Ok(result)) => Ok(result),
-        Ok(Err(message)) => Err(message),
-        Err(payload) => Err(panic_message(&*payload)),
-    }
-}
-
-/// The journaled message for a missed deadline.
-fn timeout_message(options: &DaemonOptions) -> String {
-    let ms = options.deadline.map(|d| d.as_millis()).unwrap_or(0);
-    format!("deadline {ms}ms exceeded; attempt abandoned")
-}
-
-/// Convenience for tests and the binary: a daemon options value whose
-/// `shutdown`/`quiesce` flags are owned by the caller.
-pub fn daemon_flags() -> (Arc<AtomicBool>, Arc<AtomicBool>) {
-    (
-        Arc::new(AtomicBool::new(false)),
-        Arc::new(AtomicBool::new(false)),
-    )
 }

@@ -72,7 +72,7 @@ pub enum Injection {
         after_jobs: u64,
     },
     /// Stop making any progress once `after_jobs` job attempts have been
-    /// journaled: workers park forever instead of polling the next job,
+    /// journaled: workers park forever instead of taking the next job,
     /// with no heartbeat and no journal growth — a genuinely wedged
     /// child that only an external kill can recover.
     WedgeProcess {
@@ -140,7 +140,7 @@ impl FaultInjector {
 
     /// Panics — killing the calling worker's current job — when a
     /// [`Injection::KillWorker`] matches `(job, attempt)`. Called at the
-    /// top of job execution, inside the runner's `catch_unwind`.
+    /// top of job execution, inside the attempt engine's panic isolation.
     pub fn check_worker_kill(&self, job: u32, attempt: u8) {
         for injection in &self.injections {
             if let Injection::KillWorker {

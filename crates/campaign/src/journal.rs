@@ -71,8 +71,9 @@ const CHECKSUM_AT: usize = RECORD_LEN - 8;
 /// Capacity of the failure-message payload field.
 const MESSAGE_CAP: usize = CHECKSUM_AT - 12;
 
-/// The deterministic result of one completed job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The deterministic result of one completed job (all zero for a
+/// poisoned one).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct JobResult {
     /// Faults detected by the sweep.
     pub detected: u32,

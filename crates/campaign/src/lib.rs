@@ -14,10 +14,11 @@
 //! * [`shard`] — round-robin shard planning: `index/count` splits one
 //!   plan across independent processes, each with its own journal and
 //!   partial export; [`output::merge_exports`] recombines them.
-//! * [`runner`] — the panic-isolated worker pool: every job attempt runs
-//!   inside `catch_unwind`, failures are journaled and retried with
-//!   bounded backoff, and jobs that exhaust their attempts are
-//!   quarantined as *poison* with the panic payload recorded.
+//! * [`runner`] — the fixed-plan front end of the crate's one attempt
+//!   engine: every job attempt runs panic-isolated on the `sched` pool,
+//!   failures are journaled and retried with bounded backoff, jobs that
+//!   exhaust their attempts are quarantined as *poison* with the panic
+//!   payload recorded, and idle workers park instead of polling.
 //! * [`journal`] — the append-only binary journal: fixed-width 64-byte
 //!   records, per-record FNV-1a checksum, no serde (the build is
 //!   offline). Resume replays the journal, truncates any torn or corrupt
@@ -42,17 +43,21 @@
 //!   an unbounded queue.
 //! * [`trace`] — recorded arrival traces and their open-loop replay, the
 //!   overload harness.
-//! * [`daemon`] — the intake loop itself: journal v2 dynamic-plan
-//!   appends, bounded admission, per-job deadlines that journal a
-//!   `timed-out` fate, SIGTERM graceful drain, SIGKILL crash-resume.
+//! * [`daemon`] — the dynamic front end of the same engine: journal v2
+//!   dynamic-plan appends, bounded admission on its own intake thread,
+//!   per-job deadlines that journal a `timed-out` fate, SIGTERM graceful
+//!   drain, SIGKILL crash-resume.
 //!
-//! The `campaign_run` and `campaign_daemon` binaries drive all of this
-//! from the command line; see `crates/campaign/README.md` for the journal
+//! The `campaign_run`, `campaign_daemon` and `campaign_supervisor`
+//! binaries drive all of this from the command line, sharing one flag
+//! scanner ([`cli`]); see `crates/campaign/README.md` for the journal
 //! wire format, resume semantics and the poison-quarantine policy.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod daemon;
+mod engine;
 pub mod error;
 pub mod faultpoint;
 pub mod heartbeat;

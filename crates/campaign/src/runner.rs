@@ -1,16 +1,16 @@
-//! The panic-isolated campaign worker pool.
+//! The fixed-plan front end of the attempt engine.
 //!
-//! [`run_campaign`] drains a shard's job queue through the workspace's
-//! unified scheduler ([`sched::run_pool`]): the retry queue acts as an
-//! open-ended producer that wraps each pending attempt in a
-//! [`sched::WorkItem::campaign_job`] and answers [`sched::Poll::Pending`]
-//! while attempts are in flight elsewhere (an in-flight job may fail and
-//! re-enqueue itself). Each job executes inside `catch_unwind`, so a
-//! panicking fault model (or an injected worker kill) costs *one attempt
-//! at one job* — the worker survives, journals a failure record,
-//! re-enqueues the job with bounded backoff, and quarantines it as poison
-//! after [`CampaignOptions::max_attempts`] attempts with the panic
-//! payload recorded.
+//! [`run_campaign`] runs (or resumes) one shard of a [`CampaignPlan`]:
+//! it opens the static (v1) journal, hands the replay to the crate's
+//! attempt engine — the same one [`crate::daemon`] drives — closed to
+//! intake from the start, and lets [`sched::run_pool`] workers drain it.
+//! Every attempt is panic-isolated, so a panicking fault model (or an
+//! injected worker kill) costs *one attempt at one job*: the worker
+//! survives, journals a failure record, re-enqueues the job with bounded
+//! backoff, and quarantines it as poison after
+//! [`CampaignOptions::max_attempts`] attempts with the panic payload
+//! recorded. Static runs beat the optional heartbeat sidecar
+//! ([`CampaignOptions::heartbeat`]) and run without a deadline.
 //!
 //! Determinism contract: a job's result depends only on its
 //! [`crate::spec::JobSpec`] — never on scheduling — and the export is
@@ -19,27 +19,16 @@
 //! uninterrupted one, at any thread count; the fault-injection tests pin
 //! exactly that.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::thread;
 use std::time::Duration;
 
-use march_test::address_order::order_by_name;
-use march_test::coverage::{evaluate_coverage_interned_caught, panic_message, SweepOptions};
-use march_test::fault_sim::DetectionMode;
-use march_test::library::algorithm_by_name;
 use march_test::parallel::max_threads;
-use sched::{run_pool, Poll, WorkItem};
-use sram_model::config::ArrayOrganization;
 
+use crate::engine::{execute_job, Engine, Settings};
 use crate::error::CampaignError;
-use crate::faultpoint::{detonate_factories, FaultInjector};
-use crate::heartbeat::HeartbeatWriter;
-use crate::journal::{JobResult, Journal, JournalRecord, Replay};
-use crate::output::{Export, JobOutcome, JobStatus};
+use crate::faultpoint::FaultInjector;
+use crate::journal::{JobResult, Journal, Replay};
+use crate::output::Export;
 use crate::shard::Shard;
 use crate::spec::{CampaignPlan, JobSpec};
 
@@ -114,7 +103,7 @@ pub fn run_campaign(
         return Err(CampaignError::EmptyPlan);
     }
     let digest = plan.digest();
-    let (mut journal, replay) = if options.resume && journal_path.exists() {
+    let (journal, replay) = if options.resume && journal_path.exists() {
         Journal::open_resume(journal_path, plan.len() as u32, digest)?
     } else {
         (
@@ -122,272 +111,26 @@ pub fn run_campaign(
             Replay::default(),
         )
     };
-
-    let results = replay.completed;
-    let mut poisoned = replay.poisoned;
-    let skipped = results.len();
-    let mut pending = VecDeque::new();
-    for &job in &owned {
-        if results.contains_key(&job) || poisoned.contains_key(&job) {
-            continue;
-        }
-        let (used, last_message) = replay
-            .failed_attempts
-            .get(&job)
-            .cloned()
-            .unwrap_or((0, String::new()));
-        if used >= options.max_attempts {
-            // The journal burned every attempt but died before writing
-            // the poison record: quarantine now.
-            journal.append(
-                &JournalRecord::Poisoned {
-                    job,
-                    attempt: used,
-                    message: last_message.clone(),
-                },
-                injector,
-            )?;
-            poisoned.insert(job, last_message);
-        } else {
-            pending.push_back((job, used + 1));
-        }
-    }
-
-    // The campaign-start beat goes out before any worker spawns, so a
-    // supervisor sees liveness while the first (possibly slow) job runs.
-    let heartbeat = match &options.heartbeat {
-        Some(path) => Some(Mutex::new(HeartbeatWriter::create(path)?)),
-        None => None,
+    let settings = Settings {
+        max_attempts: options.max_attempts,
+        backoff: options.backoff,
+        job_delay: options.job_delay,
+        deadline: None,
+        heartbeat: options.heartbeat.as_deref(),
+        injector,
     };
-    let shared = Shared {
-        queue: Mutex::new(pending),
-        journal: Mutex::new(journal),
-        results: Mutex::new(results),
-        poisoned: Mutex::new(poisoned),
-        heartbeat,
-        jobs_done: AtomicU64::new(0),
-        in_flight: AtomicUsize::new(0),
-        abort: Mutex::new(None),
-        abort_flag: AtomicBool::new(false),
-        executed: AtomicUsize::new(0),
-        retries: AtomicUsize::new(0),
-    };
-    let workers = options
-        .threads
-        .clamp(1, shared.queue.lock().expect("queue lock").len().max(1));
-    run_pool(workers, |_| {
-        poll_campaign_item(plan, options, injector, &shared)
-    });
-    if let Some(error) = shared.abort.lock().expect("abort lock").take() {
-        return Err(error);
-    }
-
-    let results = shared.results.into_inner().expect("results lock");
-    let poisoned = shared.poisoned.into_inner().expect("poisoned lock");
-    let outcomes = owned
-        .iter()
-        .map(|&job| {
-            if let Some(result) = results.get(&job) {
-                Ok(JobOutcome {
-                    job,
-                    status: JobStatus::Completed,
-                    result: *result,
-                })
-            } else if poisoned.contains_key(&job) {
-                Ok(JobOutcome {
-                    job,
-                    status: JobStatus::Poisoned,
-                    // All-zero result: the export must not depend on
-                    // which attempt's message happened to be last.
-                    result: JobResult {
-                        detected: 0,
-                        total: 0,
-                        mismatches: 0,
-                        digest: 0,
-                    },
-                })
-            } else {
-                Err(CampaignError::Corrupt {
-                    offset: 0,
-                    reason: format!("job {job} finished the run unaccounted"),
-                })
-            }
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+    let engine = Engine::new(journal, replay, plan.jobs.clone(), owned, settings)?;
+    // A fixed plan admits nothing: workers retire once the queue drains.
+    engine.close();
+    engine.run(options.threads);
+    let run = engine.finish()?;
     Ok(CampaignSummary {
-        export: Export::new(digest, plan.len() as u32, outcomes),
-        executed: shared.executed.load(Ordering::Relaxed),
-        skipped,
-        retries: shared.retries.load(Ordering::Relaxed),
-        poisoned: poisoned.keys().copied().collect(),
+        export: Export::new(digest, plan.len() as u32, run.outcomes),
+        executed: run.executed,
+        skipped: run.skipped,
+        retries: run.retries,
+        poisoned: run.poisoned,
     })
-}
-
-/// State shared by the worker pool.
-struct Shared {
-    queue: Mutex<VecDeque<(u32, u8)>>,
-    journal: Mutex<Journal>,
-    results: Mutex<BTreeMap<u32, JobResult>>,
-    poisoned: Mutex<BTreeMap<u32, String>>,
-    heartbeat: Option<Mutex<HeartbeatWriter>>,
-    /// Job attempts journaled so far — the clock the heartbeat-stall and
-    /// wedge injections run on.
-    jobs_done: AtomicU64,
-    in_flight: AtomicUsize,
-    abort: Mutex<Option<CampaignError>>,
-    abort_flag: AtomicBool,
-    executed: AtomicUsize,
-    retries: AtomicUsize,
-}
-
-/// The campaign's [`sched::run_pool`] producer: pop the next pending
-/// attempt and wrap it as a [`WorkItem::campaign_job`], answer
-/// [`Poll::Pending`] while the queue is empty but attempts are in flight
-/// (an in-flight job may fail and re-enqueue itself), and [`Poll::Done`]
-/// once the queue is drained or the campaign aborted.
-fn poll_campaign_item<'a>(
-    plan: &'a CampaignPlan,
-    options: &'a CampaignOptions,
-    injector: &'a FaultInjector,
-    shared: &'a Shared,
-) -> Poll<'a> {
-    if shared.abort_flag.load(Ordering::SeqCst) {
-        return Poll::Done;
-    }
-    if injector.wedge_armed(shared.jobs_done.load(Ordering::SeqCst)) {
-        // Injected wedge: the process stays alive but stops making
-        // progress — no heartbeat, no journal growth, workers parked.
-        // Only an external SIGKILL (the supervisor's stall timeout)
-        // recovers a child in this state.
-        loop {
-            thread::sleep(Duration::from_millis(25));
-        }
-    }
-    let next = {
-        let mut queue = shared.queue.lock().expect("queue lock");
-        let next = queue.pop_front();
-        if next.is_some() {
-            shared.in_flight.fetch_add(1, Ordering::SeqCst);
-        }
-        next
-    };
-    match next {
-        Some((job, attempt)) => Poll::Item(WorkItem::campaign_job(move |_scratch| {
-            run_attempt(plan, options, injector, shared, job, attempt);
-            shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        })),
-        None if shared.in_flight.load(Ordering::SeqCst) > 0 => Poll::Pending,
-        None => Poll::Done,
-    }
-}
-
-/// One journaled attempt at one job: backoff, panic-isolated execution,
-/// journal append, then completion / retry re-enqueue / poison
-/// quarantine / abort bookkeeping.
-fn run_attempt(
-    plan: &CampaignPlan,
-    options: &CampaignOptions,
-    injector: &FaultInjector,
-    shared: &Shared,
-    job: u32,
-    attempt: u8,
-) {
-    if attempt > 1 {
-        // Bounded backoff: linear in the attempt number, capped by
-        // max_attempts.
-        thread::sleep(options.backoff * u32::from(attempt - 1));
-    }
-    let spec = &plan.jobs[job as usize];
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        execute_job(spec, job, attempt, options.job_delay, injector)
-    }));
-    // A panic anywhere in the job — fault model, kernel, injected
-    // worker kill — collapses to a failure message; the worker
-    // itself survives.
-    let outcome: Result<JobResult, String> = match outcome {
-        Ok(Ok(result)) => Ok(result),
-        Ok(Err(message)) => Err(message),
-        Err(payload) => Err(panic_message(&*payload)),
-    };
-    let appended = {
-        let mut journal = shared.journal.lock().expect("journal lock");
-        let record = match &outcome {
-            Ok(result) => JournalRecord::Completed {
-                job,
-                attempt,
-                result: *result,
-            },
-            Err(message) if attempt < options.max_attempts => JournalRecord::Failed {
-                job,
-                attempt,
-                message: message.clone(),
-            },
-            Err(message) => JournalRecord::Poisoned {
-                job,
-                attempt,
-                message: message.clone(),
-            },
-        };
-        journal.append(&record, injector).and_then(|()| {
-            // Beat between jobs, while the journal lock still pins the
-            // record count the beat reports. The stall injection
-            // silences the beat without touching the work.
-            let jobs_done = shared.jobs_done.fetch_add(1, Ordering::SeqCst) + 1;
-            if let Some(heartbeat) = &shared.heartbeat {
-                if !injector.heartbeat_stalled(jobs_done) {
-                    heartbeat
-                        .lock()
-                        .expect("heartbeat lock")
-                        .beat(journal.records_written())?;
-                }
-            }
-            if injector.should_abort(journal.records_written()) {
-                Err(CampaignError::Injected {
-                    point: format!("abort after {} records", journal.records_written()),
-                })
-            } else {
-                Ok(())
-            }
-        })
-    };
-    match appended {
-        Ok(()) => match outcome {
-            Ok(result) => {
-                shared
-                    .results
-                    .lock()
-                    .expect("results lock")
-                    .insert(job, result);
-                shared.executed.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(message) => {
-                if attempt < options.max_attempts {
-                    shared.retries.fetch_add(1, Ordering::Relaxed);
-                    shared
-                        .queue
-                        .lock()
-                        .expect("queue lock")
-                        .push_back((job, attempt + 1));
-                } else {
-                    shared
-                        .poisoned
-                        .lock()
-                        .expect("poisoned lock")
-                        .insert(job, message);
-                }
-            }
-        },
-        Err(error) => {
-            // Injected crash (or real I/O failure): stop the
-            // campaign without recording the in-memory outcome —
-            // exactly what dying mid-append loses.
-            let mut abort = shared.abort.lock().expect("abort lock");
-            if abort.is_none() {
-                *abort = Some(error);
-            }
-            shared.abort_flag.store(true, Ordering::SeqCst);
-        }
-    }
 }
 
 /// Executes one job directly — no journal, no worker pool, no retries.
@@ -401,56 +144,4 @@ fn run_attempt(
 /// Returns the same failure message a campaign worker would journal.
 pub fn run_job(spec: &JobSpec) -> Result<JobResult, String> {
     execute_job(spec, 0, 1, Duration::ZERO, &FaultInjector::none())
-}
-
-/// Executes one job attempt: resolve the spec, build the population,
-/// sweep, digest. Returns a message (for the journal) on any failure;
-/// panics escape to the worker's `catch_unwind`. Also the daemon's
-/// per-attempt workhorse, run under its deadline watchdog.
-pub(crate) fn execute_job(
-    spec: &JobSpec,
-    job: u32,
-    attempt: u8,
-    job_delay: Duration,
-    injector: &FaultInjector,
-) -> Result<JobResult, String> {
-    injector.check_worker_kill(job, attempt);
-    if let Some(stall) = injector.job_stall(job, attempt) {
-        // Injected stall: the job is healthy but slow — deadline-storm
-        // fuel. The result is unchanged once the stall passes.
-        thread::sleep(stall);
-    }
-    if !job_delay.is_zero() {
-        thread::sleep(job_delay);
-    }
-    let organization =
-        ArrayOrganization::new(spec.rows, spec.cols).map_err(|error| error.to_string())?;
-    let test = algorithm_by_name(&spec.algorithm)
-        .ok_or_else(|| format!("unknown algorithm \"{}\"", spec.algorithm))?;
-    let order = order_by_name(&spec.order, spec.seed)
-        .ok_or_else(|| format!("unknown address order \"{}\"", spec.order))?;
-    let mut factories = spec.population.build(&organization, spec.seed)?;
-    if injector.lane_panic_armed(job, attempt) {
-        factories = detonate_factories(factories);
-    }
-    let sweep = SweepOptions {
-        background: spec.background,
-        mode: DetectionMode::Full,
-        // Campaign parallelism is across jobs; each sweep stays serial so
-        // worker threads do not oversubscribe the machine.
-        parallel: false,
-        backend: spec.backend,
-    };
-    // The interned sweep: same kernel, same digest bit-for-bit, but one
-    // name string per fault instead of three fat outcome strings — the
-    // journal only ever wants the counts and the fingerprint.
-    let report =
-        evaluate_coverage_interned_caught(&test, order.as_ref(), &organization, &factories, sweep)
-            .map_err(|panic| panic.to_string())?;
-    Ok(JobResult {
-        detected: report.detected() as u32,
-        total: report.total() as u32,
-        mismatches: report.total_mismatches(),
-        digest: report.digest(),
-    })
 }

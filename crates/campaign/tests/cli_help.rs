@@ -97,3 +97,84 @@ fn campaign_supervisor_help_documents_its_exit_codes() {
     let help = help_output(env!("CARGO_BIN_EXE_campaign_supervisor"));
     assert_exit_codes("campaign_supervisor", &help, &[0, 2, 3, 4, 5]);
 }
+
+/// A fresh, empty scratch directory for one test.
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("campaign-cli-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+/// Runs `binary args` in `dir` and asserts a usage error: exit 2, the
+/// offending flag and reason on stderr, then the usage text. Nothing may
+/// be left in `dir`.
+fn assert_usage_error(binary: &str, dir: &std::path::Path, args: &[&str], error: &str) {
+    let output = Command::new(binary)
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .unwrap_or_else(|failure| panic!("spawn {binary}: {failure}"));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(
+        output.status.code(),
+        Some(2),
+        "{binary} {args:?} must exit 2; stderr: {stderr}"
+    );
+    assert!(stderr.contains(error), "{binary} {args:?}: {stderr}");
+    assert!(stderr.contains("usage: "), "{binary} {args:?}: {stderr}");
+    let left: Vec<_> = std::fs::read_dir(dir).expect("list dir").collect();
+    assert!(left.is_empty(), "{binary} {args:?} left {left:?}");
+}
+
+#[test]
+fn malformed_command_lines_exit_2_with_the_usage_text() {
+    let run = env!("CARGO_BIN_EXE_campaign_run");
+    let daemon = env!("CARGO_BIN_EXE_campaign_daemon");
+    let daemon_flags = ["--spool", "spool", "--journal", "d.journal"];
+    let cases: [(&str, Vec<&str>, &str); 6] = [
+        // A value flag needs its value; it never falls back to its
+        // default.
+        (run, vec!["--list", "--seeds"], "--seeds: missing value"),
+        (
+            daemon,
+            [&daemon_flags[..], &["--once", "--threads"]].concat(),
+            "--threads: missing value",
+        ),
+        // A flag is never taken as the previous flag's value, so no
+        // export file named `--resume` appears.
+        (
+            run,
+            vec![
+                "--journal",
+                "c.journal",
+                "--organization",
+                "16x16",
+                "--export",
+                "--resume",
+            ],
+            "--export: missing value",
+        ),
+        (
+            daemon,
+            [&daemon_flags[..], &["--export", "--once"]].concat(),
+            "--export: missing value",
+        ),
+        // Every token is a flag or a flag's value.
+        (
+            run,
+            vec!["--list", "--organization", "16x16", "stray"],
+            "stray: expected a --flag",
+        ),
+        (
+            daemon,
+            [&daemon_flags[..], &["--once", "stray"]].concat(),
+            "stray: expected a --flag",
+        ),
+    ];
+    let dir = scratch_dir("malformed");
+    for (binary, args, error) in cases {
+        assert_usage_error(binary, &dir, &args, error);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -492,3 +492,108 @@ fn wrong_journal_kind_fails_with_a_directing_error() {
     std::fs::remove_file(&journal).ok();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Polls until `name` has a response, up to `limit`; returns the
+/// response and how long it took to appear.
+fn await_response(
+    spool: &SpoolDir,
+    name: &str,
+    limit: Duration,
+) -> (Option<SpoolResponse>, Duration) {
+    let start = std::time::Instant::now();
+    loop {
+        let response = spool.read_response(name);
+        if response.is_some() || start.elapsed() > limit {
+            return (response, start.elapsed());
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn a_submission_is_answered_while_every_worker_is_busy() {
+    let dir = temp_path("busy-spool");
+    let journal = temp_path("busy");
+    let spool = SpoolDir::open(&dir).expect("spool");
+    spool.submit("j0000", &spec(1)).expect("submit");
+    // Service mode, one worker, and job 0 stalls for 2 s: job 1 arrives
+    // while the only worker is busy and must be answered by intake long
+    // before job 0 ends.
+    let options = DaemonOptions {
+        threads: 1,
+        backoff: Duration::ZERO,
+        poll_interval: Duration::ZERO,
+        ..DaemonOptions::default()
+    };
+    let injector = FaultInjector::new(vec![Injection::StallJob {
+        job: 0,
+        attempts: 1,
+        delay_ms: 2000,
+    }]);
+    let shutdown = Arc::clone(&options.shutdown);
+    let client = spool.clone();
+    let watcher = std::thread::spawn(move || {
+        let first = await_response(&client, "j0000", Duration::from_secs(30)).0;
+        client.submit("j0001", &spec(2)).expect("submit");
+        let second = await_response(&client, "j0001", Duration::from_secs(30));
+        shutdown.store(true, Ordering::SeqCst);
+        (first, second)
+    });
+    let summary = run_daemon(&spool, &journal, &options, &injector).expect("daemon run");
+    let (first, (second, waited)) = watcher.join().expect("watcher");
+    assert_eq!(first, Some(SpoolResponse::Accepted { job: 0 }));
+    assert_eq!(second, Some(SpoolResponse::Accepted { job: 1 }));
+    assert!(
+        waited < Duration::from_millis(500),
+        "job 1 was answered after {waited:?}, behind the busy worker"
+    );
+    assert!(summary.drained);
+    assert_eq!(
+        summary.export.to_bytes(),
+        static_export(&jobs(2), 1, "busy-static"),
+        "the drain still runs both admitted jobs"
+    );
+    std::fs::remove_file(&journal).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_submission_during_a_drain_stays_in_the_spool_for_the_next_run() {
+    let dir = temp_path("late-spool");
+    let journal = temp_path("late");
+    let spool = SpoolDir::open(&dir).expect("spool");
+    spool.submit("j0000", &spec(1)).expect("submit");
+    // The drain flag is already set: the daemon never scans, so the
+    // committed submission is neither answered nor archived.
+    let options = DaemonOptions {
+        threads: 1,
+        poll_interval: Duration::ZERO,
+        ..DaemonOptions::default()
+    };
+    options.shutdown.store(true, Ordering::SeqCst);
+    let summary =
+        run_daemon(&spool, &journal, &options, &FaultInjector::none()).expect("daemon run");
+    assert!(summary.drained);
+    assert_eq!(summary.accepted + summary.shed, 0);
+    assert_eq!(summary.plan.len(), 0);
+    assert_eq!(spool.read_response("j0000"), None);
+    assert_eq!(spool.scan().expect("scan").len(), 1, "the .job file stays");
+    // The next run admits it like any other submission.
+    let options = DaemonOptions {
+        resume: true,
+        ..quiesce_options(1)
+    };
+    let summary =
+        run_daemon(&spool, &journal, &options, &FaultInjector::none()).expect("resumed run");
+    assert_eq!(
+        spool.read_response("j0000"),
+        Some(SpoolResponse::Accepted { job: 0 })
+    );
+    assert_eq!(summary.executed, 1);
+    assert_eq!(
+        summary.export.to_bytes(),
+        static_export(&jobs(1), 1, "late-static")
+    );
+    std::fs::remove_file(&journal).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -63,8 +63,7 @@ pub fn table1_row(config: &SramConfig, test: &MarchTest) -> Result<Table1Row, Sr
 
 /// Reproduces the full Table 1 (the five algorithms of the paper) on the
 /// given configuration, fanning the per-algorithm sessions out through
-/// the workspace's [`sched`] worker pool as
-/// [`PowerSession`](sched::WorkKind::PowerSession) work items.
+/// the workspace's [`sched`] worker pool ([`sched::map_chunks`]).
 ///
 /// Every row is computed by an independent session, and the pool's
 /// chunked fan-out concatenates per-chunk outputs in input order, so the
@@ -77,13 +76,9 @@ pub fn table1_row(config: &SramConfig, test: &MarchTest) -> Result<Table1Row, Sr
 pub fn reproduce_table1(config: &SramConfig) -> Result<Vec<Table1Row>, SramError> {
     let tests = library::table1_algorithms();
     let threads = march_test::parallel::max_threads().min(tests.len());
-    let rows = sched::map_chunks(
-        sched::WorkKind::PowerSession,
-        &tests,
-        threads,
-        threads,
-        |chunk, _scratch| chunk.iter().map(|test| table1_row(config, test)).collect(),
-    );
+    let rows = sched::map_chunks(&tests, threads, threads, |chunk, _scratch| {
+        chunk.iter().map(|test| table1_row(config, test)).collect()
+    });
     assert_eq!(rows.len(), tests.len(), "one row per algorithm");
     rows.into_iter().collect()
 }

@@ -8,16 +8,14 @@
 //! how the work was scheduled, so parallel sweeps produce byte-identical
 //! reports to serial ones.
 //!
-//! The fan-out reaches the pool as [`sched::WorkKind::FaultSweep`] work
-//! items; each pool worker owns a [`WorkerScratch`] for its whole
-//! lifetime, which the chunk closure receives so the lane-batched hot
-//! path can reuse its dispatch buffers across chunks instead of
-//! reallocating per cohort.
+//! The fan-out reaches the pool through [`sched::map_chunks`]; each pool
+//! worker owns a [`WorkerScratch`] for its whole lifetime, which the
+//! chunk closure receives so the lane-batched hot path can reuse its
+//! dispatch buffers across chunks instead of reallocating per cohort.
 
 use std::num::NonZeroUsize;
 use std::thread;
 
-use sched::WorkKind;
 pub use sched::WorkerScratch;
 
 /// Number of worker threads a sweep may use: the machine's available
@@ -75,7 +73,7 @@ where
 {
     let workers = threads.clamp(1, items.len().max(1));
     let chunk_count = (workers * CHUNKS_PER_WORKER).min(items.len().max(1));
-    sched::map_chunks(WorkKind::FaultSweep, items, workers, chunk_count, map_chunk)
+    sched::map_chunks(items, workers, chunk_count, map_chunk)
 }
 
 #[cfg(test)]

@@ -1,25 +1,24 @@
 //! One worker pool for every run type in the workspace.
 //!
 //! The fault-simulation engine, the Table 1 power reproduction and the
-//! crash-safe campaign runner used to fan work out through three separate
+//! crash-safe campaign layer used to fan work out through three separate
 //! ad-hoc mechanisms. This crate replaces them with a single batch
 //! scheduler built from three pieces:
 //!
-//! * [`WorkItem`] — the unit of work: one enum unifying the three run
-//!   types (fault sweeps, power sessions, campaign jobs) behind one
-//!   [`WorkItem::execute`] dispatch;
+//! * [`Task`] — the unit of work: one boxed closure that receives the
+//!   claiming worker's scratch, whatever it computes;
 //! * [`WorkerScratch`] — reusable per-worker storage, keyed by type, so
 //!   hot paths (lane memories, schedule vectors, bookkeeping sets) stop
 //!   allocating per dispatch;
-//! * [`run_pool`] / [`map_chunks`] — the pool itself: workers pull items
+//! * [`run_pool`] / [`map_chunks`] — the pool itself: workers pull tasks
 //!   off a shared cursor (batch fan-outs) or an open-ended producer
-//!   (campaign queues), each with a scratch that lives as long as the
-//!   worker.
+//!   (the campaign attempt engine, which parks idle workers on its own
+//!   condvar), each with a scratch that lives as long as the worker.
 //!
 //! The crate is dependency-free and sits at the bottom of the workspace
 //! graph: `march-test` builds its order-preserving sweep primitives on
 //! [`map_chunks`], `lp-precharge` fans Table 1 power sessions through the
-//! same pool, and `campaign` drives its journaled retry queue through
+//! same pool, and `campaign` drives its journaled attempts through
 //! [`run_pool`]. See `docs/ARCHITECTURE.md` at the repository root for
 //! the full data-flow picture.
 
@@ -30,6 +29,6 @@ mod item;
 mod pool;
 mod scratch;
 
-pub use item::{Task, WorkItem, WorkKind};
-pub use pool::{map_chunks, run_pool, Poll, PoolStats};
+pub use item::Task;
+pub use pool::{map_chunks, run_pool};
 pub use scratch::WorkerScratch;

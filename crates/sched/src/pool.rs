@@ -1,8 +1,8 @@
 //! The worker pool: shared-cursor claiming over one set of workers.
 //!
 //! The pool is a *pull* design. Callers hand [`run_pool`] a producer
-//! closure; each worker repeatedly polls it for the next [`WorkItem`] and
-//! executes whatever it gets with its own long-lived
+//! closure; each worker repeatedly asks it for the next [`Task`] and runs
+//! whatever it gets with its own long-lived
 //! [`WorkerScratch`](crate::WorkerScratch). That one loop serves every
 //! fan-out shape in the workspace:
 //!
@@ -11,104 +11,38 @@
 //!   up first claims (steals) the next chunk, so uneven chunks balance
 //!   themselves; [`map_chunks`] packages this shape, including the
 //!   order-preserving write-once output slots;
-//! * **open-ended producers** (the campaign runner's retry queue) return
-//!   [`Poll::Pending`] while items are in flight elsewhere and may keep
-//!   producing items that earlier items re-enqueued.
+//! * **open-ended producers** (the campaign attempt engine) block inside
+//!   the producer — on their own condvar — while nothing is runnable
+//!   yet, and hand out attempts that earlier attempts re-enqueued.
 //!
 //! Workers never coordinate beyond the producer closure, and results
-//! travel through what the items captured, so the pool stays free of
+//! travel through what the tasks captured, so the pool stays free of
 //! result types, `unsafe`, and locks of its own.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::thread;
-use std::time::Duration;
 
-use crate::item::{WorkItem, WorkKind};
+use crate::item::Task;
 use crate::scratch::WorkerScratch;
 
-/// What a producer hands a polling worker.
-#[derive(Debug)]
-pub enum Poll<'a> {
-    /// Run this item now.
-    Item(WorkItem<'a>),
-    /// Nothing to run *yet* — items in flight on other workers may still
-    /// produce more. The worker backs off briefly and polls again.
-    Pending,
-    /// The producer is exhausted; the polling worker exits.
-    Done,
-}
-
-/// What ran through one [`run_pool`] call, by run type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PoolStats {
-    /// Workers the pool ran with.
-    pub workers: usize,
-    /// [`WorkKind::FaultSweep`] items executed.
-    pub fault_sweeps: u64,
-    /// [`WorkKind::PowerSession`] items executed.
-    pub power_sessions: u64,
-    /// [`WorkKind::CampaignJob`] items executed.
-    pub campaign_jobs: u64,
-}
-
-impl PoolStats {
-    /// Total items executed, across all run types.
-    pub fn total(&self) -> u64 {
-        self.fault_sweeps + self.power_sessions + self.campaign_jobs
-    }
-}
-
-/// How long an idle worker sleeps between [`Poll::Pending`] polls.
-const IDLE_BACKOFF: Duration = Duration::from_millis(1);
-
-struct KindCounters {
-    fault_sweeps: AtomicU64,
-    power_sessions: AtomicU64,
-    campaign_jobs: AtomicU64,
-}
-
-impl KindCounters {
-    fn new() -> Self {
-        Self {
-            fault_sweeps: AtomicU64::new(0),
-            power_sessions: AtomicU64::new(0),
-            campaign_jobs: AtomicU64::new(0),
-        }
-    }
-
-    fn record(&self, kind: WorkKind) {
-        let counter = match kind {
-            WorkKind::FaultSweep => &self.fault_sweeps,
-            WorkKind::PowerSession => &self.power_sessions,
-            WorkKind::CampaignJob => &self.campaign_jobs,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-fn drain<'a>(worker: usize, next: &(impl Fn(usize) -> Poll<'a> + Sync), counters: &KindCounters) {
+fn drain<'a>(worker: usize, next: &(impl Fn(usize) -> Option<Task<'a>> + Sync)) {
     let mut scratch = WorkerScratch::new();
-    loop {
-        match next(worker) {
-            Poll::Item(item) => {
-                counters.record(item.kind());
-                item.execute(&mut scratch);
-            }
-            Poll::Pending => thread::sleep(IDLE_BACKOFF),
-            Poll::Done => break,
-        }
+    while let Some(task) = next(worker) {
+        task.run(&mut scratch);
     }
 }
 
-/// Runs up to `threads` workers over a producer until every worker sees
-/// [`Poll::Done`].
+/// Runs up to `threads` workers over a producer until every worker has
+/// been answered `None`.
 ///
 /// Each worker owns one [`WorkerScratch`](crate::WorkerScratch) for the
-/// whole run and passes it to every item it executes. `next` is called
-/// with the polling worker's index (`0..workers`); it must be safe to
-/// call concurrently from all workers — an atomic cursor or an internal
-/// lock is the producer's business.
+/// whole run and passes it to every task it runs. `next` is called with
+/// the asking worker's index (`0..workers`); it must be safe to call
+/// concurrently from all workers — an atomic cursor or an internal lock
+/// is the producer's business. `None` retires the asking worker, so a
+/// producer that has nothing runnable *yet* must wait inside `next`
+/// rather than answer `None`.
 ///
 /// With one thread no worker threads are spawned: the current thread
 /// drains the producer directly, so single-threaded runs stay
@@ -117,30 +51,22 @@ fn drain<'a>(worker: usize, next: &(impl Fn(usize) -> Poll<'a> + Sync), counters
 /// # Panics
 ///
 /// Panics if a worker panics (the scope propagates it). Producers that
-/// must survive item panics catch them inside the item's closure, as the
-/// campaign runner does.
-pub fn run_pool<'a, F>(threads: usize, next: F) -> PoolStats
+/// must survive task panics catch them inside the task's closure, as the
+/// campaign engine does.
+pub fn run_pool<'a, F>(threads: usize, next: F)
 where
-    F: Fn(usize) -> Poll<'a> + Sync,
+    F: Fn(usize) -> Option<Task<'a>> + Sync,
 {
     let workers = threads.max(1);
-    let counters = KindCounters::new();
     if workers == 1 {
-        drain(0, &next, &counters);
+        drain(0, &next);
     } else {
         thread::scope(|scope| {
             for worker in 0..workers {
                 let next = &next;
-                let counters = &counters;
-                scope.spawn(move || drain(worker, next, counters));
+                scope.spawn(move || drain(worker, next));
             }
         });
-    }
-    PoolStats {
-        workers,
-        fault_sweeps: counters.fault_sweeps.into_inner(),
-        power_sessions: counters.power_sessions.into_inner(),
-        campaign_jobs: counters.campaign_jobs.into_inner(),
     }
 }
 
@@ -161,10 +87,10 @@ where
 /// # Examples
 ///
 /// ```
-/// use sched::{map_chunks, WorkKind};
+/// use sched::map_chunks;
 ///
 /// let items: Vec<u32> = (0..100).collect();
-/// let doubled = map_chunks(WorkKind::FaultSweep, &items, 4, 16, |chunk, _scratch| {
+/// let doubled = map_chunks(&items, 4, 16, |chunk, _scratch| {
 ///     chunk.iter().map(|&x| u64::from(x) * 2).collect()
 /// });
 /// assert_eq!(doubled, (0..100).map(|x| x * 2).collect::<Vec<u64>>());
@@ -173,13 +99,7 @@ where
 /// # Panics
 ///
 /// Panics if a worker panics (the panic is propagated).
-pub fn map_chunks<T, R, F>(
-    kind: WorkKind,
-    items: &[T],
-    threads: usize,
-    chunk_count: usize,
-    map_chunk: F,
-) -> Vec<R>
+pub fn map_chunks<T, R, F>(items: &[T], threads: usize, chunk_count: usize, map_chunk: F) -> Vec<R>
 where
     T: Sync,
     R: Send + Sync,
@@ -198,10 +118,8 @@ where
     let slots_ref = &slots;
     run_pool(workers, |_| {
         let claim = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(&chunk) = chunks.get(claim) else {
-            return Poll::Done;
-        };
-        Poll::Item(WorkItem::new(kind, move |scratch| {
+        let &chunk = chunks.get(claim)?;
+        Some(Task::new(move |scratch| {
             let out = map_chunk(chunk, scratch);
             slots_ref[claim]
                 .set(out)
@@ -218,30 +136,24 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
     #[test]
     fn map_chunks_preserves_input_order_for_any_worker_count() {
         let items: Vec<u32> = (0..517).collect();
         let expected: Vec<u64> = items.iter().map(|&x| u64::from(x) * 3).collect();
         for threads in [1, 2, 3, 8, 64, 1000] {
-            let out = map_chunks(
-                WorkKind::FaultSweep,
-                &items,
-                threads,
-                threads * 8,
-                |c, _| c.iter().map(|&x| u64::from(x) * 3).collect(),
-            );
+            let out = map_chunks(&items, threads, threads * 8, |c, _| {
+                c.iter().map(|&x| u64::from(x) * 3).collect()
+            });
             assert_eq!(out, expected, "threads = {threads}");
         }
     }
 
     #[test]
     fn map_chunks_handles_empty_and_tiny_inputs() {
-        let empty: Vec<u8> =
-            map_chunks(WorkKind::FaultSweep, &[] as &[u8], 8, 64, |c, _| c.to_vec());
+        let empty: Vec<u8> = map_chunks(&[] as &[u8], 8, 64, |c, _| c.to_vec());
         assert!(empty.is_empty());
-        let one = map_chunks(WorkKind::FaultSweep, &[7u8], 8, 64, |c, _| c.to_vec());
+        let one = map_chunks(&[7u8], 8, 64, |c, _| c.to_vec());
         assert_eq!(one, vec![7]);
     }
 
@@ -253,17 +165,11 @@ mod tests {
             .flat_map(|&x| std::iter::repeat_n(x, (x % 3) as usize))
             .collect();
         for threads in [1, 2, 3, 8, 64] {
-            let out = map_chunks(
-                WorkKind::FaultSweep,
-                &items,
-                threads,
-                threads * 8,
-                |c, _| {
-                    c.iter()
-                        .flat_map(|&x| std::iter::repeat_n(x, (x % 3) as usize))
-                        .collect()
-                },
-            );
+            let out = map_chunks(&items, threads, threads * 8, |c, _| {
+                c.iter()
+                    .flat_map(|&x| std::iter::repeat_n(x, (x % 3) as usize))
+                    .collect()
+            });
             assert_eq!(out, expected, "threads = {threads}");
         }
     }
@@ -273,7 +179,7 @@ mod tests {
         // Single worker: every chunk sees the same scratch, so a counter
         // stored in it observes every dispatch.
         let items: Vec<u32> = (0..40).collect();
-        let out = map_chunks(WorkKind::FaultSweep, &items, 1, 8, |chunk, scratch| {
+        let out = map_chunks(&items, 1, 8, |chunk, scratch| {
             let seen = scratch.get_or_insert_with(|| 0u32);
             *seen += chunk.len() as u32;
             vec![*seen]
@@ -283,71 +189,12 @@ mod tests {
     }
 
     #[test]
-    fn run_pool_counts_items_by_kind() {
-        let produced = AtomicUsize::new(0);
-        let stats = run_pool(2, |_| {
-            let index = produced.fetch_add(1, Ordering::Relaxed);
-            match index {
-                0..=4 => Poll::Item(WorkItem::fault_sweep(|_| {})),
-                5..=6 => Poll::Item(WorkItem::power_session(|_| {})),
-                7 => Poll::Item(WorkItem::campaign_job(|_| {})),
-                _ => Poll::Done,
-            }
-        });
-        assert_eq!(stats.workers, 2);
-        assert_eq!(stats.fault_sweeps, 5);
-        assert_eq!(stats.power_sessions, 2);
-        assert_eq!(stats.campaign_jobs, 1);
-        assert_eq!(stats.total(), 8);
-    }
-
-    #[test]
-    fn pending_producers_can_reenqueue_from_running_items() {
-        // A queue whose first item enqueues a second one while other
-        // workers are already polling: Pending must keep them alive until
-        // the re-enqueued item lands — the campaign retry shape.
-        let queue = Mutex::new(vec![0u32]);
-        let in_flight = AtomicUsize::new(0);
-        let ran = Mutex::new(Vec::new());
-        let (queue_ref, in_flight_ref, ran_ref) = (&queue, &in_flight, &ran);
-        run_pool(3, |_| {
-            let item = {
-                let mut queue = queue.lock().unwrap();
-                let item = queue.pop();
-                if item.is_some() {
-                    in_flight.fetch_add(1, Ordering::SeqCst);
-                }
-                item
-            };
-            match item {
-                Some(job) => Poll::Item(WorkItem::campaign_job(move |_| {
-                    if job < 3 {
-                        queue_ref.lock().unwrap().push(job + 1);
-                    }
-                    ran_ref.lock().unwrap().push(job);
-                    in_flight_ref.fetch_sub(1, Ordering::SeqCst);
-                })),
-                None if in_flight.load(Ordering::SeqCst) > 0 => Poll::Pending,
-                None => Poll::Done,
-            }
-        });
-        let mut ran = ran.into_inner().unwrap();
-        ran.sort_unstable();
-        assert_eq!(ran, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
     fn single_threaded_pool_runs_on_the_current_thread() {
         let caller = thread::current().id();
         let produced = AtomicUsize::new(0);
         run_pool(1, |_| {
-            if produced.fetch_add(1, Ordering::Relaxed) == 0 {
-                Poll::Item(WorkItem::fault_sweep(move |_| {
-                    assert_eq!(thread::current().id(), caller);
-                }))
-            } else {
-                Poll::Done
-            }
+            (produced.fetch_add(1, Ordering::Relaxed) == 0)
+                .then(|| Task::new(move |_| assert_eq!(thread::current().id(), caller)))
         });
     }
 }
