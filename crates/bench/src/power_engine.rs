@@ -13,10 +13,12 @@
 //! structure: address sequences re-materialised per element through
 //! `AddressOrder::sequence`, one freshly allocated [`CycleCommand`] (mask
 //! `Vec` included) per clock cycle, every cycle executed on the analog
-//! controller, and a strictly serial Table 1. Before anything is timed,
-//! the baseline outcomes are asserted **bit-identical** to the rebuilt
-//! engine's (and the parallel Table 1 to the serial one) — a benchmark of
-//! diverging engines would be meaningless.
+//! controller, and a strictly serial Table 1. Its one departure from the
+//! seed is the engine's summation order: each row's cycle energies are
+//! summed on their own, then the row sums are added in order. Before
+//! anything is timed, the baseline outcomes are asserted **bit-identical**
+//! to the rebuilt engine's (and the parallel Table 1 to the serial one) —
+//! a benchmark of diverging engines would be meaningless.
 //!
 //! Mirroring the fault-sim sweep, the frozen seed replica is *capped* at
 //! [`BASELINE_CELL_CAP`] cells (256×256): beyond that its serial
@@ -47,6 +49,7 @@ use power_model::peak::PeakTracker;
 use power_model::report::{ModeReport, Table1Row};
 use sram_model::config::{ArrayOrganization, SramConfig};
 use sram_model::controller::MemoryController;
+use sram_model::energy::CycleEnergy;
 use sram_model::error::SramError;
 use sram_model::operation::{CycleCommand, MemOperation};
 
@@ -87,8 +90,10 @@ pub fn baseline_run_session(
     let mut read_mismatches = 0u64;
     let mut unreliable_reads = 0u64;
     let mut peak = PeakTracker::new(technology.clock_period);
+    let mut total = CycleEnergy::new();
 
     for (addresses, ops) in &elements {
+        let mut row_sum = CycleEnergy::new();
         for (position, &address) in addresses.iter().enumerate() {
             let row = address.row(&organization);
             let col = address.col(&organization).value();
@@ -126,6 +131,7 @@ pub fn baseline_run_session(
                     CycleCommand::low_power(address, mem_op, columns)
                 };
                 let outcome = controller.execute(command)?;
+                row_sum.accumulate(&outcome.energy);
                 peak.record_total(outcome.energy.total());
                 if outcome.read_value.is_some() && !outcome.read_reliable {
                     unreliable_reads += 1;
@@ -137,11 +143,15 @@ pub fn baseline_run_session(
                     }
                 }
             }
+            if !next_in_same_row {
+                total.accumulate(&row_sum);
+                row_sum = CycleEnergy::new();
+            }
         }
     }
 
     let mut meter = PowerMeter::new(technology.clock_period);
-    meter.record_aggregate(controller.accumulated_energy(), controller.cycles());
+    meter.record_aggregate(&total, controller.cycles());
     let breakdown = meter.breakdown();
     let report = ModeReport::from_meter(&meter, &breakdown);
     let peak_to_average = peak.peak_to_average(report.average_power);

@@ -26,17 +26,29 @@
 //! [`TestSession::run`] exploits this: it *rehearses* the first two row
 //! groups of each element on the real [`MemoryController`] (priming the
 //! controller with the previous element's final restore cycle so decode
-//! boundaries are exact), records the per-cycle [`CycleEnergy`] profiles,
-//! and *replays* those profiles for the remaining rows — accumulating
-//! energy per cycle in the identical order, feeding the
-//! [`PeakTracker`] the identical per-cycle totals, and simulating cell
-//! contents with a plain bit model for the read-expectation checks. The
-//! replayed run is allocation-flat and reproduces the fully simulated
-//! [`SessionOutcome`] bit for bit (asserted by the golden tests and by
-//! the `power_engine_bench` equivalence gate), at well over an order of
-//! magnitude higher throughput. Ablation schedules that disable the
-//! restore cycle (where state genuinely leaks across rows) keep using the
-//! full cycle-by-cycle simulation.
+//! boundaries are exact), and *replays* the rehearsed rows for the rest:
+//!
+//! * **Energy is summed in two levels on both paths.** The cycles of each
+//!   (element, row) group are summed into a row sum, and the row sums are
+//!   added to the run total in order. Rows 1..R of an element have
+//!   identical cycles, hence identical row sums, so replay adds one
+//!   rehearsed row sum per row and never touches a cycle. Blocked
+//!   summation also has the smaller error bound (Higham, "The accuracy of
+//!   floating point summation", SIAM J. Sci. Comput. 14(4), 1993).
+//! * **The peak** is the largest rehearsed cycle: replayed rows repeat
+//!   rehearsed ones, so the [`PeakTracker`] sees each rehearsed cycle once.
+//! * **Read mismatches** are counted on one bit per element and multiplied
+//!   by the cell count: every cell of the fault-free array starts from the
+//!   same background and sees the same operations.
+//! * **RES counts** are the controller's own counters, read around each
+//!   rehearsed row.
+//!
+//! A session therefore costs about its rehearsal, and the replayed run
+//! reproduces the fully simulated [`SessionOutcome`] bit for bit
+//! (asserted by the golden tests and by the `power_engine_bench`
+//! equivalence gate). Ablation schedules that disable the restore cycle
+//! (where state genuinely leaks across rows) keep using the full
+//! cycle-by-cycle simulation.
 
 use sram_model::config::SramConfig;
 use sram_model::controller::MemoryController;
@@ -51,7 +63,7 @@ use power_model::breakdown::PowerBreakdown;
 use power_model::meter::PowerMeter;
 use power_model::peak::PeakTracker;
 use power_model::report::{ModeReport, PrrRecord};
-use transient::units::{Joules, Watts};
+use transient::units::Watts;
 
 use crate::mode::OperatingMode;
 use crate::scheduler::{LowPowerSchedule, LpOptions, SchedulePlan};
@@ -93,30 +105,18 @@ impl SessionOutcome {
     }
 }
 
-/// Per-cycle measurements of one rehearsed row group: everything the
-/// replay needs to reproduce the remaining rows bit for bit.
+/// The measurements of one rehearsed row group: everything the replay
+/// needs to reproduce a row bit for bit.
 #[derive(Debug, Clone, Default)]
 struct RowProfile {
-    /// Per-cycle energy records, in schedule order.
-    energies: Vec<CycleEnergy>,
-    /// Per-cycle totals (precomputed for the peak tracker).
-    totals: Vec<Joules>,
+    /// Sum of the row's cycle energies, in cycle order.
+    energy: CycleEnergy,
     /// Reads flagged unreliable during the row group.
     unreliable_reads: u64,
     /// Full read-equivalent stresses applied during the row group.
     full_res_events: u64,
     /// Reduced read-equivalent stresses applied during the row group.
     reduced_res_events: u64,
-}
-
-impl RowProfile {
-    fn with_capacity(cycles: usize) -> Self {
-        Self {
-            energies: Vec::with_capacity(cycles),
-            totals: Vec::with_capacity(cycles),
-            ..Self::default()
-        }
-    }
 }
 
 /// Runs March tests on a configured SRAM in either operating mode.
@@ -228,8 +228,11 @@ impl TestSession {
         let mut read_mismatches = 0u64;
         let mut unreliable_reads = 0u64;
         let mut peak = PeakTracker::new(technology.clock_period);
+        let mut total = CycleEnergy::new();
+        let mut row_sum = CycleEnergy::new();
         for cycle in schedule {
             let outcome = controller.execute(cycle.command)?;
+            row_sum.accumulate(&outcome.energy);
             peak.record_total(outcome.energy.total());
             if outcome.read_value.is_some() && !outcome.read_reliable {
                 unreliable_reads += 1;
@@ -239,10 +242,16 @@ impl TestSession {
                     read_mismatches += 1;
                 }
             }
+            // Each (element, row) group of cycles is summed on its own
+            // before it joins the run total, as replay sums it.
+            if cycle.last_in_row {
+                total.accumulate(&row_sum);
+                row_sum = CycleEnergy::new();
+            }
         }
 
         let mut meter = PowerMeter::new(technology.clock_period);
-        meter.record_aggregate(controller.accumulated_energy(), controller.cycles());
+        meter.record_aggregate(&total, controller.cycles());
 
         let breakdown = meter.breakdown();
         let report = ModeReport::from_meter(&meter, &breakdown);
@@ -264,7 +273,7 @@ impl TestSession {
 
     /// The row-replay kernel (see the module documentation): rehearses the
     /// first two row groups of each element on the real controller and
-    /// replays the recorded per-cycle profiles for the remaining rows.
+    /// replays the recorded row profiles for the remaining rows.
     fn run_replayed(
         &self,
         test: &MarchTest,
@@ -277,26 +286,21 @@ impl TestSession {
         let cols = organization.cols() as usize;
         let plan = SchedulePlan::shared(organization, self.options);
 
-        let elements: Vec<(AddressDirection, Vec<MarchOp>)> = test
-            .elements()
-            .iter()
-            .map(|element| (element.direction(), element.ops().to_vec()))
-            .collect();
-
         // --- Rehearsal: record the first two row groups of each element.
         // One controller carries the analog state through the run; before
         // each element it is primed with the previous element's final
         // restore cycle so the decode/word-line boundary state at the
-        // element start is exact, then its statistics are cleared so the
-        // profiles contain only the rehearsed rows.
+        // element start is exact.
         let mut controller = MemoryController::new(self.config);
-        let mut profiles: Vec<Vec<RowProfile>> = Vec::with_capacity(elements.len());
+        let mut peak = PeakTracker::new(technology.clock_period);
+        let mut profiles: Vec<Vec<RowProfile>> = Vec::with_capacity(test.element_count());
         let mut last_cycle: Option<(AddressDirection, MarchOp, usize)> = None;
-        for (element_index, (direction, ops)) in elements.iter().enumerate() {
-            if ops.is_empty() {
+        for (element_index, element) in test.elements().iter().enumerate() {
+            let (direction, ops) = (element.direction(), element.ops());
+            let Some(&last_op) = ops.last() else {
                 profiles.push(Vec::new());
                 continue;
-            }
+            };
             if let Some((prev_direction, prev_op, prev_element)) = last_cycle.take() {
                 let prime = plan.cycle(
                     prev_direction,
@@ -307,18 +311,17 @@ impl TestSession {
                     prev_element,
                 );
                 controller.execute(prime.command)?;
-                controller.reset_statistics();
             }
 
             let rehearse_rows = rows.min(2);
             let mut element_profiles = Vec::with_capacity(rehearse_rows);
             for row in 0..rehearse_rows {
-                let mut profile = RowProfile::with_capacity(cols * ops.len());
-                let stress_before = controller.stress_report();
+                let mut profile = RowProfile::default();
+                let (full_before, reduced_before) = controller.res_events();
                 for pos in row * cols..(row + 1) * cols {
                     for (op_index, &op) in ops.iter().enumerate() {
                         let cycle = plan.cycle(
-                            *direction,
+                            direction,
                             pos,
                             op,
                             op_index == ops.len() - 1,
@@ -326,78 +329,58 @@ impl TestSession {
                             element_index,
                         );
                         let outcome = controller.execute(cycle.command)?;
-                        profile.energies.push(outcome.energy);
-                        profile.totals.push(outcome.energy.total());
+                        profile.energy.accumulate(&outcome.energy);
+                        peak.record_total(outcome.energy.total());
                         if outcome.read_value.is_some() && !outcome.read_reliable {
                             profile.unreliable_reads += 1;
                         }
                     }
                 }
-                let stress_after = controller.stress_report();
-                profile.full_res_events =
-                    stress_after.full_res_events - stress_before.full_res_events;
-                profile.reduced_res_events =
-                    stress_after.reduced_res_events - stress_before.reduced_res_events;
+                let (full_after, reduced_after) = controller.res_events();
+                profile.full_res_events = full_after - full_before;
+                profile.reduced_res_events = reduced_after - reduced_before;
                 element_profiles.push(profile);
             }
             profiles.push(element_profiles);
-            last_cycle = Some((
-                *direction,
-                *ops.last().expect("non-empty ops"),
-                element_index,
-            ));
+            last_cycle = Some((direction, last_op, element_index));
         }
 
-        // --- Replay: accumulate the recorded profiles for every row, in
-        // the exact per-cycle order of the full simulation, while a plain
-        // bit model of the array carries the read-expectation checks.
-        let mut accumulated = CycleEnergy::new();
-        let mut peak = PeakTracker::new(technology.clock_period);
-        let mut cells = vec![background; rows * cols];
-        let mut cycles = 0u64;
-        let mut read_mismatches = 0u64;
+        // --- Replay: add one rehearsed row sum per row, in the order the
+        // full simulation adds its row sums.
+        let mut total = CycleEnergy::new();
         let mut unreliable_reads = 0u64;
         let mut full_res_events = 0u64;
         let mut reduced_res_events = 0u64;
-
-        for (element_index, (direction, ops)) in elements.iter().enumerate() {
-            let element_profiles = &profiles[element_index];
-            if element_profiles.is_empty() {
-                continue;
-            }
+        for element_profiles in profiles.iter().filter(|p| !p.is_empty()) {
             for row in 0..rows {
                 let profile = if row == 0 {
                     &element_profiles[0]
                 } else {
                     &element_profiles[element_profiles.len() - 1]
                 };
-                for i in 0..profile.energies.len() {
-                    accumulated.accumulate(&profile.energies[i]);
-                    peak.record_total(profile.totals[i]);
-                }
-                cycles += profile.energies.len() as u64;
+                total.accumulate(&profile.energy);
                 unreliable_reads += profile.unreliable_reads;
                 full_res_events += profile.full_res_events;
                 reduced_res_events += profile.reduced_res_events;
-
-                for pos in row * cols..(row + 1) * cols {
-                    let index = plan.address_at(*direction, pos).value() as usize;
-                    for &op in ops {
-                        if let Some(value) = op.write_value() {
-                            cells[index] = value;
-                        } else {
-                            let expected = op.expected_value().expect("reads expect a value");
-                            if cells[index] != expected {
-                                read_mismatches += 1;
-                            }
-                        }
-                    }
-                }
             }
         }
 
+        // One bit stands for every cell: each starts from `background` and
+        // sees the same operations.
+        let mut bit = background;
+        let mut mismatches_per_cell = 0u64;
+        for &op in test.elements().iter().flat_map(|element| element.ops()) {
+            match op.write_value() {
+                Some(value) => bit = value,
+                None => mismatches_per_cell += u64::from(op.expected_value() != Some(bit)),
+            }
+        }
+        let cells = u64::from(organization.capacity());
+        let read_mismatches = mismatches_per_cell * cells;
+        let cycles = test.total_operations(cells);
+
         let mut meter = PowerMeter::new(technology.clock_period);
-        meter.record_aggregate(&accumulated, cycles);
+        meter.record_aggregate(&total, cycles);
         let breakdown = meter.breakdown();
         let report = ModeReport::from_meter(&meter, &breakdown);
         let peak_to_average = peak.peak_to_average(report.average_power);

@@ -84,6 +84,9 @@ pub struct ScheduledCycle {
     pub element: usize,
     /// Whether this cycle is a row-transition restore cycle.
     pub is_row_transition_restore: bool,
+    /// Whether this is the element's last cycle on its row: the last
+    /// operation on the row's last address.
+    pub last_in_row: bool,
 }
 
 /// The per-position arrays of one walk direction.
@@ -309,6 +312,7 @@ impl SchedulePlan {
             MarchOp::R0 | MarchOp::R1 => MemOperation::Read,
         };
         let expected_read = op.expected_value();
+        let last_in_row = last_op_on_address && self.row_boundary_at(direction, position);
 
         if !mode.is_low_power() {
             return ScheduledCycle {
@@ -316,18 +320,17 @@ impl SchedulePlan {
                 expected_read,
                 element,
                 is_row_transition_restore: false,
+                last_in_row,
             };
         }
 
-        let needs_restore = self.options.row_transition_restore
-            && last_op_on_address
-            && self.row_boundary_at(direction, position);
-        if needs_restore {
+        if self.options.row_transition_restore && last_in_row {
             return ScheduledCycle {
                 command: CycleCommand::low_power_restore_all(address, mem_op),
                 expected_read,
                 element,
                 is_row_transition_restore: true,
+                last_in_row,
             };
         }
 
@@ -340,6 +343,7 @@ impl SchedulePlan {
             expected_read,
             element,
             is_row_transition_restore: false,
+            last_in_row,
         }
     }
 }
@@ -476,10 +480,17 @@ mod tests {
         let test = library::mats_plus();
         let schedule = LowPowerSchedule::new(&test, organization, OperatingMode::Functional);
         assert_eq!(schedule.len(), 5 * 32);
+        let mut row_ends = 0;
         for cycle in schedule {
             assert_eq!(cycle.command.precharge, PrechargePolicy::AllColumns);
             assert!(!cycle.command.lp_test_mode);
+            if cycle.last_in_row {
+                assert!(!cycle.is_row_transition_restore);
+                row_ends += 1;
+            }
         }
+        // One row end per row of each of MATS+'s three elements.
+        assert_eq!(row_ends, 3 * 4);
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl PowerMeter {
     }
 
     /// Records an already-aggregated energy total covering `cycles` cycles
-    /// (used when the simulator returns its own accumulated record).
+    /// (used when the caller sums the cycles itself, row by row).
     pub fn record_aggregate(&mut self, energy: &CycleEnergy, cycles: u64) {
         self.total.accumulate(energy);
         self.cycles += cycles;

@@ -14,7 +14,6 @@ use crate::cell::SramCell;
 use crate::config::{ArrayOrganization, SramConfig};
 use crate::error::SramError;
 use crate::precharge::PrechargeCircuit;
-use crate::stress::StressReport;
 
 /// Which columns have their pre-charge circuit enabled during a cycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -278,28 +277,6 @@ impl SramArray {
         self.cells.iter().filter(|c| c.is_corrupted()).count() as u64
     }
 
-    /// Aggregates per-cell stress counters into a [`StressReport`]
-    /// (`cycles` is left at zero because the array does not track time; the
-    /// controller fills it in).
-    pub fn stress_report(&self) -> StressReport {
-        let mut report = StressReport::new();
-        for cell in &self.cells {
-            report.full_res_events += cell.full_res_count();
-            report.reduced_res_events += cell.reduced_res_count();
-            if cell.is_corrupted() {
-                report.corrupted_cells += 1;
-            }
-        }
-        report
-    }
-
-    /// Clears the statistics of every cell while preserving stored data.
-    pub fn reset_cell_statistics(&mut self) {
-        for cell in &mut self.cells {
-            cell.reset_statistics();
-        }
-    }
-
     /// Iterates over all cells together with their physical coordinates.
     pub fn iter_cells(&self) -> impl Iterator<Item = (RowIndex, ColIndex, &SramCell)> {
         let cols = self.organization().cols();
@@ -372,27 +349,14 @@ mod tests {
     }
 
     #[test]
-    fn stress_report_aggregates_cells() {
+    fn corrupted_cell_count_tracks_swaps_and_writes() {
         let mut array = small();
-        array
-            .cell_mut(RowIndex(0), ColIndex(0))
-            .unwrap()
-            .apply_full_res();
-        array
-            .cell_mut(RowIndex(0), ColIndex(1))
-            .unwrap()
-            .apply_reduced_res();
         array
             .cell_mut(RowIndex(1), ColIndex(1))
             .unwrap()
             .corrupt_to(true);
-        let report = array.stress_report();
-        assert_eq!(report.full_res_events, 1);
-        assert_eq!(report.reduced_res_events, 1);
-        assert_eq!(report.corrupted_cells, 1);
         assert_eq!(array.corrupted_cell_count(), 1);
-        array.reset_cell_statistics();
-        assert_eq!(array.stress_report().full_res_events, 0);
+        array.fill(false);
         assert_eq!(array.corrupted_cell_count(), 0);
     }
 

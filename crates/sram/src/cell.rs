@@ -2,30 +2,22 @@
 //!
 //! Each cell stores one bit on a cross-coupled latch with two storage nodes
 //! `S` and `SB`. The model is behavioural: node voltages are derived from
-//! the stored bit (one node at `V_DD`, the other at ground), but the cell
-//! additionally tracks the events the paper cares about:
-//!
-//! * **RES** (Read Equivalent Stress) counts — in functional mode every cell
-//!   of the selected row in an *unselected* column is stressed every cycle;
-//!   in the low-power test mode only the next-to-be-selected column sees a
-//!   full RES and a handful of columns with still-charged floating bit lines
-//!   see a *reduced* RES (the paper's `α` cells),
-//! * **corruption** — a faulty swap (Figure 7) overwrites the stored value
-//!   through charge sharing with a discharged bit line; the cell remembers
-//!   both the new value and the fact that it was corrupted, so verification
-//!   can distinguish a legitimate write from a destroyed bit.
+//! the stored bit (one node at `V_DD`, the other at ground). Besides the
+//! bit, a cell remembers only whether its value was last set by a
+//! **corruption** — a faulty swap (Figure 7) that overwrites the stored
+//! value through charge sharing with a discharged bit line — so
+//! verification can distinguish a legitimate write from a destroyed bit.
+//! Read-equivalent stress is counted by the controller per cycle, not per
+//! cell (see [`crate::stress`]).
 
 use transient::units::Volts;
 
-/// One six-transistor SRAM cell.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One six-transistor SRAM cell. The default cell stores `0`, the
+/// conventional post-power-up background.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SramCell {
     value: bool,
-    full_res_count: u64,
-    reduced_res_count: u64,
     corrupted: bool,
-    reads: u64,
-    writes: u64,
 }
 
 impl SramCell {
@@ -33,11 +25,7 @@ impl SramCell {
     pub fn new(value: bool) -> Self {
         Self {
             value,
-            full_res_count: 0,
-            reduced_res_count: 0,
             corrupted: false,
-            reads: 0,
-            writes: 0,
         }
     }
 
@@ -70,25 +58,6 @@ impl SramCell {
     pub fn write(&mut self, value: bool) {
         self.value = value;
         self.corrupted = false;
-        self.writes += 1;
-    }
-
-    /// Performs a read and returns the stored bit (possibly a corrupted
-    /// value — the read itself cannot tell).
-    pub fn read(&mut self) -> bool {
-        self.reads += 1;
-        self.value
-    }
-
-    /// Registers one full read-equivalent stress on this cell.
-    pub fn apply_full_res(&mut self) {
-        self.full_res_count += 1;
-    }
-
-    /// Registers one reduced read-equivalent stress (floating bit line still
-    /// partially charged).
-    pub fn apply_reduced_res(&mut self) {
-        self.reduced_res_count += 1;
     }
 
     /// Forcibly overwrites the stored value through bit-line charge sharing
@@ -106,44 +75,6 @@ impl SramCell {
     pub fn is_corrupted(&self) -> bool {
         self.corrupted
     }
-
-    /// Number of full read-equivalent stresses seen so far.
-    pub fn full_res_count(&self) -> u64 {
-        self.full_res_count
-    }
-
-    /// Number of reduced read-equivalent stresses seen so far.
-    pub fn reduced_res_count(&self) -> u64 {
-        self.reduced_res_count
-    }
-
-    /// Number of read operations performed on this cell.
-    pub fn read_count(&self) -> u64 {
-        self.reads
-    }
-
-    /// Number of write operations performed on this cell.
-    pub fn write_count(&self) -> u64 {
-        self.writes
-    }
-
-    /// Clears stress counters and the corruption flag while keeping the
-    /// stored data (used between March elements when only the stress of one
-    /// element is of interest).
-    pub fn reset_statistics(&mut self) {
-        self.full_res_count = 0;
-        self.reduced_res_count = 0;
-        self.corrupted = false;
-        self.reads = 0;
-        self.writes = 0;
-    }
-}
-
-impl Default for SramCell {
-    /// A cell initialised to `0`, the conventional post-power-up background.
-    fn default() -> Self {
-        Self::new(false)
-    }
 }
 
 #[cfg(test)]
@@ -155,11 +86,10 @@ mod tests {
         let mut cell = SramCell::default();
         assert!(!cell.value());
         cell.write(true);
-        assert!(cell.read());
+        assert!(cell.value());
         cell.write(false);
-        assert!(!cell.read());
-        assert_eq!(cell.read_count(), 2);
-        assert_eq!(cell.write_count(), 2);
+        assert!(!cell.value());
+        assert_eq!(std::mem::size_of::<SramCell>(), 2);
     }
 
     #[test]
@@ -171,19 +101,6 @@ mod tests {
         cell.write(false);
         assert_eq!(cell.node_s(vdd), Volts::ZERO);
         assert_eq!(cell.node_sb(vdd), vdd);
-    }
-
-    #[test]
-    fn stress_counters_accumulate_independently() {
-        let mut cell = SramCell::default();
-        cell.apply_full_res();
-        cell.apply_full_res();
-        cell.apply_reduced_res();
-        assert_eq!(cell.full_res_count(), 2);
-        assert_eq!(cell.reduced_res_count(), 1);
-        cell.reset_statistics();
-        assert_eq!(cell.full_res_count(), 0);
-        assert_eq!(cell.reduced_res_count(), 0);
     }
 
     #[test]

@@ -69,10 +69,15 @@ impl ColumnSet {
     pub fn insert(&mut self, col: u32) -> bool {
         let word = &mut self.words[(col / 64) as usize];
         let bit = 1u64 << (col % 64);
-        let added = *word & bit == 0;
+        // Early return rather than `len += u32::from(added)`: rustc 1.95.0
+        // at opt-level 3 drops that increment when the result feeds a
+        // branch, leaving `len` at 0 in release builds.
+        if *word & bit != 0 {
+            return false;
+        }
         *word |= bit;
-        self.len += u32::from(added);
-        added
+        self.len += 1;
+        true
     }
 
     /// Removes `col`; returns `true` if it was present. Columns beyond the

@@ -27,10 +27,11 @@
 //! still moving, and `not_precharged` holds every column whose bit lines
 //! are away from `V_DD`. Both are [`ColumnSet`] bit masks and are walked
 //! through one reused scratch buffer, so steady-state cycles perform no
-//! heap allocation at all — the run-level energy feed is purely
-//! incremental. Full-array sweeps only happen when a word line rises on a
-//! new row or when an all-columns restore executes — once per row,
-//! exactly like the hardware. As a consequence the per-column
+//! heap allocation at all. The controller keeps no run-level energy
+//! total: each cycle's [`CycleEnergy`] goes back to the caller, which
+//! decides how to sum it. Full-array sweeps only happen when a word line
+//! rises on a new row or when an all-columns restore executes — once per
+//! row, exactly like the hardware. As a consequence the per-column
 //! [`crate::precharge::PrechargeCircuit`] activity counters are only
 //! updated for cycles with an explicit column mask (the low-power mode);
 //! the all-columns functional path accounts pre-charge activity in the
@@ -49,7 +50,6 @@ use crate::error::SramError;
 use crate::operation::{CycleCommand, MemOperation, PrechargePolicy};
 use crate::senseamp::SenseAmplifier;
 use crate::stress::StressReport;
-use crate::trace::{CycleRecord, Trace};
 use crate::writedriver::WriteDriver;
 
 /// Result of executing one clock cycle.
@@ -92,10 +92,10 @@ pub struct MemoryController {
     scratch_cols: Vec<u32>,
     /// Whether the previous cycle used the all-columns policy.
     prev_policy_all: bool,
+    /// RES event counters (`corrupted_cells` and `cycles` are filled in by
+    /// [`Self::stress_report`]).
     stress: StressReport,
     total_faulty_swaps: u64,
-    accumulated: CycleEnergy,
-    trace: Option<Trace>,
 }
 
 impl MemoryController {
@@ -124,8 +124,6 @@ impl MemoryController {
             prev_policy_all: true,
             stress: StressReport::new(),
             total_faulty_swaps: 0,
-            accumulated: CycleEnergy::new(),
-            trace: None,
         }
     }
 
@@ -155,12 +153,9 @@ impl MemoryController {
         self.cycle
     }
 
-    /// Aggregate energy of all executed cycles.
-    pub fn accumulated_energy(&self) -> &CycleEnergy {
-        &self.accumulated
-    }
-
-    /// Aggregate stress/corruption statistics (cycle count included).
+    /// Aggregate stress/corruption statistics (cycle count included). The
+    /// corrupted-cell count scans the whole array; [`Self::res_events`]
+    /// reads the RES counters alone without it.
     pub fn stress_report(&self) -> StressReport {
         let mut report = self.stress;
         report.corrupted_cells = self.array.corrupted_cell_count();
@@ -168,29 +163,14 @@ impl MemoryController {
         report
     }
 
+    /// Full and reduced RES events applied so far, as `(full, reduced)`.
+    pub fn res_events(&self) -> (u64, u64) {
+        (self.stress.full_res_events, self.stress.reduced_res_events)
+    }
+
     /// Total number of faulty swaps observed so far.
     pub fn total_faulty_swaps(&self) -> u64 {
         self.total_faulty_swaps
-    }
-
-    /// Starts recording a cycle trace (replacing any previous one).
-    pub fn start_trace(&mut self, trace: Trace) {
-        self.trace = Some(trace);
-    }
-
-    /// Stops recording and returns the trace, if any.
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        self.trace.take()
-    }
-
-    /// Resets cycle, stress and energy statistics while keeping the stored
-    /// data and analog state.
-    pub fn reset_statistics(&mut self) {
-        self.cycle = 0;
-        self.stress = StressReport::new();
-        self.total_faulty_swaps = 0;
-        self.accumulated = CycleEnergy::new();
-        self.array.reset_cell_statistics();
     }
 
     /// Convenience accessor: the stored value at `address`.
@@ -221,6 +201,10 @@ impl MemoryController {
     ///
     /// Returns [`SramError::AddressOutOfRange`] if the command addresses a
     /// cell outside the array.
+    // Always inlined: callers sum the returned energy right away, and out of
+    // line the outcome comes back as 8-byte stores that the caller's
+    // vectorised 16-byte loads cannot forward from — a stall on every cycle.
+    #[inline(always)]
     pub fn execute(&mut self, command: CycleCommand) -> Result<CycleOutcome, SramError> {
         let organization = *self.array.organization();
         let technology = *self.array.config().technology();
@@ -357,7 +341,7 @@ impl MemoryController {
                     // The data returned is the stored bit (the sense
                     // amplifier resolves the cell-driven differential); the
                     // reliability flag records marginal conditions.
-                    read_value = Some(self.array.cell_mut(row, selected_col)?.read());
+                    read_value = Some(cell_value);
                     read_reliable = outcome.reliable && was_precharged;
                     energy.periphery = technology.periphery_read_energy;
                 }
@@ -418,28 +402,8 @@ impl MemoryController {
             self.prev_explicit_mask
                 .extend(list.iter().copied().filter(|&c| c < cols));
         }
-        self.stress.cycles += 1;
         self.total_faulty_swaps += u64::from(faulty_swaps);
-        self.accumulated.accumulate(&energy);
         self.cycle += 1;
-
-        if let Some(trace) = &mut self.trace {
-            let observe = trace
-                .observed_column()
-                .map(ColIndex)
-                .unwrap_or(selected_col);
-            let pair = self.array.bitline(observe)?;
-            trace.push(CycleRecord {
-                cycle: self.cycle - 1,
-                address: command.address,
-                op: command.op,
-                precharged_columns: enabled_count,
-                restore_all: policy_all && command.lp_test_mode,
-                observed_bl: pair.bl(),
-                observed_blb: pair.blb(),
-                energy: energy.total(),
-            });
-        }
 
         Ok(CycleOutcome {
             read_value,
@@ -561,6 +525,7 @@ mod tests {
         assert_eq!(out.precharged_columns, 8);
         let report = c.stress_report();
         assert_eq!(report.full_res_events, 7);
+        assert_eq!(c.res_events(), (7, 0));
         // RES replenishment energy scales with the stressed columns.
         let expected = c.technology().res_replenish_energy().value() * 7.0;
         assert!((out.energy.precharge_res.value() - expected).abs() < 1e-21);
@@ -711,24 +676,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_cycles() {
-        let mut c = controller(2, 4);
-        c.start_trace(Trace::observing_column(3));
-        for col in 0..4u32 {
-            let a = addr(&c, 0, col);
-            c.execute(CycleCommand::low_power(
-                a,
-                MemOperation::Read,
-                vec![col, col + 1],
-            ))
-            .unwrap();
-        }
-        let trace = c.take_trace().unwrap();
-        assert_eq!(trace.len(), 4);
-        assert!(trace.mean_precharged_columns() <= 2.0);
-    }
-
-    #[test]
     fn out_of_range_address_is_rejected() {
         let mut c = controller(2, 2);
         let bad = Address::new(4);
@@ -736,20 +683,6 @@ mod tests {
             c.execute(CycleCommand::functional(bad, MemOperation::Read)),
             Err(SramError::AddressOutOfRange { .. })
         ));
-    }
-
-    #[test]
-    fn statistics_reset() {
-        let mut c = controller(2, 2);
-        let a = addr(&c, 0, 0);
-        c.execute(CycleCommand::functional(a, MemOperation::Write(true)))
-            .unwrap();
-        assert!(c.accumulated_energy().total().value() > 0.0);
-        c.reset_statistics();
-        assert_eq!(c.cycles(), 0);
-        assert_eq!(c.accumulated_energy().total().value(), 0.0);
-        // Data survives the reset.
-        assert!(c.peek(a).unwrap());
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //!   describing the operating point (0.13 µm, 1.6 V, 3 ns cycle, 512×512 by
 //!   default) and the first-order electrical parameters (bit-line and word
 //!   line capacitances, cell drive current, pre-charge strength),
-//! * 6T [`cell::SramCell`]s with stored data, stress counters and
-//!   corruption tracking,
+//! * 6T [`cell::SramCell`]s holding a stored bit and a corruption flag,
 //! * per-column [`bitline::BitLinePair`]s whose voltages evolve cycle by
 //!   cycle (pre-charged, driven by an operation, or floating and discharged
 //!   by the selected cell as in Figure 6 of the paper),
@@ -19,8 +18,8 @@
 //! * [`decoder`], [`senseamp`] and [`writedriver`] periphery models, and
 //! * the [`array::SramArray`] + [`controller::MemoryController`] pair that
 //!   executes one [`operation::CycleCommand`] per clock cycle and returns
-//!   the resulting [`energy::CycleEnergy`] breakdown, read data, stress and
-//!   corruption reports.
+//!   the resulting [`energy::CycleEnergy`] breakdown and read data, while
+//!   counting read-equivalent stress and faulty swaps.
 //!
 //! The crate is deliberately independent from the power-accounting and
 //! March-test crates: it reports raw per-cycle energies and lets the
@@ -59,7 +58,6 @@ pub mod operation;
 pub mod precharge;
 pub mod senseamp;
 pub mod stress;
-pub mod trace;
 pub mod writedriver;
 
 /// Convenient glob import of the most commonly used items.
@@ -73,5 +71,4 @@ pub mod prelude {
     pub use crate::error::SramError;
     pub use crate::operation::{CycleCommand, MemOperation};
     pub use crate::stress::StressReport;
-    pub use crate::trace::{CycleRecord, Trace};
 }

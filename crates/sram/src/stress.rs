@@ -3,9 +3,11 @@
 //! The paper quantifies two side effects of its technique besides power:
 //! the number of cells still receiving a (full or reduced) RES per cycle —
 //! the `α` parameter, between 2 and 10 in their Spice runs — and the
-//! possibility of faulty swaps at row transitions. [`StressReport`]
-//! aggregates both from the per-cell counters of the array so experiments
-//! can assert on them.
+//! possibility of faulty swaps at row transitions. The
+//! [`MemoryController`](crate::controller::MemoryController) counts RES
+//! events as it executes cycles and takes the corrupted-cell count from
+//! the cells' corruption flags; [`StressReport`] carries both so
+//! experiments can assert on them.
 
 /// Aggregated stress and corruption statistics over a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
