@@ -12,70 +12,108 @@
 //!
 //! The workload is the acceptance sweep of the kernel work: the standard
 //! fault list × the paper's Table 1 algorithms, measured per organization
-//! for the per-fault kernel (serial + parallel) and the lane-batched
-//! backend (≤64 faults per walk dispatch, serial + parallel), compared
-//! against a frozen replica of the original per-fault-allocating serial
-//! implementation up to 256×256 (`baseline_skipped` beyond — see
+//! for the per-fault kernel (serial + parallel) and the collapsed backend
+//! (one simulation per fault equivalence class, serial + `parallel` set),
+//! compared against a frozen replica of the original per-fault-allocating
+//! serial implementation up to 256×256 (`baseline_skipped` beyond — see
 //! `bench::throughput::BASELINE_CELL_CAP`). The default sweep is the
 //! ROADMAP's 64×64 → 1024×1024 scaling ladder, followed by the dense
 //! section — a generated ≥100k-fault population vs. the standard list at
-//! 1024×1024 and the address-aware packer vs. the greedy planner on an
-//! overlap-heavy population (skip with `--no-dense`) — and the campaign
-//! section, the crash-safe campaign runner's jobs/sec against a direct
-//! per-job loop (skip with `--no-campaign`), and the daemon section, the
-//! dynamic-intake path's sustained jobs/sec and overload shed fraction
-//! (skip with `--no-daemon`).
+//! 1024×1024, and a shuffled copy of it (skip with `--no-dense`) — and the
+//! campaign section, the crash-safe campaign runner's jobs/sec against a
+//! direct per-job loop (skip with `--no-campaign`), and the daemon
+//! section, the dynamic-intake path's sustained jobs/sec and overload
+//! shed fraction (skip with `--no-daemon`).
 //!
-//! Exit codes: `0` on success, `2` for a malformed command line, `3` when
-//! the output file cannot be written.
+//! Exit codes: `0` on success, `2` for a malformed command line (before
+//! anything is measured or written), `3` when the output file cannot be
+//! written.
 
 use std::process::ExitCode;
 
-use bench::cli::{arg_value, parse_flag, parse_size_list, CliError};
+use bench::cli::parse_size_list;
 use bench::throughput::FaultSimSweep;
+use campaign::cli::{Args, UsageError};
+
+const USAGE: &str = "usage: fault_sim_bench [options]
+  --organization RxC,...  organizations to sweep
+                          (default 64x64,128x128,256x256,512x512,1024x1024)
+  --rows N --cols N       sweep one organization (the other defaults to 64)
+  --passes N              timed passes per variant (default 3)
+  --out PATH              output file (default BENCH_fault_sim.json)
+  --dense-size RxC        organization of the dense section (default 1024x1024)
+  --dense-faults N        size of the dense population (default 100000)
+  --no-dense              skip the dense section
+  --no-campaign           skip the campaign section
+  --no-daemon             skip the daemon section
+  --help                  print this help and exit
+exit codes:
+  0  measured and written
+  2  usage error (unknown flag, malformed value)
+  3  the output file cannot be written";
+
+/// Flags that take one value.
+const VALUE_FLAGS: [&str; 7] = [
+    "--organization",
+    "--rows",
+    "--cols",
+    "--passes",
+    "--out",
+    "--dense-size",
+    "--dense-faults",
+];
+
+/// Flags that take none.
+const BARE_FLAGS: [&str; 3] = ["--no-dense", "--no-campaign", "--no-daemon"];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(code) => code,
-        Err(error) => {
-            eprintln!("fault_sim_bench: {error}");
+        Err(usage) => {
+            eprintln!("fault_sim_bench: {usage}");
+            eprintln!("{USAGE}");
             ExitCode::from(2)
         }
     }
 }
 
-fn run(args: &[String]) -> Result<ExitCode, CliError> {
+fn run(args: &[String]) -> Result<ExitCode, UsageError> {
+    if args.iter().any(|arg| arg == "--help") {
+        println!("{USAGE}");
+        return Ok(ExitCode::SUCCESS);
+    }
+    let args = &Args::scan(args, &VALUE_FLAGS, &BARE_FLAGS)?;
     // `--rows`/`--cols` select a single organization (the pre-sweep CLI);
     // `--organization` takes the comma list.
-    let single = match (arg_value(args, "--rows"), arg_value(args, "--cols")) {
-        (None, None) => None,
+    let single = match (args.present("--rows"), args.present("--cols")) {
+        (false, false) => None,
         _ => Some((
-            parse_flag(args, "--rows", 64u32)?,
-            parse_flag(args, "--cols", 64u32)?,
+            args.parse_or("--rows", 64u32)?,
+            args.parse_or("--cols", 64u32)?,
         )),
     };
-    let organizations = match arg_value(args, "--organization") {
-        Some(spec) => parse_size_list(&spec, "--organization")?,
+    let organizations = match args.value("--organization") {
+        Some(spec) => parse_size_list(spec, "--organization")?,
         None => single.map_or_else(
             || vec![(64, 64), (128, 128), (256, 256), (512, 512), (1024, 1024)],
             |size| vec![size],
         ),
     };
-    let passes: usize = parse_flag(args, "--passes", 3)?;
-    let out = arg_value(args, "--out").unwrap_or_else(|| "BENCH_fault_sim.json".to_string());
-    let dense = if args.iter().any(|a| a == "--no-dense") {
+    let passes: usize = args.parse_or("--passes", 3)?;
+    let out = args.value("--out").unwrap_or("BENCH_fault_sim.json");
+    let dense = if args.present("--no-dense") {
         None
     } else {
-        let (dense_rows, dense_cols) = match arg_value(args, "--dense-size") {
-            Some(spec) => parse_size_list(&spec, "--dense-size")?[0],
+        let (dense_rows, dense_cols) = match args.value("--dense-size") {
+            Some(spec) => parse_size_list(spec, "--dense-size")?[0],
             None => (1024, 1024),
         };
-        let dense_faults: usize = parse_flag(args, "--dense-faults", 100_000)?;
+        let dense_faults: usize = args.parse_or("--dense-faults", 100_000)?;
         Some((dense_rows, dense_cols, dense_faults))
     };
-    let campaign = !args.iter().any(|a| a == "--no-campaign");
-    let daemon = !args.iter().any(|a| a == "--no-daemon");
+    let campaign = !args.present("--no-campaign");
+    let daemon = !args.present("--no-daemon");
 
     println!(
         "# Fault-simulation sweep throughput ({} organizations, {passes} passes per variant)",
@@ -112,12 +150,12 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
             vs_baseline(result.speedup_parallel())
         );
         println!(
-            "  lane-batched serial (64 faults per walk):  {:>12.1} faults/sec   ({:.1}x vs kernel)",
+            "  collapsed serial (one run per class):      {:>12.1} faults/sec   ({:.1}x vs kernel)",
             result.batched.faults_per_sec,
             result.speedup_batched_vs_kernel()
         );
         println!(
-            "  lane-batched parallel (cohorts on threads):{:>12.1} faults/sec   ({:.1}x vs kernel)",
+            "  collapsed, parallel set:                   {:>12.1} faults/sec   ({:.1}x vs kernel)",
             result.batched_parallel.faults_per_sec,
             result.speedup_batched_parallel_vs_kernel()
         );
@@ -129,11 +167,11 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
             section.rows, section.cols, section.algorithm
         );
         println!(
-            "  standard list ({} faults, batched serial): {:>12.1} faults/sec",
+            "  standard list ({} faults, collapsed):      {:>12.1} faults/sec",
             section.standard_fault_count, section.standard.faults_per_sec
         );
         println!(
-            "  {} ({} faults, batched serial):   {:>12.1} faults/sec   ({:.2}x vs standard)",
+            "  {} ({} faults, collapsed):        {:>12.1} faults/sec   ({:.2}x vs standard)",
             section.population,
             section.fault_count,
             section.dense.faults_per_sec,
@@ -144,16 +182,9 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
             section.threads, section.dense_parallel.faults_per_sec
         );
         println!(
-            "  dense shuffled (packed-order execution):   {:>12.1} faults/sec   ({:.2}x vs ordered)",
+            "  dense shuffled (same population):          {:>12.1} faults/sec   ({:.2}x vs ordered)",
             section.dense_shuffled.faults_per_sec,
             section.speedup_shuffled_vs_ordered()
-        );
-        println!(
-            "  packer vs greedy ({} overlap-heavy faults): {} vs {} merged steps ({:.2}x smaller)",
-            section.packer.fault_count,
-            section.packer.packed_schedule_steps,
-            section.packer.greedy_schedule_steps,
-            section.packer.speedup_packed_schedule()
         );
     }
 
@@ -190,7 +221,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
         );
     }
 
-    if let Err(error) = std::fs::write(&out, sweep.to_json()) {
+    if let Err(error) = std::fs::write(out, sweep.to_json()) {
         eprintln!("fault_sim_bench: cannot write {out}: {error}");
         return Ok(ExitCode::from(3));
     }

@@ -17,32 +17,54 @@
 //! every size, and to the seed replica wherever the replica still runs.
 //! The default sweep is the ROADMAP's 64×64 → 1024×1024 scaling ladder.
 //!
-//! Exit codes: `0` on success, `2` for a malformed command line, `3` when
-//! the output file cannot be written.
+//! Exit codes: `0` on success, `2` for a malformed command line (before
+//! anything is measured or written), `3` when the output file cannot be
+//! written.
 
 use std::process::ExitCode;
 
-use bench::cli::{arg_value, parse_flag, parse_size_list, CliError};
+use bench::cli::parse_size_list;
 use bench::power_engine::power_engine_throughput;
+use campaign::cli::{Args, UsageError};
+
+const USAGE: &str = "usage: power_engine_bench [options]
+  --sizes RxC,...   organizations to sweep
+                    (default 64x64,128x128,256x256,512x512,1024x1024)
+  --passes N        timed passes per variant (default 1)
+  --out PATH        output file (default BENCH_power_engine.json)
+  --help            print this help and exit
+exit codes:
+  0  measured and written
+  2  usage error (unknown flag, malformed value)
+  3  the output file cannot be written";
+
+/// Flags that take one value.
+const VALUE_FLAGS: [&str; 3] = ["--sizes", "--passes", "--out"];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(code) => code,
-        Err(error) => {
-            eprintln!("power_engine_bench: {error}");
+        Err(usage) => {
+            eprintln!("power_engine_bench: {usage}");
+            eprintln!("{USAGE}");
             ExitCode::from(2)
         }
     }
 }
 
-fn run(args: &[String]) -> Result<ExitCode, CliError> {
-    let sizes = match arg_value(args, "--sizes") {
-        Some(spec) => parse_size_list(&spec, "--sizes")?,
+fn run(args: &[String]) -> Result<ExitCode, UsageError> {
+    if args.iter().any(|arg| arg == "--help") {
+        println!("{USAGE}");
+        return Ok(ExitCode::SUCCESS);
+    }
+    let args = &Args::scan(args, &VALUE_FLAGS, &[])?;
+    let sizes = match args.value("--sizes") {
+        Some(spec) => parse_size_list(spec, "--sizes")?,
         None => vec![(64, 64), (128, 128), (256, 256), (512, 512), (1024, 1024)],
     };
-    let passes: usize = parse_flag(args, "--passes", 1)?;
-    let out = arg_value(args, "--out").unwrap_or_else(|| "BENCH_power_engine.json".to_string());
+    let passes: usize = args.parse_or("--passes", 1)?;
+    let out = args.value("--out").unwrap_or("BENCH_power_engine.json");
 
     println!(
         "# Power-engine throughput ({} organizations, {passes} pass(es) per variant)",
@@ -81,7 +103,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
         );
     }
 
-    if let Err(error) = std::fs::write(&out, result.to_json()) {
+    if let Err(error) = std::fs::write(out, result.to_json()) {
         eprintln!("power_engine_bench: cannot write {out}: {error}");
         return Ok(ExitCode::from(3));
     }

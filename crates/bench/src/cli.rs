@@ -1,81 +1,34 @@
-//! Tiny argument helpers shared by the benchmark binaries.
+//! The organization-list parser shared by the benchmark binaries.
 //!
-//! Flag parsing returns typed [`CliError`]s instead of panicking, so the
-//! binaries can print the offending flag and exit with a distinct usage
-//! code (`2`) rather than dumping a panic backtrace at the user. I/O
-//! failures exit with code `3`; `bench_check` keeps `1` for the
-//! regression gate itself.
+//! Both binaries scan their command lines with the campaign binaries'
+//! strict scanner ([`campaign::cli::Args`]): an unknown flag, a missing
+//! value or a stray token is a [`UsageError`] (exit code `2`) before
+//! anything is measured or written. I/O failures exit with code `3`;
+//! `bench_check` keeps `1` for the regression gate itself.
 
-/// A malformed command-line value: which flag, and why.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CliError {
-    /// The flag whose value is malformed, e.g. `"--passes"`.
-    pub flag: String,
-    /// Human-readable reason.
-    pub reason: String,
-}
-
-impl CliError {
-    /// Builds an error for `flag`.
-    pub fn new(flag: &str, reason: impl Into<String>) -> Self {
-        Self {
-            flag: flag.to_string(),
-            reason: reason.into(),
-        }
-    }
-}
-
-impl std::fmt::Display for CliError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}: {}", self.flag, self.reason)
-    }
-}
-
-impl std::error::Error for CliError {}
-
-/// The value following `flag` in `args`, if present.
-pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Parses the value of `flag` as `T`, or returns `default` when the flag
-/// is absent. A present-but-unparsable value is a [`CliError`].
-pub fn parse_flag<T: std::str::FromStr>(
-    args: &[String],
-    flag: &str,
-    default: T,
-) -> Result<T, CliError> {
-    match arg_value(args, flag) {
-        None => Ok(default),
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| CliError::new(flag, format!("cannot parse \"{raw}\""))),
-    }
-}
+use campaign::cli::UsageError;
 
 /// Parses a comma-separated organization list like `64x64,128x128`,
 /// attributing failures to `flag`.
-pub fn parse_size_list(spec: &str, flag: &str) -> Result<Vec<(u32, u32)>, CliError> {
+pub fn parse_size_list(spec: &str, flag: &str) -> Result<Vec<(u32, u32)>, UsageError> {
     let sizes: Vec<(u32, u32)> = spec
         .split(',')
         .map(|entry| {
             let entry = entry.trim();
             let (rows, cols) = entry
                 .split_once('x')
-                .ok_or_else(|| CliError::new(flag, format!("'{entry}' must look like 64x64")))?;
+                .ok_or_else(|| UsageError::new(flag, format!("'{entry}' must look like 64x64")))?;
             let rows = rows.parse().map_err(|_| {
-                CliError::new(flag, format!("rows of '{entry}' must be an integer"))
+                UsageError::new(flag, format!("rows of '{entry}' must be an integer"))
             })?;
             let cols = cols.parse().map_err(|_| {
-                CliError::new(flag, format!("cols of '{entry}' must be an integer"))
+                UsageError::new(flag, format!("cols of '{entry}' must be an integer"))
             })?;
             Ok((rows, cols))
         })
-        .collect::<Result<_, CliError>>()?;
+        .collect::<Result<_, UsageError>>()?;
     if sizes.is_empty() {
-        return Err(CliError::new(flag, "empty organization list"));
+        return Err(UsageError::new(flag, "empty organization list"));
     }
     Ok(sizes)
 }
@@ -83,28 +36,6 @@ pub fn parse_size_list(spec: &str, flag: &str) -> Result<Vec<(u32, u32)>, CliErr
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn arg_value_finds_the_following_token() {
-        let args = args(&["--passes", "3", "--out", "x.json"]);
-        assert_eq!(arg_value(&args, "--passes").as_deref(), Some("3"));
-        assert_eq!(arg_value(&args, "--out").as_deref(), Some("x.json"));
-        assert_eq!(arg_value(&args, "--missing"), None);
-    }
-
-    #[test]
-    fn parse_flag_defaults_parses_and_rejects() {
-        let args = args(&["--passes", "3", "--threads", "many"]);
-        assert_eq!(parse_flag(&args, "--passes", 1usize), Ok(3));
-        assert_eq!(parse_flag(&args, "--absent", 7u32), Ok(7));
-        let error = parse_flag(&args, "--threads", 1usize).unwrap_err();
-        assert_eq!(error.flag, "--threads");
-        assert!(error.to_string().contains("many"));
-    }
 
     #[test]
     fn parses_size_lists() {

@@ -25,7 +25,7 @@
 //! both its raw `baseline_faults_per_sec` throughput and the boolean
 //! `baseline_skipped` marker the sweeps write for sizes whose replica is
 //! capped out (above 256×256). Unknown and non-numeric fields are
-//! tolerated everywhere, so schema evolution (like the lane-batched
+//! tolerated everywhere, so schema evolution (like the
 //! `batched_*_per_sec` / `speedup_batched_*` family, or the power
 //! engine's `speedup_replay_vs_simulated`) gates automatically without
 //! checker changes, and sizes whose baseline-relative metrics are absent
@@ -33,8 +33,8 @@
 //!
 //! The comparison walks the whole document tree: numeric fields are
 //! gated at every level, object-valued members (the fault-sim sweep's
-//! `dense` section and its nested `packer` comparison) recurse with a
-//! scoped metric label, and array entries are matched across files by
+//! `dense`, `campaign` and `daemon` sections) recurse with a scoped
+//! metric label, and array entries are matched across files by
 //! their `rows`×`cols` pair when they carry one (`sizes`) or by position
 //! otherwise. A nested section or entry that carries gated metrics in
 //! the committed baseline but is missing from the current measurement
@@ -417,7 +417,7 @@ mod tests {
             .any(|f| f.contains("512x512: size missing")));
     }
 
-    /// A committed fault-sim baseline in the lane-batched schema: the
+    /// A committed fault-sim baseline in the batched schema: the
     /// 64×64 entry carries the full metric set, the 1024×1024 entry has
     /// its frozen seed replica skipped and gates only on the
     /// machine-relative batched-vs-kernel speedups.
@@ -498,8 +498,7 @@ mod tests {
     }
 
     /// A committed fault-sim baseline carrying the dense-population
-    /// section: generated-vs-standard throughput plus the nested packer
-    /// comparison.
+    /// section: generated-vs-standard throughput.
     fn dense_baseline() -> String {
         r#"{
   "benchmark": "fault_sim_sweep",
@@ -520,13 +519,7 @@ mod tests {
     "dense_batched_faults_per_sec": 1170000.0,
     "dense_shuffled_batched_faults_per_sec": 1120000.0,
     "speedup_dense_vs_standard": 0.9,
-    "speedup_shuffled_vs_ordered": 0.96,
-    "packer": {
-      "fault_count": 12500,
-      "greedy_schedule_steps": 5000000,
-      "packed_schedule_steps": 1250000,
-      "speedup_packed_schedule": 4.0
-    }
+    "speedup_shuffled_vs_ordered": 0.96
   }
 }"#
         .to_string()
@@ -541,9 +534,9 @@ mod tests {
         )
         .unwrap();
         assert!(report.passed(), "{:?}", report.failures);
-        // Gated: 3 per-size metrics + 5 dense throughput/ratio metrics +
-        // the nested packer ratio. Raw step counts carry no gate suffix.
-        assert_eq!(report.comparisons.len(), 9);
+        // Gated: 3 per-size metrics + 5 dense throughput/ratio metrics.
+        // Raw counts carry no gate suffix.
+        assert_eq!(report.comparisons.len(), 8);
         assert!(report
             .comparisons
             .iter()
@@ -552,14 +545,10 @@ mod tests {
             .comparisons
             .iter()
             .any(|c| c.metric == "dense speedup_shuffled_vs_ordered"));
-        assert!(report
-            .comparisons
-            .iter()
-            .any(|c| c.metric == "dense packer speedup_packed_schedule"));
         assert!(!report
             .comparisons
             .iter()
-            .any(|c| c.metric.contains("schedule_steps")));
+            .any(|c| c.metric.contains("fault_count")));
     }
 
     #[test]
@@ -594,33 +583,11 @@ mod tests {
     }
 
     #[test]
-    fn synthetically_degraded_packer_ratio_fails_the_gate() {
-        // The packer's schedule shrink falling from 4.0x to 2.5x means
-        // cohort packing regressed — gated inside the nested section.
-        let current = dense_baseline().replace(
-            "\"speedup_packed_schedule\": 4.0",
-            "\"speedup_packed_schedule\": 2.5",
-        );
-        let report =
-            check_benchmarks(&dense_baseline(), &current, GateThresholds::default()).unwrap();
-        assert!(!report.passed());
-        assert_eq!(report.failures.len(), 1);
-        assert!(report.failures[0].contains("dense packer speedup_packed_schedule"));
-    }
-
-    #[test]
-    fn raw_schedule_step_counts_are_not_gated() {
-        // The absolute step counts may move freely (population resizing);
-        // only the ratio is gated.
-        let current = dense_baseline()
-            .replace(
-                "\"greedy_schedule_steps\": 5000000",
-                "\"greedy_schedule_steps\": 9000000",
-            )
-            .replace(
-                "\"packed_schedule_steps\": 1250000",
-                "\"packed_schedule_steps\": 2250000",
-            );
+    fn raw_counts_are_not_gated() {
+        // Absolute counts may move freely (population resizing); only
+        // rates and ratios are gated.
+        let current =
+            dense_baseline().replace("\"fault_count\": 100032", "\"fault_count\": 200064");
         let report =
             check_benchmarks(&dense_baseline(), &current, GateThresholds::default()).unwrap();
         assert!(report.passed(), "{:?}", report.failures);

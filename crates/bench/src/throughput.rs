@@ -13,10 +13,11 @@
 //! run to completion, strictly serial. The kernel path shares one
 //! precomputed [`MarchWalk`] per algorithm, reuses scratch memories,
 //! stops at the first mismatch and (in the parallel variant) fans the
-//! fault list out across threads. On top of that, the lane-batched
-//! backend groups up to sixty-four faults into one walk dispatch
-//! (`march_test::batch`); its speedup over the per-fault kernel is the
-//! machine-relative metric the CI gate tracks at every size.
+//! fault list out across threads. On top of that, the collapsed backend
+//! (`march_test::batch`) simulates one representative per fault
+//! equivalence class on a walk of at most five cells; its speedup over
+//! the per-fault kernel is the machine-relative metric the CI gate tracks
+//! at every size.
 //!
 //! The frozen baseline replica is *capped* at
 //! [`BASELINE_CELL_CAP`] cells (256×256): beyond that it would dominate
@@ -27,13 +28,11 @@
 //! Besides the per-size ladder, [`dense_sweep`] measures the
 //! dense-population section: a generated ≥100k-fault population
 //! ([`march_test::faultgen::FaultGen`]) against the 48-fault standard
-//! list on the same 1024×1024 walk, plus the address-aware packer's
-//! merged-schedule steps against the list-order greedy baseline on an
-//! overlap-heavy population. The section also times a **shuffled copy**
-//! of the same population (`speedup_shuffled_vs_ordered` — packed-order
-//! execution with the streaming probe/outcome permutation should make
-//! population order free). All ratios are machine-relative and carry the
-//! tight CI gate.
+//! list on the same 1024×1024 walk. The section also times a **shuffled
+//! copy** of the same population (`speedup_shuffled_vs_ordered` — the
+//! collapsed sweep classifies and scatters in list order, which should
+//! make population order free). All ratios are machine-relative and carry
+//! the tight CI gate.
 //!
 //! Timed sweeps call the interned entry points
 //! ([`evaluate_coverage_interned_on_walk`]) that campaign jobs run, so the
@@ -44,7 +43,6 @@ use std::time::{Duration, Instant};
 
 use march_test::address_order::AddressOrder;
 use march_test::algorithm::MarchTest;
-use march_test::batch::{CohortPlanner, FaultBatch};
 use march_test::coverage::{
     evaluate_coverage_interned_on_walk, evaluate_coverage_on_walk, CoverageReport, SweepBackend,
     SweepOptions,
@@ -164,14 +162,16 @@ pub struct FaultSimThroughput {
     /// The frozen seed-style sweep; `None` above [`BASELINE_CELL_CAP`]
     /// cells, where the reference loop is skipped.
     pub baseline: Option<SweepTiming>,
-    /// Shared-walk + packed-memory + early-exit kernel, serial — the PR 1
-    /// per-fault kernel the batched backend is gated against.
+    /// Shared-walk + packed-memory + early-exit kernel, serial — the
+    /// per-fault kernel the collapsed backend is gated against.
     pub kernel_serial: SweepTiming,
     /// The same per-fault kernel fanned out across threads.
     pub kernel_parallel: SweepTiming,
-    /// The lane-batched backend (≤64 faults per walk dispatch), serial.
+    /// The collapsed backend (one simulation per equivalence class),
+    /// serial.
     pub batched: SweepTiming,
-    /// The lane-batched backend with threads taking whole cohorts.
+    /// The collapsed backend with `parallel` set: the same path, since
+    /// only per-fault work fans out.
     pub batched_parallel: SweepTiming,
 }
 
@@ -196,24 +196,24 @@ impl FaultSimThroughput {
             .map(|baseline| self.kernel_parallel.faults_per_sec / baseline.faults_per_sec)
     }
 
-    /// Throughput gain of the serial batched backend over the baseline,
+    /// Throughput gain of the serial collapsed backend over the baseline,
     /// when the baseline was measured.
     pub fn speedup_batched(&self) -> Option<f64> {
         self.baseline
             .map(|baseline| self.batched.faults_per_sec / baseline.faults_per_sec)
     }
 
-    /// Throughput gain of the serial batched backend over the serial
+    /// Throughput gain of the serial collapsed backend over the serial
     /// per-fault kernel — the machine-relative metric measured at every
     /// size (including the ones whose baseline replica is skipped).
     pub fn speedup_batched_vs_kernel(&self) -> f64 {
         self.batched.faults_per_sec / self.kernel_serial.faults_per_sec
     }
 
-    /// Throughput gain of the parallel batched backend over the parallel
+    /// Throughput gain of the parallel collapsed backend over the parallel
     /// per-fault kernel. Printed for context but deliberately **not**
     /// written to the gated JSON: the per-fault parallel kernel scales
-    /// with the worker count while a five-cohort batched sweep does not,
+    /// with the worker count while a collapsed sweep does not fan out,
     /// so the ratio would not transfer between machines with different
     /// core counts (unlike the serial-vs-serial
     /// [`Self::speedup_batched_vs_kernel`], which the gate tracks).
@@ -271,31 +271,8 @@ impl FaultSimThroughput {
     }
 }
 
-/// The packer half of the dense section: total merged-schedule steps the
-/// two cohort planners dispatch for the same overlap-heavy population.
-/// Deterministic (no timing involved), so the ratio transfers across
-/// machines exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PackerComparison {
-    /// Faults in the overlap-heavy comparison population.
-    pub fault_count: usize,
-    /// Total merged-schedule steps under the list-order greedy planner.
-    pub greedy_schedule_steps: u64,
-    /// Total merged-schedule steps under the address-aware packer.
-    pub packed_schedule_steps: u64,
-}
-
-impl PackerComparison {
-    /// Schedule shrink factor of the address-aware packer over the greedy
-    /// baseline (`≥ 1` by the packer's pick-best construction).
-    pub fn speedup_packed_schedule(&self) -> f64 {
-        self.greedy_schedule_steps as f64 / self.packed_schedule_steps as f64
-    }
-}
-
 /// The dense-population section of the fault-sim benchmark: generated
-/// populations at scale versus the 48-fault standard list, plus the
-/// packer-vs-greedy schedule comparison.
+/// populations at scale versus the 48-fault standard list.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DenseSweepSection {
     /// Array rows.
@@ -313,20 +290,16 @@ pub struct DenseSweepSection {
     pub standard_fault_count: usize,
     /// Worker threads available to the parallel variant.
     pub threads: usize,
-    /// The standard list through the batched backend, serial.
+    /// The standard list through the collapsed backend, serial.
     pub standard: SweepTiming,
-    /// The generated population through the batched backend
-    /// (address-aware packer), serial.
+    /// The generated population through the collapsed backend, serial.
     pub dense: SweepTiming,
-    /// The generated population with threads taking whole cohorts.
+    /// The generated population with `parallel` set — the same collapsed
+    /// path, since only per-fault work fans out.
     pub dense_parallel: SweepTiming,
     /// The same population in a fixed shuffled order
-    /// ([`DENSE_SHUFFLE_SEED`]), serial — the packed-order execution
-    /// ablation.
+    /// ([`DENSE_SHUFFLE_SEED`]), serial — the population-order ablation.
     pub dense_shuffled: SweepTiming,
-    /// The packer-vs-greedy schedule comparison on an overlap-heavy
-    /// population.
-    pub packer: PackerComparison,
 }
 
 impl DenseSweepSection {
@@ -339,9 +312,8 @@ impl DenseSweepSection {
     }
 
     /// Shuffled-population throughput relative to the generation-ordered
-    /// copy of the same population — machine-relative. Packed-order
-    /// execution with the streaming probe/outcome permutation should keep
-    /// this near `1.0` (the pre-permutation backend sat around `0.67`);
+    /// copy of the same population — machine-relative. Classification
+    /// and scatter are list-order passes, so this should stay near `1.0`;
     /// the committed value is gated so scattered-access regressions fail
     /// CI.
     pub fn speedup_shuffled_vs_ordered(&self) -> f64 {
@@ -350,22 +322,7 @@ impl DenseSweepSection {
 
     /// Renders the section as the `dense` member of the sweep JSON.
     fn to_json_entry(&self) -> String {
-        let packer = [
-            format!("\"fault_count\": {}", self.packer.fault_count),
-            format!(
-                "\"greedy_schedule_steps\": {}",
-                self.packer.greedy_schedule_steps
-            ),
-            format!(
-                "\"packed_schedule_steps\": {}",
-                self.packer.packed_schedule_steps
-            ),
-            format!(
-                "\"speedup_packed_schedule\": {:.2}",
-                self.packer.speedup_packed_schedule()
-            ),
-        ];
-        let fields = vec![
+        let fields = [
             format!("\"rows\": {}", self.rows),
             format!("\"cols\": {}", self.cols),
             format!("\"algorithm\": \"{}\"", self.algorithm),
@@ -397,7 +354,6 @@ impl DenseSweepSection {
                 "\"speedup_shuffled_vs_ordered\": {:.3}",
                 self.speedup_shuffled_vs_ordered()
             ),
-            format!("\"packer\": {{\n      {}\n    }}", packer.join(",\n      ")),
         ];
         format!("  {{\n    {}\n  }}", fields.join(",\n    "))
     }
@@ -406,7 +362,7 @@ impl DenseSweepSection {
 /// Measures the dense-population section on a `rows` × `cols` array with
 /// a generated population of (at least) `fault_count` faults.
 ///
-/// The generated population rides the batched backend only — the
+/// The generated population rides the collapsed backend only — the
 /// per-fault golden path at 1024×1024 would take minutes per pass — so
 /// correctness is gated in two layers before timing: the serial and
 /// parallel sweeps (and the shuffled copy, through its permutation) must
@@ -460,20 +416,20 @@ pub fn dense_sweep(rows: u32, cols: u32, fault_count: usize, passes: usize) -> D
     // every subsequent sweep's allocations into fresh arena space and
     // measurably slows the dense passes.
     {
-        let packed_report = evaluate_coverage_on_walk(&walk, &population, serial_options);
+        let ordered_report = evaluate_coverage_on_walk(&walk, &population, serial_options);
         assert_eq!(
-            packed_report,
+            ordered_report,
             evaluate_coverage_on_walk(&walk, &population, parallel_options),
             "parallel dense sweep diverged from the serial one"
         );
         // The shuffled copy must be exactly the ordered report seen
         // through the permutation.
         let shuffled_report = evaluate_coverage_on_walk(&walk, &shuffled, serial_options);
-        assert_eq!(shuffled_report.total(), packed_report.total());
+        assert_eq!(shuffled_report.total(), ordered_report.total());
         for (position, outcome) in shuffled_report.outcomes().iter().enumerate() {
             assert_eq!(
                 outcome,
-                &packed_report.outcomes()[perm[position]],
+                &ordered_report.outcomes()[perm[position]],
                 "shuffled sweep diverged from the ordered one at position {position}"
             );
         }
@@ -545,20 +501,6 @@ pub fn dense_sweep(rows: u32, cols: u32, fault_count: usize, passes: usize) -> D
         unreachable!("rotation returns one timing per variant");
     };
 
-    // The packer comparison runs on an overlap-heavy shuffled population:
-    // many faults per victim, scattered through the list — the shape that
-    // exposes list-order grouping.
-    let mut gen = FaultGen::new(organization, DENSE_POPULATION_SEED ^ 0xFACC);
-    let mut overlap = gen.overlapping_clusters((fault_count / 64).max(8), 2, 1);
-    gen.shuffle(&mut overlap);
-    let greedy_plan = FaultBatch::plan_with(&walk, &overlap, CohortPlanner::ListOrderGreedy);
-    let packed_plan = FaultBatch::plan_with(&walk, &overlap, CohortPlanner::AddressAware);
-    let packer = PackerComparison {
-        fault_count: overlap.len(),
-        greedy_schedule_steps: greedy_plan.merged_schedule_steps(),
-        packed_schedule_steps: packed_plan.merged_schedule_steps(),
-    };
-
     DenseSweepSection {
         rows,
         cols,
@@ -571,7 +513,6 @@ pub fn dense_sweep(rows: u32, cols: u32, fault_count: usize, passes: usize) -> D
         dense: dense_timing,
         dense_parallel: dense_parallel_timing,
         dense_shuffled: dense_shuffled_timing,
-        packer,
     }
 }
 
@@ -1034,7 +975,7 @@ impl FaultSimSweep {
     }
 }
 
-/// Fast variants (the batched backend finishes a whole pass in well
+/// Fast variants (the collapsed backend finishes a whole pass in well
 /// under a millisecond) would be noise-dominated by a fixed pass count,
 /// so pass groups repeat until at least this much wall time has
 /// accumulated per variant — the committed speedup metrics stay stable
@@ -1106,15 +1047,15 @@ fn time_rotation(passes: usize, variants: &mut [(usize, &mut dyn FnMut())]) -> V
         .collect()
 }
 
-/// Measures baseline vs. per-fault-kernel vs. lane-batched throughput for
+/// Measures baseline vs. per-fault-kernel vs. collapsed throughput for
 /// the standard fault list × Table 1 algorithms on a `rows` × `cols`
 /// array, running `passes` timed passes per variant. The frozen seed
 /// baseline is skipped above [`BASELINE_CELL_CAP`] cells.
 ///
 /// Before timing, the variants' coverage reports are checked to detect
 /// exactly the same fault sets — a benchmark of diverging sweeps would be
-/// meaningless. The batched reports must be *identical* to the per-fault
-/// kernel's, outcome by outcome.
+/// meaningless. The collapsed reports must be *identical* to the
+/// per-fault kernel's, outcome by outcome.
 ///
 /// # Panics
 ///
@@ -1148,7 +1089,7 @@ pub fn fault_sim_throughput(rows: u32, cols: u32, passes: usize) -> FaultSimThro
     let measure_baseline = organization.capacity() <= BASELINE_CELL_CAP;
 
     // Equivalence gate: every variant must detect the same fault sets,
-    // and the batched backend must reproduce the per-fault kernel's
+    // and the collapsed backend must reproduce the per-fault kernel's
     // reports outcome by outcome.
     for (test, walk) in tests.iter().zip(&walks) {
         let serial = evaluate_coverage_on_walk(walk, &faults, serial_options);
@@ -1172,14 +1113,14 @@ pub fn fault_sim_throughput(rows: u32, cols: u32, passes: usize) -> FaultSimThro
         assert_eq!(
             serial,
             batched,
-            "{}: lane-batched sweep diverged from the per-fault kernel",
+            "{}: collapsed sweep diverged from the per-fault kernel",
             test.name()
         );
         let batched_parallel = evaluate_coverage_on_walk(walk, &faults, batched_parallel_options);
         assert_eq!(
             batched,
             batched_parallel,
-            "{}: parallel batched sweep diverged from the serial one",
+            "{}: parallel collapsed sweep diverged from the serial one",
             test.name()
         );
     }
@@ -1276,7 +1217,7 @@ mod tests {
     }
 
     #[test]
-    fn dense_section_measures_generated_population_and_packer() {
+    fn dense_section_measures_the_generated_population() {
         // A scaled-down dense section: the structure and JSON schema are
         // what matter here, the 1024x1024/100k acceptance numbers live in
         // the committed BENCH_fault_sim.json.
@@ -1291,11 +1232,6 @@ mod tests {
         assert!(section.dense_shuffled.faults_per_sec > 0.0);
         assert!(section.speedup_dense_vs_standard() > 0.0);
         assert!(section.speedup_shuffled_vs_ordered() > 0.0);
-        assert!(
-            section.packer.speedup_packed_schedule() >= 1.0,
-            "the packer is never worse than greedy"
-        );
-        assert!(section.packer.packed_schedule_steps > 0);
         let sweep = FaultSimSweep {
             sizes: vec![],
             dense: Some(section),
@@ -1310,9 +1246,7 @@ mod tests {
         assert!(json.contains("\"speedup_dense_vs_standard\""));
         assert!(json.contains("\"dense_shuffled_batched_faults_per_sec\""));
         assert!(json.contains("\"speedup_shuffled_vs_ordered\""));
-        assert!(json.contains("\"packer\": {"));
-        assert!(json.contains("\"greedy_schedule_steps\""));
-        assert!(json.contains("\"speedup_packed_schedule\""));
+        assert!(!json.contains("packer"), "the packer section is retired");
         crate::json::parse(&json).expect("sweep JSON parses");
     }
 

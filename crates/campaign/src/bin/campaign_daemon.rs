@@ -29,7 +29,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use campaign::cli::{Args, UsageError};
@@ -90,12 +90,14 @@ const VALUE_FLAGS: [&str; 15] = [
 /// Flags that take none.
 const BARE_FLAGS: [&str; 2] = ["--once", "--resume"];
 
-/// SIGTERM/SIGINT flag, set from the signal handler.
-static SIGNALLED: AtomicBool = AtomicBool::new(false);
+/// The daemon's drain flag, which the SIGTERM/SIGINT handler sets
+/// directly. The static keeps one reference alive for as long as the
+/// process runs, so the handler never sees a freed flag.
+static DRAIN: OnceLock<Arc<AtomicBool>> = OnceLock::new();
 
 #[cfg(unix)]
 mod sig {
-    use super::SIGNALLED;
+    use super::DRAIN;
     use std::sync::atomic::Ordering;
 
     // The lib crate forbids unsafe; this binary is its own crate root and
@@ -105,12 +107,16 @@ mod sig {
     }
 
     extern "C" fn on_signal(_signum: i32) {
-        // A store to a static atomic is async-signal-safe.
-        SIGNALLED.store(true, Ordering::SeqCst);
+        // Async-signal-safe: reading an initialised `OnceLock` is one
+        // atomic load, and the store is another; nothing allocates or
+        // locks.
+        if let Some(drain) = DRAIN.get() {
+            drain.store(true, Ordering::SeqCst);
+        }
     }
 
     /// Installs the graceful-drain handler for SIGTERM (15) and
-    /// SIGINT (2).
+    /// SIGINT (2). Set [`DRAIN`] first.
     pub fn install() {
         unsafe {
             signal(15, on_signal);
@@ -216,23 +222,10 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         }
     };
 
+    // The handler stores into the drain flag itself: no thread polls for
+    // the signal.
+    let _ = DRAIN.set(Arc::clone(&shutdown));
     sig::install();
-    // Bridge the async-signal-safe static into the daemon's drain flag.
-    let signal_bridge = {
-        let shutdown = Arc::clone(&shutdown);
-        let done = Arc::new(AtomicBool::new(false));
-        let done_clone = Arc::clone(&done);
-        let handle = std::thread::spawn(move || {
-            while !done_clone.load(Ordering::SeqCst) {
-                if SIGNALLED.load(Ordering::SeqCst) {
-                    shutdown.store(true, Ordering::SeqCst);
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        });
-        (done, handle)
-    };
 
     // Trace replay runs open-loop on its own thread; once the whole
     // trace has been offered, quiesce so the run ends when drained.
@@ -253,8 +246,6 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
     }
 
     let outcome = run_daemon(&spool, &journal, &options, &injector);
-    signal_bridge.0.store(true, Ordering::SeqCst);
-    let _ = signal_bridge.1.join();
     if let Some(handle) = replay {
         match handle.join() {
             Ok(Ok(_)) => {}

@@ -203,7 +203,7 @@ impl<'a> Engine<'a> {
         };
         run_pool(workers, |_| {
             let (job, attempt) = self.next()?;
-            Some(Task::new(move |_scratch| self.attempt(job, attempt)))
+            Some(Task::new(move || self.attempt(job, attempt)))
         });
     }
 

@@ -76,7 +76,7 @@ pub fn table1_row(config: &SramConfig, test: &MarchTest) -> Result<Table1Row, Sr
 pub fn reproduce_table1(config: &SramConfig) -> Result<Vec<Table1Row>, SramError> {
     let tests = library::table1_algorithms();
     let threads = march_test::parallel::max_threads().min(tests.len());
-    let rows = sched::map_chunks(&tests, threads, threads, |chunk, _scratch| {
+    let rows = sched::map_chunks(&tests, threads, threads, |chunk| {
         chunk.iter().map(|test| table1_row(config, test)).collect()
     });
     assert_eq!(rows.len(), tests.len(), "one row per algorithm");

@@ -4,13 +4,14 @@
 //! the executor kernel and the one body every coverage entry point runs:
 //! it sweeps a precomputed [`MarchWalk`] per `(test, order,
 //! organization)`, and — via [`SweepOptions`] — optionally stops each
-//! simulation at the first mismatch and fans the work out across threads.
-//! By default the sweep rides the lane-batched backend
-//! ([`crate::batch`]): compatible faults are grouped into ≤64-lane
-//! cohorts that share one walk dispatch each, with the per-fault path
-//! kept as the golden reference ([`SweepBackend::PerFault`]). Both
-//! backends, serial or parallel, produce **identical** reports: outcomes
-//! are kept in fault-list order regardless of scheduling.
+//! simulation at the first mismatch and fans the per-fault work out
+//! across threads. By default the sweep collapses the fault list into
+//! equivalence classes ([`crate::batch`]) and simulates one
+//! representative per class on a walk of at most five cells, with the
+//! per-fault path kept as the golden reference
+//! ([`SweepBackend::PerFault`]). Both backends, serial or parallel,
+//! produce **identical** reports: outcomes are kept in fault-list order
+//! regardless of scheduling.
 //!
 //! Every sweep produces an [`InternedSweep`]; the [`CoverageReport`]
 //! entry points ([`evaluate_coverage`], [`evaluate_coverage_with`],
@@ -23,7 +24,7 @@ use sram_model::config::ArrayOrganization;
 
 use crate::address_order::AddressOrder;
 use crate::algorithm::MarchTest;
-use crate::batch::sweep_batched;
+use crate::batch::sweep_collapsed;
 use crate::executor::MarchWalk;
 use crate::fault_sim::{simulate_fault_counts_on_walk, DetectionMode, FaultSimOutcome};
 use crate::faults::FaultFactory;
@@ -35,13 +36,14 @@ use crate::rng::Fnv1a;
 /// Which sweep engine simulates the fault list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SweepBackend {
-    /// The lane-batched backend: compatible faults grouped into ≤64-lane
-    /// cohorts by the address-aware packer
-    /// ([`crate::batch::CohortPlanner::AddressAware`]), lane forms stored
-    /// inline as [`crate::faults::LaneFaultKind`] enum values executed in
-    /// packed order (match dispatch, no per-owner pointer chase), one
-    /// walk dispatch per cohort, serial fallback for the rest
-    /// ([`crate::batch::FaultBatch`]). The default.
+    /// The collapsed backend ([`crate::batch`]): every fault with an
+    /// inline [`crate::faults::LaneFaultKind`] joins the equivalence
+    /// class of its model, parameters and cells' ⇑-position classes; one
+    /// relocated representative per class runs on a canonical walk of at
+    /// most five cells, and every member takes its count. Faults without
+    /// an inline kind, and every fault of a walk that is not
+    /// locality-safe, run the per-fault path. The name, the spec token
+    /// `lane` and digest code 0 predate the collapse. The default.
     #[default]
     LaneBatched,
     /// One filtered walk per fault — the golden reference path that
@@ -57,10 +59,11 @@ pub struct SweepOptions {
     /// Detail recorded per fault: [`DetectionMode::Full`] counts every
     /// mismatch, [`DetectionMode::FirstMismatch`] stops at the first one.
     pub mode: DetectionMode,
-    /// Fan the work out across threads (whole cohorts per unit under the
-    /// batched backend, fault-list chunks under the per-fault one). The
-    /// outcome order (and thus the whole report) is identical to a serial
-    /// sweep.
+    /// Fan the per-fault work out across threads in fault-list chunks:
+    /// every fault under [`SweepBackend::PerFault`], the faults without a
+    /// class under [`SweepBackend::LaneBatched`], whose classes always run
+    /// on the calling thread. The outcome order (and thus the whole
+    /// report) is identical to a serial sweep.
     pub parallel: bool,
     /// The sweep engine; [`SweepBackend::LaneBatched`] by default.
     pub backend: SweepBackend,
@@ -68,8 +71,8 @@ pub struct SweepOptions {
 
 impl SweepOptions {
     /// The throughput configuration for detection-only experiments:
-    /// early-exit simulations on the lane-batched backend, parallel
-    /// across the cohorts.
+    /// early-exit simulations on the collapsed backend, with whatever
+    /// per-fault work remains spread across threads.
     pub fn fast() -> Self {
         Self {
             background: false,
@@ -228,7 +231,7 @@ pub fn evaluate_coverage_with(
 
 /// Simulates every fault in `faults` under `test`/`order` and aggregates
 /// the outcomes (full mismatch counts, single-threaded, on the default
-/// lane-batched backend — report-identical to a serial per-fault sweep;
+/// collapsed backend — report-identical to a serial per-fault sweep;
 /// use [`evaluate_coverage_with`] and [`SweepOptions::fast`] for
 /// throughput sweeps).
 pub fn evaluate_coverage(
@@ -275,13 +278,13 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Simulates every fault in `faults` over a precomputed `walk` — the
 /// sweep driver, and the one body every coverage entry point runs.
 ///
-/// Under the default [`SweepBackend::LaneBatched`] the list is planned
-/// into ≤64-lane cohorts that each share one walk dispatch (threads take
-/// whole cohorts when `parallel` is set). Under [`SweepBackend::PerFault`]
-/// each fault runs its own filtered walk over a scratch memory reused
-/// across a chunk of the list (threads take whole chunks). Either way the
-/// outcomes are reassembled in fault-list order into one [`NameTable`]
-/// (one name string per fault) and 16-byte
+/// Under the default [`SweepBackend::LaneBatched`] the list collapses
+/// into equivalence classes, each simulated once on a canonical walk of
+/// at most five cells. Under [`SweepBackend::PerFault`] each fault runs
+/// its own filtered walk over a scratch memory reused across a chunk of
+/// the list (threads take whole chunks when `parallel` is set). Either
+/// way the outcomes are reassembled in fault-list order into one
+/// [`NameTable`] (one name string per fault) and 16-byte
 /// [`OutcomeCode`](crate::intern::OutcomeCode)s, so every
 /// backend/threading combination yields an identical report.
 ///
@@ -294,10 +297,10 @@ pub fn evaluate_coverage_interned_on_walk(
     let threads = if options.parallel { max_threads() } else { 1 };
     match options.backend {
         SweepBackend::LaneBatched => {
-            sweep_batched(walk, faults, options.background, options.mode, threads)
+            sweep_collapsed(walk, faults, options.background, options.mode, threads)
         }
         SweepBackend::PerFault => {
-            let outcomes = par_chunk_map(faults, threads, |chunk, _| {
+            let outcomes = par_chunk_map(faults, threads, |chunk| {
                 let mut scratch = GoodMemory::new(walk.capacity());
                 chunk
                     .iter()
@@ -566,7 +569,7 @@ mod tests {
         use crate::faultgen::FaultGen;
 
         // A dense generated population (mixed kinds, shuffled) must sweep
-        // through the batched backend exactly like the per-fault golden
+        // through the collapsed backend exactly like the per-fault golden
         // path — the report is the contract, whatever the fault source.
         let organization = ArrayOrganization::new(8, 8).unwrap();
         let population = FaultGen::new(organization, 0xD15E).dense_profile(300);
@@ -700,9 +703,10 @@ mod tests {
 
     #[test]
     fn caught_sweep_catches_a_panic_on_a_pool_worker() {
-        // Amid a batched population, the exploding model runs as a serial
-        // singleton on a pool worker; the panic must cross the pool and
-        // still surface as a SweepPanic, on either backend.
+        // The exploding model runs on the per-fault path: alone amid a
+        // collapsed population, and on a pool worker under the per-fault
+        // backend, whose panic must cross the pool. Either way it must
+        // surface as a SweepPanic.
         let organization = ArrayOrganization::new(8, 8).unwrap();
         let mut faults = standard_fault_list(&organization);
         faults.insert(17, exploding());

@@ -9,7 +9,7 @@
 //!   the executor nor the low-power scheduler re-allocates address
 //!   sequences per element;
 //! * [`MarchWalk`] describes a whole `(test, order, organization)`
-//!   traversal implicitly — the permutation, its inverse and three rows of
+//!   traversal implicitly — the permutation, its inverse and two rows of
 //!   code bytes per element, eight bytes per cell — and is shared,
 //!   read-only, across every fault of a sweep (and across threads); steps
 //!   are computed from the permutation, never stored;
@@ -30,12 +30,10 @@ use std::ops::ControlFlow;
 use sram_model::address::Address;
 use sram_model::config::ArrayOrganization;
 
-use crate::address_order::AddressOrder;
+use crate::address_order::{AddressOrder, LinearOrder};
 use crate::algorithm::MarchTest;
-use crate::element::AddressDirection;
-use crate::fault_sim::DetectionMode;
-use crate::faults::LaneFault;
-use crate::memory::{LaneMemory, MemoryModel};
+use crate::element::{AddressDirection, MarchElement};
+use crate::memory::MemoryModel;
 use crate::operation::MarchOp;
 
 /// One operation of a March test applied to one address.
@@ -155,52 +153,12 @@ impl AddressPlan {
 }
 
 // The code byte of one walk step: bits 0–1 the operation, bit 2
-// `last_op_on_address`, bit 3 `last_op_of_element`, bit 4 the sensed-before
-// value (see `SENSED_BEFORE`).
+// `last_op_on_address`, bit 3 `last_op_of_element`.
 const OP_MASK: u8 = 0b0011;
 const READ_BIT: u8 = 0b0010;
 const VALUE_BIT: u8 = 0b0001;
 const LAST_ON_ADDRESS: u8 = 0b0100;
 const LAST_OF_ELEMENT: u8 = 0b1000;
-/// For read steps: the value a fault-free-elsewhere sense amplifier holds
-/// *before* this read, i.e. the expected value of the most recent earlier
-/// read at an address **different from this step's address** (`0` when no
-/// such read exists, matching the initial sense-amplifier state of
-/// [`crate::faults::StuckOpenFault`]). Stamped at walk-build time, this is
-/// what lets the history-dependent stuck-open fault ride the lane-batched
-/// kernel without replaying the full walk: in a locality-safe walk every
-/// non-victim read returns its expected value, so the victim's bit-line
-/// history is a pure function of the walk and can be precomputed.
-const SENSED_BEFORE: u8 = 0b1_0000;
-
-/// The sense-amplifier history behind [`SENSED_BEFORE`]: the most recent
-/// read (address, expected value) and the expected value of the most
-/// recent read at a *different* address than that one. Writes leave the
-/// sensed value untouched.
-#[derive(Debug, Default)]
-struct SenseHistory {
-    last_read: Option<(u32, bool)>,
-    prior_distinct: bool,
-}
-
-impl SenseHistory {
-    /// Records a read of `address` expecting `expected` and returns the
-    /// value sensed before it.
-    fn read(&mut self, address: u32, expected: bool) -> bool {
-        let sensed = match self.last_read {
-            Some((last_address, _)) if last_address == address => self.prior_distinct,
-            Some((_, last_value)) => last_value,
-            None => false,
-        };
-        if let Some((last_address, last_value)) = self.last_read {
-            if last_address != address {
-                self.prior_distinct = last_value;
-            }
-        }
-        self.last_read = Some((address, expected));
-        sensed
-    }
-}
 
 #[inline]
 fn op_code(op: MarchOp) -> u8 {
@@ -226,19 +184,17 @@ fn decode_op(code: u8) -> MarchOp {
 /// exactly once, at position `p` of the ⇑ permutation (`capacity − 1 − p`
 /// under ⇓), so its step at `(position, op)` is `first_step + position ×
 /// ops + op` and its code bytes depend on the position only through the
-/// three rows kept here.
+/// two rows kept here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct WalkElement {
     /// Walk index of the element's first step.
     first_step: u32,
     /// `true` for ⇓ (⇕ runs as ⇑).
     descending: bool,
-    /// The code bytes of the element's operations, one row per kind of
-    /// position: the first, every middle one, the last. A permutation
-    /// never repeats an address, so every middle position senses the
-    /// element's own last read, made one address earlier, and carries the
-    /// same stamps; only the last position ends the element.
-    rows: [Box<[u8]>; 3],
+    /// The code bytes of the element's operations: `rows[0]` at every
+    /// position but the last, `rows[1]` — which also ends the element —
+    /// at the last.
+    rows: [Box<[u8]>; 2],
 }
 
 impl WalkElement {
@@ -252,14 +208,7 @@ impl WalkElement {
     /// `last`.
     #[inline]
     fn row(&self, position: usize, last: usize) -> &[u8] {
-        let row = if position == 0 {
-            0
-        } else if position == last {
-            2
-        } else {
-            1
-        };
-        &self.rows[row]
+        &self.rows[usize::from(position == last)]
     }
 }
 
@@ -287,7 +236,7 @@ where
 /// across every fault of a sweep.
 ///
 /// The walk is implicit: it keeps the ⇑ permutation ([`AddressPlan`]), its
-/// inverse and three rows of code bytes per element — eight bytes per cell
+/// inverse and two rows of code bytes per element — eight bytes per cell
 /// whatever the test's length — and computes each step from them. Full
 /// runs scan the permutation element by element; a localised fault finds
 /// each of its addresses at one position per element through the inverse,
@@ -384,11 +333,9 @@ impl MarchWalk {
             );
             *slot = position as u32;
         }
-        let last = plan.len() - 1;
         let mut reads = 0u64;
         let mut writes = 0u64;
         let mut first_step = 0u32;
-        let mut history = SenseHistory::default();
         let mut elements = Vec::with_capacity(test.element_count());
         for element in test.elements() {
             let ops = element.ops();
@@ -396,46 +343,19 @@ impl MarchWalk {
                 ops.len() <= usize::from(u8::MAX),
                 "march element has too many operations for the packed walk"
             );
-            // The code bytes at one position, advancing the sense history.
-            // Only positions 0, 1 and `last` are visited: every middle
-            // position repeats position 1's stamps (see `WalkElement::rows`),
-            // and skipping them leaves the history at `last` unchanged,
-            // because it only compares against the current address.
-            let mut codes_at = |position: usize| -> Box<[u8]> {
-                let address = plan
-                    .at(element.direction(), position)
-                    .expect("position < capacity")
-                    .value();
-                ops.iter()
-                    .enumerate()
-                    .map(|(op_index, &op)| {
-                        let mut code = op_code(op);
-                        if let Some(expected) = op.expected_value() {
-                            if history.read(address, expected) {
-                                code |= SENSED_BEFORE;
-                            }
-                        }
-                        if op_index == ops.len() - 1 {
-                            code |= LAST_ON_ADDRESS;
-                            if position == last {
-                                code |= LAST_OF_ELEMENT;
-                            }
-                        }
-                        code
-                    })
-                    .collect()
-            };
-            let head = codes_at(0);
-            let middle = if last >= 2 { codes_at(1) } else { head.clone() };
-            let tail = if last >= 1 {
-                codes_at(last)
-            } else {
-                head.clone()
+            let row = |ends_element: bool| -> Box<[u8]> {
+                let mut codes: Box<[u8]> = ops.iter().map(|&op| op_code(op)).collect();
+                let tail = codes.last_mut().expect("elements have operations");
+                *tail |= LAST_ON_ADDRESS;
+                if ends_element {
+                    *tail |= LAST_OF_ELEMENT;
+                }
+                codes
             };
             elements.push(WalkElement {
                 first_step,
                 descending: element.direction() == AddressDirection::Descending,
-                rows: [head, middle, tail],
+                rows: [row(false), row(true)],
             });
             first_step += (ops.len() * plan.len()) as u32;
             reads += (element.read_count() * plan.len()) as u64;
@@ -479,16 +399,52 @@ impl MarchWalk {
     ///
     /// Panics if `address` is outside the walk's capacity.
     #[inline]
-    fn up_position(&self, address: Address) -> u32 {
+    pub(crate) fn up_position(&self, address: Address) -> u32 {
         self.inverse[address.value() as usize]
+    }
+
+    /// The addresses at the first and at the last ⇑ position.
+    #[inline]
+    pub(crate) fn ends(&self) -> (Address, Address) {
+        let ascending = &self.plan.ascending;
+        (ascending[0], ascending[ascending.len() - 1])
+    }
+
+    /// The same March test over a one-row array of `cells` cells in
+    /// identity order, so that address `p` sits at ⇑ position `p`: the
+    /// canonical walk the collapsed sweep simulates its fault classes on
+    /// ([`crate::batch`]). ⇕ elements come back as ⇑, which they run as.
+    pub(crate) fn canonical(&self, cells: u32) -> MarchWalk {
+        let elements = self
+            .elements
+            .iter()
+            .map(|element| {
+                let ops = element.rows[0]
+                    .iter()
+                    .map(|&code| decode_op(code))
+                    .collect();
+                if element.descending {
+                    MarchElement::descending(ops)
+                } else {
+                    MarchElement::ascending(ops)
+                }
+            })
+            .collect();
+        let organization =
+            ArrayOrganization::new(1, cells).expect("a one-row array of a few cells is valid");
+        MarchWalk::new(
+            &MarchTest::new(self.test_name.clone(), elements),
+            &LinearOrder,
+            &organization,
+        )
     }
 
     /// Visits every step of the walk in execution order as
     /// `(element, address, code)`, stopping when `visit` breaks. Each
-    /// element runs its first position, then the middle positions on one
-    /// fixed row straight off the permutation (reversed under ⇓), then
-    /// its last — the full-walk loop of the per-fault path, with no
-    /// branch per position.
+    /// element runs every position but its last on one fixed row straight
+    /// off the permutation (reversed under ⇓), then its last position —
+    /// the full-walk loop of the per-fault path, with no branch per
+    /// position.
     #[inline]
     fn try_for_each_step<F>(&self, mut visit: F) -> ControlFlow<()>
     where
@@ -496,20 +452,20 @@ impl MarchWalk {
     {
         let visit = &mut visit;
         for (index, element) in self.elements.iter().enumerate() {
-            let [head, middle, tail] = &element.rows;
-            match self.plan.ascending.as_slice() {
-                [] => {}
-                [only] => try_visit_row(index, head, [only].into_iter(), visit)?,
-                [first, inner @ .., last] if element.descending => {
-                    try_visit_row(index, head, [last].into_iter(), visit)?;
-                    try_visit_row(index, middle, inner.iter().rev(), visit)?;
-                    try_visit_row(index, tail, [first].into_iter(), visit)?;
-                }
-                [first, inner @ .., last] => {
-                    try_visit_row(index, head, [first].into_iter(), visit)?;
-                    try_visit_row(index, middle, inner.iter(), visit)?;
-                    try_visit_row(index, tail, [last].into_iter(), visit)?;
-                }
+            let [body, tail] = &element.rows;
+            let ascending = self.plan.ascending.as_slice();
+            if element.descending {
+                let Some((last, rest)) = ascending.split_first() else {
+                    continue;
+                };
+                try_visit_row(index, body, rest.iter().rev(), visit)?;
+                try_visit_row(index, tail, [last].into_iter(), visit)?;
+            } else {
+                let Some((last, rest)) = ascending.split_last() else {
+                    continue;
+                };
+                try_visit_row(index, body, rest.iter(), visit)?;
+                try_visit_row(index, tail, [last].into_iter(), visit)?;
             }
         }
         ControlFlow::Continue(())
@@ -729,271 +685,6 @@ where
             walk.try_for_each_step_among(&members, visit)
         }
     }
-}
-
-/// Per-lane outcome of a batched cohort run ([`run_march_lanes`]).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct LaneDetection {
-    /// Whether at least one read mismatched in this lane.
-    pub detected: bool,
-    /// Number of mismatching reads observed in this lane (capped at `1`
-    /// under [`DetectionMode::FirstMismatch`]).
-    pub mismatches: usize,
-    /// The first mismatching read of this lane, when any — identical to
-    /// the first entry of the serial per-fault [`MarchResult::mismatches`]
-    /// list for the same fault.
-    pub first_mismatch: Option<Mismatch>,
-}
-
-#[inline]
-fn lane_mask(lanes: usize) -> u64 {
-    if lanes >= LaneMemory::LANES {
-        u64::MAX
-    } else {
-        (1u64 << lanes) - 1
-    }
-}
-
-/// Runs up to sixty-four faults through one walk scan, one bit lane each —
-/// the lane-batched sweep kernel.
-///
-/// The kernel is generic over the lane representation; sweeps pass
-/// `&mut [LaneFaultKind]` — lane forms stored inline, every faulty
-/// dispatch a monomorphized match on plain enum data with no per-owner
-/// pointer chase.
-///
-/// Each element of `lanes` owns the bit lane of its position in the slice:
-/// a sparse [`LaneMemory`] over the cohort's merged involved addresses is
-/// filled to `background`, every walk step touching that union is
-/// dispatched once, in walk order — each element visits the union's
-/// addresses sorted by their position in the element's direction, so
-/// the steps come out in order with no schedule to gather or sort — and
-/// at every step the lanes whose fault involves the step's address run
-/// their faulty form while all remaining lanes take the fault-free
-/// whole-word `u64` operation. Read steps compare all lanes at once: the
-/// observed word is XORed against the splatted expected value and the
-/// resulting mismatch mask updates per-lane detection state; under
-/// [`DetectionMode::FirstMismatch`] the scan stops as soon as the
-/// undetected-lane mask has zero bits left.
-///
-/// Per lane, the outcome (detected/escaped, mismatch count, first
-/// mismatching read) is identical to running that fault alone through the
-/// serial per-fault path: lanes are fully independent universes, and in a
-/// locality-safe walk the steps outside a fault's involved set can neither
-/// mismatch nor influence its cells.
-///
-/// [`LaneFaultKind`]: crate::faults::LaneFaultKind
-///
-/// # Panics
-///
-/// Panics if `lanes` is empty or longer than [`LaneMemory::LANES`], if
-/// `walk` is not [`MarchWalk::locality_safe`] (such walks must run the
-/// unfiltered per-fault path), or if a lane involves no addresses.
-pub fn run_march_lanes<L: LaneFault>(
-    walk: &MarchWalk,
-    lanes: &mut [L],
-    background: bool,
-    mode: DetectionMode,
-) -> Vec<LaneDetection> {
-    let mut scratch = LaneScratch::new();
-    run_march_lanes_scratch(walk, lanes, background, mode, &mut scratch);
-    scratch.results
-}
-
-/// Reusable dispatch buffers of the lane-batched kernel.
-///
-/// One cohort dispatch needs half a dozen transient arrays — the gathered
-/// involved sets, the sorted union, per-slot ownership masks, the sparse
-/// [`LaneMemory`], the union's dispatch order and the per-lane results.
-/// Allocating them per cohort is pure overhead once a sweep runs tens of
-/// thousands of cohorts, so [`run_march_lanes_scratch`] takes them from
-/// this scratch instead: every buffer is cleared and regrown in place, and
-/// a scratch reused across cohorts only allocates when a cohort is larger
-/// than any before it. Sweeps keep one `LaneScratch` per worker inside the
-/// pool's [`WorkerScratch`](crate::parallel::WorkerScratch).
-///
-/// A `LaneScratch` carries no cohort state between runs — reusing one is
-/// observationally identical to constructing a fresh one per call (the
-/// one-shot [`run_march_lanes`] does exactly that).
-#[derive(Debug, Default)]
-pub struct LaneScratch {
-    /// Flat gather of all lanes' involved addresses; lane `l` owns
-    /// `involved[involved_ends[l - 1]..involved_ends[l]]` (from `0` for
-    /// the first lane).
-    involved: Vec<Address>,
-    /// Per-lane end offsets into `involved`.
-    involved_ends: Vec<u32>,
-    /// The cohort's sorted, deduplicated involved-address union.
-    union: Vec<Address>,
-    /// Per-union-slot mask of the lanes whose fault involves the address.
-    owned_masks: Vec<u64>,
-    /// The sparse lane store, retargeted per cohort via
-    /// [`LaneMemory::reset_sorted`]. `None` until the first run.
-    memory: Option<LaneMemory>,
-    /// The union's `(⇑ position, slot)` pairs, sorted: the order every
-    /// element visits the union in (reversed under ⇓).
-    order: Vec<(u32, u32)>,
-    /// Per-lane outcomes of the most recent run.
-    results: Vec<LaneDetection>,
-}
-
-impl LaneScratch {
-    /// Creates an empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Per-lane outcomes of the most recent [`run_march_lanes_scratch`]
-    /// call through this scratch (empty before the first).
-    pub fn results(&self) -> &[LaneDetection] {
-        &self.results
-    }
-}
-
-/// [`run_march_lanes`] with caller-owned dispatch buffers: identical
-/// algorithm, identical per-lane outcomes, but every transient array
-/// lives in `scratch` so consecutive cohorts on one worker reuse their
-/// allocations. Returns the per-lane detections as a borrow of
-/// `scratch` (also available as [`LaneScratch::results`] until the next
-/// run).
-///
-/// # Panics
-///
-/// Exactly as [`run_march_lanes`].
-pub fn run_march_lanes_scratch<'s, L: LaneFault>(
-    walk: &MarchWalk,
-    lanes: &mut [L],
-    background: bool,
-    mode: DetectionMode,
-    scratch: &'s mut LaneScratch,
-) -> &'s [LaneDetection] {
-    assert!(
-        !lanes.is_empty() && lanes.len() <= LaneMemory::LANES,
-        "a cohort holds 1..=64 lanes"
-    );
-    assert!(
-        walk.locality_safe(),
-        "lane batching requires a locality-safe walk"
-    );
-    scratch.involved.clear();
-    scratch.involved_ends.clear();
-    for lane in lanes.iter() {
-        lane.involved_into(&mut scratch.involved);
-        scratch.involved_ends.push(scratch.involved.len() as u32);
-    }
-    scratch.union.clear();
-    scratch.union.extend_from_slice(&scratch.involved);
-    scratch.union.sort_unstable();
-    scratch.union.dedup();
-    let union = &scratch.union;
-    // Owner masks, aligned with the sorted union: which lanes' faults
-    // involve each address. The whole-word ops skip these lanes and the
-    // per-lane faulty dispatch iterates them straight off the mask bits.
-    scratch.owned_masks.clear();
-    scratch.owned_masks.resize(union.len(), 0);
-    let mut start = 0usize;
-    for (lane, &end) in scratch.involved_ends.iter().enumerate() {
-        let addresses = &scratch.involved[start..end as usize];
-        start = end as usize;
-        assert!(
-            !addresses.is_empty(),
-            "lane {lane} fault involves no addresses"
-        );
-        for address in addresses {
-            let slot = union
-                .binary_search(address)
-                .expect("union covers all lanes");
-            scratch.owned_masks[slot] |= 1u64 << lane;
-        }
-    }
-    match &mut scratch.memory {
-        Some(memory) => memory.reset_sorted(walk.capacity(), union),
-        slot @ None => *slot = Some(LaneMemory::from_sorted(walk.capacity(), union)),
-    }
-    let memory = scratch.memory.as_mut().expect("just initialised");
-    memory.fill(background);
-    let active = lane_mask(lanes.len());
-    let mut detected = 0u64;
-    scratch.results.clear();
-    scratch
-        .results
-        .resize(lanes.len(), LaneDetection::default());
-    // The cohort's dispatch order: the union slots sorted by ⇑ position.
-    // Every element visits the union in that order (⇓ in reverse), one
-    // address's operations back to back, which is ascending step order
-    // over exactly the steps touching the union.
-    scratch.order.clear();
-    scratch.order.extend(
-        union
-            .iter()
-            .enumerate()
-            .map(|(slot, &address)| (walk.up_position(address), slot as u32)),
-    );
-    scratch.order.sort_unstable();
-    let owned_masks = &scratch.owned_masks;
-    let results = &mut scratch.results;
-    let _ = walk.try_for_each_step_among(&scratch.order, |element, slot, code| {
-        let slot = slot as usize;
-        let address = union[slot];
-        if code & READ_BIT == 0 {
-            let value = code & VALUE_BIT != 0;
-            let mut owners = owned_masks[slot];
-            while owners != 0 {
-                let lane = owners.trailing_zeros();
-                lanes[lane as usize].lane_write(memory, lane, address, value);
-                owners &= owners - 1;
-            }
-            memory.write_word_at(slot, value, owned_masks[slot]);
-            return ControlFlow::Continue(());
-        }
-        let expected = code & VALUE_BIT != 0;
-        let sensed_before = code & SENSED_BEFORE != 0;
-        let mut observed = memory.word_at(slot);
-        let mut owners = owned_masks[slot];
-        while owners != 0 {
-            let lane = owners.trailing_zeros();
-            let bit = lanes[lane as usize].lane_read(memory, lane, address, sensed_before);
-            observed = (observed & !(1u64 << lane)) | (u64::from(bit) << lane);
-            owners &= owners - 1;
-        }
-        let expected_word = if expected { u64::MAX } else { 0 };
-        let miss = (observed ^ expected_word) & active;
-        if miss == 0 {
-            return ControlFlow::Continue(());
-        }
-        let mut fresh = miss & !detected;
-        while fresh != 0 {
-            let lane = fresh.trailing_zeros() as usize;
-            results[lane].first_mismatch = Some(Mismatch {
-                element,
-                address,
-                expected,
-                observed: observed >> lane & 1 == 1,
-            });
-            fresh &= fresh - 1;
-        }
-        detected |= miss;
-        match mode {
-            DetectionMode::Full => {
-                let mut each = miss;
-                while each != 0 {
-                    let lane = each.trailing_zeros() as usize;
-                    results[lane].mismatches += 1;
-                    each &= each - 1;
-                }
-                ControlFlow::Continue(())
-            }
-            DetectionMode::FirstMismatch if active & !detected == 0 => ControlFlow::Break(()),
-            DetectionMode::FirstMismatch => ControlFlow::Continue(()),
-        }
-    });
-    for (lane, result) in scratch.results.iter_mut().enumerate() {
-        result.detected = detected >> lane & 1 == 1;
-        if mode == DetectionMode::FirstMismatch {
-            result.mismatches = usize::from(result.detected);
-        }
-    }
-    &scratch.results
 }
 
 /// Runs only the steps of `walk` that touch one of the `involved`
@@ -1338,8 +1029,6 @@ mod tests {
         let mut steps = Vec::new();
         let mut reads = 0u64;
         let mut writes = 0u64;
-        let mut last_read: Option<(u32, bool)> = None;
-        let mut prior_distinct = false;
         for (element_index, element) in test.elements().iter().enumerate() {
             let ops = element.ops();
             let last_position = plan.len().saturating_sub(1);
@@ -1348,23 +1037,6 @@ mod tests {
                     let mut code = op_code(op);
                     if op.is_read() {
                         reads += 1;
-                        let sensed = match last_read {
-                            Some((last_address, _)) if last_address == address.value() => {
-                                prior_distinct
-                            }
-                            Some((_, last_value)) => last_value,
-                            None => false,
-                        };
-                        if sensed {
-                            code |= SENSED_BEFORE;
-                        }
-                        if let Some((last_address, last_value)) = last_read {
-                            if last_address != address.value() {
-                                prior_distinct = last_value;
-                            }
-                        }
-                        let expected = op.expected_value().expect("reads have expectations");
-                        last_read = Some((address.value(), expected));
                     } else {
                         writes += 1;
                     }
@@ -1593,42 +1265,20 @@ mod tests {
     }
 
     #[test]
-    fn sensed_before_stamp_tracks_the_latest_distinct_read() {
-        use crate::element::MarchElement;
+    fn the_canonical_walk_is_the_same_test_on_five_cells_in_identity_order() {
+        use crate::address_order::LinearOrder;
 
-        // One cell-pair walk with back-to-back reads: ⇑(w0); ⇑(r0,r0,w1,r1)
-        // over two cells. The stamp of a read must be the expected value of
-        // the latest earlier read at a *different* address (0 when none) —
-        // exactly the bit-line history a stuck-open victim observes.
-        let organization = ArrayOrganization::new(1, 2).unwrap();
-        let test = MarchTest::new(
-            "rr",
-            vec![
-                MarchElement::ascending(vec![MarchOp::W0]),
-                MarchElement::ascending(vec![MarchOp::R0, MarchOp::R0, MarchOp::W1, MarchOp::R1]),
-            ],
-        );
-        let walk = MarchWalk::new(&test, &WordLineAfterWordLine, &organization);
-        let sensed: Vec<Option<bool>> = scanned(&walk)
-            .iter()
-            .map(|&(_, _, code)| (code & READ_BIT != 0).then_some(code & SENSED_BEFORE != 0))
-            .collect();
-        assert_eq!(
-            sensed,
-            vec![
-                None,        // w0 @0
-                None,        // w0 @1
-                Some(false), // r0 @0 — no earlier read at all
-                Some(false), // r0 @0 — earlier reads only at @0 itself
-                None,        // w1 @0
-                Some(false), // r1 @0 — still no read at a different address
-                Some(true),  // r0 @1 — latest distinct read is r1 @0, expecting 1
-                Some(true),  // r0 @1 — @1's own reads don't refresh the history
-                None,        // w1 @1
-                Some(true),  // r1 @1 — latest distinct read is still r1 @0
-            ],
-            "sensed-before stamps"
-        );
+        let organization = ArrayOrganization::new(8, 8).unwrap();
+        let five = ArrayOrganization::new(1, 5).unwrap();
+        for test in library::all_algorithms() {
+            let walk = MarchWalk::new(&test, &PseudoRandomOrder::new(3), &organization);
+            assert_eq!(
+                walk.canonical(5),
+                MarchWalk::new(&test, &LinearOrder, &five),
+                "{}",
+                test.name()
+            );
+        }
     }
 
     #[test]

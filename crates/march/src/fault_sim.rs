@@ -10,13 +10,13 @@
 //! [`simulate_fault_on_walk`] with a reused scratch [`GoodMemory`]: the
 //! walk is shared read-only across the whole fault list (and across
 //! threads) and the scratch memory is refilled instead of reallocated,
-//! so the per-fault cost is exactly one kernel scan. Library-scale sweeps
-//! go one step further through the lane-batched backend
-//! ([`crate::batch`]), which amortises a single walk dispatch over up to
-//! sixty-four faults and falls back to this per-fault path — the golden
-//! reference — for faults it cannot batch. Both paths filter a localised
-//! fault down to the steps touching its involved cells, which the
-//! implicit [`MarchWalk`] finds at one permutation position per element.
+//! so the per-fault cost is exactly one kernel scan. Coverage sweeps go
+//! one step further through the collapsed backend ([`crate::batch`]),
+//! which runs this path — the golden reference — once per fault
+//! equivalence class, on a canonical walk of at most five cells, and
+//! alone for faults it cannot classify. A localised fault is filtered
+//! down to the steps touching its involved cells, which the implicit
+//! [`MarchWalk`] finds at one permutation position per element.
 
 use sram_model::config::ArrayOrganization;
 

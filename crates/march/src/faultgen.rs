@@ -21,14 +21,12 @@
 //!   drawn from all three coupling flavours;
 //! * [`FaultGen::mixed`] — uniformly mixed fault kinds across the whole
 //!   address space (every class of [`crate::faults`]), the profile the
-//!   randomized differential harness feeds to the batched backend;
+//!   randomized differential harness feeds to the collapsed backend;
 //! * [`FaultGen::overlapping_clusters`] — many faults sharing the same few
-//!   victims, the overlap-heavy shape on which the address-aware cohort
-//!   packer ([`crate::batch::CohortPlanner::AddressAware`]) shrinks merged
-//!   step schedules the most.
+//!   victims, the overlap-heavy shape a qualification sweep emits.
 //!
 //! Generated lists are plain `Vec<FaultFactory>`, so they flow through the
-//! existing [`crate::coverage`]/[`crate::dof`] sweeps and the lane-batched
+//! existing [`crate::coverage`]/[`crate::dof`] sweeps and the collapsed
 //! backend unchanged; [`FaultPopulation`] wraps a list with the profile
 //! name for benches and reports.
 
@@ -451,9 +449,8 @@ impl FaultGen {
     /// random victims, each carrying **every** single-cell fault model
     /// ([`FaultGen::MODELS_PER_VICTIM`] of them) plus `pairs_per_cluster`
     /// coupling neighbours within Manhattan `radius` — many faults per
-    /// involved address. Shuffled ([`FaultGen::shuffle`]), this is the
-    /// population shape on which list-order greedy cohorts waste the most
-    /// merged-schedule steps and the address-aware packer recovers them.
+    /// involved address. Shuffled ([`FaultGen::shuffle`]), it scatters
+    /// each victim's faults through the list.
     ///
     /// # Panics
     ///
@@ -509,7 +506,8 @@ impl FaultGen {
 
     /// Shuffles `factories` in place with this generator's stream —
     /// destroys any address locality the generation order produced, which
-    /// is exactly what the packer benchmarks need the input to look like.
+    /// is what the population-order benchmarks need the input to look
+    /// like.
     pub fn shuffle(&mut self, factories: &mut [FaultFactory]) {
         self.rng.shuffle(factories);
     }
@@ -517,8 +515,7 @@ impl FaultGen {
     /// The dense benchmark profile, blended from every generator: ~92 %
     /// per-victim model bundles ([`FaultGen::overlapping_clusters`] —
     /// real qualification sweeps instantiate every fault model at each
-    /// sampled victim, which is also what gives the cohort packer
-    /// overlap to exploit), ~3 % per-row stuck-at victims, ~2 %
+    /// sampled victim), ~3 % per-row stuck-at victims, ~2 %
     /// per-column transition victims, ~2 % neighbourhood coupling pairs
     /// and a mixed remainder. Sized by `target` total faults; the result
     /// lands within a few faults of `target` on any organization large
@@ -526,7 +523,7 @@ impl FaultGen {
     ///
     /// The population is returned in generation order (clustered, the
     /// way a qualification flow would emit it); callers stress-testing
-    /// the cohort packer should [`FaultGen::shuffle`] it themselves.
+    /// population order should [`FaultGen::shuffle`] it themselves.
     ///
     /// # Examples
     ///

@@ -2,8 +2,8 @@
 
 use sram_model::address::Address;
 
-use super::{Fault, FaultKind, InvolvedAddresses, LaneFault, LaneFaultKind};
-use crate::memory::{GoodMemory, LaneMemory};
+use super::{Fault, FaultKind, LaneFaultKind};
+use crate::memory::GoodMemory;
 
 /// Address aliasing fault: accesses to one address are routed to another
 /// cell (the classic "no cell accessed / wrong cell accessed" decoder
@@ -12,8 +12,8 @@ use crate::memory::{GoodMemory, LaneMemory};
 /// accessed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressAliasFault {
-    aliased: Address,
-    target: Address,
+    pub(super) aliased: Address,
+    pub(super) target: Address,
 }
 
 impl AddressAliasFault {
@@ -62,32 +62,6 @@ impl Fault for AddressAliasFault {
 
     fn lane_kind(&self) -> Option<LaneFaultKind> {
         Some(LaneFaultKind::AddressDecoder(*self))
-    }
-}
-
-impl AddressAliasFault {
-    pub(crate) fn lane_involved(&self) -> InvolvedAddresses {
-        InvolvedAddresses::two(self.aliased, self.target)
-    }
-}
-
-impl LaneFault for AddressAliasFault {
-    fn involved(&self) -> Vec<Address> {
-        vec![self.aliased, self.target]
-    }
-
-    fn lane_write(&mut self, memory: &mut LaneMemory, lane: u32, address: Address, value: bool) {
-        memory.set_lane(self.redirect(address), lane, value);
-    }
-
-    fn lane_read(
-        &mut self,
-        memory: &mut LaneMemory,
-        lane: u32,
-        address: Address,
-        _sensed_before: bool,
-    ) -> bool {
-        memory.get_lane(self.redirect(address), lane)
     }
 }
 

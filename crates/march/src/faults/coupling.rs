@@ -2,18 +2,18 @@
 
 use sram_model::address::Address;
 
-use super::{Fault, FaultKind, InvolvedAddresses, LaneFault, LaneFaultKind};
-use crate::memory::{GoodMemory, LaneMemory};
+use super::{Fault, FaultKind, LaneFaultKind};
+use crate::memory::GoodMemory;
 
 /// Inversion coupling fault: a chosen transition written into the aggressor
 /// cell inverts the victim cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CouplingInversionFault {
-    aggressor: Address,
-    victim: Address,
+    pub(super) aggressor: Address,
+    pub(super) victim: Address,
     /// `true` → triggered by a 0→1 write on the aggressor, otherwise by a
     /// 1→0 write.
-    rising: bool,
+    pub(super) rising: bool,
 }
 
 impl CouplingInversionFault {
@@ -79,54 +79,14 @@ impl Fault for CouplingInversionFault {
     }
 }
 
-impl CouplingInversionFault {
-    pub(crate) fn lane_involved(&self) -> InvolvedAddresses {
-        InvolvedAddresses::two(self.aggressor, self.victim)
-    }
-}
-
-impl LaneFault for CouplingInversionFault {
-    fn involved(&self) -> Vec<Address> {
-        vec![self.aggressor, self.victim]
-    }
-
-    fn lane_write(&mut self, memory: &mut LaneMemory, lane: u32, address: Address, value: bool) {
-        if address == self.aggressor {
-            let before = memory.get_lane(address, lane);
-            memory.set_lane(address, lane, value);
-            let triggered = if self.rising {
-                !before && value
-            } else {
-                before && !value
-            };
-            if triggered {
-                let v = memory.get_lane(self.victim, lane);
-                memory.set_lane(self.victim, lane, !v);
-            }
-        } else {
-            memory.set_lane(address, lane, value);
-        }
-    }
-
-    fn lane_read(
-        &mut self,
-        memory: &mut LaneMemory,
-        lane: u32,
-        address: Address,
-        _sensed_before: bool,
-    ) -> bool {
-        memory.get_lane(address, lane)
-    }
-}
-
 /// Idempotent coupling fault: a chosen transition on the aggressor forces
 /// the victim to a fixed value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CouplingIdempotentFault {
-    aggressor: Address,
-    victim: Address,
-    rising: bool,
-    forced_value: bool,
+    pub(super) aggressor: Address,
+    pub(super) victim: Address,
+    pub(super) rising: bool,
+    pub(super) forced_value: bool,
 }
 
 impl CouplingIdempotentFault {
@@ -191,53 +151,14 @@ impl Fault for CouplingIdempotentFault {
     }
 }
 
-impl CouplingIdempotentFault {
-    pub(crate) fn lane_involved(&self) -> InvolvedAddresses {
-        InvolvedAddresses::two(self.aggressor, self.victim)
-    }
-}
-
-impl LaneFault for CouplingIdempotentFault {
-    fn involved(&self) -> Vec<Address> {
-        vec![self.aggressor, self.victim]
-    }
-
-    fn lane_write(&mut self, memory: &mut LaneMemory, lane: u32, address: Address, value: bool) {
-        if address == self.aggressor {
-            let before = memory.get_lane(address, lane);
-            memory.set_lane(address, lane, value);
-            let triggered = if self.rising {
-                !before && value
-            } else {
-                before && !value
-            };
-            if triggered {
-                memory.set_lane(self.victim, lane, self.forced_value);
-            }
-        } else {
-            memory.set_lane(address, lane, value);
-        }
-    }
-
-    fn lane_read(
-        &mut self,
-        memory: &mut LaneMemory,
-        lane: u32,
-        address: Address,
-        _sensed_before: bool,
-    ) -> bool {
-        memory.get_lane(address, lane)
-    }
-}
-
 /// State coupling fault: while the aggressor holds a given state, the victim
 /// is forced to a fixed value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CouplingStateFault {
-    aggressor: Address,
-    victim: Address,
-    aggressor_state: bool,
-    forced_value: bool,
+    pub(super) aggressor: Address,
+    pub(super) victim: Address,
+    pub(super) aggressor_state: bool,
+    pub(super) forced_value: bool,
 }
 
 impl CouplingStateFault {
@@ -303,40 +224,6 @@ impl Fault for CouplingStateFault {
 
     fn lane_kind(&self) -> Option<LaneFaultKind> {
         Some(LaneFaultKind::CouplingState(*self))
-    }
-}
-
-impl CouplingStateFault {
-    pub(crate) fn lane_involved(&self) -> InvolvedAddresses {
-        InvolvedAddresses::two(self.aggressor, self.victim)
-    }
-
-    fn enforce_lane(&self, memory: &mut LaneMemory, lane: u32) {
-        if memory.get_lane(self.aggressor, lane) == self.aggressor_state {
-            memory.set_lane(self.victim, lane, self.forced_value);
-        }
-    }
-}
-
-impl LaneFault for CouplingStateFault {
-    fn involved(&self) -> Vec<Address> {
-        vec![self.aggressor, self.victim]
-    }
-
-    fn lane_write(&mut self, memory: &mut LaneMemory, lane: u32, address: Address, value: bool) {
-        memory.set_lane(address, lane, value);
-        self.enforce_lane(memory, lane);
-    }
-
-    fn lane_read(
-        &mut self,
-        memory: &mut LaneMemory,
-        lane: u32,
-        address: Address,
-        _sensed_before: bool,
-    ) -> bool {
-        self.enforce_lane(memory, lane);
-        memory.get_lane(address, lane)
     }
 }
 

@@ -37,7 +37,7 @@ use sram_model::address::Address;
 use sram_model::config::ArrayOrganization;
 use std::fmt;
 
-use crate::memory::{GoodMemory, LaneMemory, MemoryModel};
+use crate::memory::{GoodMemory, MemoryModel};
 
 /// Broad classification of a fault model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -131,29 +131,29 @@ pub trait Fault: fmt::Debug {
         None
     }
 
-    /// The inline lane-masked form of this fault for the batched
-    /// multi-fault backend ([`crate::batch`]), or `None` when the fault
-    /// has no [`LaneFaultKind`] variant. Every fault model of this crate
-    /// returns its variant; the cohort kernel then dispatches it by a
-    /// match on plain enum data — no per-owner pointer chase. The default
-    /// is the conservative `None`, which makes the
-    /// [`crate::batch::FaultBatch`] planner run the fault as a serial
-    /// singleton cohort on the per-fault path.
+    /// The inline form of this fault, or `None` when the fault has no
+    /// [`LaneFaultKind`] variant. Every fault model of this crate returns
+    /// its variant: the collapsed sweep ([`crate::batch`]) keys the
+    /// fault's equivalence class on it and simulates one relocated
+    /// representative per class. The default is the conservative `None`,
+    /// which makes the sweep run the fault alone on the per-fault golden
+    /// path.
     fn lane_kind(&self) -> Option<LaneFaultKind> {
         None
     }
 }
 
-/// The lane-masked form of one of the crate's own fault models, stored
-/// **inline**.
+/// One of the crate's own fault models, stored **inline** as plain `Copy`
+/// data.
 ///
-/// Cohorts of the batched backend hold `Vec<LaneFaultKind>`, so the
-/// kernel's per-owner dispatch is a match on plain enum data sitting
-/// contiguously in the cohort array: no heap allocation per fault, no
-/// vtable pointer chase per step. The enum is `Copy` and intentionally
-/// small (a unit test pins `size_of::<LaneFaultKind>() <= 32`) so packed
-/// cohort arrays stay cache-dense; fault types without a variant here
-/// run the per-fault path.
+/// The collapsed sweep ([`crate::batch`]) reads three things off it
+/// without allocating: the model and its parameters other than
+/// addresses, the involved cells ([`LaneFaultKind::involved`]), and — for
+/// a class's representative — the same fault moved onto the canonical
+/// walk, which it then simulates on the per-fault golden path. The enum
+/// is intentionally small (a unit test pins
+/// `size_of::<LaneFaultKind>() <= 32`); fault types without a variant
+/// here run the per-fault path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum LaneFaultKind {
@@ -173,8 +173,7 @@ pub enum LaneFaultKind {
     DeceptiveReadDestructive(DeceptiveReadDestructiveFault),
     /// Incorrect read fault.
     IncorrectRead(IncorrectReadFault),
-    /// Stuck-open fault (history served by the walk's sensed-before
-    /// stamp).
+    /// Stuck-open fault.
     StuckOpen(StuckOpenFault),
     /// Write disturb fault.
     WriteDisturb(WriteDisturbFault),
@@ -183,8 +182,9 @@ pub enum LaneFaultKind {
 }
 
 /// The involved addresses of a [`LaneFaultKind`], held inline: every
-/// in-crate lane model involves one or two cells, so the set fits a fixed
-/// two-slot array and probing a 100k-fault population allocates nothing.
+/// in-crate model involves one or two cells, so the set fits a fixed
+/// two-slot array and classifying a 100k-fault population allocates
+/// nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InvolvedAddresses {
     addresses: [Address; 2],
@@ -240,177 +240,126 @@ impl LaneFaultKind {
         }
     }
 
-    /// The involved addresses of the wrapped model, inline (see
-    /// [`LaneFault::involved`] for the contract) — no allocation.
+    /// The cells the wrapped model tells apart from the others, inline —
+    /// no allocation: the victim of a single-cell model, or the aggressor
+    /// then the victim (the aliased address then its target) of a
+    /// two-cell one. The stuck-open victim is listed too, although its
+    /// golden simulation walks every cell.
     pub fn involved(&self) -> InvolvedAddresses {
-        match self {
-            LaneFaultKind::StuckAt(fault) => fault.lane_involved(),
-            LaneFaultKind::Transition(fault) => fault.lane_involved(),
-            LaneFaultKind::CouplingInversion(fault) => fault.lane_involved(),
-            LaneFaultKind::CouplingIdempotent(fault) => fault.lane_involved(),
-            LaneFaultKind::CouplingState(fault) => fault.lane_involved(),
-            LaneFaultKind::ReadDestructive(fault) => fault.lane_involved(),
-            LaneFaultKind::DeceptiveReadDestructive(fault) => fault.lane_involved(),
-            LaneFaultKind::IncorrectRead(fault) => fault.lane_involved(),
-            LaneFaultKind::StuckOpen(fault) => fault.lane_involved(),
-            LaneFaultKind::WriteDisturb(fault) => fault.lane_involved(),
-            LaneFaultKind::AddressDecoder(fault) => fault.lane_involved(),
+        use LaneFaultKind as K;
+        match *self {
+            K::StuckAt(StuckAtFault { victim, .. })
+            | K::Transition(TransitionFault { victim, .. })
+            | K::ReadDestructive(ReadDestructiveFault { victim })
+            | K::DeceptiveReadDestructive(DeceptiveReadDestructiveFault { victim })
+            | K::IncorrectRead(IncorrectReadFault { victim })
+            | K::StuckOpen(StuckOpenFault { victim, .. })
+            | K::WriteDisturb(WriteDisturbFault { victim }) => InvolvedAddresses::one(victim),
+            K::CouplingInversion(CouplingInversionFault {
+                aggressor, victim, ..
+            })
+            | K::CouplingIdempotent(CouplingIdempotentFault {
+                aggressor, victim, ..
+            })
+            | K::CouplingState(CouplingStateFault {
+                aggressor, victim, ..
+            })
+            | K::AddressDecoder(AddressAliasFault {
+                aliased: aggressor,
+                target: victim,
+            }) => InvolvedAddresses::two(aggressor, victim),
         }
     }
 
-    /// Performs the faulty effect of writing `value` at `address` in lane
-    /// `lane` — a statically dispatched match over the concrete models.
-    #[inline]
-    pub fn lane_write(
-        &mut self,
-        memory: &mut LaneMemory,
-        lane: u32,
-        address: Address,
-        value: bool,
-    ) {
+    /// The model and its parameters other than addresses as one integer
+    /// below 64: the [`FaultKind`] in the high bits, the model's flags
+    /// (stuck value, failing transition, trigger and forced values, the
+    /// initial sense-amplifier value) in the low two. Two faults have the
+    /// same code exactly when they differ at most in where they sit.
+    pub(crate) fn model_code(&self) -> u8 {
+        use LaneFaultKind as K;
+        let flags = match *self {
+            K::StuckAt(fault) => u8::from(fault.stuck_value),
+            K::Transition(fault) => u8::from(fault.up_fails),
+            K::CouplingInversion(fault) => u8::from(fault.rising),
+            K::CouplingIdempotent(fault) => {
+                u8::from(fault.rising) << 1 | u8::from(fault.forced_value)
+            }
+            K::CouplingState(fault) => {
+                u8::from(fault.aggressor_state) << 1 | u8::from(fault.forced_value)
+            }
+            K::StuckOpen(fault) => u8::from(fault.last_sensed),
+            K::ReadDestructive(_)
+            | K::DeceptiveReadDestructive(_)
+            | K::IncorrectRead(_)
+            | K::WriteDisturb(_)
+            | K::AddressDecoder(_) => 0,
+        };
+        (self.kind() as u8) << 2 | flags
+    }
+
+    /// The same fault with every involved address `a` moved to `to(a)`
+    /// and every other parameter kept. `to` must keep distinct cells
+    /// distinct.
+    pub(crate) fn relocated(self, to: impl Fn(Address) -> Address) -> Self {
+        use LaneFaultKind as K;
         match self {
-            LaneFaultKind::StuckAt(fault) => fault.lane_write(memory, lane, address, value),
-            LaneFaultKind::Transition(fault) => fault.lane_write(memory, lane, address, value),
-            LaneFaultKind::CouplingInversion(fault) => {
-                fault.lane_write(memory, lane, address, value)
+            K::StuckAt(f) => K::StuckAt(StuckAtFault {
+                victim: to(f.victim),
+                ..f
+            }),
+            K::Transition(f) => K::Transition(TransitionFault {
+                victim: to(f.victim),
+                ..f
+            }),
+            K::CouplingInversion(f) => K::CouplingInversion(CouplingInversionFault {
+                aggressor: to(f.aggressor),
+                victim: to(f.victim),
+                ..f
+            }),
+            K::CouplingIdempotent(f) => K::CouplingIdempotent(CouplingIdempotentFault {
+                aggressor: to(f.aggressor),
+                victim: to(f.victim),
+                ..f
+            }),
+            K::CouplingState(f) => K::CouplingState(CouplingStateFault {
+                aggressor: to(f.aggressor),
+                victim: to(f.victim),
+                ..f
+            }),
+            K::ReadDestructive(f) => K::ReadDestructive(ReadDestructiveFault::new(to(f.victim))),
+            K::DeceptiveReadDestructive(f) => {
+                K::DeceptiveReadDestructive(DeceptiveReadDestructiveFault::new(to(f.victim)))
             }
-            LaneFaultKind::CouplingIdempotent(fault) => {
-                fault.lane_write(memory, lane, address, value)
+            K::IncorrectRead(f) => K::IncorrectRead(IncorrectReadFault::new(to(f.victim))),
+            K::StuckOpen(f) => K::StuckOpen(StuckOpenFault {
+                victim: to(f.victim),
+                ..f
+            }),
+            K::WriteDisturb(f) => K::WriteDisturb(WriteDisturbFault::new(to(f.victim))),
+            K::AddressDecoder(f) => {
+                K::AddressDecoder(AddressAliasFault::new(to(f.aliased), to(f.target)))
             }
-            LaneFaultKind::CouplingState(fault) => fault.lane_write(memory, lane, address, value),
-            LaneFaultKind::ReadDestructive(fault) => fault.lane_write(memory, lane, address, value),
-            LaneFaultKind::DeceptiveReadDestructive(fault) => {
-                fault.lane_write(memory, lane, address, value)
-            }
-            LaneFaultKind::IncorrectRead(fault) => fault.lane_write(memory, lane, address, value),
-            LaneFaultKind::StuckOpen(fault) => fault.lane_write(memory, lane, address, value),
-            LaneFaultKind::WriteDisturb(fault) => fault.lane_write(memory, lane, address, value),
-            LaneFaultKind::AddressDecoder(fault) => fault.lane_write(memory, lane, address, value),
         }
     }
 
-    /// Performs the faulty effect of reading `address` in lane `lane` —
-    /// a statically dispatched match over the concrete models.
-    #[inline]
-    pub fn lane_read(
-        &mut self,
-        memory: &mut LaneMemory,
-        lane: u32,
-        address: Address,
-        sensed_before: bool,
-    ) -> bool {
+    /// The wrapped model as a boxed [`Fault`], ready for the per-fault
+    /// golden path.
+    pub(crate) fn into_fault(self) -> Box<dyn Fault> {
         match self {
-            LaneFaultKind::StuckAt(fault) => fault.lane_read(memory, lane, address, sensed_before),
-            LaneFaultKind::Transition(fault) => {
-                fault.lane_read(memory, lane, address, sensed_before)
-            }
-            LaneFaultKind::CouplingInversion(fault) => {
-                fault.lane_read(memory, lane, address, sensed_before)
-            }
-            LaneFaultKind::CouplingIdempotent(fault) => {
-                fault.lane_read(memory, lane, address, sensed_before)
-            }
-            LaneFaultKind::CouplingState(fault) => {
-                fault.lane_read(memory, lane, address, sensed_before)
-            }
-            LaneFaultKind::ReadDestructive(fault) => {
-                fault.lane_read(memory, lane, address, sensed_before)
-            }
-            LaneFaultKind::DeceptiveReadDestructive(fault) => {
-                fault.lane_read(memory, lane, address, sensed_before)
-            }
-            LaneFaultKind::IncorrectRead(fault) => {
-                fault.lane_read(memory, lane, address, sensed_before)
-            }
-            LaneFaultKind::StuckOpen(fault) => {
-                fault.lane_read(memory, lane, address, sensed_before)
-            }
-            LaneFaultKind::WriteDisturb(fault) => {
-                fault.lane_read(memory, lane, address, sensed_before)
-            }
-            LaneFaultKind::AddressDecoder(fault) => {
-                fault.lane_read(memory, lane, address, sensed_before)
-            }
+            LaneFaultKind::StuckAt(fault) => Box::new(fault),
+            LaneFaultKind::Transition(fault) => Box::new(fault),
+            LaneFaultKind::CouplingInversion(fault) => Box::new(fault),
+            LaneFaultKind::CouplingIdempotent(fault) => Box::new(fault),
+            LaneFaultKind::CouplingState(fault) => Box::new(fault),
+            LaneFaultKind::ReadDestructive(fault) => Box::new(fault),
+            LaneFaultKind::DeceptiveReadDestructive(fault) => Box::new(fault),
+            LaneFaultKind::IncorrectRead(fault) => Box::new(fault),
+            LaneFaultKind::StuckOpen(fault) => Box::new(fault),
+            LaneFaultKind::WriteDisturb(fault) => Box::new(fault),
+            LaneFaultKind::AddressDecoder(fault) => Box::new(fault),
         }
     }
-}
-
-/// The enum participates in every [`LaneFault`] API (the generic cohort
-/// kernel, hand-assembled cohorts in tests) with its match dispatch.
-impl LaneFault for LaneFaultKind {
-    fn involved(&self) -> Vec<Address> {
-        LaneFaultKind::involved(self).to_vec()
-    }
-
-    fn involved_into(&self, out: &mut Vec<Address>) {
-        // The inline set never allocates, so the scratch-reusing kernel
-        // gathers enum cohorts' involved addresses allocation-free.
-        out.extend_from_slice(&LaneFaultKind::involved(self));
-    }
-
-    fn lane_write(&mut self, memory: &mut LaneMemory, lane: u32, address: Address, value: bool) {
-        LaneFaultKind::lane_write(self, memory, lane, address, value);
-    }
-
-    fn lane_read(
-        &mut self,
-        memory: &mut LaneMemory,
-        lane: u32,
-        address: Address,
-        sensed_before: bool,
-    ) -> bool {
-        LaneFaultKind::lane_read(self, memory, lane, address, sensed_before)
-    }
-}
-
-/// The lane-masked form of a fault: the same faulty behaviour as its
-/// [`Fault`], expressed over a single bit lane of a [`LaneMemory`] so that
-/// up to [`LaneMemory::LANES`] independent faults can share one walk scan
-/// ([`crate::executor::run_march_lanes`]).
-///
-/// Implementations must confine every access to the addresses returned by
-/// [`LaneFault::involved`] and to their own lane: the batched kernel
-/// routes exactly the steps touching those addresses through these
-/// methods, and serves every other lane with fault-free whole-word
-/// operations. Lane forms are `Send` so parallel sweeps can hand whole
-/// cohorts of probed lane forms to worker threads instead of
-/// re-instantiating every fault per worker.
-pub trait LaneFault: fmt::Debug + Send {
-    /// The addresses whose walk steps must be dispatched through this
-    /// lane's faulty form — every address whose read can mismatch and
-    /// every address whose access can change the fault's trigger state.
-    /// Must be non-empty; unlike [`Fault::involved_addresses`] there is no
-    /// `None` escape hatch, because a lane form *is* the claim that the
-    /// fault's behaviour is confined to these addresses (the stuck-open
-    /// fault achieves that through the precomputed sensed-before stamp).
-    fn involved(&self) -> Vec<Address>;
-
-    /// Appends the [`LaneFault::involved`] set to `out` without clearing
-    /// it — the allocation-free gather used by the scratch-reusing cohort
-    /// kernel ([`crate::executor::run_march_lanes_scratch`]). The default
-    /// delegates to [`LaneFault::involved`]; in-crate lane forms override
-    /// it with their inline sets. Must append exactly the addresses
-    /// `involved()` would return, in the same order.
-    fn involved_into(&self, out: &mut Vec<Address>) {
-        out.extend(self.involved());
-    }
-
-    /// Performs the faulty effect of writing `value` at `address` in lane
-    /// `lane`.
-    fn lane_write(&mut self, memory: &mut LaneMemory, lane: u32, address: Address, value: bool);
-
-    /// Performs the faulty effect of reading `address` in lane `lane` and
-    /// returns the observed value. `sensed_before` is the value the sense
-    /// amplifier holds before this step in a universe where every other
-    /// cell is fault-free, precomputed per walk step at build time — only
-    /// history-dependent faults (the stuck-open fault) consume it.
-    fn lane_read(
-        &mut self,
-        memory: &mut LaneMemory,
-        lane: u32,
-        address: Address,
-        sensed_before: bool,
-    ) -> bool;
 }
 
 /// A fault-free memory wrapped with one injected fault.
@@ -567,15 +516,14 @@ mod tests {
 
     #[test]
     fn lane_fault_kind_stays_copy_and_small() {
-        // Cohort arrays store lane forms inline; a variant that bloats the
-        // enum would silently fatten every packed cohort, so the size is
-        // pinned. The `Copy` bound is what lets packed sweeps move lane
-        // forms into execution order without boxing or locking.
+        // Sweeps read one inline form per fault while classifying; a
+        // variant that bloats the enum would fatten every probe, so the
+        // size is pinned.
         fn assert_copy<T: Copy + Send>() {}
         assert_copy::<LaneFaultKind>();
         assert!(
             std::mem::size_of::<LaneFaultKind>() <= 32,
-            "LaneFaultKind grew to {} bytes — keep cohort arrays dense",
+            "LaneFaultKind grew to {} bytes",
             std::mem::size_of::<LaneFaultKind>()
         );
     }
@@ -589,17 +537,41 @@ mod tests {
                 .lane_kind()
                 .unwrap_or_else(|| panic!("{} has no lane kind", fault.name()));
             assert_eq!(kind.kind(), fault.kind(), "{}", fault.name());
-            // The trait's allocating involved set and the inline one
-            // agree.
-            assert_eq!(
-                LaneFault::involved(&kind),
-                LaneFaultKind::involved(&kind).to_vec(),
-                "{}",
-                fault.name()
-            );
             assert!(!kind.involved().is_empty(), "{}", fault.name());
             assert!(kind.involved().len() <= 2, "{}", fault.name());
+            // The inline set is the golden path's, where it has one.
+            if let Some(involved) = fault.involved_addresses() {
+                assert_eq!(involved, kind.involved().to_vec(), "{}", fault.name());
+            }
+            // Back through the golden interface, nothing is lost.
+            let back = kind.into_fault();
+            assert_eq!(back.name(), fault.name());
+            assert_eq!(back.lane_kind(), Some(kind));
         }
+    }
+
+    #[test]
+    fn relocation_moves_the_cells_and_keeps_the_model_code() {
+        let organization = ArrayOrganization::new(4, 4).unwrap();
+        let mut codes = std::collections::BTreeSet::new();
+        for factory in standard_fault_list(&organization) {
+            let kind = factory().lane_kind().expect("in-crate model");
+            let moved = kind.relocated(|address| Address::new(address.value() + 100));
+            assert_eq!(moved.model_code(), kind.model_code(), "{kind:?}");
+            assert!(kind.model_code() < 64, "{kind:?}");
+            let shifted: Vec<u32> = kind.involved().iter().map(|a| a.value() + 100).collect();
+            let involved: Vec<u32> = moved.involved().iter().map(|a| a.value()).collect();
+            assert_eq!(involved, shifted, "{kind:?}");
+            assert_eq!(
+                moved.relocated(|address| Address::new(address.value() - 100)),
+                kind
+            );
+            codes.insert(kind.model_code());
+        }
+        // Each kind-and-flags combination of the standard list has its own
+        // code: 2 SAF + 2 TF + 2 CFin + 2 CFid + 2 CFst + RDF, DRDF, IRF,
+        // SOF, WDF and AF.
+        assert_eq!(codes.len(), 16);
     }
 
     #[test]

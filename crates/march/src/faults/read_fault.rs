@@ -8,14 +8,14 @@
 
 use sram_model::address::Address;
 
-use super::{Fault, FaultKind, InvolvedAddresses, LaneFault, LaneFaultKind};
-use crate::memory::{GoodMemory, LaneMemory};
+use super::{Fault, FaultKind, LaneFaultKind};
+use crate::memory::GoodMemory;
 
 /// Read destructive fault: a read flips the cell and returns the flipped
 /// (wrong) value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadDestructiveFault {
-    victim: Address,
+    pub(super) victim: Address,
 }
 
 impl ReadDestructiveFault {
@@ -57,43 +57,11 @@ impl Fault for ReadDestructiveFault {
     }
 }
 
-impl ReadDestructiveFault {
-    pub(crate) fn lane_involved(&self) -> InvolvedAddresses {
-        InvolvedAddresses::one(self.victim)
-    }
-}
-
-impl LaneFault for ReadDestructiveFault {
-    fn involved(&self) -> Vec<Address> {
-        vec![self.victim]
-    }
-
-    fn lane_write(&mut self, memory: &mut LaneMemory, lane: u32, address: Address, value: bool) {
-        memory.set_lane(address, lane, value);
-    }
-
-    fn lane_read(
-        &mut self,
-        memory: &mut LaneMemory,
-        lane: u32,
-        address: Address,
-        _sensed_before: bool,
-    ) -> bool {
-        if address == self.victim {
-            let flipped = !memory.get_lane(address, lane);
-            memory.set_lane(address, lane, flipped);
-            flipped
-        } else {
-            memory.get_lane(address, lane)
-        }
-    }
-}
-
 /// Deceptive read destructive fault: a read returns the correct value but
 /// flips the cell afterwards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeceptiveReadDestructiveFault {
-    victim: Address,
+    pub(super) victim: Address,
 }
 
 impl DeceptiveReadDestructiveFault {
@@ -133,41 +101,11 @@ impl Fault for DeceptiveReadDestructiveFault {
     }
 }
 
-impl DeceptiveReadDestructiveFault {
-    pub(crate) fn lane_involved(&self) -> InvolvedAddresses {
-        InvolvedAddresses::one(self.victim)
-    }
-}
-
-impl LaneFault for DeceptiveReadDestructiveFault {
-    fn involved(&self) -> Vec<Address> {
-        vec![self.victim]
-    }
-
-    fn lane_write(&mut self, memory: &mut LaneMemory, lane: u32, address: Address, value: bool) {
-        memory.set_lane(address, lane, value);
-    }
-
-    fn lane_read(
-        &mut self,
-        memory: &mut LaneMemory,
-        lane: u32,
-        address: Address,
-        _sensed_before: bool,
-    ) -> bool {
-        let correct = memory.get_lane(address, lane);
-        if address == self.victim {
-            memory.set_lane(address, lane, !correct);
-        }
-        correct
-    }
-}
-
 /// Incorrect read fault: a read returns the complement of the stored value
 /// while leaving the cell intact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IncorrectReadFault {
-    victim: Address,
+    pub(super) victim: Address,
 }
 
 impl IncorrectReadFault {
@@ -205,37 +143,6 @@ impl Fault for IncorrectReadFault {
 
     fn lane_kind(&self) -> Option<LaneFaultKind> {
         Some(LaneFaultKind::IncorrectRead(*self))
-    }
-}
-
-impl IncorrectReadFault {
-    pub(crate) fn lane_involved(&self) -> InvolvedAddresses {
-        InvolvedAddresses::one(self.victim)
-    }
-}
-
-impl LaneFault for IncorrectReadFault {
-    fn involved(&self) -> Vec<Address> {
-        vec![self.victim]
-    }
-
-    fn lane_write(&mut self, memory: &mut LaneMemory, lane: u32, address: Address, value: bool) {
-        memory.set_lane(address, lane, value);
-    }
-
-    fn lane_read(
-        &mut self,
-        memory: &mut LaneMemory,
-        lane: u32,
-        address: Address,
-        _sensed_before: bool,
-    ) -> bool {
-        let value = memory.get_lane(address, lane);
-        if address == self.victim {
-            !value
-        } else {
-            value
-        }
     }
 }
 

@@ -2,15 +2,15 @@
 
 use sram_model::address::Address;
 
-use super::{Fault, FaultKind, InvolvedAddresses, LaneFault, LaneFaultKind};
-use crate::memory::{GoodMemory, LaneMemory};
+use super::{Fault, FaultKind, LaneFaultKind};
+use crate::memory::GoodMemory;
 
 /// A cell permanently stuck at a fixed value: writes of the opposite value
 /// have no effect and reads always return the stuck value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StuckAtFault {
-    victim: Address,
-    stuck_value: bool,
+    pub(super) victim: Address,
+    pub(super) stuck_value: bool,
 }
 
 impl StuckAtFault {
@@ -65,42 +65,6 @@ impl Fault for StuckAtFault {
 
     fn lane_kind(&self) -> Option<LaneFaultKind> {
         Some(LaneFaultKind::StuckAt(*self))
-    }
-}
-
-impl StuckAtFault {
-    pub(crate) fn lane_involved(&self) -> InvolvedAddresses {
-        InvolvedAddresses::one(self.victim)
-    }
-}
-
-impl LaneFault for StuckAtFault {
-    fn involved(&self) -> Vec<Address> {
-        vec![self.victim]
-    }
-
-    fn lane_write(&mut self, memory: &mut LaneMemory, lane: u32, address: Address, value: bool) {
-        let stored = if address == self.victim {
-            self.stuck_value
-        } else {
-            value
-        };
-        memory.set_lane(address, lane, stored);
-    }
-
-    fn lane_read(
-        &mut self,
-        memory: &mut LaneMemory,
-        lane: u32,
-        address: Address,
-        _sensed_before: bool,
-    ) -> bool {
-        if address == self.victim {
-            memory.set_lane(address, lane, self.stuck_value);
-            self.stuck_value
-        } else {
-            memory.get_lane(address, lane)
-        }
     }
 }
 

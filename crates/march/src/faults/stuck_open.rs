@@ -2,8 +2,8 @@
 
 use sram_model::address::Address;
 
-use super::{Fault, FaultKind, InvolvedAddresses, LaneFault, LaneFaultKind};
-use crate::memory::{GoodMemory, LaneMemory};
+use super::{Fault, FaultKind, LaneFaultKind};
+use crate::memory::GoodMemory;
 
 /// Stuck-open fault: the cell cannot be accessed at all (e.g. a broken
 /// access transistor). Writes to it are lost and a read returns whatever
@@ -11,8 +11,8 @@ use crate::memory::{GoodMemory, LaneMemory};
 /// open cell leaves the bit lines undriven.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StuckOpenFault {
-    victim: Address,
-    last_sensed: bool,
+    pub(super) victim: Address,
+    pub(super) last_sensed: bool,
 }
 
 impl StuckOpenFault {
@@ -62,52 +62,6 @@ impl Fault for StuckOpenFault {
 
     fn lane_kind(&self) -> Option<LaneFaultKind> {
         Some(LaneFaultKind::StuckOpen(*self))
-    }
-}
-
-impl StuckOpenFault {
-    pub(crate) fn lane_involved(&self) -> InvolvedAddresses {
-        InvolvedAddresses::one(self.victim)
-    }
-}
-
-/// The lane form of the stuck-open fault turns the globally
-/// history-dependent model into a localized one: in a lane where every
-/// cell but the victim is fault-free and the walk is locality-safe, each
-/// non-victim read returns exactly its expected value, so the value left
-/// on the sense amplifier before any step is a pure function of the walk.
-/// The executor precomputes it per step at walk-build time (the
-/// sensed-before stamp, which tracks the latest read at an address other
-/// than the step's own — victim reads leave the sense amplifier
-/// untouched) and hands it to [`LaneFault::lane_read`], which makes the lane
-/// form exactly equivalent to the serial full-walk simulation while only
-/// dispatching the victim's steps.
-impl LaneFault for StuckOpenFault {
-    fn involved(&self) -> Vec<Address> {
-        vec![self.victim]
-    }
-
-    fn lane_write(&mut self, memory: &mut LaneMemory, lane: u32, address: Address, value: bool) {
-        if address != self.victim {
-            memory.set_lane(address, lane, value);
-        }
-        // Writes to the victim are silently lost.
-    }
-
-    fn lane_read(
-        &mut self,
-        memory: &mut LaneMemory,
-        lane: u32,
-        address: Address,
-        sensed_before: bool,
-    ) -> bool {
-        if address == self.victim {
-            // The undriven bit lines leave the previously sensed value,
-            // precomputed per step by the walk.
-            sensed_before
-        } else {
-            memory.get_lane(address, lane)
-        }
     }
 }
 

@@ -2,18 +2,18 @@
 
 use sram_model::address::Address;
 
-use super::{Fault, FaultKind, InvolvedAddresses, LaneFault, LaneFaultKind};
-use crate::memory::{GoodMemory, LaneMemory};
+use super::{Fault, FaultKind, LaneFaultKind};
+use crate::memory::GoodMemory;
 
 /// A cell that fails one of its transitions: an *up* transition fault never
 /// goes from `0` to `1`; a *down* transition fault never goes from `1` to
 /// `0`. All other behaviour is normal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransitionFault {
-    victim: Address,
+    pub(super) victim: Address,
     /// `true` → the 0→1 (up) transition fails; `false` → the 1→0 (down)
     /// transition fails.
-    up_fails: bool,
+    pub(super) up_fails: bool,
 }
 
 impl TransitionFault {
@@ -59,43 +59,6 @@ impl Fault for TransitionFault {
 
     fn lane_kind(&self) -> Option<LaneFaultKind> {
         Some(LaneFaultKind::Transition(*self))
-    }
-}
-
-impl TransitionFault {
-    pub(crate) fn lane_involved(&self) -> InvolvedAddresses {
-        InvolvedAddresses::one(self.victim)
-    }
-}
-
-impl LaneFault for TransitionFault {
-    fn involved(&self) -> Vec<Address> {
-        vec![self.victim]
-    }
-
-    fn lane_write(&mut self, memory: &mut LaneMemory, lane: u32, address: Address, value: bool) {
-        if address == self.victim {
-            let current = memory.get_lane(address, lane);
-            let failing = if self.up_fails {
-                !current && value
-            } else {
-                current && !value
-            };
-            if failing {
-                return; // The transition does not happen.
-            }
-        }
-        memory.set_lane(address, lane, value);
-    }
-
-    fn lane_read(
-        &mut self,
-        memory: &mut LaneMemory,
-        lane: u32,
-        address: Address,
-        _sensed_before: bool,
-    ) -> bool {
-        memory.get_lane(address, lane)
     }
 }
 

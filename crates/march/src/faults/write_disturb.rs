@@ -2,8 +2,8 @@
 
 use sram_model::address::Address;
 
-use super::{Fault, FaultKind, InvolvedAddresses, LaneFault, LaneFaultKind};
-use crate::memory::{GoodMemory, LaneMemory};
+use super::{Fault, FaultKind, LaneFaultKind};
+use crate::memory::GoodMemory;
 
 /// Write disturb fault: a *non-transition* write (writing the value the
 /// cell already holds) flips the cell. Transition writes behave normally.
@@ -11,7 +11,7 @@ use crate::memory::{GoodMemory, LaneMemory};
 /// which is why simple tests like MATS+ miss it and March SS catches it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WriteDisturbFault {
-    victim: Address,
+    pub(super) victim: Address,
 }
 
 impl WriteDisturbFault {
@@ -48,36 +48,6 @@ impl Fault for WriteDisturbFault {
 
     fn lane_kind(&self) -> Option<LaneFaultKind> {
         Some(LaneFaultKind::WriteDisturb(*self))
-    }
-}
-
-impl WriteDisturbFault {
-    pub(crate) fn lane_involved(&self) -> InvolvedAddresses {
-        InvolvedAddresses::one(self.victim)
-    }
-}
-
-impl LaneFault for WriteDisturbFault {
-    fn involved(&self) -> Vec<Address> {
-        vec![self.victim]
-    }
-
-    fn lane_write(&mut self, memory: &mut LaneMemory, lane: u32, address: Address, value: bool) {
-        if address == self.victim && memory.get_lane(address, lane) == value {
-            memory.set_lane(address, lane, !value);
-        } else {
-            memory.set_lane(address, lane, value);
-        }
-    }
-
-    fn lane_read(
-        &mut self,
-        memory: &mut LaneMemory,
-        lane: u32,
-        address: Address,
-        _sensed_before: bool,
-    ) -> bool {
-        memory.get_lane(address, lane)
     }
 }
 

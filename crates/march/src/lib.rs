@@ -35,7 +35,7 @@
 //!    shared, read-only, across every fault of a sweep. It is implicit:
 //!    the ⇑ address permutation, materialised once, serves ⇓ by index
 //!    arithmetic, its inverse finds any address's position in `O(1)`, and
-//!    three rows of code bytes per element complete every step — eight
+//!    two rows of code bytes per element complete every step — eight
 //!    bytes per cell whatever the test's length, built in `O(cells)`.
 //!    Nothing allocates per fault.
 //! 2. **Bit-packed memory** ([`memory::GoodMemory`]) — cells live in
@@ -46,39 +46,27 @@
 //!    [`fault_sim::DetectionMode::FirstMismatch`]) — sweeps that only need
 //!    the detected/missed bit stop each simulation at the first
 //!    mismatching read instead of finishing the walk.
-//! 4. **Parallel sweeps** ([`coverage::SweepOptions`], [`parallel`]) —
-//!    the sweep work fans out across the worker pool through one
-//!    order-preserving, load-balanced chunk map, with outcomes
-//!    reassembled in fault-list order so parallel reports are
+//! 4. **Fault collapsing** ([`batch`], [`batch::FaultBatch`]) — under a
+//!    locality-safe walk a fault's mismatch count depends only on its
+//!    model and parameters and on whether each of its cells is the first,
+//!    a middle or the last in ⇑ order, so equivalent faults form one
+//!    class. Each fault's inline [`faults::LaneFaultKind`] yields an
+//!    integer class key; one relocated representative per class runs the
+//!    per-fault path on a canonical walk of at most five cells, and every
+//!    member takes its count. A 100k-fault sweep simulates a few dozen
+//!    classes, and every sweep assembles one report shape, the interned
+//!    [`intern::InternedSweep`]. Coverage sweeps collapse by default and
+//!    keep the per-fault path as the golden reference.
+//! 5. **Parallel per-fault sweeps** ([`coverage::SweepOptions`],
+//!    [`parallel`]) — the per-fault path fans out across the worker pool
+//!    through one order-preserving, load-balanced chunk map, with
+//!    outcomes reassembled in fault-list order so parallel reports are
 //!    byte-identical to serial ones.
-//! 5. **Lane batching** ([`batch::FaultBatch`], [`memory::LaneMemory`],
-//!    [`executor::run_march_lanes`]) — up to sixty-four independent
-//!    faults ride *one* walk dispatch, each owning a bit lane of a
-//!    sparse lane-parallel store whose fills and compares stay whole-word
-//!    `u64` operations; detection is lane-wise with mask popcounts
-//!    driving the per-lane early exit. Lane forms are stored **inline**
-//!    as [`faults::LaneFaultKind`] enum values (cohorts are
-//!    `Vec<LaneFaultKind>`, dispatched by a monomorphized match — no
-//!    per-owner pointer chase); a fault without a lane kind runs the
-//!    per-fault path. Sweeps execute in **packed order** with one
-//!    streaming permutation for probes and outcomes, so shuffled
-//!    populations sweep at generation-ordered speed, and every sweep
-//!    assembles one report shape, the interned [`intern::InternedSweep`].
-//!    Coverage sweeps ride this backend by default and keep the
-//!    per-fault path as the golden reference.
-//! 6. **Address-aware cohort packing** ([`batch::CohortPlanner`]) —
-//!    cohorts are packed so faults sharing involved addresses land in the
-//!    same walk dispatch, shrinking each cohort's merged step schedule on
-//!    the dense populations synthesized by [`faultgen::FaultGen`]
-//!    (per-row/per-column victims, neighbourhood coupling sets, mixed
-//!    profiles of 100k+ faults); the packer keeps the list-order grouping
-//!    whenever that is cheaper, and the list-order planner stays available
-//!    to compare plans against.
 //!
 //! The `bench` crate's `fault_sim_throughput` benchmark measures the
 //! kernel in faults/second against a frozen replica of the original
 //! (per-fault allocating, always-full-walk, serial) implementation, and
-//! the batched backend against the per-fault kernel.
+//! the collapsed backend against the per-fault kernel.
 //!
 //! # Example
 //!
@@ -97,7 +85,7 @@
 //! assert!(result.passed());
 //!
 //! // Sweep a fault list with the shared-walk kernel: early-exit
-//! // detection, parallel across the list.
+//! // detection, one simulation per equivalence class.
 //! let faults = standard_fault_list(&organization);
 //! let report = evaluate_coverage_with(
 //!     &test,
@@ -137,7 +125,7 @@ pub mod prelude {
     };
     pub use crate::algorithm::MarchTest;
     pub use crate::background::DataBackground;
-    pub use crate::batch::{Cohort, CohortPlanner, FaultBatch};
+    pub use crate::batch::{Cohort, FaultBatch};
     pub use crate::coverage::{
         evaluate_coverage, evaluate_coverage_on_walk, evaluate_coverage_with, panic_message,
         CoverageReport, SweepBackend, SweepOptions, SweepPanic,
@@ -151,10 +139,10 @@ pub mod prelude {
         simulate_fault, simulate_fault_on_walk, DetectionMode, FaultSimOutcome,
     };
     pub use crate::faultgen::{FaultGen, FaultGenError, FaultPopulation};
-    pub use crate::faults::{standard_fault_list, Fault, LaneFault, LaneFaultKind};
+    pub use crate::faults::{standard_fault_list, Fault, LaneFaultKind};
     pub use crate::library;
     pub use crate::library::algorithm_by_name;
-    pub use crate::memory::{GoodMemory, LaneMemory, MemoryModel};
+    pub use crate::memory::{GoodMemory, MemoryModel};
     pub use crate::operation::MarchOp;
     pub use crate::rng::{Fnv1a, SplitMix64};
 }

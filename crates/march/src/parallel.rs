@@ -8,22 +8,27 @@
 //! how the work was scheduled, so parallel sweeps produce byte-identical
 //! reports to serial ones.
 //!
-//! The fan-out reaches the pool through [`sched::map_chunks`]; each pool
-//! worker owns a [`WorkerScratch`] for its whole lifetime, which the
-//! chunk closure receives so the lane-batched hot path can reuse its
-//! dispatch buffers across chunks instead of reallocating per cohort.
+//! The fan-out reaches the pool through [`sched::map_chunks`]. Only the
+//! per-fault golden path fans out: the collapsed sweep simulates a few
+//! dozen classes in microseconds and runs on the calling thread.
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 use std::thread;
-
-pub use sched::WorkerScratch;
 
 /// Number of worker threads a sweep may use: the machine's available
 /// parallelism, or `1` when it cannot be queried.
+///
+/// The answer is queried once per process: on Linux the query reads the
+/// cgroup CPU quota files, which costs more than a whole collapsed sweep
+/// of a short fault list.
 pub fn max_threads() -> usize {
-    thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Chunk oversubscription factor of [`par_chunk_map`]: the item list is
@@ -37,18 +42,15 @@ const CHUNKS_PER_WORKER: usize = 8;
 /// Each chunk may produce any number of outputs. The items are split
 /// into more chunks than workers and the pool's shared cursor hands
 /// chunks to whichever worker frees up first, so uneven work balances
-/// itself: generated fault populations produce cohorts of very uneven
-/// cost (64-lane cohorts that early-exit at different depths,
-/// interleaved with serial singletons), and a static one-chunk-per-worker
-/// split could leave most workers idle behind one expensive chunk.
+/// itself: faults cost very unevenly (a localised fault runs a few steps,
+/// a global one the whole walk, and early exit stops each at a different
+/// depth), and a static one-chunk-per-worker split could leave most
+/// workers idle behind one expensive chunk.
 /// Per-chunk outputs land in indexed write-once slots and concatenate in
 /// chunk order, whatever the claiming order was.
 ///
-/// `map_chunk` also receives the claiming worker's [`WorkerScratch`]:
-/// the lane-batched sweep keeps its dispatch buffers there, so
-/// consecutive chunks on one worker reuse the allocations. With one
-/// item, one worker, or an empty input the call degenerates to
-/// `map_chunk(items, scratch)` on the current thread.
+/// With one item, one worker, or an empty input the call degenerates to
+/// `map_chunk(items)` on the current thread.
 ///
 /// # Examples
 ///
@@ -56,7 +58,7 @@ const CHUNKS_PER_WORKER: usize = 8;
 /// use march_test::parallel::par_chunk_map;
 ///
 /// let items: Vec<u32> = (0..100).collect();
-/// let doubled = par_chunk_map(&items, 4, |chunk, _scratch| {
+/// let doubled = par_chunk_map(&items, 4, |chunk| {
 ///     chunk.iter().map(|&x| u64::from(x) * 2).collect()
 /// });
 /// assert_eq!(doubled, (0..100).map(|x| x * 2).collect::<Vec<u64>>());
@@ -69,7 +71,7 @@ pub fn par_chunk_map<T, R, F>(items: &[T], threads: usize, map_chunk: F) -> Vec<
 where
     T: Sync,
     R: Send + Sync,
-    F: Fn(&[T], &mut WorkerScratch) -> Vec<R> + Sync,
+    F: Fn(&[T]) -> Vec<R> + Sync,
 {
     let workers = threads.clamp(1, items.len().max(1));
     let chunk_count = (workers * CHUNKS_PER_WORKER).min(items.len().max(1));
@@ -85,7 +87,7 @@ mod tests {
         let items: Vec<u32> = (0..103).collect();
         let expected: Vec<u64> = items.iter().map(|&x| u64::from(x) * 3).collect();
         for threads in [1, 2, 3, 8, 64, 1000] {
-            let out = par_chunk_map(&items, threads, |chunk, _| {
+            let out = par_chunk_map(&items, threads, |chunk| {
                 chunk.iter().map(|&x| u64::from(x) * 3).collect()
             });
             assert_eq!(out, expected, "threads = {threads}");
@@ -94,7 +96,7 @@ mod tests {
 
     #[test]
     fn empty_input_yields_empty_output() {
-        let out: Vec<u8> = par_chunk_map(&[] as &[u8], 8, |chunk, _| chunk.to_vec());
+        let out: Vec<u8> = par_chunk_map(&[] as &[u8], 8, |chunk| chunk.to_vec());
         assert!(out.is_empty());
     }
 
@@ -105,7 +107,7 @@ mod tests {
 
     #[test]
     fn uneven_outputs_concatenate_in_input_order_under_any_thread_count() {
-        // Items of wildly different cost (cohort-like expansion) must
+        // Items of wildly different cost (uneven expansion) must
         // still concatenate in input order regardless of which worker
         // claimed which chunk.
         let items: Vec<u32> = (0..517).map(|i| i % 97).collect();
@@ -114,7 +116,7 @@ mod tests {
             .flat_map(|&x| std::iter::repeat_n(x, (x % 3) as usize))
             .collect();
         for threads in [1, 2, 3, 8, 64, 1000] {
-            let out = par_chunk_map(&items, threads, |chunk, _| {
+            let out = par_chunk_map(&items, threads, |chunk| {
                 chunk
                     .iter()
                     .flat_map(|&x| std::iter::repeat_n(x, (x % 3) as usize))
@@ -126,15 +128,15 @@ mod tests {
 
     #[test]
     fn tiny_inputs_run_as_one_chunk() {
-        let one = par_chunk_map(&[7u8], 8, |chunk, _| chunk.to_vec());
+        let one = par_chunk_map(&[7u8], 8, |chunk| chunk.to_vec());
         assert_eq!(one, vec![7]);
-        let chunks = par_chunk_map(&[1u8, 2], 1, |chunk, _| vec![chunk.len()]);
+        let chunks = par_chunk_map(&[1u8, 2], 1, |chunk| vec![chunk.len()]);
         assert_eq!(chunks, vec![2], "one worker maps the whole slice at once");
     }
 
     #[test]
     fn concatenates_variable_length_outputs_in_input_order() {
-        // Each item expands to `item` copies of itself, like a cohort
+        // Each item expands to `item` copies of itself, like a chunk
         // expanding to one outcome per member fault.
         let items: Vec<u32> = vec![3, 0, 1, 4, 2];
         let expected: Vec<u32> = items
@@ -142,7 +144,7 @@ mod tests {
             .flat_map(|&x| std::iter::repeat_n(x, x as usize))
             .collect();
         for threads in [1, 2, 3, 8, 64] {
-            let out = par_chunk_map(&items, threads, |chunk, _| {
+            let out = par_chunk_map(&items, threads, |chunk| {
                 chunk
                     .iter()
                     .flat_map(|&x| std::iter::repeat_n(x, x as usize))
@@ -150,19 +152,5 @@ mod tests {
             });
             assert_eq!(out, expected, "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn worker_scratch_is_reused_across_chunks() {
-        // With one worker every chunk lands on the same scratch, so an
-        // allocation made by the first chunk is visible to all of them.
-        let items: Vec<u32> = (0..64).collect();
-        let out = par_chunk_map(&items, 1, |chunk, scratch| {
-            let buffer: &mut Vec<u32> = scratch.get_or_insert_with(Vec::new);
-            buffer.extend_from_slice(chunk);
-            vec![buffer.len() as u32]
-        });
-        // One worker degenerates to a single whole-slice chunk.
-        assert_eq!(out, vec![64]);
     }
 }

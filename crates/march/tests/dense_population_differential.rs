@@ -1,37 +1,32 @@
-//! Seed-driven randomized differential testing of the lane-batched sweep
-//! engines against the serial per-fault golden path.
+//! Seed-driven randomized differential testing of the collapsed sweep
+//! against the serial per-fault golden path.
 //!
-//! The exhaustive equivalence suite (`lane_batch_equivalence.rs`) pins the
-//! batched backend on the *standard* 48-fault library; this harness
-//! attacks the space the standard list cannot reach: for many SplitMix64
+//! The equivalence suite (`lane_batch_equivalence.rs`) pins the collapsed
+//! backend on the *standard* 48-fault library and the exhaustive one
+//! (`collapse_exhaustive.rs`) on every cell and cell pair of the smallest
+//! arrays; this harness attacks the space between: for many SplitMix64
 //! seeds it draws a random population (1..=400 faults, every fault kind
 //! mixed, random victims/aggressors over a random organization), a random
 //! algorithm, address order, data background and detection mode — and
-//! asserts the batched path is **bit-identical** to the golden path:
-//!
-//! * the whole [`CoverageReport`] (detected/escaped and mismatch counts
-//!   per fault, in fault-list order), serial and parallel;
-//! * the first-detecting element/operation of every lane
-//!   ([`LaneDetection::first_mismatch`]) against the first entry of the
-//!   serial full-walk mismatch list, for the cohorts of both planners.
+//! asserts the collapsed path is **bit-identical** to the golden path:
+//! the whole [`CoverageReport`] (detected/escaped and mismatch counts per
+//! fault, in fault-list order), serial and parallel.
 //!
 //! Every assertion message carries the scenario seed, so a failure
 //! reproduces with `scenario(seed)` alone — no fault list to copy around.
 //!
 //! [`CoverageReport`]: march_test::coverage::CoverageReport
-//! [`LaneDetection::first_mismatch`]: march_test::executor::LaneDetection
 
 use march_test::address_order::{
     AddressOrder, ColumnMajor, LinearOrder, PseudoRandomOrder, WordLineAfterWordLine,
 };
-use march_test::batch::{Cohort, CohortPlanner, FaultBatch};
+use march_test::batch::{Cohort, FaultBatch};
 use march_test::coverage::{evaluate_coverage_with, SweepBackend, SweepOptions};
-use march_test::executor::{run_march_lanes, run_march_walk, MarchResult, MarchWalk};
+use march_test::executor::MarchWalk;
 use march_test::fault_sim::DetectionMode;
 use march_test::faultgen::FaultGen;
-use march_test::faults::{FaultFactory, FaultyMemory};
+use march_test::faults::FaultFactory;
 use march_test::library;
-use march_test::memory::GoodMemory;
 use march_test::rng::SplitMix64;
 use sram_model::config::ArrayOrganization;
 
@@ -98,7 +93,7 @@ impl Scenario {
         }
     }
 
-    /// Asserts every batched configuration reproduces the golden path
+    /// Asserts every collapsed configuration reproduces the golden path
     /// bit-identically on this scenario.
     fn check(&self) {
         let golden = evaluate_coverage_with(
@@ -129,76 +124,11 @@ impl Scenario {
             );
             assert_eq!(golden, batched, "{} [parallel={parallel}]", self.tag());
         }
-        self.check_first_mismatches();
-    }
-
-    /// Asserts the per-lane detection details (detected, mismatch count,
-    /// first mismatching element/operation) of every planned lane cohort
-    /// equal the serial full-walk results, under both planners.
-    fn check_first_mismatches(&self) {
-        let walk = MarchWalk::new(&self.test, self.order.as_ref(), &self.organization);
-        // The golden full-walk result of each fault, computed once and
-        // shared by both planners' comparisons.
-        let serial: Vec<MarchResult> = self
-            .population
-            .iter()
-            .map(|factory| {
-                let mut memory = FaultyMemory::new(
-                    GoodMemory::filled(self.organization.capacity(), self.background),
-                    factory(),
-                );
-                run_march_walk(&walk, &mut memory)
-            })
-            .collect();
-        for planner in [CohortPlanner::AddressAware, CohortPlanner::ListOrderGreedy] {
-            let plan = FaultBatch::plan_with(&walk, &self.population, planner);
-            assert_eq!(plan.fault_count(), self.population.len(), "{}", self.tag());
-            for cohort in plan.cohorts() {
-                let Cohort::Lanes(indices) = cohort else {
-                    continue;
-                };
-                let mut lanes: Vec<_> = indices
-                    .iter()
-                    .map(|&index| {
-                        self.population[index]()
-                            .lane_kind()
-                            .expect("planned lane faults have lane kinds")
-                    })
-                    .collect();
-                let detections = run_march_lanes(&walk, &mut lanes, self.background, self.mode);
-                for (&index, detection) in indices.iter().zip(&detections) {
-                    let reference = &serial[index];
-                    let name = self.population[index]().name();
-                    assert_eq!(
-                        detection.detected,
-                        reference.detected_fault(),
-                        "{} [{planner:?}, fault {index} {name}] detection flag",
-                        self.tag()
-                    );
-                    let expected_mismatches = match self.mode {
-                        DetectionMode::Full => reference.mismatches.len(),
-                        DetectionMode::FirstMismatch => usize::from(reference.detected_fault()),
-                    };
-                    assert_eq!(
-                        detection.mismatches,
-                        expected_mismatches,
-                        "{} [{planner:?}, fault {index} {name}] mismatch count",
-                        self.tag()
-                    );
-                    assert_eq!(
-                        detection.first_mismatch,
-                        reference.mismatches.first().copied(),
-                        "{} [{planner:?}, fault {index} {name}] first-detecting operation",
-                        self.tag()
-                    );
-                }
-            }
-        }
     }
 }
 
 /// The committed seed sweep: one scenario per seed, each asserting full
-/// bit-identity between the batched engines and the golden path.
+/// bit-identity between the collapsed sweep and the golden path.
 #[test]
 fn randomized_populations_are_bit_identical_between_batched_and_golden() {
     for round in 0..24u64 {
@@ -206,45 +136,28 @@ fn randomized_populations_are_bit_identical_between_batched_and_golden() {
     }
 }
 
-/// The multiset of per-lane-cohort involved-address unions of a plan —
-/// the cohort "schedule" modulo cohort order. Two plans with equal union
-/// multisets dispatch identical merged step schedules, whichever faults
-/// happen to occupy which lane.
-fn cohort_union_multiset(plan: &FaultBatch, faults: &[FaultFactory]) -> Vec<Vec<u32>> {
-    let mut unions: Vec<Vec<u32>> = plan
-        .cohorts()
-        .iter()
-        .filter_map(|cohort| {
-            let Cohort::Lanes(indices) = cohort else {
-                return None;
-            };
-            let mut union: Vec<u32> = indices
-                .iter()
-                .flat_map(|&index| {
-                    faults[index]()
-                        .lane_kind()
-                        .expect("planned lane faults have kinds")
-                        .involved()
-                        .iter()
-                        .map(|address| address.value())
-                        .collect::<Vec<u32>>()
-                })
-                .collect();
-            union.sort_unstable();
-            union.dedup();
-            Some(union)
-        })
-        .collect();
-    unions.sort();
-    unions
+/// The plan of a population modulo fault order: the sorted class sizes
+/// and the number of per-fault singletons. Shuffling a population only
+/// permutes its faults, so it must keep both.
+fn plan_shape(plan: &FaultBatch) -> (Vec<usize>, usize) {
+    let mut classes: Vec<usize> = Vec::new();
+    let mut singletons = 0;
+    for cohort in plan.cohorts() {
+        match cohort {
+            Cohort::Class(members) => classes.push(*members),
+            Cohort::Serial(_) => singletons += 1,
+        }
+    }
+    classes.sort_unstable();
+    (classes, singletons)
 }
 
 /// Shuffled-permutation seeds: a generation-ordered population and a
 /// shuffled copy of the *same* population must produce identical
 /// per-fault outcomes (outcome `p` of the shuffled sweep equals outcome
-/// `perm[p]` of the ordered one, bit for bit) and the address-aware
-/// packer must plan identical packed schedules up to cohort order —
-/// shuffling is exactly one permutation, never extra work.
+/// `perm[p]` of the ordered one, bit for bit) and collapse into the same
+/// classes up to their order — shuffling is exactly one permutation,
+/// never extra work.
 #[test]
 fn shuffled_permutations_match_generation_order_bit_identically() {
     for round in 0..12u64 {
@@ -284,26 +197,25 @@ fn shuffled_permutations_match_generation_order_bit_identically() {
             test.name(),
         );
 
-        // Identical packed schedules up to cohort order: the clustered
-        // sort keys on involved-address signatures, not list positions,
-        // so the shuffled copy plans the same union multiset and the
-        // same total dispatch.
+        // The same classes up to their order, and the same simulated
+        // steps: a class is defined by its members, not by where they sit
+        // in the list.
         let walk = MarchWalk::new(&test, &WordLineAfterWordLine, &organization);
-        let plan_ordered = FaultBatch::plan_with(&walk, &ordered, CohortPlanner::AddressAware);
-        let plan_shuffled = FaultBatch::plan_with(&walk, &shuffled, CohortPlanner::AddressAware);
+        let plan_ordered = FaultBatch::plan(&walk, &ordered);
+        let plan_shuffled = FaultBatch::plan(&walk, &shuffled);
         assert_eq!(
             plan_ordered.merged_schedule_steps(),
             plan_shuffled.merged_schedule_steps(),
-            "{tag}: shuffling must not change the packed dispatch total"
+            "{tag}: shuffling must not change the simulated steps"
         );
         assert_eq!(
-            cohort_union_multiset(&plan_ordered, &ordered),
-            cohort_union_multiset(&plan_shuffled, &shuffled),
-            "{tag}: packed schedules must be identical up to cohort order"
+            plan_shape(&plan_ordered),
+            plan_shape(&plan_shuffled),
+            "{tag}: the classes must be identical up to their order"
         );
 
         // Identical per-fault outcomes, bit for bit, through every
-        // batched configuration — and against the per-fault golden path.
+        // collapsed configuration — and against the per-fault golden path.
         for mode in [DetectionMode::Full, DetectionMode::FirstMismatch] {
             let options = |backend, parallel| SweepOptions {
                 background,
@@ -357,8 +269,8 @@ fn shuffled_permutations_match_generation_order_bit_identically() {
 }
 
 /// Degenerate-shape seeds: the smallest arrays and populations, where
-/// cohort planning edge cases (single fault, single lane, capacity 4)
-/// live.
+/// the collapse's edge cases (a single fault, capacity 4, exact ⇑
+/// positions) live.
 #[test]
 fn tiny_populations_and_arrays_stay_bit_identical() {
     for round in 0..12u64 {

@@ -1,32 +1,28 @@
-//! Property tests for the cohort planners ([`FaultBatch`]).
+//! Property tests for the collapsed plan ([`FaultBatch`]).
 //!
-//! Whatever the population looks like, every plan must satisfy the
-//! packing invariants:
+//! Whatever the population looks like, every plan must satisfy:
 //!
-//! 1. every input fault lands in exactly one cohort lane, exactly once;
-//! 2. no lane cohort exceeds [`LaneMemory::LANES`] members;
-//! 3. sweep outcomes (planned by the address-aware packer) reassemble
-//!    in fault-list order;
-//! 4. the address-aware packer's total merged-schedule steps never
-//!    exceed the list-order greedy baseline's — and shrink outright on
-//!    overlap-heavy populations.
+//! 1. every input fault belongs to exactly one class or singleton;
+//! 2. a class costs at most the canonical walk's five cells, so the plan
+//!    never simulates more steps than the per-fault path would;
+//! 3. sweep outcomes reassemble in fault-list order;
+//! 4. the collapsed sweep reproduces the per-fault golden path — and on
+//!    overlap-heavy populations it simulates far fewer classes than
+//!    faults.
 //!
 //! Populations are drawn from seeded [`FaultGen`] profiles so any failure
 //! reproduces from the printed seed.
 
 use march_test::address_order::WordLineAfterWordLine;
-use march_test::batch::{Cohort, CohortPlanner, FaultBatch};
+use march_test::batch::{Cohort, FaultBatch};
 use march_test::coverage::{evaluate_coverage_on_walk, SweepBackend, SweepOptions};
 use march_test::executor::MarchWalk;
 use march_test::fault_sim::DetectionMode;
 use march_test::faultgen::FaultGen;
 use march_test::faults::FaultFactory;
 use march_test::library;
-use march_test::memory::LaneMemory;
 use march_test::rng::SplitMix64;
 use sram_model::config::ArrayOrganization;
-
-const PLANNERS: [CohortPlanner; 2] = [CohortPlanner::ListOrderGreedy, CohortPlanner::AddressAware];
 
 /// A seed-determined population over a seed-determined organization:
 /// mixed, clustered or structured, sometimes shuffled.
@@ -51,40 +47,59 @@ fn population_for(seed: u64) -> (ArrayOrganization, Vec<FaultFactory>) {
     (organization, faults)
 }
 
-/// Properties 1 + 2: exactly-once lane assignment and the 64-lane cap,
-/// for both planners across many random populations.
+/// The walk steps the per-fault golden path runs for every fault of
+/// `faults` under `DetectionMode::Full`.
+fn per_fault_steps(walk: &MarchWalk, faults: &[FaultFactory], ops: usize) -> u64 {
+    faults
+        .iter()
+        .map(|factory| match factory().involved_addresses() {
+            Some(mut cells) => {
+                cells.sort_unstable();
+                cells.dedup();
+                (cells.len() * ops) as u64
+            }
+            None => walk.len() as u64,
+        })
+        .sum()
+}
+
+/// Properties 1 + 2: every fault in exactly one entry, and no class
+/// dearer than the canonical walk, across many random populations.
 #[test]
-fn every_fault_lands_in_exactly_one_lane_and_cohorts_cap_at_sixty_four() {
+fn every_fault_lands_in_exactly_one_entry_and_classes_stay_small() {
     for round in 0..32u64 {
         let seed = 0x9ac4_0000u64 | round;
         let (organization, faults) = population_for(seed);
         for test in [library::march_ss(), library::mats_plus()] {
             let walk = MarchWalk::new(&test, &WordLineAfterWordLine, &organization);
-            for planner in PLANNERS {
-                let plan = FaultBatch::plan_with(&walk, &faults, planner);
-                assert_eq!(plan.fault_count(), faults.len(), "seed {seed:#x}");
-                let mut seen: Vec<usize> = Vec::with_capacity(faults.len());
-                for cohort in plan.cohorts() {
-                    match cohort {
-                        Cohort::Lanes(indices) => {
-                            assert!(
-                                indices.len() <= LaneMemory::LANES,
-                                "seed {seed:#x} [{planner:?}]: cohort of {} lanes",
-                                indices.len()
-                            );
-                            assert!(!cohort.is_empty(), "seed {seed:#x} [{planner:?}]");
-                            seen.extend(indices.iter().copied());
-                        }
-                        Cohort::Serial(index) => seen.push(*index),
-                    }
-                }
-                seen.sort_unstable();
-                let expected: Vec<usize> = (0..faults.len()).collect();
-                assert_eq!(
-                    seen, expected,
-                    "seed {seed:#x} [{planner:?}]: every fault exactly once"
-                );
-            }
+            let plan = FaultBatch::plan(&walk, &faults);
+            assert_eq!(plan.fault_count(), faults.len(), "seed {seed:#x}");
+            let covered: usize = plan.cohorts().iter().map(Cohort::len).sum();
+            assert_eq!(covered, faults.len(), "seed {seed:#x}: every fault once");
+            assert!(
+                !plan.cohorts().iter().any(Cohort::is_empty),
+                "seed {seed:#x}"
+            );
+            // In-crate models only: no singletons, and each class runs at
+            // most five cells' operations.
+            assert!(
+                plan.cohorts()
+                    .iter()
+                    .all(|cohort| matches!(cohort, Cohort::Class(_))),
+                "seed {seed:#x}"
+            );
+            assert_eq!(plan.lane_fault_count(), faults.len(), "seed {seed:#x}");
+            let ops = test.operation_count();
+            assert!(
+                plan.merged_schedule_steps() <= (plan.cohorts().len() * 5 * ops) as u64,
+                "seed {seed:#x}: {} steps for {} classes",
+                plan.merged_schedule_steps(),
+                plan.cohorts().len()
+            );
+            assert!(
+                plan.merged_schedule_steps() <= per_fault_steps(&walk, &faults, ops),
+                "seed {seed:#x}: the plan simulates more than the per-fault path"
+            );
         }
     }
 }
@@ -125,32 +140,35 @@ fn outcomes_reassemble_in_fault_list_order() {
     }
 }
 
-/// Property 4a: the address-aware packer never plans a worse total merged
-/// schedule than the greedy baseline — on *any* population (the packer
-/// keeps the better of the two groupings by construction, and this pins
-/// that contract from the outside).
+/// Property 4: on any population the collapsed sweep equals the per-fault
+/// golden path.
 #[test]
-fn packed_schedule_never_exceeds_greedy() {
+fn collapsed_sweeps_equal_the_golden_path() {
     for round in 0..32u64 {
         let seed = 0x5c4e_0000u64 | round;
         let (organization, faults) = population_for(seed);
         let walk = MarchWalk::new(&library::march_sr(), &WordLineAfterWordLine, &organization);
-        let greedy = FaultBatch::plan_with(&walk, &faults, CohortPlanner::ListOrderGreedy);
-        let packed = FaultBatch::plan_with(&walk, &faults, CohortPlanner::AddressAware);
-        assert!(
-            packed.merged_schedule_steps() <= greedy.merged_schedule_steps(),
-            "seed {seed:#x}: packed {} > greedy {}",
-            packed.merged_schedule_steps(),
-            greedy.merged_schedule_steps()
-        );
+        for mode in [DetectionMode::Full, DetectionMode::FirstMismatch] {
+            let options = |backend| SweepOptions {
+                background: round % 2 == 1,
+                mode,
+                parallel: false,
+                backend,
+            };
+            assert_eq!(
+                evaluate_coverage_on_walk(&walk, &faults, options(SweepBackend::PerFault)),
+                evaluate_coverage_on_walk(&walk, &faults, options(SweepBackend::LaneBatched)),
+                "seed {seed:#x} [{mode:?}]"
+            );
+        }
     }
 }
 
 /// Property 4b: on overlap-heavy shuffled populations (many faults per
-/// victim, shuffled so list order scatters them) the packer must deliver
-/// a *strict, substantial* schedule reduction — the reason it exists.
+/// victim, scattered through the list) the collapse simulates a small
+/// fraction of the faults — the reason it exists.
 #[test]
-fn packed_schedule_shrinks_substantially_on_overlap_heavy_populations() {
+fn overlap_heavy_populations_collapse_into_few_classes() {
     for seed in [0xbeef_0001u64, 0xbeef_0002, 0xbeef_0003] {
         let mut rng = SplitMix64::new(seed);
         let organization = ArrayOrganization::new(32, 32).expect("valid organization");
@@ -158,15 +176,14 @@ fn packed_schedule_shrinks_substantially_on_overlap_heavy_populations() {
         let mut faults = gen.overlapping_clusters(60, 2, 1);
         gen.shuffle(&mut faults);
         let walk = MarchWalk::new(&library::march_ss(), &WordLineAfterWordLine, &organization);
-        let greedy = FaultBatch::plan_with(&walk, &faults, CohortPlanner::ListOrderGreedy);
-        let packed = FaultBatch::plan_with(&walk, &faults, CohortPlanner::AddressAware);
-        let ratio = greedy.merged_schedule_steps() as f64 / packed.merged_schedule_steps() as f64;
+        let plan = FaultBatch::plan(&walk, &faults);
+        let ratio = faults.len() as f64 / plan.cohorts().len() as f64;
         assert!(
-            ratio >= 1.5,
-            "seed {seed:#x}: packer only saved {ratio:.2}x \
-             (greedy {} vs packed {} steps)",
-            greedy.merged_schedule_steps(),
-            packed.merged_schedule_steps()
+            ratio >= 4.0,
+            "seed {seed:#x}: {} faults collapsed into only {:.2}x fewer classes ({})",
+            faults.len(),
+            ratio,
+            plan.cohorts().len()
         );
     }
 }

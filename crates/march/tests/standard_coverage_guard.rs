@@ -1,5 +1,5 @@
 //! Regression guard: the golden coverage table of the standard 48-fault
-//! library is frozen, and no sweep backend, cohort planner or threading
+//! library is frozen, and no sweep backend, fault collapse or threading
 //! choice may move it.
 //!
 //! The detected counts below are the reproduction's Table-1-adjacent

@@ -3,17 +3,14 @@
 //! The fault-simulation engine, the Table 1 power reproduction and the
 //! crash-safe campaign layer used to fan work out through three separate
 //! ad-hoc mechanisms. This crate replaces them with a single batch
-//! scheduler built from three pieces:
+//! scheduler built from two pieces:
 //!
-//! * [`Task`] — the unit of work: one boxed closure that receives the
-//!   claiming worker's scratch, whatever it computes;
-//! * [`WorkerScratch`] — reusable per-worker storage, keyed by type, so
-//!   hot paths (lane memories, schedule vectors, bookkeeping sets) stop
-//!   allocating per dispatch;
+//! * [`Task`] — the unit of work: one boxed closure, whatever it
+//!   computes;
 //! * [`run_pool`] / [`map_chunks`] — the pool itself: workers pull tasks
 //!   off a shared cursor (batch fan-outs) or an open-ended producer
 //!   (the campaign attempt engine, which parks idle workers on its own
-//!   condvar), each with a scratch that lives as long as the worker.
+//!   condvar).
 //!
 //! The crate is dependency-free and sits at the bottom of the workspace
 //! graph: `march-test` builds its order-preserving sweep primitives on
@@ -27,8 +24,6 @@
 
 mod item;
 mod pool;
-mod scratch;
 
 pub use item::Task;
 pub use pool::{map_chunks, run_pool};
-pub use scratch::WorkerScratch;

@@ -2,11 +2,10 @@
 //!
 //! The pool is a *pull* design. Callers hand [`run_pool`] a producer
 //! closure; each worker repeatedly asks it for the next [`Task`] and runs
-//! whatever it gets with its own long-lived
-//! [`WorkerScratch`](crate::WorkerScratch). That one loop serves every
-//! fan-out shape in the workspace:
+//! whatever it gets. That one loop serves every fan-out shape in the
+//! workspace:
 //!
-//! * **batch fan-outs** (fault sweeps, Table 1 power sessions) expose an
+//! * **batch fan-outs** (per-fault sweeps, Table 1 power sessions) expose an
 //!   atomic cursor over a precomputed chunk list — whichever worker frees
 //!   up first claims (steals) the next chunk, so uneven chunks balance
 //!   themselves; [`map_chunks`] packages this shape, including the
@@ -24,21 +23,17 @@ use std::sync::OnceLock;
 use std::thread;
 
 use crate::item::Task;
-use crate::scratch::WorkerScratch;
 
 fn drain<'a>(worker: usize, next: &(impl Fn(usize) -> Option<Task<'a>> + Sync)) {
-    let mut scratch = WorkerScratch::new();
     while let Some(task) = next(worker) {
-        task.run(&mut scratch);
+        task.run();
     }
 }
 
 /// Runs up to `threads` workers over a producer until every worker has
 /// been answered `None`.
 ///
-/// Each worker owns one [`WorkerScratch`](crate::WorkerScratch) for the
-/// whole run and passes it to every task it runs. `next` is called with
-/// the asking worker's index (`0..workers`); it must be safe to call
+/// `next` is called with the asking worker's index (`0..workers`); it must be safe to call
 /// concurrently from all workers — an atomic cursor or an internal lock
 /// is the producer's business. `None` retires the asking worker, so a
 /// producer that has nothing runnable *yet* must wait inside `next`
@@ -81,8 +76,7 @@ where
 /// load-balancing lever: workers that draw cheap chunks claim more.
 ///
 /// With one item, one worker, or an empty input the call degenerates to
-/// `map_chunk(items, scratch)` on the current thread with a fresh
-/// scratch.
+/// `map_chunk(items)` on the current thread.
 ///
 /// # Examples
 ///
@@ -90,7 +84,7 @@ where
 /// use sched::map_chunks;
 ///
 /// let items: Vec<u32> = (0..100).collect();
-/// let doubled = map_chunks(&items, 4, 16, |chunk, _scratch| {
+/// let doubled = map_chunks(&items, 4, 16, |chunk| {
 ///     chunk.iter().map(|&x| u64::from(x) * 2).collect()
 /// });
 /// assert_eq!(doubled, (0..100).map(|x| x * 2).collect::<Vec<u64>>());
@@ -103,11 +97,11 @@ pub fn map_chunks<T, R, F>(items: &[T], threads: usize, chunk_count: usize, map_
 where
     T: Sync,
     R: Send + Sync,
-    F: Fn(&[T], &mut WorkerScratch) -> Vec<R> + Sync,
+    F: Fn(&[T]) -> Vec<R> + Sync,
 {
     let workers = threads.clamp(1, items.len().max(1));
     if workers <= 1 {
-        return map_chunk(items, &mut WorkerScratch::new());
+        return map_chunk(items);
     }
     let chunk_count = chunk_count.clamp(1, items.len());
     let chunk_size = items.len().div_ceil(chunk_count);
@@ -119,8 +113,8 @@ where
     run_pool(workers, |_| {
         let claim = cursor.fetch_add(1, Ordering::Relaxed);
         let &chunk = chunks.get(claim)?;
-        Some(Task::new(move |scratch| {
-            let out = map_chunk(chunk, scratch);
+        Some(Task::new(move || {
+            let out = map_chunk(chunk);
             slots_ref[claim]
                 .set(out)
                 .unwrap_or_else(|_| unreachable!("chunk claimed twice"));
@@ -142,7 +136,7 @@ mod tests {
         let items: Vec<u32> = (0..517).collect();
         let expected: Vec<u64> = items.iter().map(|&x| u64::from(x) * 3).collect();
         for threads in [1, 2, 3, 8, 64, 1000] {
-            let out = map_chunks(&items, threads, threads * 8, |c, _| {
+            let out = map_chunks(&items, threads, threads * 8, |c| {
                 c.iter().map(|&x| u64::from(x) * 3).collect()
             });
             assert_eq!(out, expected, "threads = {threads}");
@@ -151,9 +145,9 @@ mod tests {
 
     #[test]
     fn map_chunks_handles_empty_and_tiny_inputs() {
-        let empty: Vec<u8> = map_chunks(&[] as &[u8], 8, 64, |c, _| c.to_vec());
+        let empty: Vec<u8> = map_chunks(&[] as &[u8], 8, 64, |c| c.to_vec());
         assert!(empty.is_empty());
-        let one = map_chunks(&[7u8], 8, 64, |c, _| c.to_vec());
+        let one = map_chunks(&[7u8], 8, 64, |c| c.to_vec());
         assert_eq!(one, vec![7]);
     }
 
@@ -165,7 +159,7 @@ mod tests {
             .flat_map(|&x| std::iter::repeat_n(x, (x % 3) as usize))
             .collect();
         for threads in [1, 2, 3, 8, 64] {
-            let out = map_chunks(&items, threads, threads * 8, |c, _| {
+            let out = map_chunks(&items, threads, threads * 8, |c| {
                 c.iter()
                     .flat_map(|&x| std::iter::repeat_n(x, (x % 3) as usize))
                     .collect()
@@ -175,26 +169,12 @@ mod tests {
     }
 
     #[test]
-    fn scratch_survives_across_items_on_one_worker() {
-        // Single worker: every chunk sees the same scratch, so a counter
-        // stored in it observes every dispatch.
-        let items: Vec<u32> = (0..40).collect();
-        let out = map_chunks(&items, 1, 8, |chunk, scratch| {
-            let seen = scratch.get_or_insert_with(|| 0u32);
-            *seen += chunk.len() as u32;
-            vec![*seen]
-        });
-        // One worker degenerates to a single whole-slice chunk.
-        assert_eq!(out, vec![40]);
-    }
-
-    #[test]
     fn single_threaded_pool_runs_on_the_current_thread() {
         let caller = thread::current().id();
         let produced = AtomicUsize::new(0);
         run_pool(1, |_| {
             (produced.fetch_add(1, Ordering::Relaxed) == 0)
-                .then(|| Task::new(move |_| assert_eq!(thread::current().id(), caller)))
+                .then(|| Task::new(move || assert_eq!(thread::current().id(), caller)))
         });
     }
 }
