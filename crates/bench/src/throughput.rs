@@ -50,7 +50,7 @@ use march_test::coverage::{
 use march_test::executor::{MarchWalk, Mismatch};
 use march_test::fault_sim::{DetectionMode, FaultSimOutcome};
 use march_test::faultgen::FaultGen;
-use march_test::faults::{FaultFactory, FaultyMemory};
+use march_test::faults::{Fault, FaultModel, FaultyMemory};
 use march_test::library;
 use march_test::memory::{GoodMemory, MemoryModel};
 use march_test::parallel::max_threads;
@@ -109,12 +109,11 @@ pub fn baseline_evaluate_coverage(
     test: &MarchTest,
     order: &dyn AddressOrder,
     organization: &ArrayOrganization,
-    faults: &[FaultFactory],
+    faults: &[FaultModel],
 ) -> CoverageReport {
     let outcomes = faults
         .iter()
-        .map(|factory| {
-            let fault = factory();
+        .map(|&fault| {
             let fault_name = fault.name();
             let fault_kind = fault.kind();
             let mut memory =
@@ -382,22 +381,11 @@ pub fn dense_sweep(rows: u32, cols: u32, fault_count: usize, passes: usize) -> D
     let standard = march_test::faults::standard_fault_list(&organization);
     let population = FaultGen::new(organization, DENSE_POPULATION_SEED).dense_profile(fault_count);
 
-    // The shuffled ablation: the same population (FaultGen is
-    // deterministic in (organization, seed, profile)), reordered by a
-    // fixed permutation the equivalence gate below can invert.
+    // The shuffled ablation: the same population reordered by a fixed
+    // permutation the equivalence gate below can invert.
     let mut perm: Vec<usize> = (0..population.len()).collect();
     SplitMix64::new(DENSE_SHUFFLE_SEED).shuffle(&mut perm);
-    let mut slots: Vec<Option<FaultFactory>> = FaultGen::new(organization, DENSE_POPULATION_SEED)
-        .dense_profile(fault_count)
-        .factories
-        .into_iter()
-        .map(Some)
-        .collect();
-    let shuffled: Vec<FaultFactory> = perm
-        .iter()
-        .map(|&index| slots[index].take().expect("perm is a permutation"))
-        .collect();
-    drop(slots);
+    let shuffled: Vec<FaultModel> = perm.iter().map(|&index| population[index]).collect();
 
     let serial_options = SweepOptions {
         background: false,
@@ -454,26 +442,24 @@ pub fn dense_sweep(rows: u32, cols: u32, fault_count: usize, passes: usize) -> D
         );
     }
 
-    // The standard list keeps its own tight timing loop: its 48-fault
-    // pass is effectively cache-resident there, which is the deliberately
-    // harsh yardstick `speedup_dense_vs_standard` has gated since the
-    // metric was introduced (inside a rotation it would time cold caches
-    // left behind by the 100k-fault variants instead).
-    let standard_timing = time_passes(passes, standard.len(), || {
-        std::hint::black_box(evaluate_coverage_interned_on_walk(
-            &walk,
-            &standard,
-            serial_options,
-        ));
-    });
-    // The three dense-scale variants are timed in one interleaved
-    // rotation (see `time_rotation`): the committed dense metrics are
-    // ratios between them, and disjoint timing windows would let a burst
-    // of runner interference corrupt a ratio that no engine change
-    // caused.
+    // The standard list and the three dense-scale variants are timed in
+    // one interleaved rotation (see `time_rotation`): the committed dense
+    // metrics are ratios between them, and disjoint timing windows would
+    // let a burst of runner interference corrupt a ratio that no engine
+    // change caused. The 48-fault standard pass is calibrated to many
+    // back-to-back passes per round, so it stays cache-resident: the
+    // deliberately harsh yardstick `speedup_dense_vs_standard` has gated
+    // since the metric was introduced.
     let timings = time_rotation(
         passes,
         &mut [
+            (standard.len(), &mut || {
+                std::hint::black_box(evaluate_coverage_interned_on_walk(
+                    &walk,
+                    &standard,
+                    serial_options,
+                ));
+            }),
             (population.len(), &mut || {
                 std::hint::black_box(evaluate_coverage_interned_on_walk(
                     &walk,
@@ -497,7 +483,8 @@ pub fn dense_sweep(rows: u32, cols: u32, fault_count: usize, passes: usize) -> D
             }),
         ],
     );
-    let [dense_timing, dense_parallel_timing, dense_shuffled_timing] = timings[..] else {
+    let [standard_timing, dense_timing, dense_parallel_timing, dense_shuffled_timing] = timings[..]
+    else {
         unreachable!("rotation returns one timing per variant");
     };
 
@@ -1004,45 +991,74 @@ fn time_passes(passes: usize, simulations: usize, mut sweep: impl FnMut()) -> Sw
     }
 }
 
+/// Rounds a [`time_rotation`] runs at least; each variant's share of a
+/// round is calibrated so that this many rounds reach
+/// [`MIN_TIMING_SECONDS`] unless one pass of the slowest variant already
+/// outlasts a share.
+const ROTATION_ROUNDS: usize = 8;
+
 /// Times several sweep variants in rotation inside **one** measurement
-/// span: every round runs one pass of each variant, separately clocked,
-/// until each variant has accumulated [`MIN_TIMING_SECONDS`].
+/// span: every round runs each variant for its own number of passes,
+/// separately clocked, for at least [`ROTATION_ROUNDS`] rounds and until
+/// each variant has accumulated [`MIN_TIMING_SECONDS`].
 ///
-/// The dense section's committed metrics are *ratios between variants*
-/// (`speedup_dense_vs_standard`, `speedup_shuffled_vs_ordered`).
-/// Measured in disjoint windows — as
+/// The committed gated metrics are *ratios between variants* of one size
+/// or section (`speedup_*`). Measured in disjoint windows — as
 /// [`time_passes`] would — a burst of runner interference (CPU steal on
 /// shared CI hardware) lands in one variant's window and corrupts the
 /// ratio even though neither engine changed. Interleaving spreads any
 /// such burst across all variants near-equally, so the ratios cancel the
 /// common-mode noise and only genuine engine regressions move them.
+///
+/// Each variant's passes per round are calibrated from its timed
+/// warm-up, so every variant fills about the same slice of a round: the
+/// longer of a [`ROTATION_ROUNDS`]th of [`MIN_TIMING_SECONDS`] and the
+/// slowest variant's single pass, and at least `passes` passes. A slow
+/// variant (the seed replica) therefore does not set the fast variants'
+/// pass counts, a fast one does not stretch the rotation by thousands of
+/// rounds, and even the slowest size interleaves its variants over
+/// [`ROTATION_ROUNDS`] rounds.
 fn time_rotation(passes: usize, variants: &mut [(usize, &mut dyn FnMut())]) -> Vec<SweepTiming> {
-    for (_, sweep) in variants.iter_mut() {
-        sweep(); // Warm-up, as in `time_passes`.
-    }
-    let mut executed = 0usize;
+    let warm_ups: Vec<f64> = variants
+        .iter_mut()
+        .map(|(_, sweep)| {
+            // Warm-up, as in `time_passes`, clocked for calibration.
+            let clock = Instant::now();
+            sweep();
+            clock.elapsed().as_secs_f64()
+        })
+        .collect();
+    let slice = warm_ups
+        .iter()
+        .copied()
+        .fold(MIN_TIMING_SECONDS / ROTATION_ROUNDS as f64, f64::max);
+    let repetitions: Vec<usize> = warm_ups
+        .iter()
+        .map(|&warm_up| passes.max((slice / warm_up.max(1e-9)) as usize))
+        .collect();
+    let mut executed = vec![0usize; variants.len()];
     let mut seconds = vec![0.0f64; variants.len()];
-    loop {
-        for _ in 0..passes {
-            for (slot, (_, sweep)) in variants.iter_mut().enumerate() {
-                let clock = Instant::now();
+    for round in 1.. {
+        for (slot, (_, sweep)) in variants.iter_mut().enumerate() {
+            let clock = Instant::now();
+            for _ in 0..repetitions[slot] {
                 sweep();
-                seconds[slot] += clock.elapsed().as_secs_f64();
             }
+            seconds[slot] += clock.elapsed().as_secs_f64();
+            executed[slot] += repetitions[slot];
         }
-        executed += passes;
         // Every variant must reach the floor: stopping on *total* wall
         // time would let one slow variant starve the others' windows.
-        if seconds.iter().all(|&s| s >= MIN_TIMING_SECONDS) {
+        if round >= ROTATION_ROUNDS && seconds.iter().all(|&s| s >= MIN_TIMING_SECONDS) {
             break;
         }
     }
     variants
         .iter()
-        .zip(&seconds)
-        .map(|(&(simulations, _), &elapsed)| SweepTiming {
+        .zip(executed.iter().zip(&seconds))
+        .map(|(&(simulations, _), (&passes, &elapsed))| SweepTiming {
             seconds: elapsed,
-            faults_per_sec: (executed * simulations) as f64 / elapsed,
+            faults_per_sec: (passes * simulations) as f64 / elapsed,
         })
         .collect()
 }
@@ -1125,30 +1141,47 @@ pub fn fault_sim_throughput(rows: u32, cols: u32, passes: usize) -> FaultSimThro
         );
     }
 
+    // Every variant of the size in one rotation: the gated `speedup_*`
+    // metrics are ratios between them.
     let simulations = tests.len() * faults.len();
-    let baseline = measure_baseline.then(|| {
-        time_passes(passes, simulations, || {
-            for test in &tests {
-                std::hint::black_box(baseline_evaluate_coverage(
-                    test,
-                    &order,
-                    &organization,
-                    &faults,
-                ));
-            }
-        })
-    });
-    let time_variant = |options: SweepOptions| {
-        time_passes(passes, simulations, || {
-            for walk in &walks {
-                std::hint::black_box(evaluate_coverage_interned_on_walk(walk, &faults, options));
-            }
-        })
+    let mut baseline_pass = || {
+        for test in &tests {
+            std::hint::black_box(baseline_evaluate_coverage(
+                test,
+                &order,
+                &organization,
+                &faults,
+            ));
+        }
     };
-    let kernel_serial = time_variant(serial_options);
-    let kernel_parallel = time_variant(parallel_options);
-    let batched = time_variant(batched_options);
-    let batched_parallel = time_variant(batched_parallel_options);
+    let sweep_with = |options: SweepOptions| {
+        let (walks, faults) = (&walks, &faults);
+        move || {
+            for walk in walks {
+                std::hint::black_box(evaluate_coverage_interned_on_walk(walk, faults, options));
+            }
+        }
+    };
+    let (mut kernel_serial, mut kernel_parallel, mut batched, mut batched_parallel) = (
+        sweep_with(serial_options),
+        sweep_with(parallel_options),
+        sweep_with(batched_options),
+        sweep_with(batched_parallel_options),
+    );
+    let mut variants: Vec<(usize, &mut dyn FnMut())> = Vec::new();
+    if measure_baseline {
+        variants.push((simulations, &mut baseline_pass));
+    }
+    variants.extend([
+        (simulations, &mut kernel_serial as &mut dyn FnMut()),
+        (simulations, &mut kernel_parallel),
+        (simulations, &mut batched),
+        (simulations, &mut batched_parallel),
+    ]);
+    let mut timings = time_rotation(passes, &mut variants).into_iter();
+    let baseline = measure_baseline.then(|| timings.next().expect("baseline timing"));
+    let [kernel_serial, kernel_parallel, batched, batched_parallel] =
+        std::array::from_fn(|_| timings.next().expect("one timing per variant"));
 
     FaultSimThroughput {
         rows,

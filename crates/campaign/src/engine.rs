@@ -39,14 +39,14 @@ use std::thread;
 use std::time::Duration;
 
 use march_test::address_order::order_by_name;
-use march_test::coverage::{evaluate_coverage_interned_caught, panic_message, SweepOptions};
+use march_test::coverage::{catch_sweep, evaluate_coverage_interned, panic_message, SweepOptions};
 use march_test::fault_sim::DetectionMode;
 use march_test::library::algorithm_by_name;
 use sched::{run_pool, Task};
 use sram_model::config::ArrayOrganization;
 
 use crate::error::CampaignError;
-use crate::faultpoint::{detonate_factories, FaultInjector};
+use crate::faultpoint::FaultInjector;
 use crate::heartbeat::HeartbeatWriter;
 use crate::journal::{JobResult, JobWire, Journal, JournalRecord, Replay};
 use crate::output::{JobOutcome, JobStatus};
@@ -520,10 +520,8 @@ pub(crate) fn execute_job(
         .ok_or_else(|| format!("unknown algorithm \"{}\"", spec.algorithm))?;
     let order = order_by_name(&spec.order, spec.seed)
         .ok_or_else(|| format!("unknown address order \"{}\"", spec.order))?;
-    let mut factories = spec.population.build(&organization, spec.seed)?;
-    if injector.lane_panic_armed(job, attempt) {
-        factories = detonate_factories(factories);
-    }
+    let faults = spec.population.build(&organization, spec.seed)?;
+    let detonate = injector.lane_panic_armed(job, attempt);
     let sweep = SweepOptions {
         background: spec.background,
         mode: DetectionMode::Full,
@@ -532,12 +530,17 @@ pub(crate) fn execute_job(
         parallel: false,
         backend: spec.backend,
     };
-    // The interned sweep: same kernel, same digest bit-for-bit, but one
-    // name string per fault instead of three fat outcome strings — the
-    // journal only ever wants the counts and the fingerprint.
-    let report =
-        evaluate_coverage_interned_caught(&test, order.as_ref(), &organization, &factories, sweep)
-            .map_err(|panic| panic.to_string())?;
+    // The compact sweep: same kernel, same digest bit-for-bit, and no
+    // name rendered until the digest — the journal only ever wants the
+    // counts and the fingerprint. An armed injection panics inside the
+    // caught sweep, as a misbehaving fault model would.
+    let report = catch_sweep(|| {
+        if detonate {
+            panic!("faultpoint: fault model panicked in the sweep of job {job}");
+        }
+        evaluate_coverage_interned(&test, order.as_ref(), &organization, &faults, sweep)
+    })
+    .map_err(|panic| panic.to_string())?;
     Ok(JobResult {
         detected: report.detected() as u32,
         total: report.total() as u32,

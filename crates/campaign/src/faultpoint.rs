@@ -9,14 +9,10 @@
 //!
 //! The injected failures are *real*: a worker kill is a genuine panic
 //! unwinding out of the job closure, a fault-model panic detonates inside
-//! the sweep kernel via a wrapped [`Fault`], a torn write leaves a
-//! genuinely half-written record on disk. The differential tests then
+//! the caught sweep ([`march_test::coverage::catch_sweep`]), a torn write
+//! leaves a genuinely half-written record on disk. The differential tests then
 //! assert that resuming after each of them reproduces the uninterrupted
 //! campaign byte for byte.
-
-use march_test::faults::{Fault, FaultFactory, FaultKind};
-use march_test::memory::GoodMemory;
-use sram_model::address::Address;
 
 /// One deterministic failure to inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,14 +26,14 @@ pub enum Injection {
         /// How many attempts die before the job is allowed to succeed.
         attempts: u8,
     },
-    /// Panic *inside the sweep kernel* while sweeping `job`, for its
-    /// first `attempts` attempts: the job's fault models are wrapped so
-    /// their first read detonates. The wrappers have no lane kind, so the
-    /// sweep runs them on the per-fault path.
+    /// Panic *inside the caught sweep* of `job`, for its first `attempts`
+    /// attempts, where a misbehaving fault model's panic would surface:
+    /// the attempt fails with a `sweep panicked:` message and the worker
+    /// survives.
     LaneModelPanic {
-        /// Plan index of the job whose models detonate.
+        /// Plan index of the job whose sweep panics.
         job: u32,
-        /// How many attempts detonate before the job is allowed to
+        /// How many attempts panic before the job is allowed to
         /// succeed.
         attempts: u8,
     },
@@ -156,8 +152,7 @@ impl FaultInjector {
     }
 
     /// `true` when a [`Injection::LaneModelPanic`] matches `(job,
-    /// attempt)` and the job's fault models should be wrapped to
-    /// detonate.
+    /// attempt)` and the attempt's sweep should panic.
     pub fn lane_panic_armed(&self, job: u32, attempt: u8) -> bool {
         self.injections.iter().any(|injection| {
             matches!(injection, Injection::LaneModelPanic { job: target, attempts }
@@ -357,48 +352,6 @@ impl ProcessInjector {
     }
 }
 
-/// Wraps every factory so the produced faults detonate in the sweep
-/// kernel: the wrapped fault behaves identically until its first read,
-/// which panics. The wrapper has no lane kind, so the sweep runs it on the
-/// per-fault path. Used by the runner when
-/// [`FaultInjector::lane_panic_armed`] fires.
-pub fn detonate_factories(factories: Vec<FaultFactory>) -> Vec<FaultFactory> {
-    factories
-        .into_iter()
-        .map(|factory| -> FaultFactory {
-            Box::new(move || Box::new(DetonatingFault { inner: factory() }))
-        })
-        .collect()
-}
-
-/// A fault that panics on its first read.
-#[derive(Debug)]
-struct DetonatingFault {
-    inner: Box<dyn Fault>,
-}
-
-impl Fault for DetonatingFault {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-
-    fn kind(&self) -> FaultKind {
-        self.inner.kind()
-    }
-
-    fn write(&mut self, memory: &mut GoodMemory, address: Address, value: bool) {
-        self.inner.write(memory, address, value);
-    }
-
-    fn read(&mut self, _memory: &mut GoodMemory, address: Address) -> bool {
-        panic!("faultpoint: fault model panicked reading {address:?}");
-    }
-
-    fn involved_addresses(&self) -> Option<Vec<Address>> {
-        self.inner.involved_addresses()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,25 +484,5 @@ mod tests {
         );
         assert!(injector.child_args(1, 0).is_empty());
         assert!(ProcessInjector::none().child_args(0, 0).is_empty());
-    }
-
-    #[test]
-    fn detonating_factories_panic_in_the_fault_model_read_path() {
-        use march_test::faults::StuckAtFault;
-        let factories: Vec<FaultFactory> = vec![Box::new(|| {
-            Box::new(StuckAtFault::new(Address::new(0), true))
-        })];
-        let wrapped = detonate_factories(factories);
-        let mut fault = wrapped[0]();
-        assert_eq!(fault.kind(), FaultKind::StuckAt);
-        assert!(
-            fault.lane_kind().is_none(),
-            "the wrapper runs the per-fault path"
-        );
-        let mut memory = GoodMemory::new(8);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            fault.read(&mut memory, Address::new(0))
-        }));
-        assert!(caught.is_err(), "wrapped read must panic");
     }
 }

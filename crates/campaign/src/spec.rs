@@ -17,7 +17,7 @@
 
 use march_test::coverage::SweepBackend;
 use march_test::faultgen::FaultGen;
-use march_test::faults::{standard_fault_list, FaultFactory};
+use march_test::faults::{standard_fault_list, FaultModel};
 use march_test::library::{algorithm_by_name, all_algorithms};
 use march_test::{address_order::order_by_name, rng::Fnv1a};
 use sram_model::config::ArrayOrganization;
@@ -79,6 +79,13 @@ pub(crate) fn backend_byte(backend: SweepBackend) -> u8 {
         SweepBackend::PerFault => 2,
     }
 }
+
+/// The most faults a generated population may hold: 2^24, 256 MiB of
+/// 16-byte fault values. [`JobSpec::validate`] rejects larger counts
+/// before anything is generated, which also keeps [`crate::JobResult`]'s
+/// `u32` counts exact. The largest population the repository sweeps is
+/// 100,000 faults.
+pub const MAX_POPULATION: usize = 1 << 24;
 
 /// Which fault population a job sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,7 +158,7 @@ impl PopulationSpec {
         &self,
         organization: &ArrayOrganization,
         seed: u64,
-    ) -> Result<Vec<FaultFactory>, String> {
+    ) -> Result<Vec<FaultModel>, String> {
         match self {
             Self::Standard => Ok(standard_fault_list(organization)),
             Self::Mixed { count } => FaultGen::new(*organization, seed)
@@ -159,7 +166,7 @@ impl PopulationSpec {
                 .map_err(|error| error.to_string()),
             Self::Dense { target } => FaultGen::new(*organization, seed)
                 .try_dense_profile(*target)
-                .map(|population| population.factories)
+                .map(|population| population.faults)
                 .map_err(|error| error.to_string()),
         }
     }
@@ -214,7 +221,7 @@ pub struct JobSpec {
 impl JobSpec {
     /// Checks that the job can execute: the organization constructs, the
     /// algorithm and order names resolve, and the population profile is
-    /// non-empty and fits the array.
+    /// non-empty, at most [`MAX_POPULATION`] faults and fits the array.
     pub fn validate(&self) -> Result<(), String> {
         let organization =
             ArrayOrganization::new(self.rows, self.cols).map_err(|error| error.to_string())?;
@@ -231,6 +238,11 @@ impl JobSpec {
             PopulationSpec::Mixed { count } | PopulationSpec::Dense { target: count } => {
                 if count == 0 {
                     return Err("population profile would generate no faults".to_string());
+                }
+                if count > MAX_POPULATION {
+                    return Err(format!(
+                        "population of {count} faults exceeds the limit of {MAX_POPULATION}"
+                    ));
                 }
                 if organization.capacity() < 2 {
                     return Err(format!(
@@ -429,6 +441,47 @@ mod tests {
             }
         }
         assert!(CampaignPlan::new(vec![job(1), job(2)]).validate().is_ok());
+    }
+
+    #[test]
+    fn populations_above_the_limit_are_rejected_without_generating() {
+        let at_limit = |population| JobSpec {
+            population,
+            ..job(1)
+        };
+        // Validation reads the count; it never builds the population, so
+        // the limit itself and a count no machine could hold both return
+        // at once.
+        for population in [
+            PopulationSpec::Mixed {
+                count: MAX_POPULATION,
+            },
+            PopulationSpec::Dense {
+                target: MAX_POPULATION,
+            },
+        ] {
+            assert_eq!(at_limit(population).validate(), Ok(()), "{population:?}");
+        }
+        for population in [
+            PopulationSpec::Mixed {
+                count: MAX_POPULATION + 1,
+            },
+            PopulationSpec::Dense {
+                target: 100_000_000_000,
+            },
+        ] {
+            let error = at_limit(population).validate().unwrap_err();
+            assert!(
+                error.contains("exceeds the limit"),
+                "{population:?}: {error}"
+            );
+            match CampaignPlan::new(vec![job(1), at_limit(population)]).validate() {
+                Err(CampaignError::InvalidJob { job: 1, .. }) => {}
+                other => panic!("{population:?}: expected InvalidJob, got {other:?}"),
+            }
+        }
+        // The limit keeps every count a `JobResult` records exact.
+        assert!(u32::try_from(MAX_POPULATION).is_ok());
     }
 
     #[test]

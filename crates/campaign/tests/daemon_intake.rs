@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use campaign::daemon::{run_daemon, DaemonOptions};
 use campaign::runner::{run_campaign, CampaignOptions};
-use campaign::spec::{CampaignPlan, JobSpec, PopulationSpec};
+use campaign::spec::{CampaignPlan, JobSpec, PopulationSpec, MAX_POPULATION};
 use campaign::spool::{SpoolDir, SpoolResponse};
 use campaign::{CampaignError, FaultInjector, Injection, JobStatus, Shard};
 use march_test::coverage::SweepBackend;
@@ -229,6 +229,69 @@ fn unparsable_and_invalid_submissions_are_rejected_explicitly() {
     );
     std::fs::remove_file(&journal).ok();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn oversized_populations_are_rejected_before_anything_is_generated() {
+    // Populations above the limit would allocate terabytes in the
+    // worker, and an allocation failure aborts the process instead of
+    // failing one attempt: intake must answer `rejected` and admit
+    // nothing, and the static runner must refuse the plan before it
+    // creates a journal.
+    let mut mixed = spec(2);
+    mixed.population = PopulationSpec::Mixed {
+        count: 100_000_000_000,
+    };
+    let mut dense = spec(3);
+    dense.population = PopulationSpec::Dense {
+        target: MAX_POPULATION + 1,
+    };
+    let dir = temp_path("oversized-spool");
+    let journal = temp_path("oversized");
+    let spool = SpoolDir::open(&dir).expect("spool");
+    spool.submit("j0000", &spec(1)).expect("submit");
+    spool.submit("j0001", &mixed).expect("submit");
+    spool.submit("j0002", &dense).expect("submit");
+    let summary = run_daemon(
+        &spool,
+        &journal,
+        &quiesce_options(2),
+        &FaultInjector::none(),
+    )
+    .expect("daemon run");
+    assert_eq!(summary.accepted, 1);
+    assert_eq!(summary.rejected, 2);
+    assert_eq!(summary.plan.len(), 1);
+    for name in ["j0001", "j0002"] {
+        match spool.read_response(name) {
+            Some(SpoolResponse::Rejected { reason }) => {
+                assert!(reason.contains("exceeds the limit"), "{name}: {reason}")
+            }
+            other => panic!("{name}: expected Rejected, got {other:?}"),
+        }
+    }
+    assert_eq!(
+        summary.export.to_bytes(),
+        static_export(&jobs(1), 2, "oversized-static")
+    );
+    std::fs::remove_file(&journal).ok();
+    std::fs::remove_dir_all(&dir).ok();
+
+    let static_journal = temp_path("oversized-static-plan");
+    for job in [mixed, dense] {
+        let plan = CampaignPlan::new(vec![spec(1), job]);
+        match run_campaign(
+            &plan,
+            Shard::whole(),
+            &static_journal,
+            &CampaignOptions::default(),
+            &FaultInjector::none(),
+        ) {
+            Err(CampaignError::InvalidJob { job: 1, .. }) => {}
+            other => panic!("expected InvalidJob {{ job: 1 }}, got {other:?}"),
+        }
+        assert!(!static_journal.exists(), "no journal for a refused plan");
+    }
 }
 
 #[test]

@@ -284,7 +284,7 @@ impl TestSession {
         let technology = *self.config.technology();
         let rows = organization.rows() as usize;
         let cols = organization.cols() as usize;
-        let plan = SchedulePlan::shared(organization, self.options);
+        let plan = SchedulePlan::new(organization, self.options);
 
         // --- Rehearsal: record the first two row groups of each element.
         // One controller carries the analog state through the run; before

@@ -15,28 +15,25 @@
 //!    that prevents the faulty swap of Figure 7 and keeps the technique
 //!    independent of the data background.
 //!
-//! # The precomputed schedule plan
+//! # The computed schedule plan
 //!
 //! A full 512×512 March G run is about six million cycles, so the
 //! per-cycle data must be cheap to produce. The whole per-cycle command
 //! stream is determined by `(organization, options)` alone — the March
 //! test only selects which element directions walk it and which operation
-//! runs each cycle. [`SchedulePlan`] therefore precomputes, once per
-//! organization, the per-position arrays every cycle reads from: the
-//! address, its physical column, whether the position sits on a row
-//! boundary (the restore-cycle trigger) and the explicit pre-charge mask
-//! of the low-power mode, stored as slices into one flat column array
-//! (analogous to the march crate's `MarchWalk`/`AddressPlan`). Plans are
-//! shared read-only across modes, runs and threads through
-//! [`SchedulePlan::shared`], so the five Table 1 algorithms and both
-//! operating modes of a PRR comparison all walk the same arrays.
+//! runs each cycle. Rule 1 makes that stream arithmetic: word line after
+//! word line is row-major, so ascending position `p` is address `p` and
+//! descending position `p` is address `capacity − 1 − p`. [`SchedulePlan`]
+//! computes every per-position value from that address — its physical
+//! column, whether it ends its row in the walk's direction (the
+//! restore-cycle trigger) and the low-power pre-charge mask, which is the
+//! column plus up to `lookahead_columns` same-row neighbours in walk
+//! direction. A plan is two small `Copy` fields whatever the array size,
+//! so it is built in constant time and holds no heap memory.
 //!
 //! [`LowPowerSchedule`] stays a lazy iterator over that plan: commands are
-//! produced on demand by index arithmetic, with no divisions, neighbour
-//! lookups or allocations beyond the mask `Vec` the public
+//! produced on demand, with no allocation beyond the mask `Vec` the public
 //! [`CycleCommand`] type requires.
-
-use std::sync::{Arc, Mutex, OnceLock};
 
 use sram_model::address::Address;
 use sram_model::config::ArrayOrganization;
@@ -44,7 +41,6 @@ use sram_model::operation::{CycleCommand, MemOperation};
 
 use march_test::algorithm::MarchTest;
 use march_test::element::AddressDirection;
-use march_test::executor::AddressPlan;
 use march_test::operation::MarchOp;
 
 use crate::mode::OperatingMode;
@@ -89,154 +85,30 @@ pub struct ScheduledCycle {
     pub last_in_row: bool,
 }
 
-/// The per-position arrays of one walk direction.
-#[derive(Debug)]
-struct DirectionSteps {
-    /// Address visited at each position.
-    addresses: Vec<Address>,
-    /// Physical column of each position.
-    cols: Vec<u32>,
-    /// Whether the next position falls on a different row (or past the
-    /// end) — the row-transition restore trigger.
-    row_boundary: Vec<bool>,
-    /// Start of each position's pre-charge mask in `mask_data`.
-    mask_offsets: Vec<u32>,
-    /// Length of each position's pre-charge mask (`1 + lookahead`
-    /// entries in general, so a full-width `u32` — never truncated).
-    mask_lens: Vec<u32>,
-    /// Flat storage of all pre-charge masks.
-    mask_data: Vec<u32>,
-}
-
-impl DirectionSteps {
-    fn build(
-        plan: &AddressPlan,
-        direction: AddressDirection,
-        organization: &ArrayOrganization,
-        options: LpOptions,
-    ) -> Self {
-        let len = plan.len();
-        let mut addresses = Vec::with_capacity(len);
-        let mut cols = Vec::with_capacity(len);
-        let mut row_boundary = Vec::with_capacity(len);
-        let mut mask_offsets = Vec::with_capacity(len);
-        let mut mask_lens = Vec::with_capacity(len);
-        let mut mask_data = Vec::with_capacity(len * (1 + options.lookahead_columns as usize));
-        let mut scratch: Vec<u32> = Vec::new();
-
-        for pos in 0..len {
-            let address = plan.at(direction, pos).expect("position within plan");
-            let row = address.row(organization);
-            let col = address.col(organization).value();
-            let next = plan.at(direction, pos + 1);
-            let next_in_same_row = next.map(|a| a.row(organization) == row).unwrap_or(false);
-
-            scratch.clear();
-            scratch.push(col);
-            for ahead in 1..=options.lookahead_columns as usize {
-                if let Some(a) = plan.at(direction, pos + ahead) {
-                    if a.row(organization) == row {
-                        let c = a.col(organization).value();
-                        if !scratch.contains(&c) {
-                            scratch.push(c);
-                        }
-                    }
-                }
-            }
-
-            addresses.push(address);
-            cols.push(col);
-            row_boundary.push(!next_in_same_row);
-            mask_offsets.push(mask_data.len() as u32);
-            mask_lens.push(scratch.len() as u32);
-            mask_data.extend_from_slice(&scratch);
-        }
-
-        Self {
-            addresses,
-            cols,
-            row_boundary,
-            mask_offsets,
-            mask_lens,
-            mask_data,
-        }
-    }
-
-    #[inline]
-    fn mask(&self, pos: usize) -> &[u32] {
-        let offset = self.mask_offsets[pos] as usize;
-        let len = self.mask_lens[pos] as usize;
-        &self.mask_data[offset..offset + len]
-    }
-}
-
-/// The precomputed per-cycle command stream of the low-power schedule,
-/// independent of any particular March test: per-position addresses,
-/// columns, row boundaries and pre-charge masks for both walk directions.
-///
-/// Built once per `(organization, options)` and shared read-only across
-/// operating modes, runs and threads (see [`SchedulePlan::shared`]).
-#[derive(Debug)]
+/// The per-cycle command stream of the low-power schedule, independent
+/// of any particular March test, computed from the walk position (see the
+/// module docs): addresses, columns, row boundaries and pre-charge masks
+/// for both walk directions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulePlan {
     organization: ArrayOrganization,
     options: LpOptions,
-    ascending: DirectionSteps,
-    descending: DirectionSteps,
 }
-
-type PlanKey = (u32, u32, u32, bool);
-type PlanCache = Mutex<Vec<(PlanKey, Arc<SchedulePlan>)>>;
-
-fn plan_cache() -> &'static PlanCache {
-    static CACHE: OnceLock<PlanCache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Number of distinct `(organization, options)` plans kept in the shared
-/// cache; experiments cycle through a handful of organizations at most.
-const PLAN_CACHE_CAPACITY: usize = 8;
 
 impl SchedulePlan {
-    /// Precomputes the schedule arrays of `organization` under `options`,
-    /// using the paper's word-line-after-word-line order.
+    /// The schedule of `organization` under `options`, using the paper's
+    /// word-line-after-word-line order. Constant time, no allocation.
     pub fn new(organization: ArrayOrganization, options: LpOptions) -> Self {
-        let plan = AddressPlan::new(
-            &march_test::address_order::WordLineAfterWordLine,
-            &organization,
-        );
-        let ascending =
-            DirectionSteps::build(&plan, AddressDirection::Ascending, &organization, options);
-        let descending =
-            DirectionSteps::build(&plan, AddressDirection::Descending, &organization, options);
         Self {
             organization,
             options,
-            ascending,
-            descending,
         }
     }
 
-    /// Returns the shared plan for `(organization, options)`, computing and
-    /// caching it on first use. Subsequent calls (from any thread) reuse
-    /// the same arrays, so the five Table 1 sessions and the two modes of a
-    /// PRR comparison never rebuild the stream.
-    pub fn shared(organization: ArrayOrganization, options: LpOptions) -> Arc<Self> {
-        let key = (
-            organization.rows(),
-            organization.cols(),
-            options.lookahead_columns,
-            options.row_transition_restore,
-        );
-        let mut cache = plan_cache().lock().expect("schedule plan cache poisoned");
-        if let Some((_, plan)) = cache.iter().find(|(k, _)| *k == key) {
-            return Arc::clone(plan);
-        }
-        let plan = Arc::new(Self::new(organization, options));
-        if cache.len() == PLAN_CACHE_CAPACITY {
-            cache.remove(0);
-        }
-        cache.push((key, Arc::clone(&plan)));
-        plan
+    /// The same plan as [`SchedulePlan::new`]: a computed plan has nothing
+    /// to cache or share.
+    pub fn shared(organization: ArrayOrganization, options: LpOptions) -> Self {
+        Self::new(organization, options)
     }
 
     /// The organization the plan was built for.
@@ -251,46 +123,82 @@ impl SchedulePlan {
 
     /// Number of addresses in one directional walk.
     pub fn len(&self) -> usize {
-        self.ascending.addresses.len()
+        self.organization.capacity() as usize
     }
 
     /// `true` when the plan covers no addresses.
     pub fn is_empty(&self) -> bool {
-        self.ascending.addresses.is_empty()
-    }
-
-    #[inline]
-    fn steps(&self, direction: AddressDirection) -> &DirectionSteps {
-        match direction {
-            AddressDirection::Ascending | AddressDirection::Either => &self.ascending,
-            AddressDirection::Descending => &self.descending,
-        }
+        self.len() == 0
     }
 
     /// The address at `position` of a walk in `direction`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `position` is not below [`SchedulePlan::len`].
     #[inline]
     pub fn address_at(&self, direction: AddressDirection, position: usize) -> Address {
-        self.steps(direction).addresses[position]
+        assert!(position < self.len(), "position {position} past the walk");
+        let position = position as u32;
+        Address::new(match direction {
+            AddressDirection::Ascending | AddressDirection::Either => position,
+            AddressDirection::Descending => self.organization.capacity() - 1 - position,
+        })
     }
 
     /// The physical column at `position` of a walk in `direction`.
     #[inline]
     pub fn col_at(&self, direction: AddressDirection, position: usize) -> u32 {
-        self.steps(direction).cols[position]
+        self.address_at(direction, position)
+            .col(&self.organization)
+            .value()
     }
 
-    /// Whether `position` is the last address of its row in `direction`.
+    /// Whether `position` is the last address of its row in `direction`:
+    /// the last column ascending, column 0 descending.
     #[inline]
     pub fn row_boundary_at(&self, direction: AddressDirection, position: usize) -> bool {
-        self.steps(direction).row_boundary[position]
+        self.ends_row(direction, self.col_at(direction, position))
     }
 
     /// The low-power pre-charge mask at `position` of a walk in
-    /// `direction`: the selected column followed by the configured
-    /// lookahead of upcoming same-row columns.
+    /// `direction`: the selected column followed by the columns of up to
+    /// `lookahead_columns` next positions on the same row.
     #[inline]
-    pub fn mask_at(&self, direction: AddressDirection, position: usize) -> &[u32] {
-        self.steps(direction).mask(position)
+    pub fn mask_at(
+        &self,
+        direction: AddressDirection,
+        position: usize,
+    ) -> impl ExactSizeIterator<Item = u32> {
+        self.mask_from(direction, self.col_at(direction, position))
+    }
+
+    /// Whether column `col` ends its row in `direction`.
+    #[inline]
+    fn ends_row(&self, direction: AddressDirection, col: u32) -> bool {
+        match direction {
+            AddressDirection::Ascending | AddressDirection::Either => {
+                col == self.organization.cols() - 1
+            }
+            AddressDirection::Descending => col == 0,
+        }
+    }
+
+    /// The pre-charge mask of a position on column `col` in `direction`.
+    #[inline]
+    fn mask_from(
+        &self,
+        direction: AddressDirection,
+        col: u32,
+    ) -> impl ExactSizeIterator<Item = u32> {
+        let descending = direction == AddressDirection::Descending;
+        let same_row_ahead = if descending {
+            col
+        } else {
+            self.organization.cols() - 1 - col
+        };
+        let ahead = same_row_ahead.min(self.options.lookahead_columns);
+        (0..ahead + 1).map(move |step| if descending { col - step } else { col + step })
     }
 
     /// Builds the full [`ScheduledCycle`] of one `(position, op)` pair — the
@@ -306,13 +214,14 @@ impl SchedulePlan {
         element: usize,
     ) -> ScheduledCycle {
         let address = self.address_at(direction, position);
+        let col = address.col(&self.organization).value();
         let mem_op = match op {
             MarchOp::W0 => MemOperation::Write(false),
             MarchOp::W1 => MemOperation::Write(true),
             MarchOp::R0 | MarchOp::R1 => MemOperation::Read,
         };
         let expected_read = op.expected_value();
-        let last_in_row = last_op_on_address && self.row_boundary_at(direction, position);
+        let last_in_row = last_op_on_address && self.ends_row(direction, col);
 
         if !mode.is_low_power() {
             return ScheduledCycle {
@@ -338,7 +247,7 @@ impl SchedulePlan {
             command: CycleCommand::low_power(
                 address,
                 mem_op,
-                self.mask_at(direction, position).to_vec(),
+                self.mask_from(direction, col).collect(),
             ),
             expected_read,
             element,
@@ -349,12 +258,12 @@ impl SchedulePlan {
 }
 
 /// Lazy generator of the cycle-by-cycle schedule of a March test, reading
-/// from a shared precomputed [`SchedulePlan`].
+/// from a computed [`SchedulePlan`].
 #[derive(Debug, Clone)]
 pub struct LowPowerSchedule {
     mode: OperatingMode,
     options: LpOptions,
-    plan: Arc<SchedulePlan>,
+    plan: SchedulePlan,
     elements: Vec<(AddressDirection, Vec<MarchOp>)>,
     element_cursor: usize,
     address_cursor: usize,
@@ -375,11 +284,11 @@ impl LowPowerSchedule {
         mode: OperatingMode,
         options: LpOptions,
     ) -> Self {
-        Self::on_plan(test, SchedulePlan::shared(organization, options), mode)
+        Self::on_plan(test, SchedulePlan::new(organization, options), mode)
     }
 
-    /// Builds the schedule of `test` over an existing shared plan.
-    pub fn on_plan(test: &MarchTest, plan: Arc<SchedulePlan>, mode: OperatingMode) -> Self {
+    /// Builds the schedule of `test` over an existing plan.
+    pub fn on_plan(test: &MarchTest, plan: SchedulePlan, mode: OperatingMode) -> Self {
         let options = *plan.options();
         let elements = test
             .elements()
@@ -397,8 +306,8 @@ impl LowPowerSchedule {
         }
     }
 
-    /// The shared plan the schedule walks.
-    pub fn plan(&self) -> &Arc<SchedulePlan> {
+    /// The plan the schedule walks.
+    pub fn plan(&self) -> &SchedulePlan {
         &self.plan
     }
 
@@ -600,7 +509,7 @@ mod tests {
                 ..LpOptions::default()
             },
         );
-        let mask = plan.mask_at(AddressDirection::Ascending, 0);
+        let mask: Vec<u32> = plan.mask_at(AddressDirection::Ascending, 0).collect();
         assert_eq!(mask.len(), 301);
         assert_eq!(mask[0], 0);
         assert_eq!(mask[300], 300);
@@ -634,11 +543,13 @@ mod tests {
     }
 
     #[test]
-    fn shared_plans_are_reused_across_modes_and_tests() {
+    fn plans_are_values_equal_across_modes_and_tests() {
         let organization = org();
-        let a = SchedulePlan::shared(organization, LpOptions::default());
-        let b = SchedulePlan::shared(organization, LpOptions::default());
-        assert!(Arc::ptr_eq(&a, &b), "same key must hit the cache");
+        let plan = SchedulePlan::new(organization, LpOptions::default());
+        assert_eq!(
+            SchedulePlan::shared(organization, LpOptions::default()),
+            plan
+        );
 
         let functional = LowPowerSchedule::new(
             &library::mats_plus(),
@@ -650,38 +561,36 @@ mod tests {
             organization,
             OperatingMode::LowPowerTest,
         );
-        assert!(Arc::ptr_eq(functional.plan(), low_power.plan()));
+        assert_eq!(functional.plan(), &plan);
+        assert_eq!(low_power.plan(), &plan);
 
-        let other = SchedulePlan::shared(
+        let other = SchedulePlan::new(
             organization,
             LpOptions {
                 lookahead_columns: 2,
                 ..LpOptions::default()
             },
         );
-        assert!(
-            !Arc::ptr_eq(&a, &other),
-            "different options, different plan"
-        );
+        assert_ne!(plan, other, "different options, different plan");
     }
 
     #[test]
     fn plan_arrays_match_the_lazy_iterator() {
         let organization = org();
-        let plan = SchedulePlan::shared(organization, LpOptions::default());
+        let plan = SchedulePlan::new(organization, LpOptions::default());
         assert_eq!(plan.len(), 32);
         assert!(!plan.is_empty());
         assert_eq!(plan.organization(), &organization);
         // Ascending masks: mid-row {c, c+1}, row end {c}.
         for pos in 0..plan.len() {
             let col = plan.col_at(AddressDirection::Ascending, pos);
-            let mask = plan.mask_at(AddressDirection::Ascending, pos);
+            let mask: Vec<u32> = plan.mask_at(AddressDirection::Ascending, pos).collect();
             assert_eq!(mask[0], col);
             if plan.row_boundary_at(AddressDirection::Ascending, pos) {
                 assert_eq!(mask.len(), 1, "no same-row lookahead past a boundary");
                 assert_eq!(col, 7);
             } else {
-                assert_eq!(mask, &[col, col + 1]);
+                assert_eq!(mask, [col, col + 1]);
             }
         }
         // Descending positions mirror the ascending ones.

@@ -31,18 +31,18 @@
 //! # Class lifecycle
 //!
 //! ```text
-//!  fault list (factories, list order)
-//!      │  classify: one instantiation per factory → inline kind
-//!      ▼            (LaneFaultKind) → integer class key, or none
-//!  one slot per fault (its class, or a per-fault singleton),
+//!  fault list (FaultModel values, list order)
+//!      │  classify: each value's model code and position codes
+//!      ▼            → integer class key; nothing is instantiated
+//!  one slot per fault (its class),
 //!  one relocated representative per class
-//!      │  simulate: each representative once, on the canonical walk,
-//!      │            on the calling thread; the singletons on the
-//!      ▼            per-fault golden path, across the pool
-//!  mismatch counts (one per class, one per singleton)
-//!      │  scatter: one list-order pass reads each fault's count
-//!      ▼           through its slot
-//!  InternedSweep (fault-list order — identical to the per-fault path)
+//!      │  simulate: a copy of each representative once, on the
+//!      ▼            canonical walk, on the calling thread
+//!  mismatch counts (one per class)
+//!      │  scatter: one list-order pass pairs each fault value with
+//!      ▼           its class's count
+//!  InternedSweep (fault-list order — identical to the per-fault path;
+//!                 names are rendered only when asked)
 //! ```
 //!
 //! The canonical walk runs the same test over a one-row array of five
@@ -52,11 +52,10 @@
 //! although its golden simulation walks every cell. Arrays of at most five
 //! cells key on the exact ⇑ positions and simulate on their own walk.
 //!
-//! Faults without an inline kind (test fixtures, the campaign's injected
-//! panicking model), and every fault of a walk that is not locality-safe,
-//! run alone on the per-fault golden path exactly as under
-//! [`SweepBackend::PerFault`], fanned out across the worker pool. The
-//! classes need no fan-out: a sweep has a few dozen of them. The test
+//! Every fault of a walk that is not locality-safe runs alone on the
+//! per-fault golden path exactly as under [`SweepBackend::PerFault`],
+//! fanned out across the worker pool. The classes need no fan-out: a
+//! sweep has a few dozen of them. The test
 //! `tests/collapse_exhaustive.rs` pins collapsed == golden on every
 //! model, cell and ordered cell pair of every organization up to 3×3.
 //!
@@ -66,11 +65,10 @@
 use sram_model::address::Address;
 
 use crate::executor::MarchWalk;
-use crate::fault_sim::{simulate_fault_counts_on_walk, DetectionMode};
-use crate::faults::{Fault, FaultFactory, LaneFaultKind};
-use crate::intern::InternedSweep;
+use crate::fault_sim::DetectionMode;
+use crate::faults::{Fault, FaultModel};
+use crate::intern::{InternedSweep, OutcomeCode};
 use crate::memory::GoodMemory;
-use crate::parallel::par_chunk_map;
 
 /// Cells of the canonical walk the classes are simulated on.
 const CANONICAL_CELLS: u32 = 5;
@@ -88,8 +86,8 @@ pub enum Cohort {
     /// An equivalence class, simulated once for all its members: how many
     /// faults of the list belong to it.
     Class(usize),
-    /// A fault that runs alone on the per-fault golden path: its index in
-    /// the planned fault list.
+    /// A fault of a walk that is not locality-safe, which runs alone on
+    /// the per-fault golden path: its index in the planned fault list.
     Serial(usize),
 }
 
@@ -122,23 +120,17 @@ pub struct FaultBatch {
 /// One equivalence class of a sweep.
 struct Class {
     /// The first member moved onto the class walk.
-    representative: LaneFaultKind,
+    representative: FaultModel,
     /// Number of members.
     members: u32,
 }
 
-/// A classified fault list: what the sweep simulates, and how each fault
-/// finds its count again.
+/// A fault list classified over a locality-safe walk: what the sweep
+/// simulates, and how each fault finds its count again.
 struct Collapse {
-    /// One instance per factory, in list order: the scatter reads each
-    /// fault's name and kind from it.
-    faults: Vec<Box<dyn Fault>>,
-    /// Each fault's slot in the count array: its class index, or — after
-    /// the classes — its position among the singletons.
+    /// Each fault's class index, in list order.
     slots: Vec<u32>,
     classes: Vec<Class>,
-    /// The list indices of the faults that run alone, in list order.
-    singletons: Vec<usize>,
     /// The canonical walk the classes run on, or `None` when they run on
     /// the sweep's own walk (arrays of at most five cells, or no classes).
     canonical: Option<MarchWalk>,
@@ -178,66 +170,52 @@ fn place(walk: &MarchWalk, involved: &[Address]) -> [u8; 2] {
 }
 
 impl Collapse {
-    /// Instantiates every factory once, in list order, and sorts each
-    /// fault into its class or the singletons.
-    fn classify(walk: &MarchWalk, faults: &[FaultFactory]) -> Self {
+    /// Sorts each fault of `faults` into its class, in list order, keying
+    /// the value itself: nothing is instantiated. `walk` must be
+    /// locality-safe.
+    fn classify(walk: &MarchWalk, faults: &[FaultModel]) -> Self {
+        debug_assert!(walk.locality_safe(), "classes need a locality-safe walk");
         let exact = walk.capacity() <= CANONICAL_CELLS;
         let mut class_of_key = vec![u32::MAX; KEYS];
-        let mut collapse = Collapse {
-            faults: Vec::with_capacity(faults.len()),
-            slots: Vec::with_capacity(faults.len()),
-            classes: Vec::new(),
-            singletons: Vec::new(),
-            canonical: None,
-        };
-        for (index, factory) in faults.iter().enumerate() {
-            let fault = factory();
-            let slot = match fault.lane_kind().filter(|_| walk.locality_safe()) {
-                Some(kind) => {
-                    let involved = kind.involved();
-                    let codes = place(walk, &involved);
-                    let key = usize::from(kind.model_code()) << 6
-                        | usize::from(codes[0]) << 3
-                        | usize::from(codes[1]);
-                    let class = &mut class_of_key[key];
-                    if *class == u32::MAX {
-                        *class = collapse.classes.len() as u32;
-                        let representative = if exact {
-                            kind
-                        } else {
-                            kind.relocated(|address| {
-                                let code = if address == involved[0] {
-                                    codes[0]
-                                } else {
-                                    codes[1]
-                                };
-                                Address::new(u32::from(code))
-                            })
-                        };
-                        collapse.classes.push(Class {
-                            representative,
-                            members: 0,
-                        });
-                    }
-                    collapse.classes[*class as usize].members += 1;
-                    *class
+        let mut classes = Vec::new();
+        let slots = faults
+            .iter()
+            .map(|fault| {
+                let involved = fault.involved();
+                let codes = place(walk, &involved);
+                let key = usize::from(fault.model_code()) << 6
+                    | usize::from(codes[0]) << 3
+                    | usize::from(codes[1]);
+                let class = &mut class_of_key[key];
+                if *class == u32::MAX {
+                    *class = classes.len() as u32;
+                    let representative = if exact {
+                        *fault
+                    } else {
+                        fault.relocated(|address| {
+                            let code = if address == involved[0] {
+                                codes[0]
+                            } else {
+                                codes[1]
+                            };
+                            Address::new(u32::from(code))
+                        })
+                    };
+                    classes.push(Class {
+                        representative,
+                        members: 0,
+                    });
                 }
-                None => {
-                    collapse.singletons.push(index);
-                    u32::MAX
-                }
-            };
-            collapse.faults.push(fault);
-            collapse.slots.push(slot);
+                classes[*class as usize].members += 1;
+                *class
+            })
+            .collect();
+        let canonical = (!exact && !classes.is_empty()).then(|| walk.canonical(CANONICAL_CELLS));
+        Self {
+            slots,
+            classes,
+            canonical,
         }
-        let classes = collapse.classes.len();
-        for (position, &index) in collapse.singletons.iter().enumerate() {
-            collapse.slots[index] = (classes + position) as u32;
-        }
-        if !exact && classes > 0 {
-            collapse.canonical = Some(walk.canonical(CANONICAL_CELLS));
-        }
-        collapse
     }
 }
 
@@ -245,7 +223,7 @@ impl Collapse {
 /// [`DetectionMode::Full`]: the test's operations at each distinct
 /// involved cell of a localised fault, or the whole walk for a global
 /// fault or a walk that is not locality-safe.
-fn golden_steps(walk: &MarchWalk, fault: &dyn Fault) -> u64 {
+fn golden_steps(walk: &MarchWalk, fault: &FaultModel) -> u64 {
     match fault.involved_addresses().filter(|_| walk.locality_safe()) {
         Some(mut cells) => {
             cells.sort_unstable();
@@ -257,16 +235,16 @@ fn golden_steps(walk: &MarchWalk, fault: &dyn Fault) -> u64 {
 }
 
 impl FaultBatch {
-    /// Collapses `faults` over `walk` into equivalence classes and
-    /// per-fault singletons, as a sweep does. Planning instantiates one
-    /// fault per factory.
+    /// Collapses `faults` over `walk` into equivalence classes, as a sweep
+    /// does, or — on a walk that is not locality-safe — into one per-fault
+    /// singleton each.
     ///
     /// # Examples
     ///
     /// ```
     /// use march_test::batch::FaultBatch;
     /// use march_test::executor::MarchWalk;
-    /// use march_test::faults::{FaultFactory, StuckAtFault};
+    /// use march_test::faults::{FaultModel, StuckAtFault};
     /// use march_test::library;
     /// use march_test::prelude::WordLineAfterWordLine;
     /// use sram_model::address::Address;
@@ -277,12 +255,8 @@ impl FaultBatch {
     /// let walk = MarchWalk::new(&test, &WordLineAfterWordLine, &organization);
     /// // A stuck-at-0 fault on every cell: the first, the last, and 62
     /// // equivalent middle cells.
-    /// let faults: Vec<FaultFactory> = (0..64)
-    ///     .map(|cell| {
-    ///         let factory: FaultFactory =
-    ///             Box::new(move || Box::new(StuckAtFault::new(Address::new(cell), false)));
-    ///         factory
-    ///     })
+    /// let faults: Vec<FaultModel> = (0..64)
+    ///     .map(|cell| StuckAtFault::new(Address::new(cell), false).into())
     ///     .collect();
     ///
     /// let plan = FaultBatch::plan(&walk, &faults);
@@ -296,27 +270,32 @@ impl FaultBatch {
     /// );
     /// # Ok::<(), sram_model::error::SramError>(())
     /// ```
-    pub fn plan(walk: &MarchWalk, faults: &[FaultFactory]) -> Self {
+    pub fn plan(walk: &MarchWalk, faults: &[FaultModel]) -> Self {
+        if !walk.locality_safe() {
+            return Self {
+                cohorts: (0..faults.len()).map(Cohort::Serial).collect(),
+                faults: faults.len(),
+                schedule_steps: faults.len() as u64 * walk.len() as u64,
+            };
+        }
         let collapse = Collapse::classify(walk, faults);
         let class_walk = collapse.canonical.as_ref().unwrap_or(walk);
-        let mut schedule_steps = 0;
-        let mut cohorts = Vec::with_capacity(collapse.classes.len() + collapse.singletons.len());
-        for class in &collapse.classes {
-            schedule_steps += golden_steps(class_walk, &*class.representative.into_fault());
-            cohorts.push(Cohort::Class(class.members as usize));
-        }
-        for &index in &collapse.singletons {
-            schedule_steps += golden_steps(walk, &*collapse.faults[index]);
-            cohorts.push(Cohort::Serial(index));
-        }
         Self {
-            cohorts,
+            cohorts: collapse
+                .classes
+                .iter()
+                .map(|class| Cohort::Class(class.members as usize))
+                .collect(),
             faults: faults.len(),
-            schedule_steps,
+            schedule_steps: collapse
+                .classes
+                .iter()
+                .map(|class| golden_steps(class_walk, &class.representative))
+                .sum(),
         }
     }
 
-    /// The plan's entries: the classes in order of first appearance, then
+    /// The plan's entries: the classes in order of first appearance, or
     /// the per-fault singletons in fault-list order.
     pub fn cohorts(&self) -> &[Cohort] {
         &self.cohorts
@@ -325,8 +304,7 @@ impl FaultBatch {
     /// Total walk steps the plan simulates under
     /// [`DetectionMode::Full`]: each class representative's steps on the
     /// class walk (at most five cells' operations) plus each singleton's
-    /// on the sweep's walk — its involved cells' operations, or the whole
-    /// walk for a global fault.
+    /// on the sweep's walk, which is the whole walk.
     pub fn merged_schedule_steps(&self) -> u64 {
         self.schedule_steps
     }
@@ -348,53 +326,42 @@ impl FaultBatch {
     }
 }
 
-/// Simulates every fault in `faults` over `walk` by collapsing them into
-/// equivalence classes — the body of every
+/// Simulates every fault in `faults` over the locality-safe `walk` by
+/// collapsing them into equivalence classes — the body of every
 /// [`SweepBackend::LaneBatched`](crate::coverage::SweepBackend::LaneBatched)
-/// sweep — returning the interned report in fault-list order.
+/// sweep of such a walk — returning the report in fault-list order.
 ///
-/// Each class representative runs once on the class walk, on the calling
-/// thread; the per-fault singletons run on `walk` across up to `threads`
-/// pool workers, each re-instantiated from its `Sync` factory inside the
-/// worker. The report is identical to the per-fault path's.
+/// A copy of each class representative runs once on the class walk, on
+/// the calling thread, and the scatter pairs every fault value with its
+/// class's count. The report is identical to the per-fault path's.
 pub(crate) fn sweep_collapsed(
     walk: &MarchWalk,
-    faults: &[FaultFactory],
+    faults: &[FaultModel],
     background: bool,
     mode: DetectionMode,
-    threads: usize,
 ) -> InternedSweep {
     let collapse = Collapse::classify(walk, faults);
     let class_walk = collapse.canonical.as_ref().unwrap_or(walk);
     let mut memory: Option<GoodMemory> = None;
-    let mut counts: Vec<usize> = collapse
+    let counts: Vec<u32> = collapse
         .classes
         .iter()
         .map(|class| {
             let memory = memory.get_or_insert_with(|| GoodMemory::new(class_walk.capacity()));
-            let fault = class.representative.into_fault();
-            simulate_fault_counts_on_walk(class_walk, memory, fault, background, mode).1
+            let mut fault = class.representative;
+            let mismatches = fault.simulate_on_walk(class_walk, memory, background, mode);
+            u32::try_from(mismatches).expect("mismatch counts fit u32")
         })
         .collect();
-    counts.extend(par_chunk_map(&collapse.singletons, threads, |chunk| {
-        let mut memory = GoodMemory::new(walk.capacity());
-        chunk
-            .iter()
-            .map(|&index| {
-                simulate_fault_counts_on_walk(walk, &mut memory, faults[index](), background, mode)
-                    .1
-            })
-            .collect()
-    }));
-    InternedSweep::from_outcomes(
-        walk.test_name(),
-        walk.order_name(),
-        collapse
-            .faults
-            .iter()
-            .zip(&collapse.slots)
-            .map(|(fault, &slot)| (fault.name(), fault.kind(), counts[slot as usize])),
-    )
+    let codes = faults
+        .iter()
+        .zip(&collapse.slots)
+        .map(|(&fault, &slot)| OutcomeCode {
+            fault,
+            mismatches: counts[slot as usize],
+        })
+        .collect();
+    InternedSweep::new(walk.test_name(), walk.order_name(), codes)
 }
 
 #[cfg(test)]
@@ -402,7 +369,7 @@ mod tests {
     use super::*;
     use crate::address_order::WordLineAfterWordLine;
     use crate::algorithm::MarchTest;
-    use crate::coverage::{evaluate_coverage_on_walk, SweepBackend, SweepOptions};
+    use crate::coverage::{evaluate_coverage_on_walk, golden_counts, SweepBackend, SweepOptions};
     use crate::element::MarchElement;
     use crate::faults::{
         standard_fault_list, CouplingIdempotentFault, FaultKind, StuckAtFault, StuckOpenFault,
@@ -410,18 +377,15 @@ mod tests {
     use crate::library;
     use crate::operation::MarchOp;
     use sram_model::config::ArrayOrganization;
+    use std::fmt;
 
     fn org() -> ArrayOrganization {
         ArrayOrganization::new(4, 4).unwrap()
     }
 
-    fn saf_list(count: u32) -> Vec<FaultFactory> {
+    fn saf_list(count: u32) -> Vec<FaultModel> {
         (0..count)
-            .map(|v| {
-                let factory: FaultFactory =
-                    Box::new(move || Box::new(StuckAtFault::new(Address::new(v), v % 2 == 0)));
-                factory
-            })
+            .map(|v| StuckAtFault::new(Address::new(v), v % 2 == 0).into())
             .collect()
     }
 
@@ -434,15 +398,18 @@ mod tests {
         }
     }
 
-    /// A fault that keeps the default `lane_kind` of `None` and involves
-    /// every cell.
-    #[derive(Debug)]
+    /// A fault type outside the crate's models, which involves every cell:
+    /// it reaches the golden path through [`golden_counts`].
+    #[derive(Debug, Clone, Copy)]
     struct Opaque;
 
-    impl Fault for Opaque {
-        fn name(&self) -> String {
-            "OPAQUE".into()
+    impl fmt::Display for Opaque {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            f.write_str("OPAQUE")
         }
+    }
+
+    impl Fault for Opaque {
         fn kind(&self) -> FaultKind {
             FaultKind::StuckAt
         }
@@ -478,23 +445,20 @@ mod tests {
         let walk = MarchWalk::new(&library::mats_plus(), &WordLineAfterWordLine, &organization);
         // SAF0 on every cell; CFid pairs (k, k + 1) and (k + 1, k) on the
         // middle cells.
-        let mut faults: Vec<FaultFactory> = (0..256u32)
-            .map(|cell| {
-                let factory: FaultFactory =
-                    Box::new(move || Box::new(StuckAtFault::new(Address::new(cell), false)));
-                factory
-            })
+        let mut faults: Vec<FaultModel> = (0..256u32)
+            .map(|cell| StuckAtFault::new(Address::new(cell), false).into())
             .collect();
         for k in 1..200u32 {
             for (aggressor, victim) in [(k, k + 1), (k + 1, k)] {
-                faults.push(Box::new(move || {
-                    Box::new(CouplingIdempotentFault::new(
+                faults.push(
+                    CouplingIdempotentFault::new(
                         Address::new(aggressor),
                         Address::new(victim),
                         true,
                         false,
-                    ))
-                }));
+                    )
+                    .into(),
+                );
             }
         }
         let plan = FaultBatch::plan(&walk, &faults);
@@ -531,13 +495,9 @@ mod tests {
             &WordLineAfterWordLine,
             &organization,
         );
-        let faults: Vec<FaultFactory> = [0u32, 1, 2000, 4095]
+        let faults: Vec<FaultModel> = [0u32, 1, 2000, 4095]
             .into_iter()
-            .map(|cell| {
-                let factory: FaultFactory =
-                    Box::new(move || Box::new(StuckOpenFault::new(Address::new(cell))));
-                factory
-            })
+            .map(|cell| StuckOpenFault::new(Address::new(cell)).into())
             .collect();
         let plan = FaultBatch::plan(&walk, &faults);
         assert_eq!(plan.cohorts().len(), 3, "first, middle and last");
@@ -556,14 +516,8 @@ mod tests {
     fn arrays_of_at_most_five_cells_key_on_exact_positions() {
         let organization = ArrayOrganization::new(1, 5).unwrap();
         let walk = MarchWalk::new(&library::march_ss(), &WordLineAfterWordLine, &organization);
-        let faults: Vec<FaultFactory> = (0..5u32)
-            .flat_map(|cell| {
-                (0..2).map(move |_| {
-                    let factory: FaultFactory =
-                        Box::new(move || Box::new(StuckAtFault::new(Address::new(cell), true)));
-                    factory
-                })
-            })
+        let faults: Vec<FaultModel> = (0..5u32)
+            .flat_map(|cell| [StuckAtFault::new(Address::new(cell), true).into(); 2])
             .collect();
         let collapse = Collapse::classify(&walk, &faults);
         assert!(
@@ -594,65 +548,56 @@ mod tests {
             .all(|cohort| matches!(cohort, Cohort::Serial(_))));
         // Every singleton walks every cell.
         assert_eq!(plan.merged_schedule_steps(), 4 * walk.len() as u64);
-        // The serial fallback still yields outcomes in list order.
-        let report = evaluate_coverage_on_walk(
-            &walk,
-            &faults,
-            options(DetectionMode::Full, false, SweepBackend::LaneBatched),
-        );
-        assert_eq!(report.total(), 4);
-        assert_eq!(report.outcomes()[3].fault_name, "SAF0@3");
-    }
-
-    #[test]
-    fn faults_without_a_lane_kind_fall_back_to_the_serial_path() {
-        let organization = org();
-        let walk = MarchWalk::new(&library::march_ss(), &WordLineAfterWordLine, &organization);
-        let mut faults = saf_list(2);
-        faults.insert(1, Box::new(|| Box::new(Opaque)));
-        let plan = FaultBatch::plan(&walk, &faults);
-        assert_eq!(plan.lane_fault_count(), 2);
-        assert_eq!(
-            plan.cohorts(),
-            [Cohort::Class(1), Cohort::Class(1), Cohort::Serial(1)],
-            "SAF1 on the first cell, SAF0 on a middle one, the opaque fault alone"
-        );
-        let ops = walk.ops_per_address() as u64;
-        assert_eq!(plan.merged_schedule_steps(), 2 * ops + walk.len() as u64);
+        // The serial fallback still yields outcomes in list order, serial
+        // or parallel.
         for parallel in [false, true] {
             let report = evaluate_coverage_on_walk(
                 &walk,
                 &faults,
-                options(
-                    DetectionMode::FirstMismatch,
-                    parallel,
-                    SweepBackend::LaneBatched,
-                ),
+                options(DetectionMode::Full, parallel, SweepBackend::LaneBatched),
             );
-            assert_eq!(report.outcomes()[1].fault_name, "OPAQUE");
+            assert_eq!(report.total(), 4);
+            assert_eq!(report.outcomes()[3].fault_name, "SAF0@3");
+            assert_eq!(
+                report,
+                evaluate_coverage_on_walk(&walk, &faults, SweepOptions::golden())
+            );
+        }
+    }
+
+    #[test]
+    fn a_fault_type_outside_the_models_runs_the_golden_path() {
+        let organization = org();
+        let walk = MarchWalk::new(&library::march_ss(), &WordLineAfterWordLine, &organization);
+        for mode in [DetectionMode::Full, DetectionMode::FirstMismatch] {
+            let serial = golden_counts(&walk, &[Opaque; 3], false, mode, 1);
+            assert_eq!(serial, golden_counts(&walk, &[Opaque; 3], false, mode, 8));
             assert!(
-                report.outcomes()[1].detected,
+                serial.iter().all(|&count| count > 0),
                 "stuck-at-1-everything is detected"
             );
         }
     }
 
     #[test]
-    fn collapsed_sweep_is_identical_serial_and_parallel() {
+    fn collapsed_sweep_is_identical_to_the_golden_path_in_every_mode() {
         let organization = ArrayOrganization::new(8, 8).unwrap();
         let walk = MarchWalk::new(
             &library::march_c_minus(),
             &WordLineAfterWordLine,
             &organization,
         );
-        let mut faults = standard_fault_list(&organization);
-        for slot in [3, 20, 40] {
-            faults.insert(slot, Box::new(|| Box::new(Opaque)));
-        }
+        let faults = standard_fault_list(&organization);
         for mode in [DetectionMode::Full, DetectionMode::FirstMismatch] {
-            let serial = sweep_collapsed(&walk, &faults, false, mode, 1);
-            let parallel = sweep_collapsed(&walk, &faults, false, mode, 8);
-            assert_eq!(serial, parallel, "{mode:?}");
+            let collapsed = sweep_collapsed(&walk, &faults, false, mode);
+            let golden = golden_counts(&walk, &faults, false, mode, 8);
+            let counts: Vec<u32> = collapsed.codes().iter().map(|c| c.mismatches).collect();
+            assert_eq!(counts, golden, "{mode:?}");
+            assert!(collapsed
+                .codes()
+                .iter()
+                .zip(&faults)
+                .all(|(code, fault)| code.fault == *fault));
         }
     }
 }

@@ -26,9 +26,9 @@ use crate::address_order::AddressOrder;
 use crate::algorithm::MarchTest;
 use crate::batch::sweep_collapsed;
 use crate::executor::MarchWalk;
-use crate::fault_sim::{simulate_fault_counts_on_walk, DetectionMode, FaultSimOutcome};
-use crate::faults::FaultFactory;
-use crate::intern::InternedSweep;
+use crate::fault_sim::{DetectionMode, FaultSimOutcome};
+use crate::faults::{Fault, FaultModel};
+use crate::intern::{InternedSweep, OutcomeCode};
 use crate::memory::GoodMemory;
 use crate::parallel::{max_threads, par_chunk_map};
 use crate::rng::Fnv1a;
@@ -36,14 +36,13 @@ use crate::rng::Fnv1a;
 /// Which sweep engine simulates the fault list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SweepBackend {
-    /// The collapsed backend ([`crate::batch`]): every fault with an
-    /// inline [`crate::faults::LaneFaultKind`] joins the equivalence
-    /// class of its model, parameters and cells' ⇑-position classes; one
-    /// relocated representative per class runs on a canonical walk of at
-    /// most five cells, and every member takes its count. Faults without
-    /// an inline kind, and every fault of a walk that is not
-    /// locality-safe, run the per-fault path. The name, the spec token
-    /// `lane` and digest code 0 predate the collapse. The default.
+    /// The collapsed backend ([`crate::batch`]): every fault joins the
+    /// equivalence class of its model, parameters and cells' ⇑-position
+    /// classes; one relocated representative per class runs on a
+    /// canonical walk of at most five cells, and every member takes its
+    /// count. Every fault of a walk that is not locality-safe runs the
+    /// per-fault path. The name, the spec token `lane` and digest code 0
+    /// predate the collapse. The default.
     #[default]
     LaneBatched,
     /// One filtered walk per fault — the golden reference path that
@@ -60,10 +59,11 @@ pub struct SweepOptions {
     /// mismatch, [`DetectionMode::FirstMismatch`] stops at the first one.
     pub mode: DetectionMode,
     /// Fan the per-fault work out across threads in fault-list chunks:
-    /// every fault under [`SweepBackend::PerFault`], the faults without a
-    /// class under [`SweepBackend::LaneBatched`], whose classes always run
-    /// on the calling thread. The outcome order (and thus the whole
-    /// report) is identical to a serial sweep.
+    /// every fault under [`SweepBackend::PerFault`], and under
+    /// [`SweepBackend::LaneBatched`] every fault of a walk that is not
+    /// locality-safe — classes always run on the calling thread. The
+    /// outcome order (and thus the whole report) is identical to a serial
+    /// sweep.
     pub parallel: bool,
     /// The sweep engine; [`SweepBackend::LaneBatched`] by default.
     pub backend: SweepBackend,
@@ -210,7 +210,7 @@ impl CoverageReport {
 /// materialized.
 pub fn evaluate_coverage_on_walk(
     walk: &MarchWalk,
-    faults: &[FaultFactory],
+    faults: &[FaultModel],
     options: SweepOptions,
 ) -> CoverageReport {
     evaluate_coverage_interned_on_walk(walk, faults, options).materialize()
@@ -223,7 +223,7 @@ pub fn evaluate_coverage_with(
     test: &MarchTest,
     order: &dyn AddressOrder,
     organization: &ArrayOrganization,
-    faults: &[FaultFactory],
+    faults: &[FaultModel],
     options: SweepOptions,
 ) -> CoverageReport {
     evaluate_coverage_interned(test, order, organization, faults, options).materialize()
@@ -238,15 +238,15 @@ pub fn evaluate_coverage(
     test: &MarchTest,
     order: &dyn AddressOrder,
     organization: &ArrayOrganization,
-    faults: &[FaultFactory],
+    faults: &[FaultModel],
 ) -> CoverageReport {
     evaluate_coverage_interned(test, order, organization, faults, SweepOptions::default())
         .materialize()
 }
 
-/// A panic captured by the panic-safe sweep wrappers: the payload rendered
-/// as a string, so callers can journal, retry or quarantine the job
-/// without the panic unwinding through their worker pool.
+/// A panic captured by [`catch_sweep`]: the payload rendered as a
+/// string, so callers can journal, retry or quarantine the job without the
+/// panic unwinding through their worker pool.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepPanic {
     /// The panic payload (`&str`/`String` payloads verbatim, anything else
@@ -275,51 +275,63 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// The per-fault golden path over any [`Fault`] type: each fault
+/// simulated alone on `walk` from its own copy, over a scratch memory
+/// reused across a chunk of the list, with chunks fanned out across up to
+/// `threads` pool workers. Returns each fault's mismatch count in list
+/// order. Sweeps run it on [`FaultModel`] values; test fixtures that are
+/// not in-crate models reach the golden path through it.
+pub(crate) fn golden_counts<F: Fault + Clone + Sync>(
+    walk: &MarchWalk,
+    faults: &[F],
+    background: bool,
+    mode: DetectionMode,
+    threads: usize,
+) -> Vec<u32> {
+    par_chunk_map(faults, threads, |chunk| {
+        let mut scratch = GoodMemory::new(walk.capacity());
+        chunk
+            .iter()
+            .map(|fault| {
+                let mismatches =
+                    fault
+                        .clone()
+                        .simulate_on_walk(walk, &mut scratch, background, mode);
+                u32::try_from(mismatches).expect("mismatch counts fit u32")
+            })
+            .collect()
+    })
+}
+
 /// Simulates every fault in `faults` over a precomputed `walk` — the
 /// sweep driver, and the one body every coverage entry point runs.
 ///
-/// Under the default [`SweepBackend::LaneBatched`] the list collapses
-/// into equivalence classes, each simulated once on a canonical walk of
-/// at most five cells. Under [`SweepBackend::PerFault`] each fault runs
-/// its own filtered walk over a scratch memory reused across a chunk of
-/// the list (threads take whole chunks when `parallel` is set). Either
-/// way the outcomes are reassembled in fault-list order into one
-/// [`NameTable`] (one name string per fault) and 16-byte
-/// [`OutcomeCode`](crate::intern::OutcomeCode)s, so every
-/// backend/threading combination yields an identical report.
-///
-/// [`NameTable`]: crate::intern::NameTable
+/// Under the default [`SweepBackend::LaneBatched`] on a locality-safe
+/// walk the list collapses into equivalence classes, each simulated once
+/// on a canonical walk of at most five cells. Otherwise each fault runs
+/// its own filtered walk ([`SweepBackend::PerFault`]) over a scratch
+/// memory reused across a chunk of the list (threads take whole chunks
+/// when `parallel` is set). Either way the report pairs each fault value
+/// with its count in fault-list order, so every backend/threading
+/// combination yields an identical report, and no name is rendered until
+/// the report is digested, materialized or displayed.
 pub fn evaluate_coverage_interned_on_walk(
     walk: &MarchWalk,
-    faults: &[FaultFactory],
+    faults: &[FaultModel],
     options: SweepOptions,
 ) -> InternedSweep {
-    let threads = if options.parallel { max_threads() } else { 1 };
-    match options.backend {
-        SweepBackend::LaneBatched => {
-            sweep_collapsed(walk, faults, options.background, options.mode, threads)
-        }
-        SweepBackend::PerFault => {
-            let outcomes = par_chunk_map(faults, threads, |chunk| {
-                let mut scratch = GoodMemory::new(walk.capacity());
-                chunk
-                    .iter()
-                    .map(|factory| {
-                        let (fault, mismatches) = simulate_fault_counts_on_walk(
-                            walk,
-                            &mut scratch,
-                            factory(),
-                            options.background,
-                            options.mode,
-                        );
-                        (fault.name(), fault.kind(), mismatches)
-                    })
-                    .collect()
-            });
-            assert_eq!(outcomes.len(), faults.len(), "per-fault chunks map 1:1");
-            InternedSweep::from_outcomes(walk.test_name(), walk.order_name(), outcomes)
-        }
+    if options.backend == SweepBackend::LaneBatched && walk.locality_safe() {
+        return sweep_collapsed(walk, faults, options.background, options.mode);
     }
+    let threads = if options.parallel { max_threads() } else { 1 };
+    let counts = golden_counts(walk, faults, options.background, options.mode, threads);
+    assert_eq!(counts.len(), faults.len(), "per-fault chunks map 1:1");
+    let codes = faults
+        .iter()
+        .zip(counts)
+        .map(|(&fault, mismatches)| OutcomeCode { fault, mismatches })
+        .collect();
+    InternedSweep::new(walk.test_name(), walk.order_name(), codes)
 }
 
 /// Simulates every fault in `faults` under `test`/`order`, precomputing
@@ -329,35 +341,26 @@ pub fn evaluate_coverage_interned(
     test: &MarchTest,
     order: &dyn AddressOrder,
     organization: &ArrayOrganization,
-    faults: &[FaultFactory],
+    faults: &[FaultModel],
     options: SweepOptions,
 ) -> InternedSweep {
     let walk = MarchWalk::new(test, order, organization);
     evaluate_coverage_interned_on_walk(&walk, faults, options)
 }
 
-/// The panic-safe job-level sweep entry point: like
-/// [`evaluate_coverage_interned`], but a panic anywhere inside the sweep
-/// — a misbehaving fault model, an assertion in the kernel, a panic on a
-/// pool worker — is caught and returned as a [`SweepPanic`] instead of
+/// The panic-safe job-level wrapper: runs `sweep` — typically one
+/// [`evaluate_coverage_interned`] call — and catches a panic anywhere
+/// inside it (a misbehaving fault model, an assertion in the kernel, a
+/// panic on a pool worker), returning it as a [`SweepPanic`] instead of
 /// unwinding into the caller. This is what lets a campaign worker pool
-/// treat a panicking fault model as *one failed job* rather than a dead
-/// campaign, and it is the entry point campaign workers use.
+/// treat a panicking sweep as *one failed job* rather than a dead
+/// campaign, and it is the wrapper campaign workers use.
 ///
-/// The sweep mutates only state it owns (scratch memories, outcome
+/// A sweep mutates only state it owns (scratch memories, outcome
 /// buffers), so a caught panic leaves no observable inconsistency behind;
 /// `AssertUnwindSafe` is sound here.
-pub fn evaluate_coverage_interned_caught(
-    test: &MarchTest,
-    order: &dyn AddressOrder,
-    organization: &ArrayOrganization,
-    faults: &[FaultFactory],
-    options: SweepOptions,
-) -> Result<InternedSweep, SweepPanic> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        evaluate_coverage_interned(test, order, organization, faults, options)
-    }))
-    .map_err(|payload| SweepPanic {
+pub fn catch_sweep<T>(sweep: impl FnOnce() -> T) -> Result<T, SweepPanic> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(sweep)).map_err(|payload| SweepPanic {
         message: panic_message(&*payload),
     })
 }
@@ -366,9 +369,10 @@ pub fn evaluate_coverage_interned_caught(
 mod tests {
     use super::*;
     use crate::address_order::WordLineAfterWordLine;
-    use crate::faults::{standard_fault_list, Fault, FaultKind};
+    use crate::faults::{standard_fault_list, FaultKind};
     use crate::library;
     use sram_model::address::Address;
+    use std::fmt;
 
     fn org() -> ArrayOrganization {
         ArrayOrganization::new(4, 4).unwrap()
@@ -494,9 +498,7 @@ mod tests {
                 let mut scratch = GoodMemory::new(walk.capacity());
                 let alone: Vec<FaultSimOutcome> = faults
                     .iter()
-                    .map(|factory| {
-                        simulate_fault_on_walk(&walk, &mut scratch, factory(), false, mode)
-                    })
+                    .map(|&fault| simulate_fault_on_walk(&walk, &mut scratch, fault, false, mode))
                     .collect();
                 let reference = CoverageReport::new(walk.test_name(), walk.order_name(), alone);
                 for backend in [SweepBackend::PerFault, SweepBackend::LaneBatched] {
@@ -645,55 +647,58 @@ mod tests {
             &organization,
             &faults,
         );
-        let caught = evaluate_coverage_interned_caught(
-            &library::march_ss(),
-            &WordLineAfterWordLine,
-            &organization,
-            &faults,
-            SweepOptions::default(),
-        )
+        let caught = catch_sweep(|| {
+            evaluate_coverage_interned(
+                &library::march_ss(),
+                &WordLineAfterWordLine,
+                &organization,
+                &faults,
+                SweepOptions::default(),
+            )
+        })
         .expect("healthy sweep must not panic");
         assert_eq!(caught.digest(), direct.digest());
         assert_eq!(caught.materialize(), direct);
     }
 
-    /// A fault model that panics on its first read. It has no lane kind,
-    /// so it runs the per-fault path on whichever thread sweeps it.
-    #[derive(Debug)]
-    struct ExplodingFault;
+    /// A fault model that panics on its first read when armed and
+    /// behaves fault-free otherwise. It is no in-crate model, so it
+    /// reaches the golden path through [`golden_counts`].
+    #[derive(Debug, Clone, Copy)]
+    struct ExplodingFault {
+        armed: bool,
+    }
+
+    impl fmt::Display for ExplodingFault {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            f.write_str("EXPLODE@0")
+        }
+    }
 
     impl Fault for ExplodingFault {
-        fn name(&self) -> String {
-            "EXPLODE@0".to_string()
-        }
         fn kind(&self) -> FaultKind {
             FaultKind::StuckAt
         }
-        fn write(&mut self, _memory: &mut GoodMemory, _address: Address, _value: bool) {}
-        fn read(&mut self, _memory: &mut GoodMemory, _address: Address) -> bool {
-            panic!("faultpoint: exploding fault model")
+        fn write(&mut self, memory: &mut GoodMemory, address: Address, value: bool) {
+            memory.set(address, value);
+        }
+        fn read(&mut self, memory: &mut GoodMemory, address: Address) -> bool {
+            assert!(!self.armed, "faultpoint: exploding fault model");
+            memory.get(address)
         }
         fn involved_addresses(&self) -> Option<Vec<Address>> {
             Some(vec![Address::new(0)])
         }
     }
 
-    fn exploding() -> FaultFactory {
-        Box::new(|| Box::new(ExplodingFault))
-    }
-
     #[test]
     fn caught_sweep_reports_a_panicking_fault_model_as_an_error() {
         // The wrapper must catch the panic and surface the payload message.
         let organization = org();
-        let error = evaluate_coverage_interned_caught(
-            &library::mats_plus(),
-            &WordLineAfterWordLine,
-            &organization,
-            &[exploding()],
-            SweepOptions::golden(),
-        )
-        .expect_err("the exploding model must surface as SweepPanic");
+        let walk = MarchWalk::new(&library::mats_plus(), &WordLineAfterWordLine, &organization);
+        let faults = [ExplodingFault { armed: true }];
+        let error = catch_sweep(|| golden_counts(&walk, &faults, false, DetectionMode::Full, 1))
+            .expect_err("the exploding model must surface as SweepPanic");
         assert!(
             error.message.contains("exploding fault model"),
             "payload lost: {error}"
@@ -703,32 +708,25 @@ mod tests {
 
     #[test]
     fn caught_sweep_catches_a_panic_on_a_pool_worker() {
-        // The exploding model runs on the per-fault path: alone amid a
-        // collapsed population, and on a pool worker under the per-fault
-        // backend, whose panic must cross the pool. Either way it must
-        // surface as a SweepPanic.
+        // One armed model amid healthy ones, on a pool worker: its panic
+        // must cross the pool and surface as a SweepPanic.
         let organization = ArrayOrganization::new(8, 8).unwrap();
-        let mut faults = standard_fault_list(&organization);
-        faults.insert(17, exploding());
-        for backend in [SweepBackend::LaneBatched, SweepBackend::PerFault] {
-            let error = evaluate_coverage_interned_caught(
-                &library::march_ss(),
-                &WordLineAfterWordLine,
-                &organization,
-                &faults,
-                SweepOptions {
-                    backend,
-                    ..SweepOptions::fast()
-                },
-            )
-            .expect_err("the exploding model must surface as SweepPanic");
-            // A worker's panic reaches the caller through the pool's
-            // scope, which may replace the payload with its own message.
-            assert!(
-                error.to_string().starts_with("sweep panicked:"),
-                "{backend:?}: {error}"
-            );
-        }
+        let walk = MarchWalk::new(&library::march_ss(), &WordLineAfterWordLine, &organization);
+        let faults: Vec<ExplodingFault> = (0..64)
+            .map(|index| ExplodingFault { armed: index == 17 })
+            .collect();
+        let error =
+            catch_sweep(|| golden_counts(&walk, &faults, false, DetectionMode::FirstMismatch, 8))
+                .expect_err("the exploding model must surface as SweepPanic");
+        // A worker's panic reaches the caller through the pool's scope,
+        // which may replace the payload with its own message.
+        assert!(error.to_string().starts_with("sweep panicked:"), "{error}");
+        let healthy: Vec<ExplodingFault> =
+            (0..64).map(|_| ExplodingFault { armed: false }).collect();
+        let counts =
+            catch_sweep(|| golden_counts(&walk, &healthy, false, DetectionMode::FirstMismatch, 8))
+                .expect("disarmed models sweep cleanly");
+        assert_eq!(counts, vec![0; 64]);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use sram_model::config::ArrayOrganization;
 use crate::address_order::AddressOrder;
 use crate::algorithm::MarchTest;
 use crate::coverage::{evaluate_coverage_with, CoverageReport, SweepOptions};
-use crate::faults::FaultFactory;
+use crate::faults::FaultModel;
 
 /// The six degrees of freedom of March tests, as enumerated in the memory
 /// testing literature and recalled by the paper.
@@ -148,7 +148,7 @@ pub fn verify_order_independence_with(
     test: &MarchTest,
     orders: &[&dyn AddressOrder],
     organization: &ArrayOrganization,
-    faults: &[FaultFactory],
+    faults: &[FaultModel],
     options: SweepOptions,
 ) -> OrderIndependenceReport {
     let reports = orders
@@ -173,7 +173,7 @@ pub fn verify_order_independence(
     test: &MarchTest,
     orders: &[&dyn AddressOrder],
     organization: &ArrayOrganization,
-    faults: &[FaultFactory],
+    faults: &[FaultModel],
 ) -> OrderIndependenceReport {
     verify_order_independence_with(test, orders, organization, faults, SweepOptions::fast())
 }

@@ -749,7 +749,7 @@ pub fn run_march(
 mod tests {
     use super::*;
     use crate::address_order::{ColumnMajor, PseudoRandomOrder, WordLineAfterWordLine};
-    use crate::faults::{standard_fault_list, FaultyMemory};
+    use crate::faults::{standard_fault_list, Fault, FaultyMemory};
     use crate::library;
     use crate::memory::GoodMemory;
 
@@ -894,11 +894,9 @@ mod tests {
         let faults = standard_fault_list(&organization);
         for test in library::table1_algorithms() {
             let walk = MarchWalk::new(&test, &WordLineAfterWordLine, &organization);
-            for factory in &faults {
-                let mut full =
-                    FaultyMemory::new(GoodMemory::new(organization.capacity()), factory());
-                let mut early =
-                    FaultyMemory::new(GoodMemory::new(organization.capacity()), factory());
+            for &fault in &faults {
+                let mut full = FaultyMemory::new(GoodMemory::new(organization.capacity()), fault);
+                let mut early = FaultyMemory::new(GoodMemory::new(organization.capacity()), fault);
                 let full_result = run_march_walk(&walk, &mut full);
                 let early_detected = run_march_until_detected(&walk, &mut early);
                 assert_eq!(
@@ -906,7 +904,7 @@ mod tests {
                     early_detected,
                     "{} / {}",
                     test.name(),
-                    factory().name()
+                    fault.name()
                 );
             }
         }
@@ -928,18 +926,18 @@ mod tests {
                     &ColumnMajor,
                 ] {
                     let walk = MarchWalk::new(&test, order, &organization);
-                    for factory in &faults {
-                        let Some(involved) = factory().involved_addresses() else {
+                    for &fault in &faults {
+                        let Some(involved) = fault.involved_addresses() else {
                             continue; // global faults have no filtered path
                         };
                         for background in [false, true] {
                             let mut full_memory = FaultyMemory::new(
                                 GoodMemory::filled(organization.capacity(), background),
-                                factory(),
+                                fault,
                             );
                             let mut filtered_memory = FaultyMemory::new(
                                 GoodMemory::filled(organization.capacity(), background),
-                                factory(),
+                                fault,
                             );
                             let full = run_march_walk(&walk, &mut full_memory);
                             let filtered =
@@ -950,7 +948,7 @@ mod tests {
                                 "{} / {} / {} / background {background}",
                                 test.name(),
                                 order.name(),
-                                factory().name()
+                                fault.name()
                             );
                         }
                     }

@@ -10,11 +10,13 @@
 //! [`simulate_fault_on_walk`] with a reused scratch [`GoodMemory`]: the
 //! walk is shared read-only across the whole fault list (and across
 //! threads) and the scratch memory is refilled instead of reallocated,
-//! so the per-fault cost is exactly one kernel scan. Coverage sweeps go
-//! one step further through the collapsed backend ([`crate::batch`]),
-//! which runs this path — the golden reference — once per fault
-//! equivalence class, on a canonical walk of at most five cells, and
-//! alone for faults it cannot classify. A localised fault is filtered
+//! so the per-fault cost is exactly one kernel scan. The simulation runs
+//! on the fault in place, so a sweep copies each `Copy` fault value
+//! ([`crate::faults::FaultModel`]) into it and boxes nothing. Coverage
+//! sweeps go one step further through the collapsed backend
+//! ([`crate::batch`]), which runs this path — the golden reference — once
+//! per fault equivalence class, on a canonical walk of at most five
+//! cells, and alone for every fault of a walk it cannot classify on. A localised fault is filtered
 //! down to the steps touching its involved cells, which the implicit
 //! [`MarchWalk`] finds at one permutation position per element.
 
@@ -65,12 +67,12 @@ pub struct FaultSimOutcome {
 /// [`crate::faults::FaultyMemory`] owns its base memory; sweeps instead
 /// keep one [`GoodMemory`] alive across the whole fault list and lend it
 /// to each fault through this adapter, so no allocation happens per fault.
-struct BorrowedFaultyMemory<'a> {
+struct BorrowedFaultyMemory<'a, F: ?Sized> {
     base: &'a mut GoodMemory,
-    fault: Box<dyn Fault>,
+    fault: &'a mut F,
 }
 
-impl MemoryModel for BorrowedFaultyMemory<'_> {
+impl<F: Fault + ?Sized> MemoryModel for BorrowedFaultyMemory<'_, F> {
     fn capacity(&self) -> u32 {
         self.base.capacity()
     }
@@ -89,16 +91,16 @@ impl MemoryModel for BorrowedFaultyMemory<'_> {
 ///
 /// `scratch` must have the walk's capacity; it is reset to `background`
 /// before the run, so the same allocation can serve an entire sweep.
-pub fn simulate_fault_on_walk(
+pub fn simulate_fault_on_walk<F: Fault>(
     walk: &MarchWalk,
     scratch: &mut GoodMemory,
-    fault: Box<dyn Fault>,
+    mut fault: F,
     background: bool,
     mode: DetectionMode,
 ) -> FaultSimOutcome {
     let fault_name = fault.name();
     let fault_kind = fault.kind();
-    let (_, mismatches) = simulate_fault_counts_on_walk(walk, scratch, fault, background, mode);
+    let mismatches = fault.simulate_on_walk(walk, scratch, background, mode);
     FaultSimOutcome {
         fault_name,
         fault_kind,
@@ -109,22 +111,21 @@ pub fn simulate_fault_on_walk(
     }
 }
 
-/// The assembly-free core of [`simulate_fault_on_walk`]: runs the same
-/// simulation but reports only the mismatch count — the fault is detected
-/// exactly when it is non-zero — handing the fault instance back so the
-/// caller can render names however it wants (full [`FaultSimOutcome`]
-/// strings, or an interned [`OutcomeCode`](crate::intern::OutcomeCode)).
-/// The coverage sweeps
-/// ([`crate::coverage::evaluate_coverage_interned_on_walk`]) build on
-/// this so the hot path never allocates per-fault strings beyond the
-/// instance name.
-pub fn simulate_fault_counts_on_walk(
+/// The assembly-free core of [`simulate_fault_on_walk`] — the per-fault
+/// golden path: runs the same simulation on `fault` in place and reports
+/// only the mismatch count, so the fault is detected exactly when it is
+/// non-zero and the caller renders names however it wants (full
+/// [`FaultSimOutcome`] strings, or none at all in an
+/// [`InternedSweep`](crate::intern::InternedSweep)). The coverage sweeps
+/// ([`crate::coverage::evaluate_coverage_interned_on_walk`]) run a copy
+/// of each fault value through it, by [`Fault::simulate_on_walk`].
+pub fn simulate_fault_counts_on_walk<F: Fault + ?Sized>(
     walk: &MarchWalk,
     scratch: &mut GoodMemory,
-    fault: Box<dyn Fault>,
+    fault: &mut F,
     background: bool,
     mode: DetectionMode,
-) -> (Box<dyn Fault>, usize) {
+) -> usize {
     assert_eq!(
         scratch.capacity(),
         walk.capacity(),
@@ -144,7 +145,7 @@ pub fn simulate_fault_counts_on_walk(
         base: scratch,
         fault,
     };
-    let mismatches = match (mode, involved) {
+    match (mode, involved) {
         (DetectionMode::Full, Some(involved)) => {
             run_march_walk_filtered(walk, &mut memory, &involved)
                 .mismatches
@@ -157,17 +158,16 @@ pub fn simulate_fault_counts_on_walk(
         (DetectionMode::FirstMismatch, None) => {
             usize::from(run_march_until_detected(walk, &mut memory))
         }
-    };
-    (memory.fault, mismatches)
+    }
 }
 
 /// Runs `test` over a memory containing exactly one injected fault. The
 /// memory starts with the all-`0` background.
-pub fn simulate_fault(
+pub fn simulate_fault<F: Fault>(
     test: &MarchTest,
     order: &dyn AddressOrder,
     organization: &ArrayOrganization,
-    fault: Box<dyn Fault>,
+    fault: F,
 ) -> FaultSimOutcome {
     simulate_fault_with_background(test, order, organization, fault, false)
 }
@@ -177,11 +177,11 @@ pub fn simulate_fault(
 /// of some faults (e.g. write-disturb faults triggered by the very first
 /// initialising write) depends on the pre-test contents, which is why the
 /// background is exposed.
-pub fn simulate_fault_with_background(
+pub fn simulate_fault_with_background<F: Fault>(
     test: &MarchTest,
     order: &dyn AddressOrder,
     organization: &ArrayOrganization,
-    fault: Box<dyn Fault>,
+    fault: F,
     background: bool,
 ) -> FaultSimOutcome {
     let walk = MarchWalk::new(test, order, organization);
@@ -212,7 +212,7 @@ mod tests {
                 &library::mats_plus(),
                 &WordLineAfterWordLine,
                 &organization,
-                Box::new(StuckAtFault::new(Address::new(7), value)),
+                StuckAtFault::new(Address::new(7), value),
             );
             assert!(outcome.detected, "MATS+ must detect SAF{}", u8::from(value));
             assert!(outcome.mismatches > 0);
@@ -227,7 +227,7 @@ mod tests {
                 &library::march_c_minus(),
                 &WordLineAfterWordLine,
                 &organization,
-                Box::new(TransitionFault::new(Address::new(9), rising)),
+                TransitionFault::new(Address::new(9), rising),
             );
             assert!(
                 outcome.detected,
@@ -248,7 +248,7 @@ mod tests {
             &library::mats_plus(),
             &WordLineAfterWordLine,
             &organization,
-            Box::new(WriteDisturbFault::new(victim)),
+            WriteDisturbFault::new(victim),
             true,
         );
         assert!(
@@ -259,7 +259,7 @@ mod tests {
             &library::march_ss(),
             &WordLineAfterWordLine,
             &organization,
-            Box::new(WriteDisturbFault::new(victim)),
+            WriteDisturbFault::new(victim),
             true,
         );
         assert!(caught.detected, "March SS detects WDF");
@@ -273,14 +273,14 @@ mod tests {
             &library::mats_plus(),
             &WordLineAfterWordLine,
             &organization,
-            Box::new(DeceptiveReadDestructiveFault::new(victim)),
+            DeceptiveReadDestructiveFault::new(victim),
         );
         assert!(!missed.detected, "MATS+ has no back-to-back reads");
         let caught = simulate_fault(
             &library::march_ss(),
             &WordLineAfterWordLine,
             &organization,
-            Box::new(DeceptiveReadDestructiveFault::new(victim)),
+            DeceptiveReadDestructiveFault::new(victim),
         );
         assert!(caught.detected, "March SS has r,r pairs and detects DRDF");
     }
@@ -292,7 +292,7 @@ mod tests {
             &library::march_c_minus(),
             &WordLineAfterWordLine,
             &organization,
-            Box::new(StuckAtFault::new(Address::new(0), true)),
+            StuckAtFault::new(Address::new(0), true),
         );
         assert_eq!(outcome.test_name, "March C-");
         assert_eq!(outcome.order_name, "word line after word line");
@@ -306,11 +306,11 @@ mod tests {
         let walk = MarchWalk::new(&test, &WordLineAfterWordLine, &organization);
         let mut scratch = GoodMemory::new(organization.capacity());
         for background in [false, true] {
-            for factory in standard_fault_list(&organization) {
+            for fault in standard_fault_list(&organization) {
                 let reused = simulate_fault_on_walk(
                     &walk,
                     &mut scratch,
-                    factory(),
+                    fault,
                     background,
                     DetectionMode::Full,
                 );
@@ -318,7 +318,7 @@ mod tests {
                     &test,
                     &WordLineAfterWordLine,
                     &organization,
-                    factory(),
+                    fault,
                     background,
                 );
                 assert_eq!(reused, one_shot, "background {background}");
@@ -332,13 +332,13 @@ mod tests {
         let test = library::march_c_minus();
         let walk = MarchWalk::new(&test, &WordLineAfterWordLine, &organization);
         let mut scratch = GoodMemory::new(organization.capacity());
-        for factory in standard_fault_list(&organization) {
+        for fault in standard_fault_list(&organization) {
             let full =
-                simulate_fault_on_walk(&walk, &mut scratch, factory(), false, DetectionMode::Full);
+                simulate_fault_on_walk(&walk, &mut scratch, fault, false, DetectionMode::Full);
             let fast = simulate_fault_on_walk(
                 &walk,
                 &mut scratch,
-                factory(),
+                fault,
                 false,
                 DetectionMode::FirstMismatch,
             );
@@ -372,7 +372,7 @@ mod tests {
             &test,
             &WordLineAfterWordLine,
             &organization,
-            Box::new(IncorrectReadFault::new(Address::new(3))),
+            IncorrectReadFault::new(Address::new(3)),
         );
         assert!(outcome.detected, "fault-free mismatches must be preserved");
         assert_eq!(
@@ -394,7 +394,7 @@ mod tests {
         let _ = simulate_fault_on_walk(
             &walk,
             &mut scratch,
-            Box::new(StuckAtFault::new(Address::new(0), true)),
+            StuckAtFault::new(Address::new(0), true),
             false,
             DetectionMode::Full,
         );

@@ -25,17 +25,18 @@
 //! * [`FaultGen::overlapping_clusters`] — many faults sharing the same few
 //!   victims, the overlap-heavy shape a qualification sweep emits.
 //!
-//! Generated lists are plain `Vec<FaultFactory>`, so they flow through the
-//! existing [`crate::coverage`]/[`crate::dof`] sweeps and the collapsed
-//! backend unchanged; [`FaultPopulation`] wraps a list with the profile
-//! name for benches and reports.
+//! Generated lists are plain `Vec<FaultModel>` — one `Copy` value per
+//! fault — so they flow through the existing
+//! [`crate::coverage`]/[`crate::dof`] sweeps and the collapsed backend
+//! unchanged; [`FaultPopulation`] wraps a list with the profile name for
+//! benches and reports.
 
 use sram_model::address::Address;
 use sram_model::config::ArrayOrganization;
 
 use crate::faults::{
     AddressAliasFault, CouplingIdempotentFault, CouplingInversionFault, CouplingStateFault,
-    DeceptiveReadDestructiveFault, FaultFactory, IncorrectReadFault, ReadDestructiveFault,
+    DeceptiveReadDestructiveFault, FaultModel, IncorrectReadFault, ReadDestructiveFault,
     StuckAtFault, StuckOpenFault, TransitionFault, WriteDisturbFault,
 };
 use crate::rng::SplitMix64;
@@ -96,41 +97,41 @@ impl std::error::Error for FaultGenError {}
 
 /// A named, generated fault list: the output of one [`FaultGen`] profile.
 ///
-/// Dereferences to `[FaultFactory]`, so a population drops into every API
+/// Dereferences to `[FaultModel]`, so a population drops into every API
 /// that sweeps a fault list (`evaluate_coverage_with`,
 /// `evaluate_coverage_interned`, `verify_order_independence`, …).
 pub struct FaultPopulation {
     /// Profile label, e.g. `"mixed-100000"` — used by benches and reports.
     pub name: String,
-    /// The generated factories, in generation (or shuffled) order.
-    pub factories: Vec<FaultFactory>,
+    /// The generated faults, in generation (or shuffled) order.
+    pub faults: Vec<FaultModel>,
 }
 
 impl FaultPopulation {
     /// Wraps a generated list with its profile name.
-    pub fn new(name: impl Into<String>, factories: Vec<FaultFactory>) -> Self {
+    pub fn new(name: impl Into<String>, faults: Vec<FaultModel>) -> Self {
         Self {
             name: name.into(),
-            factories,
+            faults,
         }
     }
 
     /// Number of faults in the population.
     pub fn len(&self) -> usize {
-        self.factories.len()
+        self.faults.len()
     }
 
     /// `true` when the population holds no faults.
     pub fn is_empty(&self) -> bool {
-        self.factories.is_empty()
+        self.faults.is_empty()
     }
 }
 
 impl std::ops::Deref for FaultPopulation {
-    type Target = [FaultFactory];
+    type Target = [FaultModel];
 
-    fn deref(&self) -> &[FaultFactory] {
-        &self.factories
+    fn deref(&self) -> &[FaultModel] {
+        &self.faults
     }
 }
 
@@ -138,7 +139,7 @@ impl std::fmt::Debug for FaultPopulation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FaultPopulation")
             .field("name", &self.name)
-            .field("faults", &self.factories.len())
+            .field("faults", &self.faults.len())
             .finish()
     }
 }
@@ -214,9 +215,9 @@ impl FaultGen {
     ///
     /// Panics if `victims_per_row` exceeds the column count; see
     /// [`FaultGen::try_stuck_at_per_row`] for the fallible form.
-    pub fn stuck_at_per_row(&mut self, victims_per_row: u32) -> Vec<FaultFactory> {
+    pub fn stuck_at_per_row(&mut self, victims_per_row: u32) -> Vec<FaultModel> {
         match self.try_stuck_at_per_row(victims_per_row) {
-            Ok(factories) => factories,
+            Ok(faults) => faults,
             Err(error) => panic!("{error}"),
         }
     }
@@ -227,7 +228,7 @@ impl FaultGen {
     pub fn try_stuck_at_per_row(
         &mut self,
         victims_per_row: u32,
-    ) -> Result<Vec<FaultFactory>, FaultGenError> {
+    ) -> Result<Vec<FaultModel>, FaultGenError> {
         let (rows, cols) = (self.organization.rows(), self.organization.cols());
         if victims_per_row > cols {
             return Err(FaultGenError::VictimsExceedColumns {
@@ -236,16 +237,15 @@ impl FaultGen {
             });
         }
         let mut scratch = Vec::new();
-        let mut factories: Vec<FaultFactory> =
-            Vec::with_capacity((rows * victims_per_row) as usize);
+        let mut faults: Vec<FaultModel> = Vec::with_capacity((rows * victims_per_row) as usize);
         for row in 0..rows {
             for col in self.distinct_below(cols, victims_per_row, &mut scratch) {
                 let victim = Address::new(row * cols + col);
                 let value = self.rng.next_bool();
-                factories.push(Box::new(move || Box::new(StuckAtFault::new(victim, value))));
+                faults.push(StuckAtFault::new(victim, value).into());
             }
         }
-        Ok(factories)
+        Ok(faults)
     }
 
     /// Per-column transition victims: for every column of the array,
@@ -256,9 +256,9 @@ impl FaultGen {
     ///
     /// Panics if `victims_per_column` exceeds the row count; see
     /// [`FaultGen::try_transitions_per_column`] for the fallible form.
-    pub fn transitions_per_column(&mut self, victims_per_column: u32) -> Vec<FaultFactory> {
+    pub fn transitions_per_column(&mut self, victims_per_column: u32) -> Vec<FaultModel> {
         match self.try_transitions_per_column(victims_per_column) {
-            Ok(factories) => factories,
+            Ok(faults) => faults,
             Err(error) => panic!("{error}"),
         }
     }
@@ -269,7 +269,7 @@ impl FaultGen {
     pub fn try_transitions_per_column(
         &mut self,
         victims_per_column: u32,
-    ) -> Result<Vec<FaultFactory>, FaultGenError> {
+    ) -> Result<Vec<FaultModel>, FaultGenError> {
         let (rows, cols) = (self.organization.rows(), self.organization.cols());
         if victims_per_column > rows {
             return Err(FaultGenError::VictimsExceedRows {
@@ -278,18 +278,15 @@ impl FaultGen {
             });
         }
         let mut scratch = Vec::new();
-        let mut factories: Vec<FaultFactory> =
-            Vec::with_capacity((cols * victims_per_column) as usize);
+        let mut faults: Vec<FaultModel> = Vec::with_capacity((cols * victims_per_column) as usize);
         for col in 0..cols {
             for row in self.distinct_below(rows, victims_per_column, &mut scratch) {
                 let victim = Address::new(row * cols + col);
                 let rising = self.rng.next_bool();
-                factories.push(Box::new(move || {
-                    Box::new(TransitionFault::new(victim, rising))
-                }));
+                faults.push(TransitionFault::new(victim, rising).into());
             }
         }
-        Ok(factories)
+        Ok(faults)
     }
 
     /// A random aggressor within Manhattan distance `radius` of `victim`
@@ -317,27 +314,21 @@ impl FaultGen {
 
     /// One random coupling fault (CFin/CFid/CFst, uniform) between
     /// `aggressor` and `victim`.
-    fn coupling_between(&mut self, aggressor: Address, victim: Address) -> FaultFactory {
+    fn coupling_between(&mut self, aggressor: Address, victim: Address) -> FaultModel {
         match self.rng.next_below(3) {
             0 => {
                 let rising = self.rng.next_bool();
-                Box::new(move || Box::new(CouplingInversionFault::new(aggressor, victim, rising)))
+                CouplingInversionFault::new(aggressor, victim, rising).into()
             }
             1 => {
                 let rising = self.rng.next_bool();
                 let forced = self.rng.next_bool();
-                Box::new(move || {
-                    Box::new(CouplingIdempotentFault::new(
-                        aggressor, victim, rising, forced,
-                    ))
-                })
+                CouplingIdempotentFault::new(aggressor, victim, rising, forced).into()
             }
             _ => {
                 let state = self.rng.next_bool();
                 let forced = self.rng.next_bool();
-                Box::new(move || {
-                    Box::new(CouplingStateFault::new(aggressor, victim, state, forced))
-                })
+                CouplingStateFault::new(aggressor, victim, state, forced).into()
             }
         }
     }
@@ -351,9 +342,9 @@ impl FaultGen {
     ///
     /// Panics if the array holds fewer than two cells; see
     /// [`FaultGen::try_neighbourhood_coupling`] for the fallible form.
-    pub fn neighbourhood_coupling(&mut self, pairs: usize, radius: u32) -> Vec<FaultFactory> {
+    pub fn neighbourhood_coupling(&mut self, pairs: usize, radius: u32) -> Vec<FaultModel> {
         match self.try_neighbourhood_coupling(pairs, radius) {
-            Ok(factories) => factories,
+            Ok(faults) => faults,
             Err(error) => panic!("{error}"),
         }
     }
@@ -365,7 +356,7 @@ impl FaultGen {
         &mut self,
         pairs: usize,
         radius: u32,
-    ) -> Result<Vec<FaultFactory>, FaultGenError> {
+    ) -> Result<Vec<FaultModel>, FaultGenError> {
         self.require_pair_capacity()?;
         Ok((0..pairs)
             .map(|_| {
@@ -392,29 +383,29 @@ impl FaultGen {
     ///
     /// Panics if the array holds fewer than two cells (two-cell classes
     /// need a distinct aggressor/target).
-    pub fn any_fault(&mut self) -> FaultFactory {
+    pub fn any_fault(&mut self) -> FaultModel {
         let victim = self.any_address();
         match self.rng.next_below(11) {
             0 => {
                 let value = self.rng.next_bool();
-                Box::new(move || Box::new(StuckAtFault::new(victim, value)))
+                StuckAtFault::new(victim, value).into()
             }
             1 => {
                 let rising = self.rng.next_bool();
-                Box::new(move || Box::new(TransitionFault::new(victim, rising)))
+                TransitionFault::new(victim, rising).into()
             }
             2..=4 => {
                 let aggressor = self.distinct_address(victim);
                 self.coupling_between(aggressor, victim)
             }
-            5 => Box::new(move || Box::new(ReadDestructiveFault::new(victim))),
-            6 => Box::new(move || Box::new(DeceptiveReadDestructiveFault::new(victim))),
-            7 => Box::new(move || Box::new(IncorrectReadFault::new(victim))),
-            8 => Box::new(move || Box::new(StuckOpenFault::new(victim))),
-            9 => Box::new(move || Box::new(WriteDisturbFault::new(victim))),
+            5 => ReadDestructiveFault::new(victim).into(),
+            6 => DeceptiveReadDestructiveFault::new(victim).into(),
+            7 => IncorrectReadFault::new(victim).into(),
+            8 => StuckOpenFault::new(victim).into(),
+            9 => WriteDisturbFault::new(victim).into(),
             _ => {
                 let target = self.distinct_address(victim);
-                Box::new(move || Box::new(AddressAliasFault::new(victim, target)))
+                AddressAliasFault::new(victim, target).into()
             }
         }
     }
@@ -424,7 +415,7 @@ impl FaultGen {
     /// hundreds to ≥100k faults are sized for dense sweeps, and the shape
     /// the randomized differential harness replays against the golden
     /// path.
-    pub fn mixed(&mut self, count: usize) -> Vec<FaultFactory> {
+    pub fn mixed(&mut self, count: usize) -> Vec<FaultModel> {
         (0..count).map(|_| self.any_fault()).collect()
     }
 
@@ -432,7 +423,7 @@ impl FaultGen {
     /// includes two-cell classes) and a zero count (which would be an
     /// empty population) instead of panicking or silently sweeping
     /// nothing.
-    pub fn try_mixed(&mut self, count: usize) -> Result<Vec<FaultFactory>, FaultGenError> {
+    pub fn try_mixed(&mut self, count: usize) -> Result<Vec<FaultModel>, FaultGenError> {
         self.require_pair_capacity()?;
         if count == 0 {
             return Err(FaultGenError::EmptyPopulation);
@@ -461,9 +452,9 @@ impl FaultGen {
         clusters: usize,
         pairs_per_cluster: usize,
         radius: u32,
-    ) -> Vec<FaultFactory> {
+    ) -> Vec<FaultModel> {
         match self.try_overlapping_clusters(clusters, pairs_per_cluster, radius) {
-            Ok(factories) => factories,
+            Ok(faults) => faults,
             Err(error) => panic!("{error}"),
         }
     }
@@ -475,41 +466,35 @@ impl FaultGen {
         clusters: usize,
         pairs_per_cluster: usize,
         radius: u32,
-    ) -> Result<Vec<FaultFactory>, FaultGenError> {
+    ) -> Result<Vec<FaultModel>, FaultGenError> {
         self.require_pair_capacity()?;
-        let mut factories: Vec<FaultFactory> =
+        let mut faults: Vec<FaultModel> =
             Vec::with_capacity(clusters * (Self::MODELS_PER_VICTIM + pairs_per_cluster));
         for _ in 0..clusters {
             let victim = self.any_address();
             for value in [false, true] {
-                factories.push(Box::new(move || Box::new(StuckAtFault::new(victim, value))));
-                factories.push(Box::new(move || {
-                    Box::new(TransitionFault::new(victim, value))
-                }));
+                faults.push(StuckAtFault::new(victim, value).into());
+                faults.push(TransitionFault::new(victim, value).into());
             }
-            factories.push(Box::new(move || {
-                Box::new(ReadDestructiveFault::new(victim))
-            }));
-            factories.push(Box::new(move || {
-                Box::new(DeceptiveReadDestructiveFault::new(victim))
-            }));
-            factories.push(Box::new(move || Box::new(IncorrectReadFault::new(victim))));
-            factories.push(Box::new(move || Box::new(WriteDisturbFault::new(victim))));
-            factories.push(Box::new(move || Box::new(StuckOpenFault::new(victim))));
+            faults.push(ReadDestructiveFault::new(victim).into());
+            faults.push(DeceptiveReadDestructiveFault::new(victim).into());
+            faults.push(IncorrectReadFault::new(victim).into());
+            faults.push(WriteDisturbFault::new(victim).into());
+            faults.push(StuckOpenFault::new(victim).into());
             for _ in 0..pairs_per_cluster {
                 let aggressor = self.neighbour_of(victim, radius);
-                factories.push(self.coupling_between(aggressor, victim));
+                faults.push(self.coupling_between(aggressor, victim));
             }
         }
-        Ok(factories)
+        Ok(faults)
     }
 
-    /// Shuffles `factories` in place with this generator's stream —
+    /// Shuffles `faults` in place with this generator's stream —
     /// destroys any address locality the generation order produced, which
     /// is what the population-order benchmarks need the input to look
     /// like.
-    pub fn shuffle(&mut self, factories: &mut [FaultFactory]) {
-        self.rng.shuffle(factories);
+    pub fn shuffle(&mut self, faults: &mut [FaultModel]) {
+        self.rng.shuffle(faults);
     }
 
     /// The dense benchmark profile, blended from every generator: ~92 %
@@ -576,15 +561,15 @@ impl FaultGen {
         // whole row/column sweep on large arrays.
         let per_row = ((target as u64 * 3 / 100 / rows) as u32).min(cols as u32);
         let per_col = ((target as u64 * 2 / 100 / cols) as u32).min(rows as u32);
-        let mut factories = self.overlapping_clusters(clusters, 1, 2);
-        factories.extend(self.stuck_at_per_row(per_row));
-        factories.extend(self.transitions_per_column(per_col));
-        factories.extend(self.neighbourhood_coupling(target * 2 / 100, 2));
-        let mixed = target.saturating_sub(factories.len());
-        factories.extend(self.mixed(mixed));
+        let mut faults = self.overlapping_clusters(clusters, 1, 2);
+        faults.extend(self.stuck_at_per_row(per_row));
+        faults.extend(self.transitions_per_column(per_col));
+        faults.extend(self.neighbourhood_coupling(target * 2 / 100, 2));
+        let mixed = target.saturating_sub(faults.len());
+        faults.extend(self.mixed(mixed));
         Ok(FaultPopulation::new(
-            format!("dense-{}", factories.len()),
-            factories,
+            format!("dense-{}", faults.len()),
+            faults,
         ))
     }
 }
@@ -592,7 +577,7 @@ impl FaultGen {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultKind;
+    use crate::faults::{Fault, FaultKind};
     use std::collections::BTreeSet;
 
     fn org(rows: u32, cols: u32) -> ArrayOrganization {
@@ -606,10 +591,10 @@ mod tests {
         let b = FaultGen::new(organization, 42).mixed(200);
         assert_eq!(a.len(), 200);
         for (fa, fb) in a.iter().zip(&b) {
-            assert_eq!(fa().name(), fb().name());
+            assert_eq!(fa, fb);
         }
         let c = FaultGen::new(organization, 43).mixed(200);
-        let diverged = a.iter().zip(&c).any(|(fa, fc)| fa().name() != fc().name());
+        let diverged = a.iter().zip(&c).any(|(fa, fc)| fa != fc);
         assert!(diverged, "different seeds must produce different lists");
     }
 
@@ -619,8 +604,7 @@ mod tests {
         let faults = FaultGen::new(organization, 7).stuck_at_per_row(3);
         assert_eq!(faults.len(), 16 * 3);
         let mut victims_by_row = vec![BTreeSet::new(); 16];
-        for factory in &faults {
-            let fault = factory();
+        for fault in &faults {
             assert_eq!(fault.kind(), FaultKind::StuckAt);
             let involved = fault.involved_addresses().unwrap();
             assert_eq!(involved.len(), 1);
@@ -639,8 +623,7 @@ mod tests {
         let faults = FaultGen::new(organization, 9).transitions_per_column(2);
         assert_eq!(faults.len(), 16 * 2);
         let mut victims_by_col = vec![BTreeSet::new(); 16];
-        for factory in &faults {
-            let fault = factory();
+        for fault in &faults {
             assert_eq!(fault.kind(), FaultKind::Transition);
             let victim = fault.involved_addresses().unwrap()[0];
             victims_by_col[victim.col(&organization).value() as usize].insert(victim.value());
@@ -654,8 +637,7 @@ mod tests {
         for radius in [1, 2, 4] {
             let faults = FaultGen::new(organization, 11).neighbourhood_coupling(300, radius);
             assert_eq!(faults.len(), 300);
-            for factory in &faults {
-                let fault = factory();
+            for fault in &faults {
                 let involved = fault.involved_addresses().unwrap();
                 assert_eq!(involved.len(), 2, "coupling pairs involve two cells");
                 let (a, v) = (involved[0], involved[1]);
@@ -679,7 +661,7 @@ mod tests {
         let organization = org(32, 32);
         let faults = FaultGen::new(organization, 2006).mixed(2_000);
         assert_eq!(faults.len(), 2_000);
-        let kinds: BTreeSet<String> = faults.iter().map(|f| f().kind().to_string()).collect();
+        let kinds: BTreeSet<String> = faults.iter().map(|f| f.kind().to_string()).collect();
         for expected in [
             "SAF", "TF", "CFin", "CFid", "CFst", "RDF", "DRDF", "IRF", "SOF", "WDF", "AF",
         ] {
@@ -701,8 +683,7 @@ mod tests {
         assert!(population.name.starts_with("dense-"));
         assert!(!population.is_empty());
         // Every fault must be instantiable and in bounds.
-        for factory in population.iter().step_by(997) {
-            let fault = factory();
+        for fault in population.iter().step_by(997) {
             if let Some(involved) = fault.involved_addresses() {
                 assert!(involved.iter().all(|a| a.is_valid(&organization)));
             }
@@ -719,13 +700,13 @@ mod tests {
         let victims: BTreeSet<u32> = faults
             .iter()
             .filter_map(|f| {
-                f().involved_addresses()
+                f.involved_addresses()
                     .map(|involved| involved.last().unwrap().value())
             })
             .collect();
         assert!(victims.len() <= 4, "clusters must reuse victims");
         // Every single-cell model class appears.
-        let kinds: BTreeSet<String> = faults.iter().map(|f| f().kind().to_string()).collect();
+        let kinds: BTreeSet<String> = faults.iter().map(|f| f.kind().to_string()).collect();
         for expected in ["SAF", "TF", "RDF", "DRDF", "IRF", "WDF", "SOF"] {
             assert!(kinds.contains(expected), "missing kind {expected}");
         }
@@ -745,8 +726,7 @@ mod tests {
         assert!(result.is_err(), "one-cell arrays cannot host clusters");
     }
 
-    /// Extracts the error from a `try_*` result (the success payload is a
-    /// factory list, which has no `Debug` impl for `unwrap_err`).
+    /// Extracts the error from a `try_*` result.
     fn rejection<T>(result: Result<T, FaultGenError>) -> FaultGenError {
         match result {
             Err(error) => error,
@@ -806,7 +786,7 @@ mod tests {
         let b = FaultGen::new(organization, 6).mixed(64);
         assert_eq!(a.len(), b.len());
         for (fa, fb) in a.iter().zip(&b) {
-            assert_eq!(fa().name(), fb().name());
+            assert_eq!(fa, fb);
         }
         // Zero quotas stay valid for the blended-profile contributors.
         let mut gen = FaultGen::new(organization, 6);

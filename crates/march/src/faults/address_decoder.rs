@@ -1,8 +1,10 @@
 //! Address-decoder faults (AF).
 
+use std::fmt;
+
 use sram_model::address::Address;
 
-use super::{Fault, FaultKind, LaneFaultKind};
+use super::{Fault, FaultKind};
 use crate::memory::GoodMemory;
 
 /// Address aliasing fault: accesses to one address are routed to another
@@ -37,11 +39,13 @@ impl AddressAliasFault {
     }
 }
 
-impl Fault for AddressAliasFault {
-    fn name(&self) -> String {
-        format!("AF({}→{})", self.aliased.value(), self.target.value())
+impl fmt::Display for AddressAliasFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "AF({}→{})", self.aliased.value(), self.target.value())
     }
+}
 
+impl Fault for AddressAliasFault {
     fn kind(&self) -> FaultKind {
         FaultKind::AddressDecoder
     }
@@ -58,10 +62,6 @@ impl Fault for AddressAliasFault {
         // Accesses to `aliased` land on `target`, and reads of `target`
         // observe the corruption — both cells' operations matter.
         Some(vec![self.aliased, self.target])
-    }
-
-    fn lane_kind(&self) -> Option<LaneFaultKind> {
-        Some(LaneFaultKind::AddressDecoder(*self))
     }
 }
 

@@ -1,8 +1,10 @@
 //! Two-cell coupling faults (CFin, CFid, CFst).
 
+use std::fmt;
+
 use sram_model::address::Address;
 
-use super::{Fault, FaultKind, LaneFaultKind};
+use super::{Fault, FaultKind};
 use crate::memory::GoodMemory;
 
 /// Inversion coupling fault: a chosen transition written into the aggressor
@@ -32,16 +34,19 @@ impl CouplingInversionFault {
     }
 }
 
-impl Fault for CouplingInversionFault {
-    fn name(&self) -> String {
+impl fmt::Display for CouplingInversionFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let dir = if self.rising { "↑" } else { "↓" };
-        format!(
+        write!(
+            f,
             "CFin({}{dir};{})",
             self.aggressor.value(),
             self.victim.value()
         )
     }
+}
 
+impl Fault for CouplingInversionFault {
     fn kind(&self) -> FaultKind {
         FaultKind::CouplingInversion
     }
@@ -73,10 +78,6 @@ impl Fault for CouplingInversionFault {
         // (and can overwrite) the corrupted cell.
         Some(vec![self.aggressor, self.victim])
     }
-
-    fn lane_kind(&self) -> Option<LaneFaultKind> {
-        Some(LaneFaultKind::CouplingInversion(*self))
-    }
 }
 
 /// Idempotent coupling fault: a chosen transition on the aggressor forces
@@ -106,17 +107,20 @@ impl CouplingIdempotentFault {
     }
 }
 
-impl Fault for CouplingIdempotentFault {
-    fn name(&self) -> String {
+impl fmt::Display for CouplingIdempotentFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let dir = if self.rising { "↑" } else { "↓" };
-        format!(
+        write!(
+            f,
             "CFid({}{dir};{}={})",
             self.aggressor.value(),
             self.victim.value(),
             u8::from(self.forced_value)
         )
     }
+}
 
+impl Fault for CouplingIdempotentFault {
     fn kind(&self) -> FaultKind {
         FaultKind::CouplingIdempotent
     }
@@ -144,10 +148,6 @@ impl Fault for CouplingIdempotentFault {
 
     fn involved_addresses(&self) -> Option<Vec<Address>> {
         Some(vec![self.aggressor, self.victim])
-    }
-
-    fn lane_kind(&self) -> Option<LaneFaultKind> {
-        Some(LaneFaultKind::CouplingIdempotent(*self))
     }
 }
 
@@ -189,9 +189,10 @@ impl CouplingStateFault {
     }
 }
 
-impl Fault for CouplingStateFault {
-    fn name(&self) -> String {
-        format!(
+impl fmt::Display for CouplingStateFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
             "CFst({}={};{}={})",
             self.aggressor.value(),
             u8::from(self.aggressor_state),
@@ -199,7 +200,9 @@ impl Fault for CouplingStateFault {
             u8::from(self.forced_value)
         )
     }
+}
 
+impl Fault for CouplingStateFault {
     fn kind(&self) -> FaultKind {
         FaultKind::CouplingState
     }
@@ -220,10 +223,6 @@ impl Fault for CouplingStateFault {
         // only observable through the victim — both cells' operations
         // cover every trigger and observation point.
         Some(vec![self.aggressor, self.victim])
-    }
-
-    fn lane_kind(&self) -> Option<LaneFaultKind> {
-        Some(LaneFaultKind::CouplingState(*self))
     }
 }
 

@@ -5,7 +5,10 @@
 //! writes. The models implemented here are the classical single-cell and
 //! two-cell (coupling) functional fault models from the memory-test
 //! literature (van de Goor), plus the read-destructive family that the
-//! paper's authors study in their earlier work:
+//! paper's authors study in their earlier work. Each model is a few
+//! parameters, so a fault list is a `Vec` of [`FaultModel`] — one `Copy`
+//! value of at most 32 bytes per fault, which the sweeps classify, copy
+//! into a simulation and name only when a report is rendered:
 //!
 //! | module | faults |
 //! |---|---|
@@ -37,6 +40,8 @@ use sram_model::address::Address;
 use sram_model::config::ArrayOrganization;
 use std::fmt;
 
+use crate::executor::MarchWalk;
+use crate::fault_sim::{simulate_fault_counts_on_walk, DetectionMode};
 use crate::memory::{GoodMemory, MemoryModel};
 
 /// Broad classification of a fault model.
@@ -93,15 +98,19 @@ impl fmt::Display for FaultKind {
     }
 }
 
-/// One injected fault instance.
+/// One injected fault instance: the golden path's interface.
 ///
 /// A fault sees every read and write of the memory and decides how the
 /// underlying fault-free state ([`GoodMemory`]) is affected and what value
 /// a read returns. Addresses the fault does not involve must behave
-/// normally.
-pub trait Fault: fmt::Debug {
-    /// Short human-readable instance name, e.g. `"SAF0@17"`.
-    fn name(&self) -> String;
+/// normally. Its [`Display`](fmt::Display) form is the short instance
+/// name, e.g. `"SAF0@17"`.
+pub trait Fault: fmt::Debug + fmt::Display {
+    /// The instance name, rendered: [`Display`](fmt::Display) as a
+    /// `String`.
+    fn name(&self) -> String {
+        self.to_string()
+    }
 
     /// The fault class.
     fn kind(&self) -> FaultKind;
@@ -131,32 +140,38 @@ pub trait Fault: fmt::Debug {
         None
     }
 
-    /// The inline form of this fault, or `None` when the fault has no
-    /// [`LaneFaultKind`] variant. Every fault model of this crate returns
-    /// its variant: the collapsed sweep ([`crate::batch`]) keys the
-    /// fault's equivalence class on it and simulates one relocated
-    /// representative per class. The default is the conservative `None`,
-    /// which makes the sweep run the fault alone on the per-fault golden
-    /// path.
-    fn lane_kind(&self) -> Option<LaneFaultKind> {
-        None
+    /// Simulates this fault on `walk` in place — the per-fault golden
+    /// path, [`simulate_fault_counts_on_walk`] — and returns its mismatch
+    /// count. [`FaultModel`] overrides it to select its model by one
+    /// `match` and run the walk on that model directly, instead of
+    /// matching on every access.
+    fn simulate_on_walk(
+        &mut self,
+        walk: &MarchWalk,
+        scratch: &mut GoodMemory,
+        background: bool,
+        mode: DetectionMode,
+    ) -> usize {
+        simulate_fault_counts_on_walk(walk, scratch, self, background, mode)
     }
 }
 
-/// One of the crate's own fault models, stored **inline** as plain `Copy`
-/// data.
+/// One fault of a fault list: one of the crate's own fault models, held
+/// as plain `Copy` data.
 ///
 /// The collapsed sweep ([`crate::batch`]) reads three things off it
 /// without allocating: the model and its parameters other than
-/// addresses, the involved cells ([`LaneFaultKind::involved`]), and — for
+/// addresses, the involved cells ([`FaultModel::involved`]), and — for
 /// a class's representative — the same fault moved onto the canonical
-/// walk, which it then simulates on the per-fault golden path. The enum
-/// is intentionally small (a unit test pins
-/// `size_of::<LaneFaultKind>() <= 32`); fault types without a variant
-/// here run the per-fault path.
+/// walk, which it then simulates on the per-fault golden path. The golden
+/// path runs a copy of the value through [`Fault::simulate_on_walk`]:
+/// one `match` per simulation selects the model, whose own [`Fault`] impl
+/// then runs the walk. Reports render its name through
+/// [`Display`](fmt::Display) only when asked. The enum is intentionally
+/// small (a unit test pins `size_of::<FaultModel>() <= 32`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
-pub enum LaneFaultKind {
+pub enum FaultModel {
     /// Stuck-at fault.
     StuckAt(StuckAtFault),
     /// Transition fault.
@@ -181,7 +196,7 @@ pub enum LaneFaultKind {
     AddressDecoder(AddressAliasFault),
 }
 
-/// The involved addresses of a [`LaneFaultKind`], held inline: every
+/// The involved addresses of a [`FaultModel`], held inline: every
 /// in-crate model involves one or two cells, so the set fits a fixed
 /// two-slot array and classifying a 100k-fault population allocates
 /// nothing.
@@ -222,22 +237,30 @@ impl std::ops::Deref for InvolvedAddresses {
     }
 }
 
-impl LaneFaultKind {
+/// Runs `$body` with `$model` bound to the concrete model a
+/// [`FaultModel`] wraps: one `match`, no allocation.
+macro_rules! each_model {
+    ($value:expr, $model:ident => $body:expr) => {
+        match $value {
+            FaultModel::StuckAt($model) => $body,
+            FaultModel::Transition($model) => $body,
+            FaultModel::CouplingInversion($model) => $body,
+            FaultModel::CouplingIdempotent($model) => $body,
+            FaultModel::CouplingState($model) => $body,
+            FaultModel::ReadDestructive($model) => $body,
+            FaultModel::DeceptiveReadDestructive($model) => $body,
+            FaultModel::IncorrectRead($model) => $body,
+            FaultModel::StuckOpen($model) => $body,
+            FaultModel::WriteDisturb($model) => $body,
+            FaultModel::AddressDecoder($model) => $body,
+        }
+    };
+}
+
+impl FaultModel {
     /// The fault class of the wrapped model.
     pub fn kind(&self) -> FaultKind {
-        match self {
-            LaneFaultKind::StuckAt(_) => FaultKind::StuckAt,
-            LaneFaultKind::Transition(_) => FaultKind::Transition,
-            LaneFaultKind::CouplingInversion(_) => FaultKind::CouplingInversion,
-            LaneFaultKind::CouplingIdempotent(_) => FaultKind::CouplingIdempotent,
-            LaneFaultKind::CouplingState(_) => FaultKind::CouplingState,
-            LaneFaultKind::ReadDestructive(_) => FaultKind::ReadDestructive,
-            LaneFaultKind::DeceptiveReadDestructive(_) => FaultKind::DeceptiveReadDestructive,
-            LaneFaultKind::IncorrectRead(_) => FaultKind::IncorrectRead,
-            LaneFaultKind::StuckOpen(_) => FaultKind::StuckOpen,
-            LaneFaultKind::WriteDisturb(_) => FaultKind::WriteDisturb,
-            LaneFaultKind::AddressDecoder(_) => FaultKind::AddressDecoder,
-        }
+        each_model!(self, model => model.kind())
     }
 
     /// The cells the wrapped model tells apart from the others, inline —
@@ -246,7 +269,7 @@ impl LaneFaultKind {
     /// two-cell one. The stuck-open victim is listed too, although its
     /// golden simulation walks every cell.
     pub fn involved(&self) -> InvolvedAddresses {
-        use LaneFaultKind as K;
+        use FaultModel as K;
         match *self {
             K::StuckAt(StuckAtFault { victim, .. })
             | K::Transition(TransitionFault { victim, .. })
@@ -277,7 +300,7 @@ impl LaneFaultKind {
     /// initial sense-amplifier value) in the low two. Two faults have the
     /// same code exactly when they differ at most in where they sit.
     pub(crate) fn model_code(&self) -> u8 {
-        use LaneFaultKind as K;
+        use FaultModel as K;
         let flags = match *self {
             K::StuckAt(fault) => u8::from(fault.stuck_value),
             K::Transition(fault) => u8::from(fault.up_fails),
@@ -302,7 +325,7 @@ impl LaneFaultKind {
     /// and every other parameter kept. `to` must keep distinct cells
     /// distinct.
     pub(crate) fn relocated(self, to: impl Fn(Address) -> Address) -> Self {
-        use LaneFaultKind as K;
+        use FaultModel as K;
         match self {
             K::StuckAt(f) => K::StuckAt(StuckAtFault {
                 victim: to(f.victim),
@@ -342,48 +365,90 @@ impl LaneFaultKind {
             }
         }
     }
+}
 
-    /// The wrapped model as a boxed [`Fault`], ready for the per-fault
-    /// golden path.
-    pub(crate) fn into_fault(self) -> Box<dyn Fault> {
-        match self {
-            LaneFaultKind::StuckAt(fault) => Box::new(fault),
-            LaneFaultKind::Transition(fault) => Box::new(fault),
-            LaneFaultKind::CouplingInversion(fault) => Box::new(fault),
-            LaneFaultKind::CouplingIdempotent(fault) => Box::new(fault),
-            LaneFaultKind::CouplingState(fault) => Box::new(fault),
-            LaneFaultKind::ReadDestructive(fault) => Box::new(fault),
-            LaneFaultKind::DeceptiveReadDestructive(fault) => Box::new(fault),
-            LaneFaultKind::IncorrectRead(fault) => Box::new(fault),
-            LaneFaultKind::StuckOpen(fault) => Box::new(fault),
-            LaneFaultKind::WriteDisturb(fault) => Box::new(fault),
-            LaneFaultKind::AddressDecoder(fault) => Box::new(fault),
-        }
+impl fmt::Display for FaultModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        each_model!(self, model => model.fmt(f))
     }
 }
 
-/// A fault-free memory wrapped with one injected fault.
-#[derive(Debug)]
-pub struct FaultyMemory {
-    base: GoodMemory,
-    fault: Box<dyn Fault>,
+impl Fault for FaultModel {
+    fn kind(&self) -> FaultKind {
+        FaultModel::kind(self)
+    }
+
+    #[inline]
+    fn write(&mut self, memory: &mut GoodMemory, address: Address, value: bool) {
+        each_model!(self, model => model.write(memory, address, value))
+    }
+
+    #[inline]
+    fn read(&mut self, memory: &mut GoodMemory, address: Address) -> bool {
+        each_model!(self, model => model.read(memory, address))
+    }
+
+    fn involved_addresses(&self) -> Option<Vec<Address>> {
+        each_model!(self, model => model.involved_addresses())
+    }
+
+    fn simulate_on_walk(
+        &mut self,
+        walk: &MarchWalk,
+        scratch: &mut GoodMemory,
+        background: bool,
+        mode: DetectionMode,
+    ) -> usize {
+        each_model!(self, model => model.simulate_on_walk(walk, scratch, background, mode))
+    }
 }
 
-impl FaultyMemory {
+macro_rules! from_models {
+    ($($variant:ident($model:ty)),* $(,)?) => {
+        $(impl From<$model> for FaultModel {
+            fn from(model: $model) -> Self {
+                FaultModel::$variant(model)
+            }
+        })*
+    };
+}
+
+from_models!(
+    StuckAt(StuckAtFault),
+    Transition(TransitionFault),
+    CouplingInversion(CouplingInversionFault),
+    CouplingIdempotent(CouplingIdempotentFault),
+    CouplingState(CouplingStateFault),
+    ReadDestructive(ReadDestructiveFault),
+    DeceptiveReadDestructive(DeceptiveReadDestructiveFault),
+    IncorrectRead(IncorrectReadFault),
+    StuckOpen(StuckOpenFault),
+    WriteDisturb(WriteDisturbFault),
+    AddressDecoder(AddressAliasFault),
+);
+
+/// A fault-free memory wrapped with one injected fault.
+#[derive(Debug)]
+pub struct FaultyMemory<F> {
+    base: GoodMemory,
+    fault: F,
+}
+
+impl<F: Fault> FaultyMemory<F> {
     /// Wraps `base` with `fault`.
-    pub fn new(base: GoodMemory, fault: Box<dyn Fault>) -> Self {
+    pub fn new(base: GoodMemory, fault: F) -> Self {
         Self { base, fault }
     }
 
     /// Convenience constructor: a zero-initialised memory of `capacity`
     /// cells with `fault` injected.
-    pub fn with_capacity(capacity: u32, fault: Box<dyn Fault>) -> Self {
+    pub fn with_capacity(capacity: u32, fault: F) -> Self {
         Self::new(GoodMemory::new(capacity), fault)
     }
 
     /// The injected fault.
-    pub fn fault(&self) -> &dyn Fault {
-        self.fault.as_ref()
+    pub fn fault(&self) -> &F {
+        &self.fault
     }
 
     /// The underlying fault-free state.
@@ -392,7 +457,7 @@ impl FaultyMemory {
     }
 }
 
-impl MemoryModel for FaultyMemory {
+impl<F: Fault> MemoryModel for FaultyMemory<F> {
     fn capacity(&self) -> u32 {
         self.base.capacity()
     }
@@ -406,20 +471,15 @@ impl MemoryModel for FaultyMemory {
     }
 }
 
-/// A generator of fault instances, so coverage experiments can build fresh
-/// (stateful) fault objects for every run. Factories are `Send + Sync` so
-/// that parallel sweeps can instantiate faults from worker threads.
-pub type FaultFactory = Box<dyn Fn() -> Box<dyn Fault> + Send + Sync>;
-
 /// Builds the standard fault list used by the coverage and
 /// degree-of-freedom experiments: every fault class instantiated at a
 /// handful of representative victim locations (first cell, a mid-array
 /// cell, last cell) with a neighbouring aggressor where applicable.
-pub fn standard_fault_list(organization: &ArrayOrganization) -> Vec<FaultFactory> {
+pub fn standard_fault_list(organization: &ArrayOrganization) -> Vec<FaultModel> {
     let capacity = organization.capacity();
     assert!(capacity >= 4, "fault list needs at least four cells");
     let victims = [0, capacity / 2, capacity - 1];
-    let mut factories: Vec<FaultFactory> = Vec::new();
+    let mut faults: Vec<FaultModel> = Vec::new();
 
     for &v in &victims {
         let victim = Address::new(v);
@@ -427,36 +487,22 @@ pub fn standard_fault_list(organization: &ArrayOrganization) -> Vec<FaultFactory
         let aggressor = Address::new(if v + 1 < capacity { v + 1 } else { v - 1 });
 
         for value in [false, true] {
-            factories.push(Box::new(move || Box::new(StuckAtFault::new(victim, value))));
-            factories.push(Box::new(move || {
-                Box::new(CouplingIdempotentFault::new(aggressor, victim, true, value))
-            }));
-            factories.push(Box::new(move || {
-                Box::new(CouplingStateFault::new(aggressor, victim, value, !value))
-            }));
+            faults.push(StuckAtFault::new(victim, value).into());
+            faults.push(CouplingIdempotentFault::new(aggressor, victim, true, value).into());
+            faults.push(CouplingStateFault::new(aggressor, victim, value, !value).into());
         }
         for rising in [false, true] {
-            factories.push(Box::new(move || {
-                Box::new(TransitionFault::new(victim, rising))
-            }));
-            factories.push(Box::new(move || {
-                Box::new(CouplingInversionFault::new(aggressor, victim, rising))
-            }));
+            faults.push(TransitionFault::new(victim, rising).into());
+            faults.push(CouplingInversionFault::new(aggressor, victim, rising).into());
         }
-        factories.push(Box::new(move || {
-            Box::new(ReadDestructiveFault::new(victim))
-        }));
-        factories.push(Box::new(move || {
-            Box::new(DeceptiveReadDestructiveFault::new(victim))
-        }));
-        factories.push(Box::new(move || Box::new(IncorrectReadFault::new(victim))));
-        factories.push(Box::new(move || Box::new(StuckOpenFault::new(victim))));
-        factories.push(Box::new(move || Box::new(WriteDisturbFault::new(victim))));
-        factories.push(Box::new(move || {
-            Box::new(AddressAliasFault::new(victim, aggressor))
-        }));
+        faults.push(ReadDestructiveFault::new(victim).into());
+        faults.push(DeceptiveReadDestructiveFault::new(victim).into());
+        faults.push(IncorrectReadFault::new(victim).into());
+        faults.push(StuckOpenFault::new(victim).into());
+        faults.push(WriteDisturbFault::new(victim).into());
+        faults.push(AddressAliasFault::new(victim, aggressor).into());
     }
-    factories
+    faults
 }
 
 /// Like [`standard_fault_list`], but restricted to the *static* fault
@@ -465,10 +511,10 @@ pub fn standard_fault_list(organization: &ArrayOrganization) -> Vec<FaultFactory
 /// its observable behaviour depends on the value left on the bit lines by
 /// the *previous* read, so whether a given March test happens to catch a
 /// specific SOF instance legitimately depends on the address sequence.
-pub fn static_fault_list(organization: &ArrayOrganization) -> Vec<FaultFactory> {
+pub fn static_fault_list(organization: &ArrayOrganization) -> Vec<FaultModel> {
     standard_fault_list(organization)
         .into_iter()
-        .filter(|factory| factory().kind() != FaultKind::StuckOpen)
+        .filter(|fault| fault.kind() != FaultKind::StuckOpen)
         .collect()
 }
 
@@ -478,7 +524,7 @@ mod tests {
 
     #[test]
     fn faulty_memory_delegates_to_fault() {
-        let fault = Box::new(StuckAtFault::new(Address::new(2), true));
+        let fault = StuckAtFault::new(Address::new(2), true);
         let mut memory = FaultyMemory::with_capacity(8, fault);
         assert_eq!(memory.capacity(), 8);
         memory.write(Address::new(2), false);
@@ -494,10 +540,8 @@ mod tests {
         let organization = ArrayOrganization::new(4, 4).unwrap();
         let list = standard_fault_list(&organization);
         assert!(list.len() > 30);
-        let kinds: std::collections::BTreeSet<String> = list
-            .iter()
-            .map(|factory| factory().kind().to_string())
-            .collect();
+        let kinds: std::collections::BTreeSet<String> =
+            list.iter().map(|fault| fault.kind().to_string()).collect();
         for expected in [
             "SAF", "TF", "CFin", "CFid", "CFst", "RDF", "DRDF", "IRF", "SOF", "WDF", "AF",
         ] {
@@ -510,43 +554,52 @@ mod tests {
         let organization = ArrayOrganization::new(4, 4).unwrap();
         let list = static_fault_list(&organization);
         assert!(!list.is_empty());
-        assert!(list.iter().all(|f| f().kind() != FaultKind::StuckOpen));
+        assert!(list.iter().all(|f| f.kind() != FaultKind::StuckOpen));
         assert!(list.len() < standard_fault_list(&organization).len());
     }
 
     #[test]
-    fn lane_fault_kind_stays_copy_and_small() {
-        // Sweeps read one inline form per fault while classifying; a
-        // variant that bloats the enum would fatten every probe, so the
-        // size is pinned.
-        fn assert_copy<T: Copy + Send>() {}
-        assert_copy::<LaneFaultKind>();
+    fn fault_model_stays_copy_and_small() {
+        // A fault list holds one value per fault and sweeps copy each
+        // into its simulation; a variant that bloats the enum would
+        // fatten every population, so the size is pinned.
+        fn assert_copy<T: Copy + Send + Sync>() {}
+        assert_copy::<FaultModel>();
         assert!(
-            std::mem::size_of::<LaneFaultKind>() <= 32,
-            "LaneFaultKind grew to {} bytes",
-            std::mem::size_of::<LaneFaultKind>()
+            std::mem::size_of::<FaultModel>() <= 32,
+            "FaultModel grew to {} bytes",
+            std::mem::size_of::<FaultModel>()
         );
     }
 
     #[test]
-    fn every_standard_fault_has_an_inline_lane_kind() {
+    fn every_standard_fault_runs_the_golden_interface_like_its_model() {
         let organization = ArrayOrganization::new(4, 4).unwrap();
-        for factory in standard_fault_list(&organization) {
-            let fault = factory();
-            let kind = fault
-                .lane_kind()
-                .unwrap_or_else(|| panic!("{} has no lane kind", fault.name()));
-            assert_eq!(kind.kind(), fault.kind(), "{}", fault.name());
-            assert!(!kind.involved().is_empty(), "{}", fault.name());
-            assert!(kind.involved().len() <= 2, "{}", fault.name());
+        for fault in standard_fault_list(&organization) {
+            let name = fault.to_string();
+            assert_eq!(fault.name(), name);
+            assert!(!fault.involved().is_empty(), "{name}");
+            assert!(fault.involved().len() <= 2, "{name}");
             // The inline set is the golden path's, where it has one.
             if let Some(involved) = fault.involved_addresses() {
-                assert_eq!(involved, kind.involved().to_vec(), "{}", fault.name());
+                assert_eq!(involved, fault.involved().to_vec(), "{name}");
             }
-            // Back through the golden interface, nothing is lost.
-            let back = kind.into_fault();
-            assert_eq!(back.name(), fault.name());
-            assert_eq!(back.lane_kind(), Some(kind));
+            // The value and the model it wraps behave identically.
+            let (mut value, mut model) = (fault, fault);
+            let (mut by_value, mut by_model) = (GoodMemory::new(16), GoodMemory::new(16));
+            for step in 0..64u32 {
+                let address = Address::new(step * 7 % 16);
+                if step % 3 == 0 {
+                    let observed = Fault::read(&mut value, &mut by_value, address);
+                    let expected = each_model!(&mut model, m => m.read(&mut by_model, address));
+                    assert_eq!(observed, expected, "{name} step {step}");
+                } else {
+                    let bit = step % 2 == 0;
+                    Fault::write(&mut value, &mut by_value, address, bit);
+                    each_model!(&mut model, m => m.write(&mut by_model, address, bit));
+                }
+            }
+            assert_eq!(by_value, by_model, "{name}");
         }
     }
 
@@ -554,19 +607,18 @@ mod tests {
     fn relocation_moves_the_cells_and_keeps_the_model_code() {
         let organization = ArrayOrganization::new(4, 4).unwrap();
         let mut codes = std::collections::BTreeSet::new();
-        for factory in standard_fault_list(&organization) {
-            let kind = factory().lane_kind().expect("in-crate model");
-            let moved = kind.relocated(|address| Address::new(address.value() + 100));
-            assert_eq!(moved.model_code(), kind.model_code(), "{kind:?}");
-            assert!(kind.model_code() < 64, "{kind:?}");
-            let shifted: Vec<u32> = kind.involved().iter().map(|a| a.value() + 100).collect();
+        for fault in standard_fault_list(&organization) {
+            let moved = fault.relocated(|address| Address::new(address.value() + 100));
+            assert_eq!(moved.model_code(), fault.model_code(), "{fault:?}");
+            assert!(fault.model_code() < 64, "{fault:?}");
+            let shifted: Vec<u32> = fault.involved().iter().map(|a| a.value() + 100).collect();
             let involved: Vec<u32> = moved.involved().iter().map(|a| a.value()).collect();
-            assert_eq!(involved, shifted, "{kind:?}");
+            assert_eq!(involved, shifted, "{fault:?}");
             assert_eq!(
                 moved.relocated(|address| Address::new(address.value() - 100)),
-                kind
+                fault
             );
-            codes.insert(kind.model_code());
+            codes.insert(fault.model_code());
         }
         // Each kind-and-flags combination of the standard list has its own
         // code: 2 SAF + 2 TF + 2 CFin + 2 CFid + 2 CFst + RDF, DRDF, IRF,

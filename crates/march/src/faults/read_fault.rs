@@ -6,9 +6,11 @@
 //! the cell, which is why detecting it requires a read-after-read pattern
 //! such as the one in March SS.
 
+use std::fmt;
+
 use sram_model::address::Address;
 
-use super::{Fault, FaultKind, LaneFaultKind};
+use super::{Fault, FaultKind};
 use crate::memory::GoodMemory;
 
 /// Read destructive fault: a read flips the cell and returns the flipped
@@ -25,11 +27,13 @@ impl ReadDestructiveFault {
     }
 }
 
-impl Fault for ReadDestructiveFault {
-    fn name(&self) -> String {
-        format!("RDF@{}", self.victim.value())
+impl fmt::Display for ReadDestructiveFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "RDF@{}", self.victim.value())
     }
+}
 
+impl Fault for ReadDestructiveFault {
     fn kind(&self) -> FaultKind {
         FaultKind::ReadDestructive
     }
@@ -51,10 +55,6 @@ impl Fault for ReadDestructiveFault {
     fn involved_addresses(&self) -> Option<Vec<Address>> {
         Some(vec![self.victim])
     }
-
-    fn lane_kind(&self) -> Option<LaneFaultKind> {
-        Some(LaneFaultKind::ReadDestructive(*self))
-    }
 }
 
 /// Deceptive read destructive fault: a read returns the correct value but
@@ -71,11 +71,13 @@ impl DeceptiveReadDestructiveFault {
     }
 }
 
-impl Fault for DeceptiveReadDestructiveFault {
-    fn name(&self) -> String {
-        format!("DRDF@{}", self.victim.value())
+impl fmt::Display for DeceptiveReadDestructiveFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "DRDF@{}", self.victim.value())
     }
+}
 
+impl Fault for DeceptiveReadDestructiveFault {
     fn kind(&self) -> FaultKind {
         FaultKind::DeceptiveReadDestructive
     }
@@ -95,10 +97,6 @@ impl Fault for DeceptiveReadDestructiveFault {
     fn involved_addresses(&self) -> Option<Vec<Address>> {
         Some(vec![self.victim])
     }
-
-    fn lane_kind(&self) -> Option<LaneFaultKind> {
-        Some(LaneFaultKind::DeceptiveReadDestructive(*self))
-    }
 }
 
 /// Incorrect read fault: a read returns the complement of the stored value
@@ -115,11 +113,13 @@ impl IncorrectReadFault {
     }
 }
 
-impl Fault for IncorrectReadFault {
-    fn name(&self) -> String {
-        format!("IRF@{}", self.victim.value())
+impl fmt::Display for IncorrectReadFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "IRF@{}", self.victim.value())
     }
+}
 
+impl Fault for IncorrectReadFault {
     fn kind(&self) -> FaultKind {
         FaultKind::IncorrectRead
     }
@@ -139,10 +139,6 @@ impl Fault for IncorrectReadFault {
 
     fn involved_addresses(&self) -> Option<Vec<Address>> {
         Some(vec![self.victim])
-    }
-
-    fn lane_kind(&self) -> Option<LaneFaultKind> {
-        Some(LaneFaultKind::IncorrectRead(*self))
     }
 }
 

@@ -1,8 +1,10 @@
 //! Stuck-at faults (SAF).
 
+use std::fmt;
+
 use sram_model::address::Address;
 
-use super::{Fault, FaultKind, LaneFaultKind};
+use super::{Fault, FaultKind};
 use crate::memory::GoodMemory;
 
 /// A cell permanently stuck at a fixed value: writes of the opposite value
@@ -33,11 +35,18 @@ impl StuckAtFault {
     }
 }
 
-impl Fault for StuckAtFault {
-    fn name(&self) -> String {
-        format!("SAF{}@{}", u8::from(self.stuck_value), self.victim.value())
+impl fmt::Display for StuckAtFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "SAF{}@{}",
+            u8::from(self.stuck_value),
+            self.victim.value()
+        )
     }
+}
 
+impl Fault for StuckAtFault {
     fn kind(&self) -> FaultKind {
         FaultKind::StuckAt
     }
@@ -61,10 +70,6 @@ impl Fault for StuckAtFault {
 
     fn involved_addresses(&self) -> Option<Vec<Address>> {
         Some(vec![self.victim])
-    }
-
-    fn lane_kind(&self) -> Option<LaneFaultKind> {
-        Some(LaneFaultKind::StuckAt(*self))
     }
 }
 

@@ -1,8 +1,10 @@
 //! Stuck-open faults (SOF).
 
+use std::fmt;
+
 use sram_model::address::Address;
 
-use super::{Fault, FaultKind, LaneFaultKind};
+use super::{Fault, FaultKind};
 use crate::memory::GoodMemory;
 
 /// Stuck-open fault: the cell cannot be accessed at all (e.g. a broken
@@ -26,11 +28,13 @@ impl StuckOpenFault {
     }
 }
 
-impl Fault for StuckOpenFault {
-    fn name(&self) -> String {
-        format!("SOF@{}", self.victim.value())
+impl fmt::Display for StuckOpenFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "SOF@{}", self.victim.value())
     }
+}
 
+impl Fault for StuckOpenFault {
     fn kind(&self) -> FaultKind {
         FaultKind::StuckOpen
     }
@@ -58,10 +62,6 @@ impl Fault for StuckOpenFault {
         // *any* cell, so every read updates the trigger state: the fault
         // is global and must run the full walk.
         None
-    }
-
-    fn lane_kind(&self) -> Option<LaneFaultKind> {
-        Some(LaneFaultKind::StuckOpen(*self))
     }
 }
 

@@ -1,8 +1,10 @@
 //! Transition faults (TF).
 
+use std::fmt;
+
 use sram_model::address::Address;
 
-use super::{Fault, FaultKind, LaneFaultKind};
+use super::{Fault, FaultKind};
 use crate::memory::GoodMemory;
 
 /// A cell that fails one of its transitions: an *up* transition fault never
@@ -24,12 +26,14 @@ impl TransitionFault {
     }
 }
 
-impl Fault for TransitionFault {
-    fn name(&self) -> String {
+impl fmt::Display for TransitionFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let dir = if self.up_fails { "up" } else { "down" };
-        format!("TF-{dir}@{}", self.victim.value())
+        write!(f, "TF-{dir}@{}", self.victim.value())
     }
+}
 
+impl Fault for TransitionFault {
     fn kind(&self) -> FaultKind {
         FaultKind::Transition
     }
@@ -55,10 +59,6 @@ impl Fault for TransitionFault {
 
     fn involved_addresses(&self) -> Option<Vec<Address>> {
         Some(vec![self.victim])
-    }
-
-    fn lane_kind(&self) -> Option<LaneFaultKind> {
-        Some(LaneFaultKind::Transition(*self))
     }
 }
 

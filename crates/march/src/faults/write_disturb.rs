@@ -1,8 +1,10 @@
 //! Write disturb faults (WDF).
 
+use std::fmt;
+
 use sram_model::address::Address;
 
-use super::{Fault, FaultKind, LaneFaultKind};
+use super::{Fault, FaultKind};
 use crate::memory::GoodMemory;
 
 /// Write disturb fault: a *non-transition* write (writing the value the
@@ -21,11 +23,13 @@ impl WriteDisturbFault {
     }
 }
 
-impl Fault for WriteDisturbFault {
-    fn name(&self) -> String {
-        format!("WDF@{}", self.victim.value())
+impl fmt::Display for WriteDisturbFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "WDF@{}", self.victim.value())
     }
+}
 
+impl Fault for WriteDisturbFault {
     fn kind(&self) -> FaultKind {
         FaultKind::WriteDisturb
     }
@@ -44,10 +48,6 @@ impl Fault for WriteDisturbFault {
 
     fn involved_addresses(&self) -> Option<Vec<Address>> {
         Some(vec![self.victim])
-    }
-
-    fn lane_kind(&self) -> Option<LaneFaultKind> {
-        Some(LaneFaultKind::WriteDisturb(*self))
     }
 }
 

@@ -46,17 +46,20 @@
 //!    [`fault_sim::DetectionMode::FirstMismatch`]) — sweeps that only need
 //!    the detected/missed bit stop each simulation at the first
 //!    mismatching read instead of finishing the walk.
-//! 4. **Fault collapsing** ([`batch`], [`batch::FaultBatch`]) — under a
-//!    locality-safe walk a fault's mismatch count depends only on its
-//!    model and parameters and on whether each of its cells is the first,
-//!    a middle or the last in ⇑ order, so equivalent faults form one
-//!    class. Each fault's inline [`faults::LaneFaultKind`] yields an
-//!    integer class key; one relocated representative per class runs the
-//!    per-fault path on a canonical walk of at most five cells, and every
-//!    member takes its count. A 100k-fault sweep simulates a few dozen
-//!    classes, and every sweep assembles one report shape, the interned
-//!    [`intern::InternedSweep`]. Coverage sweeps collapse by default and
-//!    keep the per-fault path as the golden reference.
+//! 4. **Faults as values, collapsed** ([`faults::FaultModel`], [`batch`],
+//!    [`batch::FaultBatch`]) — a fault list is a `Vec` of `Copy` values of
+//!    at most 32 bytes, so nothing is built or named per fault before or
+//!    during a sweep. Under a locality-safe walk a fault's mismatch count
+//!    depends only on its model and parameters and on whether each of its
+//!    cells is the first, a middle or the last in ⇑ order, so equivalent
+//!    faults form one class keyed by an integer read off the value; one
+//!    relocated representative per class runs the per-fault path on a
+//!    canonical walk of at most five cells, and every member takes its
+//!    count. A 100k-fault sweep simulates a few dozen classes, and every
+//!    sweep assembles one report shape, [`intern::InternedSweep`], which
+//!    keeps the values and renders names only when asked. Coverage sweeps
+//!    collapse by default and keep the per-fault path as the golden
+//!    reference.
 //! 5. **Parallel per-fault sweeps** ([`coverage::SweepOptions`],
 //!    [`parallel`]) — the per-fault path fans out across the worker pool
 //!    through one order-preserving, load-balanced chunk map, with
@@ -127,8 +130,8 @@ pub mod prelude {
     pub use crate::background::DataBackground;
     pub use crate::batch::{Cohort, FaultBatch};
     pub use crate::coverage::{
-        evaluate_coverage, evaluate_coverage_on_walk, evaluate_coverage_with, panic_message,
-        CoverageReport, SweepBackend, SweepOptions, SweepPanic,
+        catch_sweep, evaluate_coverage, evaluate_coverage_on_walk, evaluate_coverage_with,
+        panic_message, CoverageReport, SweepBackend, SweepOptions, SweepPanic,
     };
     pub use crate::element::{AddressDirection, MarchElement};
     pub use crate::executor::{
@@ -139,7 +142,7 @@ pub mod prelude {
         simulate_fault, simulate_fault_on_walk, DetectionMode, FaultSimOutcome,
     };
     pub use crate::faultgen::{FaultGen, FaultGenError, FaultPopulation};
-    pub use crate::faults::{standard_fault_list, Fault, LaneFaultKind};
+    pub use crate::faults::{standard_fault_list, Fault, FaultModel};
     pub use crate::library;
     pub use crate::library::algorithm_by_name;
     pub use crate::memory::{GoodMemory, MemoryModel};

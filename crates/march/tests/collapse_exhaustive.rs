@@ -23,7 +23,7 @@ use march_test::executor::MarchWalk;
 use march_test::fault_sim::DetectionMode;
 use march_test::faults::{
     AddressAliasFault, CouplingIdempotentFault, CouplingInversionFault, CouplingStateFault,
-    DeceptiveReadDestructiveFault, FaultFactory, IncorrectReadFault, ReadDestructiveFault,
+    DeceptiveReadDestructiveFault, FaultModel, IncorrectReadFault, ReadDestructiveFault,
     StuckAtFault, StuckOpenFault, TransitionFault, WriteDisturbFault,
 };
 use march_test::library;
@@ -31,44 +31,36 @@ use sram_model::address::Address;
 use sram_model::config::ArrayOrganization;
 
 /// Every in-crate single-cell model, with every parameter value, on `cell`.
-fn single_cell_models(cell: u32, faults: &mut Vec<FaultFactory>) {
+fn single_cell_models(cell: u32, faults: &mut Vec<FaultModel>) {
     let v = Address::new(cell);
     for flag in [false, true] {
-        faults.push(Box::new(move || Box::new(StuckAtFault::new(v, flag))));
-        faults.push(Box::new(move || Box::new(TransitionFault::new(v, flag))));
+        faults.push(StuckAtFault::new(v, flag).into());
+        faults.push(TransitionFault::new(v, flag).into());
     }
-    faults.push(Box::new(move || Box::new(ReadDestructiveFault::new(v))));
-    faults.push(Box::new(move || {
-        Box::new(DeceptiveReadDestructiveFault::new(v))
-    }));
-    faults.push(Box::new(move || Box::new(IncorrectReadFault::new(v))));
-    faults.push(Box::new(move || Box::new(StuckOpenFault::new(v))));
-    faults.push(Box::new(move || Box::new(WriteDisturbFault::new(v))));
+    faults.push(ReadDestructiveFault::new(v).into());
+    faults.push(DeceptiveReadDestructiveFault::new(v).into());
+    faults.push(IncorrectReadFault::new(v).into());
+    faults.push(StuckOpenFault::new(v).into());
+    faults.push(WriteDisturbFault::new(v).into());
 }
 
 /// Every in-crate two-cell model, with every parameter value, on the
 /// ordered pair (`first`, `second`): aggressor then victim, or aliased
 /// address then target.
-fn two_cell_models(first: u32, second: u32, faults: &mut Vec<FaultFactory>) {
+fn two_cell_models(first: u32, second: u32, faults: &mut Vec<FaultModel>) {
     let (a, v) = (Address::new(first), Address::new(second));
     for x in [false, true] {
-        faults.push(Box::new(move || {
-            Box::new(CouplingInversionFault::new(a, v, x))
-        }));
+        faults.push(CouplingInversionFault::new(a, v, x).into());
         for y in [false, true] {
-            faults.push(Box::new(move || {
-                Box::new(CouplingIdempotentFault::new(a, v, x, y))
-            }));
-            faults.push(Box::new(move || {
-                Box::new(CouplingStateFault::new(a, v, x, y))
-            }));
+            faults.push(CouplingIdempotentFault::new(a, v, x, y).into());
+            faults.push(CouplingStateFault::new(a, v, x, y).into());
         }
     }
-    faults.push(Box::new(move || Box::new(AddressAliasFault::new(a, v))));
+    faults.push(AddressAliasFault::new(a, v).into());
 }
 
 /// Every model at every cell and every ordered pair of `cells` cells.
-fn every_placement(cells: u32) -> Vec<FaultFactory> {
+fn every_placement(cells: u32) -> Vec<FaultModel> {
     let mut faults = Vec::new();
     for cell in 0..cells {
         single_cell_models(cell, &mut faults);

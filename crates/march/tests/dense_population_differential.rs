@@ -25,7 +25,7 @@ use march_test::coverage::{evaluate_coverage_with, SweepBackend, SweepOptions};
 use march_test::executor::MarchWalk;
 use march_test::fault_sim::DetectionMode;
 use march_test::faultgen::FaultGen;
-use march_test::faults::FaultFactory;
+use march_test::faults::FaultModel;
 use march_test::library;
 use march_test::rng::SplitMix64;
 use sram_model::config::ArrayOrganization;
@@ -34,7 +34,7 @@ use sram_model::config::ArrayOrganization;
 struct Scenario {
     seed: u64,
     organization: ArrayOrganization,
-    population: Vec<FaultFactory>,
+    population: Vec<FaultModel>,
     test: march_test::algorithm::MarchTest,
     order: Box<dyn AddressOrder>,
     background: bool,
@@ -169,23 +169,16 @@ fn shuffled_permutations_match_generation_order_bit_identically() {
         let population_seed = rng.next_u64();
         let profile = rng.next_below(2);
         let size = 40 + rng.next_below(260) as usize;
-        // Two bit-identical copies of the same population: FaultGen is
-        // deterministic in (organization, seed, profile).
-        let make = || {
+        let ordered = {
             let mut gen = FaultGen::new(organization, population_seed);
             match profile {
                 0 => gen.mixed(size),
                 _ => gen.overlapping_clusters(size / 11 + 1, 2, 1),
             }
         };
-        let ordered = make();
-        let mut slots: Vec<Option<FaultFactory>> = make().into_iter().map(Some).collect();
         let mut perm: Vec<usize> = (0..ordered.len()).collect();
         rng.shuffle(&mut perm);
-        let shuffled: Vec<FaultFactory> = perm
-            .iter()
-            .map(|&index| slots[index].take().expect("perm is a permutation"))
-            .collect();
+        let shuffled: Vec<FaultModel> = perm.iter().map(|&index| ordered[index]).collect();
 
         let tests = library::all_algorithms();
         let test = tests[rng.next_below(tests.len() as u64) as usize].clone();

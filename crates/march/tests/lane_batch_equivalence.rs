@@ -14,7 +14,7 @@ use march_test::coverage::{evaluate_coverage_with, SweepBackend, SweepOptions};
 use march_test::executor::MarchWalk;
 use march_test::fault_sim::DetectionMode;
 use march_test::faults::{
-    standard_fault_list, CouplingInversionFault, FaultFactory, StuckAtFault, TransitionFault,
+    standard_fault_list, CouplingInversionFault, FaultModel, StuckAtFault, TransitionFault,
     WriteDisturbFault,
 };
 use march_test::library;
@@ -82,7 +82,7 @@ fn batched_sweep_equals_the_serial_per_fault_path_everywhere() {
     }
 }
 
-fn mixed_fault_list(organization: &ArrayOrganization, count: usize) -> Vec<FaultFactory> {
+fn mixed_fault_list(organization: &ArrayOrganization, count: usize) -> Vec<FaultModel> {
     let capacity = organization.capacity();
     assert!(count as u32 <= capacity, "one victim per fault");
     (0..count)
@@ -93,15 +93,13 @@ fn mixed_fault_list(organization: &ArrayOrganization, count: usize) -> Vec<Fault
             } else {
                 i as u32 - 1
             });
-            let factory: FaultFactory = match i % 4 {
-                0 => Box::new(move || Box::new(StuckAtFault::new(victim, i % 8 == 0))),
-                1 => Box::new(move || Box::new(TransitionFault::new(victim, i % 8 == 1))),
-                2 => Box::new(move || Box::new(WriteDisturbFault::new(victim))),
-                _ => Box::new(move || {
-                    Box::new(CouplingInversionFault::new(aggressor, victim, i % 8 == 3))
-                }),
+            let fault: FaultModel = match i % 4 {
+                0 => StuckAtFault::new(victim, i % 8 == 0).into(),
+                1 => TransitionFault::new(victim, i % 8 == 1).into(),
+                2 => WriteDisturbFault::new(victim).into(),
+                _ => CouplingInversionFault::new(aggressor, victim, i % 8 == 3).into(),
             };
-            factory
+            fault
         })
         .collect()
 }

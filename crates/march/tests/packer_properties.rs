@@ -19,14 +19,14 @@ use march_test::coverage::{evaluate_coverage_on_walk, SweepBackend, SweepOptions
 use march_test::executor::MarchWalk;
 use march_test::fault_sim::DetectionMode;
 use march_test::faultgen::FaultGen;
-use march_test::faults::FaultFactory;
+use march_test::faults::{Fault, FaultModel};
 use march_test::library;
 use march_test::rng::SplitMix64;
 use sram_model::config::ArrayOrganization;
 
 /// A seed-determined population over a seed-determined organization:
 /// mixed, clustered or structured, sometimes shuffled.
-fn population_for(seed: u64) -> (ArrayOrganization, Vec<FaultFactory>) {
+fn population_for(seed: u64) -> (ArrayOrganization, Vec<FaultModel>) {
     let mut rng = SplitMix64::new(seed);
     let rows = 2 + rng.next_below(15) as u32;
     let cols = 2 + rng.next_below(15) as u32;
@@ -49,10 +49,10 @@ fn population_for(seed: u64) -> (ArrayOrganization, Vec<FaultFactory>) {
 
 /// The walk steps the per-fault golden path runs for every fault of
 /// `faults` under `DetectionMode::Full`.
-fn per_fault_steps(walk: &MarchWalk, faults: &[FaultFactory], ops: usize) -> u64 {
+fn per_fault_steps(walk: &MarchWalk, faults: &[FaultModel], ops: usize) -> u64 {
     faults
         .iter()
-        .map(|factory| match factory().involved_addresses() {
+        .map(|fault| match fault.involved_addresses() {
             Some(mut cells) => {
                 cells.sort_unstable();
                 cells.dedup();
@@ -128,10 +128,10 @@ fn outcomes_reassemble_in_fault_list_order() {
                 },
             );
             assert_eq!(report.total(), faults.len(), "seed {seed:#x}");
-            for (index, (outcome, factory)) in report.outcomes().iter().zip(&faults).enumerate() {
+            for (index, (outcome, fault)) in report.outcomes().iter().zip(&faults).enumerate() {
                 assert_eq!(
                     outcome.fault_name,
-                    factory().name(),
+                    fault.name(),
                     "seed {seed:#x} [parallel={parallel}]: outcome {index} must describe \
                      fault {index}"
                 );
