@@ -31,7 +31,7 @@
 
 use std::process::ExitCode;
 
-use bench::cli::parse_size_list;
+use bench::cli::{check_size, parse_size_list, FAULT_LIST_MIN_CELLS};
 use bench::throughput::FaultSimSweep;
 use campaign::cli::{Args, UsageError};
 
@@ -49,7 +49,7 @@ const USAGE: &str = "usage: fault_sim_bench [options]
   --help                  print this help and exit
 exit codes:
   0  measured and written
-  2  usage error (unknown flag, malformed value)
+  2  usage error (unknown flag, malformed value, invalid size)
   3  the output file cannot be written";
 
 /// Flags that take one value.
@@ -88,13 +88,15 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
     // `--organization` takes the comma list.
     let single = match (args.present("--rows"), args.present("--cols")) {
         (false, false) => None,
-        _ => Some((
+        _ => Some(check_size(
             args.parse_or("--rows", 64u32)?,
             args.parse_or("--cols", 64u32)?,
-        )),
+            FAULT_LIST_MIN_CELLS,
+            "--rows/--cols",
+        )?),
     };
     let organizations = match args.value("--organization") {
-        Some(spec) => parse_size_list(spec, "--organization")?,
+        Some(spec) => parse_size_list(spec, FAULT_LIST_MIN_CELLS, "--organization")?,
         None => single.map_or_else(
             || vec![(64, 64), (128, 128), (256, 256), (512, 512), (1024, 1024)],
             |size| vec![size],
@@ -106,10 +108,13 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         None
     } else {
         let (dense_rows, dense_cols) = match args.value("--dense-size") {
-            Some(spec) => parse_size_list(spec, "--dense-size")?[0],
+            Some(spec) => parse_size_list(spec, FAULT_LIST_MIN_CELLS, "--dense-size")?[0],
             None => (1024, 1024),
         };
         let dense_faults: usize = args.parse_or("--dense-faults", 100_000)?;
+        if dense_faults == 0 {
+            return Err(UsageError::new("--dense-faults", "must be at least 1"));
+        }
         Some((dense_rows, dense_cols, dense_faults))
     };
     let campaign = !args.present("--no-campaign");
@@ -119,7 +124,7 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         "# Fault-simulation sweep throughput ({} organizations, {passes} passes per variant)",
         organizations.len()
     );
-    let sweep = FaultSimSweep::measure_full(&organizations, passes, dense, campaign, daemon);
+    let sweep = FaultSimSweep::measure(&organizations, passes, dense, campaign, daemon);
     for result in &sweep.sizes {
         println!(
             "{}x{}: {} algorithms x {} faults, {} threads",

@@ -35,7 +35,7 @@ const USAGE: &str = "usage: power_engine_bench [options]
   --help            print this help and exit
 exit codes:
   0  measured and written
-  2  usage error (unknown flag, malformed value)
+  2  usage error (unknown flag, malformed value, invalid size)
   3  the output file cannot be written";
 
 /// Flags that take one value.
@@ -60,7 +60,7 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
     }
     let args = &Args::scan(args, &VALUE_FLAGS, &[])?;
     let sizes = match args.value("--sizes") {
-        Some(spec) => parse_size_list(spec, "--sizes")?,
+        Some(spec) => parse_size_list(spec, 1, "--sizes")?,
         None => vec![(64, 64), (128, 128), (256, 256), (512, 512), (1024, 1024)],
     };
     let passes: usize = args.parse_or("--passes", 1)?;

@@ -1,10 +1,10 @@
-//! Shared experiment harness for the benches and the `repro` binary.
+//! Shared experiment harness for the `repro` binary and the throughput
+//! benchmarks.
 //!
 //! Every table and figure of the paper has a generator function here that
-//! produces its data from the workspace crates; the Criterion benches time
-//! those generators and the `repro` binary prints their output (and the
-//! side-by-side comparison with the paper's reported numbers) for
-//! `EXPERIMENTS.md`.
+//! produces its data from the workspace crates; the `repro` binary prints
+//! their output (and the side-by-side comparison with the paper's
+//! reported numbers).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,7 +28,6 @@ use lp_precharge::prelude::*;
 use lp_precharge::report::reproduce_table1;
 use march_test::address_order::{AddressOrder, ColumnMajor, LinearOrder, WordLineAfterWordLine};
 use march_test::algorithm::MarchTest;
-use march_test::coverage::{evaluate_coverage_with, SweepOptions};
 use march_test::dof::verify_order_independence;
 use march_test::faults::static_fault_list;
 use march_test::library;
@@ -42,16 +41,6 @@ use transient::prelude::*;
 /// The paper's full-size experiment configuration (512×512, 0.13 µm).
 pub fn paper_config() -> SramConfig {
     SramConfig::paper_default()
-}
-
-/// A reduced configuration used by the Criterion benches so that a full
-/// `cargo bench` pass stays in the minutes range; the `repro` binary uses
-/// [`paper_config`] for the published numbers.
-pub fn bench_config() -> SramConfig {
-    SramConfig::builder()
-        .organization(ArrayOrganization::new(64, 128).expect("static dimensions are valid"))
-        .build()
-        .expect("default technology is valid")
 }
 
 /// Experiment E1 — Table 1: PRR per March algorithm (simulated, analytic
@@ -229,7 +218,10 @@ pub fn power_breakdowns(
 /// coverage preserved, coverage under the paper's order)`.
 ///
 /// Runs on the march crate's throughput kernel: shared walks, early-exit
-/// detection and a parallel fault sweep ([`SweepOptions::fast`]).
+/// detection and a parallel fault sweep
+/// ([`SweepOptions::fast`](march_test::coverage::SweepOptions::fast)).
+/// The paper's word-line order is the first of the orders compared, so
+/// its coverage is the report's.
 pub fn dof_summary(organization: &ArrayOrganization) -> Vec<(String, bool, f64)> {
     let faults = static_fault_list(organization);
     let orders: Vec<&dyn AddressOrder> = vec![&WordLineAfterWordLine, &ColumnMajor, &LinearOrder];
@@ -237,18 +229,10 @@ pub fn dof_summary(organization: &ArrayOrganization) -> Vec<(String, bool, f64)>
         .iter()
         .map(|test| {
             let report = verify_order_independence(test, &orders, organization, &faults);
-            let coverage = evaluate_coverage_with(
-                test,
-                &WordLineAfterWordLine,
-                organization,
-                &faults,
-                SweepOptions::fast(),
-            )
-            .coverage();
             (
                 test.name().to_string(),
                 report.guaranteed_coverage_preserved(),
-                coverage,
+                report.coverage(),
             )
         })
         .collect()

@@ -34,23 +34,20 @@
 //! make population order free). All ratios are machine-relative and carry
 //! the tight CI gate.
 //!
-//! Timed sweeps call the interned entry points
-//! ([`evaluate_coverage_interned_on_walk`]) that campaign jobs run, so the
-//! rates time the kernel rather than report materialization; the
-//! untimed equivalence gates compare materialized reports.
+//! Timed sweeps call the entry point campaign jobs run
+//! ([`evaluate_coverage_interned_on_walk`]); the untimed equivalence gates
+//! compare the [`InternedSweep`] reports it returns.
 
 use std::time::{Duration, Instant};
 
 use march_test::address_order::AddressOrder;
 use march_test::algorithm::MarchTest;
-use march_test::coverage::{
-    evaluate_coverage_interned_on_walk, evaluate_coverage_on_walk, CoverageReport, SweepBackend,
-    SweepOptions,
-};
+use march_test::coverage::{evaluate_coverage_interned_on_walk, SweepBackend, SweepOptions};
 use march_test::executor::{MarchWalk, Mismatch};
-use march_test::fault_sim::{DetectionMode, FaultSimOutcome};
+use march_test::fault_sim::DetectionMode;
 use march_test::faultgen::FaultGen;
-use march_test::faults::{Fault, FaultModel, FaultyMemory};
+use march_test::faults::{FaultModel, FaultyMemory};
+use march_test::intern::{InternedSweep, OutcomeCode};
 use march_test::library;
 use march_test::memory::{GoodMemory, MemoryModel};
 use march_test::parallel::max_threads;
@@ -110,26 +107,26 @@ pub fn baseline_evaluate_coverage(
     order: &dyn AddressOrder,
     organization: &ArrayOrganization,
     faults: &[FaultModel],
-) -> CoverageReport {
-    let outcomes = faults
+) -> InternedSweep {
+    let codes = faults
         .iter()
         .map(|&fault| {
-            let fault_name = fault.name();
-            let fault_kind = fault.kind();
             let mut memory =
                 FaultyMemory::new(GoodMemory::filled(organization.capacity(), false), fault);
             let mismatches = baseline_run_march(test, order, organization, &mut memory);
-            FaultSimOutcome {
-                fault_name,
-                fault_kind,
-                test_name: test.name().to_string(),
-                order_name: order.name().to_string(),
-                detected: !mismatches.is_empty(),
-                mismatches: mismatches.len(),
+            OutcomeCode {
+                fault,
+                mismatches: u32::try_from(mismatches.len()).expect("mismatch counts fit u32"),
             }
         })
         .collect();
-    CoverageReport::new(test.name(), order.name(), outcomes)
+    InternedSweep::new(test.name(), order.name(), codes)
+}
+
+/// Each fault's detected bit, in fault-list order: what two sweeps must
+/// agree on when only one of them counts every mismatch.
+fn detected_bits(report: &InternedSweep) -> Vec<bool> {
+    report.codes().iter().map(OutcomeCode::detected).collect()
 }
 
 /// Seconds and derived rate of one timed sweep variant.
@@ -399,25 +396,22 @@ pub fn dense_sweep(rows: u32, cols: u32, fault_count: usize, passes: usize) -> D
     };
 
     // Equivalence gates (see the function docs), scoped so their
-    // reports drop before anything is timed: a 100k-outcome report held
-    // across the timing loops (tens of MB of small heap objects) pushes
-    // every subsequent sweep's allocations into fresh arena space and
-    // measurably slows the dense passes.
+    // reports drop before anything is timed.
     {
-        let ordered_report = evaluate_coverage_on_walk(&walk, &population, serial_options);
+        let ordered_report = evaluate_coverage_interned_on_walk(&walk, &population, serial_options);
         assert_eq!(
             ordered_report,
-            evaluate_coverage_on_walk(&walk, &population, parallel_options),
+            evaluate_coverage_interned_on_walk(&walk, &population, parallel_options),
             "parallel dense sweep diverged from the serial one"
         );
         // The shuffled copy must be exactly the ordered report seen
         // through the permutation.
-        let shuffled_report = evaluate_coverage_on_walk(&walk, &shuffled, serial_options);
+        let shuffled_report = evaluate_coverage_interned_on_walk(&walk, &shuffled, serial_options);
         assert_eq!(shuffled_report.total(), ordered_report.total());
-        for (position, outcome) in shuffled_report.outcomes().iter().enumerate() {
+        for (position, outcome) in shuffled_report.codes().iter().enumerate() {
             assert_eq!(
                 outcome,
-                &ordered_report.outcomes()[perm[position]],
+                &ordered_report.codes()[perm[position]],
                 "shuffled sweep diverged from the ordered one at position {position}"
             );
         }
@@ -427,7 +421,7 @@ pub fn dense_sweep(rows: u32, cols: u32, fault_count: usize, passes: usize) -> D
         let small_walk = MarchWalk::new(&test, &order, &small);
         let small_population =
             FaultGen::new(small, DENSE_POPULATION_SEED).dense_profile(fault_count.min(2_000));
-        let golden = evaluate_coverage_on_walk(
+        let golden = evaluate_coverage_interned_on_walk(
             &small_walk,
             &small_population,
             SweepOptions {
@@ -435,7 +429,8 @@ pub fn dense_sweep(rows: u32, cols: u32, fault_count: usize, passes: usize) -> D
                 ..serial_options
             },
         );
-        let batched = evaluate_coverage_on_walk(&small_walk, &small_population, serial_options);
+        let batched =
+            evaluate_coverage_interned_on_walk(&small_walk, &small_population, serial_options);
         assert_eq!(
             golden, batched,
             "dense profile diverged from the golden path at 64x64"
@@ -855,41 +850,17 @@ pub struct FaultSimSweep {
 }
 
 impl FaultSimSweep {
-    /// Measures every `(rows, cols)` organization in order, without the
-    /// dense section.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any organization is invalid or any variant diverges from
-    /// the baseline (see [`fault_sim_throughput`]).
-    pub fn measure(organizations: &[(u32, u32)], passes: usize) -> Self {
-        Self::measure_with_dense(organizations, passes, None)
-    }
-
-    /// Measures the size sweep and, when `dense` carries
-    /// `(rows, cols, fault_count)`, the dense-population section.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any organization is invalid or any equivalence gate
-    /// fails (see [`fault_sim_throughput`] and [`dense_sweep`]).
-    pub fn measure_with_dense(
-        organizations: &[(u32, u32)],
-        passes: usize,
-        dense: Option<(u32, u32, usize)>,
-    ) -> Self {
-        Self::measure_full(organizations, passes, dense, false, false)
-    }
-
-    /// Measures the size sweep plus the optional dense, campaign-overhead
-    /// and daemon-intake sections.
+    /// Measures every `(rows, cols)` organization in order, the
+    /// dense-population section when `dense` carries `(rows, cols,
+    /// fault_count)`, and the campaign-overhead and daemon-intake sections
+    /// when `campaign` and `daemon` are set.
     ///
     /// # Panics
     ///
     /// Panics if any organization is invalid or any equivalence gate
     /// fails (see [`fault_sim_throughput`], [`dense_sweep`],
     /// [`campaign_bench`] and [`daemon_bench`]).
-    pub fn measure_full(
+    pub fn measure(
         organizations: &[(u32, u32)],
         passes: usize,
         dense: Option<(u32, u32, usize)>,
@@ -1108,31 +1079,32 @@ pub fn fault_sim_throughput(rows: u32, cols: u32, passes: usize) -> FaultSimThro
     // and the collapsed backend must reproduce the per-fault kernel's
     // reports outcome by outcome.
     for (test, walk) in tests.iter().zip(&walks) {
-        let serial = evaluate_coverage_on_walk(walk, &faults, serial_options);
+        let serial = evaluate_coverage_interned_on_walk(walk, &faults, serial_options);
         if measure_baseline {
             let expected = baseline_evaluate_coverage(test, &order, &organization, &faults);
             assert_eq!(
-                expected.detected_fault_names(),
-                serial.detected_fault_names(),
+                detected_bits(&expected),
+                detected_bits(&serial),
                 "{}: serial kernel diverged from the baseline",
                 test.name()
             );
         }
-        let parallel = evaluate_coverage_on_walk(walk, &faults, parallel_options);
+        let parallel = evaluate_coverage_interned_on_walk(walk, &faults, parallel_options);
         assert_eq!(
             serial,
             parallel,
             "{}: parallel sweep diverged from the serial one",
             test.name()
         );
-        let batched = evaluate_coverage_on_walk(walk, &faults, batched_options);
+        let batched = evaluate_coverage_interned_on_walk(walk, &faults, batched_options);
         assert_eq!(
             serial,
             batched,
             "{}: collapsed sweep diverged from the per-fault kernel",
             test.name()
         );
-        let batched_parallel = evaluate_coverage_on_walk(walk, &faults, batched_parallel_options);
+        let batched_parallel =
+            evaluate_coverage_interned_on_walk(walk, &faults, batched_parallel_options);
         assert_eq!(
             batched,
             batched_parallel,
@@ -1203,7 +1175,7 @@ pub fn fault_sim_throughput(rows: u32, cols: u32, passes: usize) -> FaultSimThro
 mod tests {
     use super::*;
     use march_test::address_order::WordLineAfterWordLine;
-    use march_test::coverage::evaluate_coverage;
+    use march_test::coverage::evaluate_coverage_interned;
     use march_test::faults::standard_fault_list;
 
     #[test]
@@ -1213,7 +1185,13 @@ mod tests {
         for test in library::table1_algorithms() {
             let baseline =
                 baseline_evaluate_coverage(&test, &WordLineAfterWordLine, &organization, &faults);
-            let kernel = evaluate_coverage(&test, &WordLineAfterWordLine, &organization, &faults);
+            let kernel = evaluate_coverage_interned(
+                &test,
+                &WordLineAfterWordLine,
+                &organization,
+                &faults,
+                SweepOptions::default(),
+            );
             // Full-fidelity kernel mode reproduces even the mismatch counts.
             assert_eq!(baseline, kernel, "{}", test.name());
         }
@@ -1221,7 +1199,7 @@ mod tests {
 
     #[test]
     fn throughput_experiment_runs_and_reports_consistent_numbers() {
-        let sweep = FaultSimSweep::measure(&[(4, 8)], 1);
+        let sweep = FaultSimSweep::measure(&[(4, 8)], 1, None, false, false);
         assert_eq!(sweep.sizes.len(), 1);
         let result = &sweep.sizes[0];
         assert_eq!(result.algorithms.len(), 5);
@@ -1285,7 +1263,7 @@ mod tests {
 
     #[test]
     fn sweep_json_omits_the_dense_section_when_not_measured() {
-        let sweep = FaultSimSweep::measure(&[(4, 8)], 1);
+        let sweep = FaultSimSweep::measure(&[(4, 8)], 1, None, false, false);
         assert!(sweep.dense.is_none());
         assert!(sweep.campaign.is_none());
         assert!(sweep.daemon.is_none());
@@ -1373,7 +1351,7 @@ mod tests {
         // 272×256 = 69632 cells > the 256×256 cap: the frozen baseline
         // must be skipped, its metrics omitted from the JSON, and the
         // batched-vs-kernel speedup still reported.
-        let sweep = FaultSimSweep::measure(&[(272, 256)], 1);
+        let sweep = FaultSimSweep::measure(&[(272, 256)], 1, None, false, false);
         let result = &sweep.sizes[0];
         assert!(result.baseline_skipped());
         assert!(result.baseline.is_none());

@@ -118,3 +118,58 @@ fn help_prints_the_usage_and_exits_0_without_measuring() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+#[test]
+fn a_size_the_benchmark_cannot_run_exits_2_and_writes_nothing() {
+    // Each command line is well-formed for the flag scanner, but names a
+    // size or population the benchmark cannot build: it must exit 2
+    // before any section runs, not panic inside one.
+    let fault_sim = env!("CARGO_BIN_EXE_fault_sim_bench");
+    let quick = ["--passes", "1", "--no-campaign", "--no-daemon"];
+    for (index, (binary, size, flag)) in [
+        (
+            fault_sim,
+            &["--organization", "0x64", "--no-dense"] as &[&str],
+            "--organization",
+        ),
+        (fault_sim, &["--rows", "0", "--no-dense"], "--rows/--cols"),
+        (
+            fault_sim,
+            &["--organization", "1x2", "--no-dense"],
+            "--organization",
+        ),
+        (
+            fault_sim,
+            &["--rows", "4", "--cols", "4", "--dense-size", "0x64"],
+            "--dense-size",
+        ),
+        (
+            fault_sim,
+            &["--rows", "4", "--cols", "4", "--dense-faults", "0"],
+            "--dense-faults",
+        ),
+        (
+            env!("CARGO_BIN_EXE_power_engine_bench"),
+            &["--sizes", "0x4"],
+            "--sizes",
+        ),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let dir = scratch_dir(&format!("size-{index}"));
+        let mut args = size.to_vec();
+        if binary == fault_sim {
+            args.extend(quick);
+        } else {
+            args.extend(["--passes", "1"]);
+        }
+        let output = run_in(&dir, binary, &args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{binary} {args:?}: {stderr}");
+        assert!(stderr.contains(&format!("{flag}: ")), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(written(&dir).is_empty(), "{binary} {args:?} wrote a file");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -81,7 +81,7 @@ pub struct JobResult {
     pub total: u32,
     /// Total mismatching reads across the sweep.
     pub mismatches: u64,
-    /// [`march_test::coverage::CoverageReport::digest`] of the report.
+    /// [`march_test::intern::InternedSweep::digest`] of the report.
     pub digest: u64,
 }
 

@@ -27,8 +27,8 @@
 //!   index with a whole-file digest, byte-identical across thread counts
 //!   and interrupt/resume cycles.
 //! * [`faultpoint`] — the deterministic fault-injection harness that
-//!   *proves* the above: worker kills, lane-model panics inside the
-//!   batched kernel, torn journal writes, flipped bytes and
+//!   *proves* the above: worker kills, fault-model panics inside the
+//!   caught sweep, torn journal writes, flipped bytes and
 //!   abort-after-N-records, each at exact (job, attempt) or record
 //!   coordinates. The integration tests interrupt a campaign at every
 //!   injection point, resume it, and require the export to match the

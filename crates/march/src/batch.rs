@@ -369,7 +369,9 @@ mod tests {
     use super::*;
     use crate::address_order::WordLineAfterWordLine;
     use crate::algorithm::MarchTest;
-    use crate::coverage::{evaluate_coverage_on_walk, golden_counts, SweepBackend, SweepOptions};
+    use crate::coverage::{
+        evaluate_coverage_interned_on_walk, golden_counts, SweepBackend, SweepOptions,
+    };
     use crate::element::MarchElement;
     use crate::faults::{
         standard_fault_list, CouplingIdempotentFault, FaultKind, StuckAtFault, StuckOpenFault,
@@ -473,12 +475,12 @@ mod tests {
         let ops = walk.ops_per_address() as u64;
         assert_eq!(plan.merged_schedule_steps(), (3 + 2 * 2) * ops);
         for mode in [DetectionMode::Full, DetectionMode::FirstMismatch] {
-            let golden = evaluate_coverage_on_walk(
+            let golden = evaluate_coverage_interned_on_walk(
                 &walk,
                 &faults,
                 options(mode, false, SweepBackend::PerFault),
             );
-            let collapsed = evaluate_coverage_on_walk(
+            let collapsed = evaluate_coverage_interned_on_walk(
                 &walk,
                 &faults,
                 options(mode, false, SweepBackend::LaneBatched),
@@ -503,8 +505,8 @@ mod tests {
         assert_eq!(plan.cohorts().len(), 3, "first, middle and last");
         let ops = walk.ops_per_address() as u64;
         assert_eq!(plan.merged_schedule_steps(), 3 * 5 * ops);
-        let golden = evaluate_coverage_on_walk(&walk, &faults, SweepOptions::golden());
-        let collapsed = evaluate_coverage_on_walk(
+        let golden = evaluate_coverage_interned_on_walk(&walk, &faults, SweepOptions::golden());
+        let collapsed = evaluate_coverage_interned_on_walk(
             &walk,
             &faults,
             options(DetectionMode::Full, false, SweepBackend::LaneBatched),
@@ -551,16 +553,16 @@ mod tests {
         // The serial fallback still yields outcomes in list order, serial
         // or parallel.
         for parallel in [false, true] {
-            let report = evaluate_coverage_on_walk(
+            let report = evaluate_coverage_interned_on_walk(
                 &walk,
                 &faults,
                 options(DetectionMode::Full, parallel, SweepBackend::LaneBatched),
             );
             assert_eq!(report.total(), 4);
-            assert_eq!(report.outcomes()[3].fault_name, "SAF0@3");
+            assert_eq!(report.outcome(3).name(), "SAF0@3");
             assert_eq!(
                 report,
-                evaluate_coverage_on_walk(&walk, &faults, SweepOptions::golden())
+                evaluate_coverage_interned_on_walk(&walk, &faults, SweepOptions::golden())
             );
         }
     }

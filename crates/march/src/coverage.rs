@@ -13,12 +13,8 @@
 //! produce **identical** reports: outcomes are kept in fault-list order
 //! regardless of scheduling.
 //!
-//! Every sweep produces an [`InternedSweep`]; the [`CoverageReport`]
-//! entry points ([`evaluate_coverage`], [`evaluate_coverage_with`],
-//! [`evaluate_coverage_on_walk`]) are its
-//! [`materialize`](InternedSweep::materialize)d form.
-
-use std::collections::BTreeMap;
+//! Every sweep produces one report shape, an [`InternedSweep`];
+//! [`evaluate_coverage_interned`] builds the walk for a one-shot sweep.
 
 use sram_model::config::ArrayOrganization;
 
@@ -26,12 +22,11 @@ use crate::address_order::AddressOrder;
 use crate::algorithm::MarchTest;
 use crate::batch::sweep_collapsed;
 use crate::executor::MarchWalk;
-use crate::fault_sim::{DetectionMode, FaultSimOutcome};
+use crate::fault_sim::DetectionMode;
 use crate::faults::{Fault, FaultModel};
 use crate::intern::{InternedSweep, OutcomeCode};
 use crate::memory::GoodMemory;
 use crate::parallel::{max_threads, par_chunk_map};
-use crate::rng::Fnv1a;
 
 /// Which sweep engine simulates the fault list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -93,155 +88,6 @@ impl SweepOptions {
             backend: SweepBackend::PerFault,
         }
     }
-}
-
-/// Coverage of a March test over a fault list.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CoverageReport {
-    /// Name of the March test evaluated.
-    pub test_name: String,
-    /// Name of the address order used.
-    pub order_name: String,
-    /// Per-fault outcomes, in fault-list order.
-    outcomes: Vec<FaultSimOutcome>,
-    /// Number of detected faults, cached at construction.
-    detected: usize,
-}
-
-impl CoverageReport {
-    /// Builds a report from per-fault outcomes, caching the detection
-    /// count so the accessors below are O(1).
-    pub fn new(
-        test_name: impl Into<String>,
-        order_name: impl Into<String>,
-        outcomes: Vec<FaultSimOutcome>,
-    ) -> Self {
-        let detected = outcomes.iter().filter(|o| o.detected).count();
-        Self {
-            test_name: test_name.into(),
-            order_name: order_name.into(),
-            outcomes,
-            detected,
-        }
-    }
-
-    /// Per-fault outcomes, in fault-list order.
-    pub fn outcomes(&self) -> &[FaultSimOutcome] {
-        &self.outcomes
-    }
-
-    /// Total number of faults simulated.
-    pub fn total(&self) -> usize {
-        self.outcomes.len()
-    }
-
-    /// Number of detected faults (cached — no rescan).
-    pub fn detected(&self) -> usize {
-        self.detected
-    }
-
-    /// Fault coverage as a fraction in `[0, 1]`.
-    pub fn coverage(&self) -> f64 {
-        if self.outcomes.is_empty() {
-            return 0.0;
-        }
-        self.detected as f64 / self.total() as f64
-    }
-
-    /// The names of the faults this test detected (sorted), used to compare
-    /// coverage sets across address orders. The names are borrowed from the
-    /// report — no per-name allocation.
-    pub fn detected_fault_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self
-            .outcomes
-            .iter()
-            .filter(|o| o.detected)
-            .map(|o| o.fault_name.as_str())
-            .collect();
-        names.sort_unstable();
-        names
-    }
-
-    /// Total read mismatches across every outcome.
-    pub fn total_mismatches(&self) -> u64 {
-        self.outcomes.iter().map(|o| o.mismatches as u64).sum()
-    }
-
-    /// A stable 64-bit digest of the whole report: test and order names
-    /// plus every outcome's name, kind, detection bit and mismatch count,
-    /// absorbed in fault-list order through [`Fnv1a`]. Two reports are
-    /// digest-equal exactly when they would compare equal, so campaign
-    /// journals can record (and later verify) a fixed-width fingerprint
-    /// instead of megabytes of outcomes.
-    pub fn digest(&self) -> u64 {
-        let mut hasher = Fnv1a::new();
-        hasher.write(self.test_name.as_bytes());
-        hasher.write_u8(0xFF);
-        hasher.write(self.order_name.as_bytes());
-        hasher.write_u8(0xFF);
-        for outcome in &self.outcomes {
-            hasher.write(outcome.fault_name.as_bytes());
-            hasher.write_u8(0xFE);
-            hasher.write(outcome.fault_kind.as_str().as_bytes());
-            hasher.write_u8(u8::from(outcome.detected));
-            hasher.write_u64(outcome.mismatches as u64);
-        }
-        hasher.finish()
-    }
-
-    /// Per-fault-kind `(detected, total)` counts.
-    pub fn by_kind(&self) -> BTreeMap<String, (usize, usize)> {
-        let mut map: BTreeMap<&'static str, (usize, usize)> = BTreeMap::new();
-        for outcome in &self.outcomes {
-            let entry = map.entry(outcome.fault_kind.as_str()).or_insert((0, 0));
-            entry.1 += 1;
-            if outcome.detected {
-                entry.0 += 1;
-            }
-        }
-        map.into_iter()
-            .map(|(kind, counts)| (kind.to_string(), counts))
-            .collect()
-    }
-}
-
-/// Simulates every fault in `faults` over a precomputed `walk` into the
-/// string-bearing report: [`evaluate_coverage_interned_on_walk`],
-/// materialized.
-pub fn evaluate_coverage_on_walk(
-    walk: &MarchWalk,
-    faults: &[FaultModel],
-    options: SweepOptions,
-) -> CoverageReport {
-    evaluate_coverage_interned_on_walk(walk, faults, options).materialize()
-}
-
-/// Simulates every fault in `faults` under `test`/`order` with explicit
-/// sweep options, precomputing the walk once for the whole list:
-/// [`evaluate_coverage_interned`], materialized.
-pub fn evaluate_coverage_with(
-    test: &MarchTest,
-    order: &dyn AddressOrder,
-    organization: &ArrayOrganization,
-    faults: &[FaultModel],
-    options: SweepOptions,
-) -> CoverageReport {
-    evaluate_coverage_interned(test, order, organization, faults, options).materialize()
-}
-
-/// Simulates every fault in `faults` under `test`/`order` and aggregates
-/// the outcomes (full mismatch counts, single-threaded, on the default
-/// collapsed backend — report-identical to a serial per-fault sweep;
-/// use [`evaluate_coverage_with`] and [`SweepOptions::fast`] for
-/// throughput sweeps).
-pub fn evaluate_coverage(
-    test: &MarchTest,
-    order: &dyn AddressOrder,
-    organization: &ArrayOrganization,
-    faults: &[FaultModel],
-) -> CoverageReport {
-    evaluate_coverage_interned(test, order, organization, faults, SweepOptions::default())
-        .materialize()
 }
 
 /// A panic captured by [`catch_sweep`]: the payload rendered as a
@@ -314,7 +160,7 @@ pub(crate) fn golden_counts<F: Fault + Clone + Sync>(
 /// when `parallel` is set). Either way the report pairs each fault value
 /// with its count in fault-list order, so every backend/threading
 /// combination yields an identical report, and no name is rendered until
-/// the report is digested, materialized or displayed.
+/// the report is digested or displayed.
 pub fn evaluate_coverage_interned_on_walk(
     walk: &MarchWalk,
     faults: &[FaultModel],
@@ -369,6 +215,7 @@ pub fn catch_sweep<T>(sweep: impl FnOnce() -> T) -> Result<T, SweepPanic> {
 mod tests {
     use super::*;
     use crate::address_order::WordLineAfterWordLine;
+    use crate::fault_sim::simulate_fault_counts_on_walk;
     use crate::faults::{standard_fault_list, FaultKind};
     use crate::library;
     use sram_model::address::Address;
@@ -378,22 +225,21 @@ mod tests {
         ArrayOrganization::new(4, 4).unwrap()
     }
 
+    /// `test` over `faults` on the 4×4 array in word line order.
+    fn sweep(test: &MarchTest, faults: &[FaultModel], options: SweepOptions) -> InternedSweep {
+        evaluate_coverage_interned(test, &WordLineAfterWordLine, &org(), faults, options)
+    }
+
+    /// Each fault's detected bit, in fault-list order.
+    fn detected_bits(report: &InternedSweep) -> Vec<bool> {
+        report.codes().iter().map(OutcomeCode::detected).collect()
+    }
+
     #[test]
     fn march_ss_covers_more_than_mats_plus() {
-        let organization = org();
-        let faults = standard_fault_list(&organization);
-        let ss = evaluate_coverage(
-            &library::march_ss(),
-            &WordLineAfterWordLine,
-            &organization,
-            &faults,
-        );
-        let mats = evaluate_coverage(
-            &library::mats_plus(),
-            &WordLineAfterWordLine,
-            &organization,
-            &faults,
-        );
+        let faults = standard_fault_list(&org());
+        let ss = sweep(&library::march_ss(), &faults, SweepOptions::default());
+        let mats = sweep(&library::mats_plus(), &faults, SweepOptions::default());
         assert!(ss.coverage() > mats.coverage());
         assert!(ss.coverage() > 0.8, "March SS coverage {}", ss.coverage());
         assert_eq!(ss.total(), faults.len());
@@ -402,11 +248,9 @@ mod tests {
 
     #[test]
     fn stuck_at_faults_are_fully_covered_by_every_table1_algorithm() {
-        let organization = org();
-        let faults = standard_fault_list(&organization);
+        let faults = standard_fault_list(&org());
         for test in library::table1_algorithms() {
-            let report = evaluate_coverage(&test, &WordLineAfterWordLine, &organization, &faults);
-            let by_kind = report.by_kind();
+            let by_kind = sweep(&test, &faults, SweepOptions::default()).by_kind();
             let (detected, total) = by_kind["SAF"];
             assert_eq!(detected, total, "{} must detect every SAF", test.name());
         }
@@ -414,54 +258,35 @@ mod tests {
 
     #[test]
     fn report_accessors_are_consistent() {
-        let organization = org();
-        let faults = standard_fault_list(&organization);
-        let report = evaluate_coverage(
-            &library::march_c_minus(),
-            &WordLineAfterWordLine,
-            &organization,
-            &faults,
-        );
-        assert_eq!(report.detected_fault_names().len(), report.detected());
-        let kind_total: usize = report.by_kind().values().map(|(_, t)| t).sum();
+        let faults = standard_fault_list(&org());
+        let report = sweep(&library::march_c_minus(), &faults, SweepOptions::default());
+        let bits = detected_bits(&report);
+        assert_eq!(bits.iter().filter(|&&bit| bit).count(), report.detected());
+        let by_kind = report.by_kind();
+        let kind_detected: usize = by_kind.values().map(|(d, _)| d).sum();
+        let kind_total: usize = by_kind.values().map(|(_, t)| t).sum();
+        assert_eq!(kind_detected, report.detected());
         assert_eq!(kind_total, report.total());
         assert!(report.coverage() > 0.0 && report.coverage() <= 1.0);
-        assert_eq!(report.test_name, "March C-");
-        assert_eq!(report.outcomes().len(), report.total());
+        assert_eq!(report.test_name(), "March C-");
+        assert_eq!(report.codes().len(), report.total());
     }
 
     #[test]
     fn every_backend_and_threading_combination_yields_the_same_report() {
-        let organization = org();
-        let faults = standard_fault_list(&organization);
+        let faults = standard_fault_list(&org());
         for test in library::table1_algorithms() {
             for mode in [DetectionMode::Full, DetectionMode::FirstMismatch] {
-                let reference = evaluate_coverage_with(
-                    &test,
-                    &WordLineAfterWordLine,
-                    &organization,
-                    &faults,
-                    SweepOptions {
-                        background: false,
-                        mode,
-                        parallel: false,
-                        backend: SweepBackend::PerFault,
-                    },
-                );
+                let options = |backend, parallel| SweepOptions {
+                    background: false,
+                    mode,
+                    parallel,
+                    backend,
+                };
+                let reference = sweep(&test, &faults, options(SweepBackend::PerFault, false));
                 for backend in [SweepBackend::PerFault, SweepBackend::LaneBatched] {
                     for parallel in [false, true] {
-                        let other = evaluate_coverage_with(
-                            &test,
-                            &WordLineAfterWordLine,
-                            &organization,
-                            &faults,
-                            SweepOptions {
-                                background: false,
-                                mode,
-                                parallel,
-                                backend,
-                            },
-                        );
+                        let other = sweep(&test, &faults, options(backend, parallel));
                         // Structural equality and byte-identical debug
                         // rendering: outcome order must be the fault-list
                         // order in every combination.
@@ -485,22 +310,33 @@ mod tests {
 
     #[test]
     fn every_outcome_equals_the_fault_simulated_alone() {
-        use crate::fault_sim::simulate_fault_on_walk;
-
         // Report assembly checked against an independent reference: each
-        // fault simulated on its own, its outcome built field by field,
-        // and the report digested from those outcomes.
+        // fault simulated on its own through the generic per-access
+        // dispatch, and the report built from those counts.
         let organization = org();
         let faults = standard_fault_list(&organization);
         for test in library::table1_algorithms() {
             let walk = MarchWalk::new(&test, &WordLineAfterWordLine, &organization);
             for mode in [DetectionMode::Full, DetectionMode::FirstMismatch] {
                 let mut scratch = GoodMemory::new(walk.capacity());
-                let alone: Vec<FaultSimOutcome> = faults
+                let alone: Vec<OutcomeCode> = faults
                     .iter()
-                    .map(|&fault| simulate_fault_on_walk(&walk, &mut scratch, fault, false, mode))
+                    .map(|&fault| {
+                        let mut copy = fault;
+                        let mismatches = simulate_fault_counts_on_walk(
+                            &walk,
+                            &mut scratch,
+                            &mut copy,
+                            false,
+                            mode,
+                        );
+                        OutcomeCode {
+                            fault,
+                            mismatches: mismatches as u32,
+                        }
+                    })
                     .collect();
-                let reference = CoverageReport::new(walk.test_name(), walk.order_name(), alone);
+                let reference = InternedSweep::new(walk.test_name(), walk.order_name(), alone);
                 for backend in [SweepBackend::PerFault, SweepBackend::LaneBatched] {
                     for parallel in [false, true] {
                         let options = SweepOptions {
@@ -514,23 +350,13 @@ mod tests {
                             "{} ({mode:?}, {backend:?}, parallel={parallel})",
                             test.name()
                         );
-                        let report = sweep.materialize();
-                        for (index, (outcome, expected)) in report
-                            .outcomes()
-                            .iter()
-                            .zip(reference.outcomes())
-                            .enumerate()
+                        for (index, (code, expected)) in
+                            sweep.codes().iter().zip(reference.codes()).enumerate()
                         {
-                            assert_eq!(outcome, expected, "{context}: outcome {index}");
+                            assert_eq!(code, expected, "{context}: outcome {index}");
                         }
-                        assert_eq!(report, reference, "{context}");
+                        assert_eq!(sweep, reference, "{context}");
                         assert_eq!(sweep.digest(), reference.digest(), "{context}");
-                        assert_eq!(sweep.detected(), reference.detected(), "{context}");
-                        assert_eq!(
-                            sweep.total_mismatches(),
-                            reference.total_mismatches(),
-                            "{context}"
-                        );
                     }
                 }
             }
@@ -539,26 +365,13 @@ mod tests {
 
     #[test]
     fn fast_sweep_detects_exactly_the_same_faults_as_the_golden_one() {
-        let organization = org();
-        let faults = standard_fault_list(&organization);
+        let faults = standard_fault_list(&org());
         for test in library::table1_algorithms() {
-            let full = evaluate_coverage_with(
-                &test,
-                &WordLineAfterWordLine,
-                &organization,
-                &faults,
-                SweepOptions::golden(),
-            );
-            let fast = evaluate_coverage_with(
-                &test,
-                &WordLineAfterWordLine,
-                &organization,
-                &faults,
-                SweepOptions::fast(),
-            );
+            let full = sweep(&test, &faults, SweepOptions::golden());
+            let fast = sweep(&test, &faults, SweepOptions::fast());
             assert_eq!(
-                full.detected_fault_names(),
-                fast.detected_fault_names(),
+                detected_bits(&full),
+                detected_bits(&fast),
                 "{}",
                 test.name()
             );
@@ -576,26 +389,17 @@ mod tests {
         let organization = ArrayOrganization::new(8, 8).unwrap();
         let population = FaultGen::new(organization, 0xD15E).dense_profile(300);
         assert!(population.len() >= 300);
-        let golden = evaluate_coverage_with(
-            &library::march_ss(),
-            &WordLineAfterWordLine,
-            &organization,
-            &population,
-            SweepOptions::golden(),
-        );
+        let walk = MarchWalk::new(&library::march_ss(), &WordLineAfterWordLine, &organization);
+        let golden = evaluate_coverage_interned_on_walk(&walk, &population, SweepOptions::golden());
         assert_eq!(golden.total(), population.len());
         assert!(golden.coverage() > 0.0);
         for parallel in [false, true] {
-            let batched = evaluate_coverage_with(
-                &library::march_ss(),
-                &WordLineAfterWordLine,
-                &organization,
+            let batched = evaluate_coverage_interned_on_walk(
+                &walk,
                 &population,
                 SweepOptions {
-                    background: false,
-                    mode: DetectionMode::Full,
                     parallel,
-                    backend: SweepBackend::LaneBatched,
+                    ..SweepOptions::default()
                 },
             );
             assert_eq!(golden, batched, "parallel={parallel}");
@@ -604,61 +408,30 @@ mod tests {
 
     #[test]
     fn report_digest_is_stable_and_discriminating() {
-        let organization = org();
-        let faults = standard_fault_list(&organization);
-        let a = evaluate_coverage(
-            &library::march_ss(),
-            &WordLineAfterWordLine,
-            &organization,
-            &faults,
-        );
-        let b = evaluate_coverage(
-            &library::march_ss(),
-            &WordLineAfterWordLine,
-            &organization,
-            &faults,
-        );
+        let faults = standard_fault_list(&org());
+        let a = sweep(&library::march_ss(), &faults, SweepOptions::default());
+        let b = sweep(&library::march_ss(), &faults, SweepOptions::default());
         // Equal reports digest equally; a different algorithm (different
         // outcomes and test name) must diverge.
         assert_eq!(a.digest(), b.digest());
-        let other = evaluate_coverage(
-            &library::mats_plus(),
-            &WordLineAfterWordLine,
-            &organization,
-            &faults,
-        );
+        let other = sweep(&library::mats_plus(), &faults, SweepOptions::default());
         assert_ne!(a.digest(), other.digest());
         assert_eq!(
             a.total_mismatches(),
-            a.outcomes()
+            a.codes()
                 .iter()
-                .map(|o| o.mismatches as u64)
+                .map(|code| u64::from(code.mismatches))
                 .sum::<u64>()
         );
     }
 
     #[test]
     fn caught_sweep_returns_the_report_on_success() {
-        let organization = org();
-        let faults = standard_fault_list(&organization);
-        let direct = evaluate_coverage(
-            &library::march_ss(),
-            &WordLineAfterWordLine,
-            &organization,
-            &faults,
-        );
-        let caught = catch_sweep(|| {
-            evaluate_coverage_interned(
-                &library::march_ss(),
-                &WordLineAfterWordLine,
-                &organization,
-                &faults,
-                SweepOptions::default(),
-            )
-        })
-        .expect("healthy sweep must not panic");
-        assert_eq!(caught.digest(), direct.digest());
-        assert_eq!(caught.materialize(), direct);
+        let faults = standard_fault_list(&org());
+        let direct = sweep(&library::march_ss(), &faults, SweepOptions::default());
+        let caught = catch_sweep(|| sweep(&library::march_ss(), &faults, SweepOptions::default()))
+            .expect("healthy sweep must not panic");
+        assert_eq!(caught, direct);
     }
 
     /// A fault model that panics on its first read when armed and
@@ -731,13 +504,7 @@ mod tests {
 
     #[test]
     fn empty_fault_list_yields_zero_coverage() {
-        let organization = org();
-        let report = evaluate_coverage(
-            &library::mats_plus(),
-            &WordLineAfterWordLine,
-            &organization,
-            &[],
-        );
+        let report = sweep(&library::mats_plus(), &[], SweepOptions::default());
         assert_eq!(report.total(), 0);
         assert_eq!(report.detected(), 0);
         assert_eq!(report.coverage(), 0.0);

@@ -12,8 +12,9 @@ use sram_model::config::ArrayOrganization;
 
 use crate::address_order::AddressOrder;
 use crate::algorithm::MarchTest;
-use crate::coverage::{evaluate_coverage_with, CoverageReport, SweepOptions};
+use crate::coverage::{evaluate_coverage_interned, SweepOptions};
 use crate::faults::FaultModel;
+use crate::intern::{InternedSweep, OutcomeCode};
 
 /// The six degrees of freedom of March tests, as enumerated in the memory
 /// testing literature and recalled by the paper.
@@ -80,21 +81,23 @@ pub struct OrderIndependenceReport {
     /// Name of the March test compared.
     pub test_name: String,
     /// One coverage report per address order, in the order they were given.
-    pub reports: Vec<CoverageReport>,
+    pub reports: Vec<InternedSweep>,
 }
 
 impl OrderIndependenceReport {
     /// `true` when every order detected exactly the same set of faults —
     /// the experimental confirmation of DOF #1 for this test and fault
-    /// list.
+    /// list. The reports sweep one fault list, so each fault's detected
+    /// bit is compared in list order.
     pub fn coverage_is_order_independent(&self) -> bool {
         let Some(first) = self.reports.first() else {
             return true;
         };
-        let reference = first.detected_fault_names();
-        self.reports
-            .iter()
-            .all(|r| r.detected_fault_names() == reference)
+        let detection = |code: &OutcomeCode| (code.fault, code.detected());
+        self.reports.iter().all(|report| {
+            let detections = report.codes().iter().map(detection);
+            detections.eq(first.codes().iter().map(detection))
+        })
     }
 
     /// The coverage fraction of the first order (identical to the others
@@ -153,7 +156,7 @@ pub fn verify_order_independence_with(
 ) -> OrderIndependenceReport {
     let reports = orders
         .iter()
-        .map(|order| evaluate_coverage_with(test, *order, organization, faults, options))
+        .map(|order| evaluate_coverage_interned(test, *order, organization, faults, options))
         .collect();
     OrderIndependenceReport {
         test_name: test.name().to_string(),
@@ -182,8 +185,9 @@ pub fn verify_order_independence(
 mod tests {
     use super::*;
     use crate::address_order::{ColumnMajor, LinearOrder, WordLineAfterWordLine};
-    use crate::faults::standard_fault_list;
+    use crate::faults::{standard_fault_list, StuckAtFault, TransitionFault};
     use crate::library;
+    use sram_model::address::Address;
 
     #[test]
     fn six_degrees_of_freedom_are_enumerated() {
@@ -240,5 +244,48 @@ mod tests {
             assert_eq!(report.test_name, test.name());
             assert!(report.fully_covered_kinds().contains(&"SAF".to_string()));
         }
+    }
+
+    /// A report over two SAFs and a TF that detects every fault but the
+    /// ones at the `missed` list positions.
+    fn sweep_missing(missed: &[usize]) -> InternedSweep {
+        let faults: [FaultModel; 3] = [
+            StuckAtFault::new(Address::new(0), false).into(),
+            StuckAtFault::new(Address::new(1), true).into(),
+            TransitionFault::new(Address::new(2), true).into(),
+        ];
+        let codes = faults
+            .iter()
+            .enumerate()
+            .map(|(index, &fault)| OutcomeCode {
+                fault,
+                mismatches: u32::from(!missed.contains(&index)),
+            })
+            .collect();
+        InternedSweep::new("March C-", "some order", codes)
+    }
+
+    #[test]
+    fn verdicts_turn_false_when_another_order_detects_differently() {
+        // The reference order misses the TF, so SAF is its one fully
+        // covered kind; the second order misses `other`.
+        let compare = |other: &[usize]| OrderIndependenceReport {
+            test_name: "March C-".to_string(),
+            reports: vec![sweep_missing(&[2]), sweep_missing(other)],
+        };
+        let same = compare(&[2]);
+        assert!(same.coverage_is_order_independent());
+        assert!(same.guaranteed_coverage_preserved());
+        assert_eq!(same.fully_covered_kinds(), ["SAF"]);
+        // One more fault detected, outside the guaranteed kinds.
+        let accidental = compare(&[]);
+        assert!(!accidental.coverage_is_order_independent());
+        assert!(accidental.guaranteed_coverage_preserved());
+        // As many faults detected, but the fully covered SAF kind loses
+        // one to the TF.
+        let lost = compare(&[1]);
+        assert_eq!(lost.reports[0].detected(), lost.reports[1].detected());
+        assert!(!lost.coverage_is_order_independent());
+        assert!(!lost.guaranteed_coverage_preserved());
     }
 }

@@ -19,11 +19,6 @@
 //!   at the first mismatching read;
 //! * [`run_march`] keeps the original convenience signature by building a
 //!   throw-away walk internally.
-//!
-//! [`MarchWalk::steps`] exposes the same traversal as an iterator of
-//! [`MarchStep`]s so that higher layers (the low-power test engine in the
-//! `lp-precharge` crate) can map each operation onto a memory clock cycle
-//! without re-implementing the ordering rules.
 
 use std::ops::ControlFlow;
 
@@ -35,26 +30,6 @@ use crate::algorithm::MarchTest;
 use crate::element::{AddressDirection, MarchElement};
 use crate::memory::MemoryModel;
 use crate::operation::MarchOp;
-
-/// One operation of a March test applied to one address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MarchStep {
-    /// Index of the March element this step belongs to.
-    pub element: usize,
-    /// Index of the operation within the element.
-    pub op_index: usize,
-    /// The address the operation targets.
-    pub address: Address,
-    /// The operation itself.
-    pub op: MarchOp,
-    /// `true` if this is the last operation applied to this address within
-    /// the current element (the next step moves to a new address or a new
-    /// element).
-    pub last_op_on_address: bool,
-    /// `true` if this is the last operation of the element on the last
-    /// address of the element's sequence.
-    pub last_op_of_element: bool,
-}
 
 /// A detected mismatch: a read returned something other than its expected
 /// value.
@@ -503,25 +478,6 @@ impl MarchWalk {
         ControlFlow::Continue(())
     }
 
-    /// The walk step at `index` as `(element, op index, address, code)`.
-    fn step_at(&self, index: usize) -> (usize, usize, Address, u8) {
-        let element_index = self
-            .elements
-            .partition_point(|element| element.first_step as usize <= index)
-            - 1;
-        let element = &self.elements[element_index];
-        let offset = index - element.first_step as usize;
-        let (position, op_index) = (offset / element.ops(), offset % element.ops());
-        let last = self.plan.len() - 1;
-        let up = if element.descending {
-            last - position
-        } else {
-            position
-        };
-        let code = element.row(position, last)[op_index];
-        (element_index, op_index, self.plan.ascending[up], code)
-    }
-
     /// A run's result: its `mismatches` with the full walk's totals.
     fn result(&self, mismatches: Vec<Mismatch>) -> MarchResult {
         MarchResult {
@@ -566,34 +522,6 @@ impl MarchWalk {
     pub fn writes(&self) -> u64 {
         self.writes
     }
-
-    /// The traversal as fully described [`MarchStep`]s, in execution order.
-    pub fn steps(&self) -> impl ExactSizeIterator<Item = MarchStep> + '_ {
-        (0..self.len).map(|index| {
-            let (element, op_index, address, code) = self.step_at(index);
-            MarchStep {
-                element,
-                op_index,
-                address,
-                op: decode_op(code),
-                last_op_on_address: code & LAST_ON_ADDRESS != 0,
-                last_op_of_element: code & LAST_OF_ELEMENT != 0,
-            }
-        })
-    }
-}
-
-/// Enumerates every `(element, address, operation)` step of `test` over
-/// `organization` under `order`, in execution order.
-///
-/// Convenience wrapper over [`MarchWalk::steps`]; sweeps that run many
-/// faults should build the [`MarchWalk`] once instead.
-pub fn march_walk(
-    test: &MarchTest,
-    order: &dyn AddressOrder,
-    organization: &ArrayOrganization,
-) -> Vec<MarchStep> {
-    MarchWalk::new(test, order, organization).steps().collect()
 }
 
 /// Applies one step to `memory`: a write stores its value, a read returns
@@ -820,34 +748,6 @@ mod tests {
             .mismatches
             .iter()
             .all(|m| m.address == Address::new(5)));
-    }
-
-    #[test]
-    fn walk_enumerates_every_operation_in_order() {
-        let organization = org();
-        let test = library::mats_plus();
-        let steps = march_walk(&test, &WordLineAfterWordLine, &organization);
-        assert_eq!(
-            steps.len(),
-            test.operation_count() * organization.capacity() as usize
-        );
-        // First element is ⇕(w0): one op per address, each both last-on-
-        // address; the final one is also last-of-element.
-        assert!(steps[0].last_op_on_address);
-        assert!(!steps[0].last_op_of_element);
-        let first_element_steps = organization.capacity() as usize;
-        assert!(steps[first_element_steps - 1].last_op_of_element);
-        // Second element ⇑(r0,w1): alternating last_op_on_address.
-        let s = &steps[first_element_steps];
-        assert_eq!(s.element, 1);
-        assert_eq!(s.op, MarchOp::R0);
-        assert!(!s.last_op_on_address);
-        assert!(steps[first_element_steps + 1].last_op_on_address);
-        // Descending element ends on address 0.
-        let last = steps.last().unwrap();
-        assert_eq!(last.element, 2);
-        assert_eq!(last.address, Address::new(0));
-        assert!(last.last_op_of_element);
     }
 
     #[test]
@@ -1126,13 +1026,6 @@ mod tests {
                         (reference.len(), reads, writes),
                         "{context}: totals"
                     );
-                    let at: Vec<Step> = (0..walk.len())
-                        .map(|index| {
-                            let (element, op_index, address, code) = walk.step_at(index);
-                            (address.value(), element as u16, op_index as u8, code)
-                        })
-                        .collect();
-                    assert_eq!(at, reference, "{context}: step_at");
                     let projected: Vec<(u32, usize, u8)> = reference
                         .iter()
                         .map(|&(address, element, _, code)| (address, usize::from(element), code))
@@ -1170,36 +1063,16 @@ mod tests {
 
     #[test]
     fn every_address_owns_one_step_per_test_operation() {
+        // Which steps those are, and in what order, the implicit-walk test
+        // pins against the materialising builder.
         let organization = org();
         let test = library::march_ss();
         let walk = MarchWalk::new(&test, &ColumnMajor, &organization);
         assert_eq!(walk.ops_per_address(), test.operation_count());
-        let steps: Vec<MarchStep> = walk.steps().collect();
-        assert_eq!(steps.len(), walk.len());
-        let mut seen = 0usize;
         for raw in 0..organization.capacity() {
             let list = steps_at_address(&walk, Address::new(raw));
-            assert_eq!(list.len(), walk.ops_per_address());
-            assert!(list.windows(2).all(|w| w[0].0 < w[1].0), "ascending order");
-            for (index, payload) in list {
-                let step = steps[index as usize];
-                assert_eq!(step.address, Address::new(raw));
-                // The computed payload must reproduce the step exactly.
-                assert_eq!((payload >> 16) as usize, step.element);
-                assert_eq!((payload >> 8 & 0xFF) as usize, step.op_index);
-                assert_eq!(decode_op(payload as u8), step.op);
-                assert_eq!(
-                    payload as u8 & LAST_ON_ADDRESS != 0,
-                    step.last_op_on_address
-                );
-                assert_eq!(
-                    payload as u8 & LAST_OF_ELEMENT != 0,
-                    step.last_op_of_element
-                );
-            }
-            seen += walk.ops_per_address();
+            assert_eq!(list.len(), walk.ops_per_address(), "address {raw}");
         }
-        assert_eq!(seen, walk.len(), "every step belongs to exactly one cell");
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //!
 //! [`simulate_fault`] injects one fault into an otherwise fault-free
 //! memory, runs a March test over it under a given address order and
-//! reports whether the test detected the fault (at least one read
-//! mismatch). This is the primitive underneath the
+//! returns the number of read mismatches: the fault is detected exactly
+//! when it is non-zero. This is the primitive underneath the
 //! [`coverage`](crate::coverage) and [`dof`](crate::dof) experiments.
 //!
-//! Sweeps over many faults should precompute one [`MarchWalk`] and call
-//! [`simulate_fault_on_walk`] with a reused scratch [`GoodMemory`]: the
-//! walk is shared read-only across the whole fault list (and across
+//! Sweeps over many faults precompute one [`MarchWalk`] and call
+//! [`simulate_fault_counts_on_walk`] with a reused scratch [`GoodMemory`]:
+//! the walk is shared read-only across the whole fault list (and across
 //! threads) and the scratch memory is refilled instead of reallocated,
 //! so the per-fault cost is exactly one kernel scan. The simulation runs
 //! on the fault in place, so a sweep copies each `Copy` fault value
@@ -16,9 +16,10 @@
 //! sweeps go one step further through the collapsed backend
 //! ([`crate::batch`]), which runs this path — the golden reference — once
 //! per fault equivalence class, on a canonical walk of at most five
-//! cells, and alone for every fault of a walk it cannot classify on. A localised fault is filtered
-//! down to the steps touching its involved cells, which the implicit
-//! [`MarchWalk`] finds at one permutation position per element.
+//! cells, and alone for every fault of a walk it cannot classify on. A
+//! localised fault is filtered down to the steps touching its involved
+//! cells, which the implicit [`MarchWalk`] finds at one permutation
+//! position per element.
 
 use sram_model::config::ArrayOrganization;
 
@@ -28,7 +29,7 @@ use crate::executor::{
     run_march_until_detected, run_march_until_detected_filtered, run_march_walk,
     run_march_walk_filtered, MarchWalk,
 };
-use crate::faults::{Fault, FaultKind};
+use crate::faults::Fault;
 use crate::memory::{GoodMemory, MemoryModel};
 
 /// How much detail a fault simulation records.
@@ -39,27 +40,9 @@ pub enum DetectionMode {
     Full,
     /// Stop at the first mismatching read — the fast mode for coverage and
     /// degree-of-freedom sweeps, where only the detected/missed bit
-    /// matters. [`FaultSimOutcome::mismatches`] is `1` for a detected
-    /// fault and `0` otherwise.
+    /// matters. The mismatch count is `1` for a detected fault and `0`
+    /// otherwise.
     FirstMismatch,
-}
-
-/// Result of simulating one fault under one test/order combination.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultSimOutcome {
-    /// Instance name of the injected fault.
-    pub fault_name: String,
-    /// Fault class.
-    pub fault_kind: FaultKind,
-    /// Name of the March test applied.
-    pub test_name: String,
-    /// Name of the address order used.
-    pub order_name: String,
-    /// Whether at least one read mismatched.
-    pub detected: bool,
-    /// Number of read mismatches observed (capped at `1` under
-    /// [`DetectionMode::FirstMismatch`]).
-    pub mismatches: usize,
 }
 
 /// A fault-free scratch memory borrowed by one fault for one run.
@@ -87,36 +70,12 @@ impl<F: Fault + ?Sized> MemoryModel for BorrowedFaultyMemory<'_, F> {
 }
 
 /// Runs a precomputed `walk` over a scratch memory containing exactly one
-/// injected fault.
+/// injected fault — the per-fault golden path — and returns the mismatch
+/// count, so the fault is detected exactly when it is non-zero.
 ///
 /// `scratch` must have the walk's capacity; it is reset to `background`
-/// before the run, so the same allocation can serve an entire sweep.
-pub fn simulate_fault_on_walk<F: Fault>(
-    walk: &MarchWalk,
-    scratch: &mut GoodMemory,
-    mut fault: F,
-    background: bool,
-    mode: DetectionMode,
-) -> FaultSimOutcome {
-    let fault_name = fault.name();
-    let fault_kind = fault.kind();
-    let mismatches = fault.simulate_on_walk(walk, scratch, background, mode);
-    FaultSimOutcome {
-        fault_name,
-        fault_kind,
-        test_name: walk.test_name().to_string(),
-        order_name: walk.order_name().to_string(),
-        detected: mismatches > 0,
-        mismatches,
-    }
-}
-
-/// The assembly-free core of [`simulate_fault_on_walk`] — the per-fault
-/// golden path: runs the same simulation on `fault` in place and reports
-/// only the mismatch count, so the fault is detected exactly when it is
-/// non-zero and the caller renders names however it wants (full
-/// [`FaultSimOutcome`] strings, or none at all in an
-/// [`InternedSweep`](crate::intern::InternedSweep)). The coverage sweeps
+/// before the run, so the same allocation can serve an entire sweep. The
+/// simulation runs on `fault` in place. The coverage sweeps
 /// ([`crate::coverage::evaluate_coverage_interned_on_walk`]) run a copy
 /// of each fault value through it, by [`Fault::simulate_on_walk`].
 pub fn simulate_fault_counts_on_walk<F: Fault + ?Sized>(
@@ -161,32 +120,22 @@ pub fn simulate_fault_counts_on_walk<F: Fault + ?Sized>(
     }
 }
 
-/// Runs `test` over a memory containing exactly one injected fault. The
-/// memory starts with the all-`0` background.
+/// Runs `test` over a memory containing exactly one injected fault, with
+/// every cell initialised to `background` before the test starts, and
+/// returns the number of read mismatches (every one counted). Detection
+/// of some faults (e.g. write-disturb faults triggered by the very first
+/// initialising write) depends on the pre-test contents, which is why the
+/// background is exposed.
 pub fn simulate_fault<F: Fault>(
     test: &MarchTest,
     order: &dyn AddressOrder,
     organization: &ArrayOrganization,
-    fault: F,
-) -> FaultSimOutcome {
-    simulate_fault_with_background(test, order, organization, fault, false)
-}
-
-/// Runs `test` over a memory containing exactly one injected fault, with
-/// every cell initialised to `background` before the test starts. Detection
-/// of some faults (e.g. write-disturb faults triggered by the very first
-/// initialising write) depends on the pre-test contents, which is why the
-/// background is exposed.
-pub fn simulate_fault_with_background<F: Fault>(
-    test: &MarchTest,
-    order: &dyn AddressOrder,
-    organization: &ArrayOrganization,
-    fault: F,
+    mut fault: F,
     background: bool,
-) -> FaultSimOutcome {
+) -> usize {
     let walk = MarchWalk::new(test, order, organization);
     let mut scratch = GoodMemory::new(organization.capacity());
-    simulate_fault_on_walk(&walk, &mut scratch, fault, background, DetectionMode::Full)
+    fault.simulate_on_walk(&walk, &mut scratch, background, DetectionMode::Full)
 }
 
 #[cfg(test)]
@@ -208,14 +157,14 @@ mod tests {
     fn mats_plus_detects_stuck_at_faults() {
         let organization = org();
         for value in [false, true] {
-            let outcome = simulate_fault(
+            let mismatches = simulate_fault(
                 &library::mats_plus(),
                 &WordLineAfterWordLine,
                 &organization,
                 StuckAtFault::new(Address::new(7), value),
+                false,
             );
-            assert!(outcome.detected, "MATS+ must detect SAF{}", u8::from(value));
-            assert!(outcome.mismatches > 0);
+            assert!(mismatches > 0, "MATS+ must detect SAF{}", u8::from(value));
         }
     }
 
@@ -223,16 +172,14 @@ mod tests {
     fn march_c_minus_detects_transition_faults() {
         let organization = org();
         for rising in [false, true] {
-            let outcome = simulate_fault(
+            let mismatches = simulate_fault(
                 &library::march_c_minus(),
                 &WordLineAfterWordLine,
                 &organization,
                 TransitionFault::new(Address::new(9), rising),
+                false,
             );
-            assert!(
-                outcome.detected,
-                "March C- must detect TF (rising={rising})"
-            );
+            assert!(mismatches > 0, "March C- must detect TF (rising={rising})");
         }
     }
 
@@ -244,25 +191,25 @@ mod tests {
         // required ...w_x, r_x pattern and catches it regardless.
         let organization = org();
         let victim = Address::new(5);
-        let missed = simulate_fault_with_background(
+        let missed = simulate_fault(
             &library::mats_plus(),
             &WordLineAfterWordLine,
             &organization,
             WriteDisturbFault::new(victim),
             true,
         );
-        assert!(
-            !missed.detected,
+        assert_eq!(
+            missed, 0,
             "MATS+ applies no non-transition write followed by a read"
         );
-        let caught = simulate_fault_with_background(
+        let caught = simulate_fault(
             &library::march_ss(),
             &WordLineAfterWordLine,
             &organization,
             WriteDisturbFault::new(victim),
             true,
         );
-        assert!(caught.detected, "March SS detects WDF");
+        assert!(caught > 0, "March SS detects WDF");
     }
 
     #[test]
@@ -274,29 +221,17 @@ mod tests {
             &WordLineAfterWordLine,
             &organization,
             DeceptiveReadDestructiveFault::new(victim),
+            false,
         );
-        assert!(!missed.detected, "MATS+ has no back-to-back reads");
+        assert_eq!(missed, 0, "MATS+ has no back-to-back reads");
         let caught = simulate_fault(
             &library::march_ss(),
             &WordLineAfterWordLine,
             &organization,
             DeceptiveReadDestructiveFault::new(victim),
+            false,
         );
-        assert!(caught.detected, "March SS has r,r pairs and detects DRDF");
-    }
-
-    #[test]
-    fn outcome_records_names() {
-        let organization = org();
-        let outcome = simulate_fault(
-            &library::march_c_minus(),
-            &WordLineAfterWordLine,
-            &organization,
-            StuckAtFault::new(Address::new(0), true),
-        );
-        assert_eq!(outcome.test_name, "March C-");
-        assert_eq!(outcome.order_name, "word line after word line");
-        assert_eq!(outcome.fault_name, "SAF1@0");
+        assert!(caught > 0, "March SS has r,r pairs and detects DRDF");
     }
 
     #[test]
@@ -306,22 +241,22 @@ mod tests {
         let walk = MarchWalk::new(&test, &WordLineAfterWordLine, &organization);
         let mut scratch = GoodMemory::new(organization.capacity());
         for background in [false, true] {
-            for fault in standard_fault_list(&organization) {
-                let reused = simulate_fault_on_walk(
-                    &walk,
-                    &mut scratch,
-                    fault,
-                    background,
-                    DetectionMode::Full,
-                );
-                let one_shot = simulate_fault_with_background(
+            for mut fault in standard_fault_list(&organization) {
+                let one_shot = simulate_fault(
                     &test,
                     &WordLineAfterWordLine,
                     &organization,
                     fault,
                     background,
                 );
-                assert_eq!(reused, one_shot, "background {background}");
+                let reused = simulate_fault_counts_on_walk(
+                    &walk,
+                    &mut scratch,
+                    &mut fault,
+                    background,
+                    DetectionMode::Full,
+                );
+                assert_eq!(reused, one_shot, "{fault} / background {background}");
             }
         }
     }
@@ -333,18 +268,13 @@ mod tests {
         let walk = MarchWalk::new(&test, &WordLineAfterWordLine, &organization);
         let mut scratch = GoodMemory::new(organization.capacity());
         for fault in standard_fault_list(&organization) {
-            let full =
-                simulate_fault_on_walk(&walk, &mut scratch, fault, false, DetectionMode::Full);
-            let fast = simulate_fault_on_walk(
-                &walk,
-                &mut scratch,
-                fault,
-                false,
-                DetectionMode::FirstMismatch,
-            );
-            assert_eq!(full.detected, fast.detected, "{}", full.fault_name);
-            assert_eq!(fast.mismatches, usize::from(fast.detected));
-            assert!(fast.mismatches <= full.mismatches);
+            let mut run = |mode| {
+                let mut fault = fault;
+                simulate_fault_counts_on_walk(&walk, &mut scratch, &mut fault, false, mode)
+            };
+            let full = run(DetectionMode::Full);
+            let fast = run(DetectionMode::FirstMismatch);
+            assert_eq!(fast, usize::from(full > 0), "{fault}");
         }
     }
 
@@ -368,15 +298,15 @@ mod tests {
         );
         let walk = MarchWalk::new(&test, &WordLineAfterWordLine, &organization);
         assert!(!walk.locality_safe());
-        let outcome = simulate_fault(
+        let mismatches = simulate_fault(
             &test,
             &WordLineAfterWordLine,
             &organization,
             IncorrectReadFault::new(Address::new(3)),
+            false,
         );
-        assert!(outcome.detected, "fault-free mismatches must be preserved");
         assert_eq!(
-            outcome.mismatches,
+            mismatches,
             organization.capacity() as usize - 1,
             "every cell but the (incorrectly matching) victim mismatches"
         );
@@ -391,10 +321,10 @@ mod tests {
         let organization = org();
         let walk = MarchWalk::new(&library::mats_plus(), &WordLineAfterWordLine, &organization);
         let mut scratch = GoodMemory::new(8);
-        let _ = simulate_fault_on_walk(
+        let _ = simulate_fault_counts_on_walk(
             &walk,
             &mut scratch,
-            StuckAtFault::new(Address::new(0), true),
+            &mut StuckAtFault::new(Address::new(0), true),
             false,
             DetectionMode::Full,
         );

@@ -1,26 +1,21 @@
-//! Compact sweep reports — the one report shape the sweep kernel produces.
+//! Compact sweep reports — the one report shape every sweep produces.
 //!
 //! A sweep keeps each fault as the `Copy` value it swept
 //! ([`FaultModel`]) next to its mismatch count: one [`OutcomeCode`] per
 //! fault and no string. Names are rendered only when something asks for
 //! them. The [`InternedSweep`] report offers the aggregate accessors
-//! consumers need, a stable 64-bit [`digest`](InternedSweep::digest)
-//! (campaign journals pin this fingerprint, not megabytes of outcomes)
-//! that formats every name into one reused buffer, lazy per-outcome
-//! [`Display`](std::fmt::Display) rendering, and
-//! [`materialize`](InternedSweep::materialize), which expands it into the
-//! string-bearing [`CoverageReport`] — three heap strings per outcome —
-//! for consumers that want per-fault structs. The materialized report's
-//! [`CoverageReport::digest`] is **bit-identical** to the sweep's.
+//! consumers need (coverage, per-kind counts), a stable 64-bit
+//! [`digest`](InternedSweep::digest) (campaign journals pin this
+//! fingerprint, not megabytes of outcomes) that formats every name into
+//! one reused buffer, and lazy per-outcome [`Display`](std::fmt::Display)
+//! rendering.
 //!
 //! Sweeps produce it through
-//! [`evaluate_coverage_interned`](crate::coverage::evaluate_coverage_interned);
-//! the `CoverageReport` entry points materialize that result.
+//! [`evaluate_coverage_interned`](crate::coverage::evaluate_coverage_interned).
 
+use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
-use crate::coverage::CoverageReport;
-use crate::fault_sim::FaultSimOutcome;
 use crate::faults::{FaultKind, FaultModel};
 use crate::rng::Fnv1a;
 
@@ -66,8 +61,7 @@ impl fmt::Display for OutcomeCode {
 }
 
 /// A coverage sweep report that holds fault values, not names — what
-/// every sweep produces; [`CoverageReport`] is its materialized,
-/// string-bearing form.
+/// every sweep produces.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InternedSweep {
     test: String,
@@ -143,10 +137,9 @@ impl InternedSweep {
     /// A stable 64-bit digest of the whole report: test and order names
     /// plus every outcome's name, kind, detection bit and mismatch count,
     /// absorbed in fault-list order through [`Fnv1a`]. Each name is
-    /// formatted into one buffer reused across the report.
-    /// **Bit-identical** to [`CoverageReport::digest`] of the materialized
-    /// report, so journals pinned from either shape verify against the
-    /// other.
+    /// formatted into one buffer reused across the report. Campaign
+    /// journals and exports store it, so its value must not move: a test
+    /// pins it for the Table 1 sweeps of the standard fault list.
     pub fn digest(&self) -> u64 {
         let mut hasher = Fnv1a::new();
         hasher.write(self.test.as_bytes());
@@ -166,24 +159,20 @@ impl InternedSweep {
         hasher.finish()
     }
 
-    /// Expands this report into the string-bearing [`CoverageReport`] —
-    /// one rendered name per outcome plus the test/order copies, for
-    /// consumers that want per-fault structs. The result is digest-equal
-    /// to this report.
-    pub fn materialize(&self) -> CoverageReport {
-        let outcomes = self
-            .codes
-            .iter()
-            .map(|code| FaultSimOutcome {
-                fault_name: code.name(),
-                fault_kind: code.kind(),
-                test_name: self.test.clone(),
-                order_name: self.order.clone(),
-                detected: code.detected(),
-                mismatches: code.mismatches as usize,
-            })
-            .collect();
-        CoverageReport::new(&*self.test, &*self.order, outcomes)
+    /// Per-fault-kind `(detected, total)` counts, keyed by the kind's
+    /// short name.
+    pub fn by_kind(&self) -> BTreeMap<String, (usize, usize)> {
+        let mut map: BTreeMap<&'static str, (usize, usize)> = BTreeMap::new();
+        for code in &self.codes {
+            let entry = map.entry(code.kind().as_str()).or_insert((0, 0));
+            entry.1 += 1;
+            if code.detected() {
+                entry.0 += 1;
+            }
+        }
+        map.into_iter()
+            .map(|(kind, counts)| (kind.to_string(), counts))
+            .collect()
     }
 }
 
@@ -213,7 +202,7 @@ mod tests {
         assert_eq!(sweep.total_mismatches(), 2);
         assert_eq!(sweep.test_name(), "March SS");
         assert_eq!(sweep.order_name(), "word line after word line");
-        assert_eq!(sweep.digest(), sweep.materialize().digest());
+        assert_eq!(sweep.by_kind()["TF"], (1, 1));
     }
 
     #[test]
@@ -221,6 +210,6 @@ mod tests {
         let sweep = InternedSweep::new("MATS+", "column major", Vec::new());
         assert_eq!(sweep.coverage(), 0.0);
         assert_eq!(sweep.total(), 0);
-        assert_eq!(sweep.materialize().total(), 0);
+        assert!(sweep.by_kind().is_empty());
     }
 }

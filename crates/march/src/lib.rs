@@ -90,7 +90,7 @@
 //! // Sweep a fault list with the shared-walk kernel: early-exit
 //! // detection, one simulation per equivalence class.
 //! let faults = standard_fault_list(&organization);
-//! let report = evaluate_coverage_with(
+//! let report = evaluate_coverage_interned(
 //!     &test,
 //!     &order,
 //!     &organization,
@@ -98,6 +98,7 @@
 //!     SweepOptions::fast(),
 //! );
 //! assert!(report.coverage() > 0.5);
+//! assert_eq!(report.by_kind()["SAF"], (6, 6));
 //! # Ok::<(), sram_model::error::SramError>(())
 //! ```
 #![forbid(unsafe_code)]
@@ -130,19 +131,17 @@ pub mod prelude {
     pub use crate::background::DataBackground;
     pub use crate::batch::{Cohort, FaultBatch};
     pub use crate::coverage::{
-        catch_sweep, evaluate_coverage, evaluate_coverage_on_walk, evaluate_coverage_with,
-        panic_message, CoverageReport, SweepBackend, SweepOptions, SweepPanic,
+        catch_sweep, evaluate_coverage_interned, evaluate_coverage_interned_on_walk, panic_message,
+        SweepBackend, SweepOptions, SweepPanic,
     };
     pub use crate::element::{AddressDirection, MarchElement};
     pub use crate::executor::{
-        run_march, run_march_until_detected, run_march_walk, AddressPlan, MarchResult, MarchStep,
-        MarchWalk,
+        run_march, run_march_until_detected, run_march_walk, AddressPlan, MarchResult, MarchWalk,
     };
-    pub use crate::fault_sim::{
-        simulate_fault, simulate_fault_on_walk, DetectionMode, FaultSimOutcome,
-    };
+    pub use crate::fault_sim::{simulate_fault, simulate_fault_counts_on_walk, DetectionMode};
     pub use crate::faultgen::{FaultGen, FaultGenError, FaultPopulation};
     pub use crate::faults::{standard_fault_list, Fault, FaultModel};
+    pub use crate::intern::{InternedSweep, OutcomeCode};
     pub use crate::library;
     pub use crate::library::algorithm_by_name;
     pub use crate::memory::{GoodMemory, MemoryModel};

@@ -9,19 +9,19 @@
 //! mixed, random victims/aggressors over a random organization), a random
 //! algorithm, address order, data background and detection mode — and
 //! asserts the collapsed path is **bit-identical** to the golden path:
-//! the whole [`CoverageReport`] (detected/escaped and mismatch counts per
+//! the whole [`InternedSweep`] (detected/escaped and mismatch counts per
 //! fault, in fault-list order), serial and parallel.
 //!
 //! Every assertion message carries the scenario seed, so a failure
 //! reproduces with `scenario(seed)` alone — no fault list to copy around.
 //!
-//! [`CoverageReport`]: march_test::coverage::CoverageReport
+//! [`InternedSweep`]: march_test::intern::InternedSweep
 
 use march_test::address_order::{
     AddressOrder, ColumnMajor, LinearOrder, PseudoRandomOrder, WordLineAfterWordLine,
 };
 use march_test::batch::{Cohort, FaultBatch};
-use march_test::coverage::{evaluate_coverage_with, SweepBackend, SweepOptions};
+use march_test::coverage::{evaluate_coverage_interned, SweepBackend, SweepOptions};
 use march_test::executor::MarchWalk;
 use march_test::fault_sim::DetectionMode;
 use march_test::faultgen::FaultGen;
@@ -96,7 +96,7 @@ impl Scenario {
     /// Asserts every collapsed configuration reproduces the golden path
     /// bit-identically on this scenario.
     fn check(&self) {
-        let golden = evaluate_coverage_with(
+        let golden = evaluate_coverage_interned(
             &self.test,
             self.order.as_ref(),
             &self.organization,
@@ -110,7 +110,7 @@ impl Scenario {
         );
         assert_eq!(golden.total(), self.population.len(), "{}", self.tag());
         for parallel in [false, true] {
-            let batched = evaluate_coverage_with(
+            let batched = evaluate_coverage_interned(
                 &self.test,
                 self.order.as_ref(),
                 &self.organization,
@@ -216,7 +216,7 @@ fn shuffled_permutations_match_generation_order_bit_identically() {
                 parallel,
                 backend,
             };
-            let golden = evaluate_coverage_with(
+            let golden = evaluate_coverage_interned(
                 &test,
                 &WordLineAfterWordLine,
                 &organization,
@@ -224,7 +224,7 @@ fn shuffled_permutations_match_generation_order_bit_identically() {
                 options(SweepBackend::PerFault, false),
             );
             for parallel in [false, true] {
-                let ordered_report = evaluate_coverage_with(
+                let ordered_report = evaluate_coverage_interned(
                     &test,
                     &WordLineAfterWordLine,
                     &organization,
@@ -235,7 +235,7 @@ fn shuffled_permutations_match_generation_order_bit_identically() {
                     golden, ordered_report,
                     "{tag} [{mode:?}, parallel={parallel}]"
                 );
-                let shuffled_report = evaluate_coverage_with(
+                let shuffled_report = evaluate_coverage_interned(
                     &test,
                     &WordLineAfterWordLine,
                     &organization,
@@ -247,10 +247,10 @@ fn shuffled_permutations_match_generation_order_bit_identically() {
                     ordered_report.total(),
                     "{tag} [{mode:?}, parallel={parallel}]"
                 );
-                for (position, outcome) in shuffled_report.outcomes().iter().enumerate() {
+                for (position, outcome) in shuffled_report.codes().iter().enumerate() {
                     assert_eq!(
                         outcome,
-                        &ordered_report.outcomes()[perm[position]],
+                        &ordered_report.codes()[perm[position]],
                         "{tag} [{mode:?}, parallel={parallel}]: shuffled outcome {position} \
                          must equal ordered outcome {}",
                         perm[position]

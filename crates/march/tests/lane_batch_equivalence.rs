@@ -10,7 +10,7 @@
 
 use march_test::address_order::{AddressOrder, ColumnMajor, WordLineAfterWordLine};
 use march_test::batch::FaultBatch;
-use march_test::coverage::{evaluate_coverage_with, SweepBackend, SweepOptions};
+use march_test::coverage::{evaluate_coverage_interned, SweepBackend, SweepOptions};
 use march_test::executor::MarchWalk;
 use march_test::fault_sim::DetectionMode;
 use march_test::faults::{
@@ -41,7 +41,7 @@ fn batched_sweep_equals_the_serial_per_fault_path_everywhere() {
             for order in [&WordLineAfterWordLine as &dyn AddressOrder, &ColumnMajor] {
                 for background in [false, true] {
                     for mode in [DetectionMode::Full, DetectionMode::FirstMismatch] {
-                        let golden = evaluate_coverage_with(
+                        let golden = evaluate_coverage_interned(
                             &test,
                             order,
                             &organization,
@@ -54,7 +54,7 @@ fn batched_sweep_equals_the_serial_per_fault_path_everywhere() {
                             },
                         );
                         for parallel in [false, true] {
-                            let batched = evaluate_coverage_with(
+                            let batched = evaluate_coverage_interned(
                                 &test,
                                 order,
                                 &organization,
@@ -122,7 +122,7 @@ fn populations_of_any_size_stay_equivalent() {
         assert!(plan.cohorts().len() <= count, "count {count}");
         for mode in [DetectionMode::Full, DetectionMode::FirstMismatch] {
             for background in [false, true] {
-                let golden = evaluate_coverage_with(
+                let golden = evaluate_coverage_interned(
                     &test,
                     &WordLineAfterWordLine,
                     &organization,
@@ -134,7 +134,7 @@ fn populations_of_any_size_stay_equivalent() {
                         backend: SweepBackend::PerFault,
                     },
                 );
-                let batched = evaluate_coverage_with(
+                let batched = evaluate_coverage_interned(
                     &test,
                     &WordLineAfterWordLine,
                     &organization,

@@ -15,7 +15,7 @@
 
 use march_test::address_order::WordLineAfterWordLine;
 use march_test::batch::{Cohort, FaultBatch};
-use march_test::coverage::{evaluate_coverage_on_walk, SweepBackend, SweepOptions};
+use march_test::coverage::{evaluate_coverage_interned_on_walk, SweepBackend, SweepOptions};
 use march_test::executor::MarchWalk;
 use march_test::fault_sim::DetectionMode;
 use march_test::faultgen::FaultGen;
@@ -117,7 +117,7 @@ fn outcomes_reassemble_in_fault_list_order() {
             &organization,
         );
         for parallel in [false, true] {
-            let report = evaluate_coverage_on_walk(
+            let report = evaluate_coverage_interned_on_walk(
                 &walk,
                 &faults,
                 SweepOptions {
@@ -128,10 +128,9 @@ fn outcomes_reassemble_in_fault_list_order() {
                 },
             );
             assert_eq!(report.total(), faults.len(), "seed {seed:#x}");
-            for (index, (outcome, fault)) in report.outcomes().iter().zip(&faults).enumerate() {
+            for (index, (outcome, fault)) in report.codes().iter().zip(&faults).enumerate() {
                 assert_eq!(
-                    outcome.fault_name,
-                    fault.name(),
+                    outcome.fault, *fault,
                     "seed {seed:#x} [parallel={parallel}]: outcome {index} must describe \
                      fault {index}"
                 );
@@ -156,8 +155,12 @@ fn collapsed_sweeps_equal_the_golden_path() {
                 backend,
             };
             assert_eq!(
-                evaluate_coverage_on_walk(&walk, &faults, options(SweepBackend::PerFault)),
-                evaluate_coverage_on_walk(&walk, &faults, options(SweepBackend::LaneBatched)),
+                evaluate_coverage_interned_on_walk(&walk, &faults, options(SweepBackend::PerFault)),
+                evaluate_coverage_interned_on_walk(
+                    &walk,
+                    &faults,
+                    options(SweepBackend::LaneBatched)
+                ),
                 "seed {seed:#x} [{mode:?}]"
             );
         }

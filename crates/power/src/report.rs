@@ -28,9 +28,9 @@ pub struct ModeReport {
 
 impl ModeReport {
     /// Builds the report from a finished meter and its breakdown, computing
-    /// every derived quantity exactly once (`CoverageReport`-style caching:
-    /// the fields are plain values afterwards, so repeated accesses never
-    /// re-derive them from the meter).
+    /// every derived quantity exactly once: the fields are plain values
+    /// afterwards, so repeated accesses never re-derive them from the
+    /// meter.
     pub fn from_meter(meter: &PowerMeter, breakdown: &PowerBreakdown) -> Self {
         Self {
             cycles: meter.cycles(),

@@ -14,9 +14,8 @@
 use sram_test_power::march_test::address_order::{
     AddressOrder, ColumnMajor, WordLineAfterWordLine,
 };
-use sram_test_power::march_test::coverage::{evaluate_coverage_on_walk, SweepOptions};
+use sram_test_power::march_test::coverage::{evaluate_coverage_interned, SweepOptions};
 use sram_test_power::march_test::dof::{verify_order_independence, DegreeOfFreedom};
-use sram_test_power::march_test::executor::MarchWalk;
 use sram_test_power::march_test::faults::static_fault_list;
 use sram_test_power::march_test::library;
 use sram_test_power::sram_model::config::ArrayOrganization;
@@ -44,20 +43,16 @@ fn main() -> Result<(), SramError> {
         "{:<10} {:>22} {:>14} {:>18}",
         "algorithm", "coverage (row-major)", "coverage (col)", "order independent"
     );
-    // Each sweep shares one precomputed walk across the whole fault list
-    // and runs early-exit simulations in parallel (SweepOptions::fast) —
+    // Each order's sweep shares one precomputed walk across the whole
+    // fault list and runs early-exit simulations (SweepOptions::fast) —
     // the throughput kernel the `fault_sim_bench` binary measures.
     for test in library::table1_algorithms() {
-        let row_walk = MarchWalk::new(&test, &WordLineAfterWordLine, &organization);
-        let col_walk = MarchWalk::new(&test, &ColumnMajor, &organization);
-        let row_major = evaluate_coverage_on_walk(&row_walk, &faults, SweepOptions::fast());
-        let col_major = evaluate_coverage_on_walk(&col_walk, &faults, SweepOptions::fast());
         let report = verify_order_independence(&test, &orders, &organization, &faults);
         println!(
             "{:<10} {:>21.1}% {:>13.1}% {:>18}",
             test.name(),
-            row_major.coverage() * 100.0,
-            col_major.coverage() * 100.0,
+            report.reports[0].coverage() * 100.0,
+            report.reports[1].coverage() * 100.0,
             if report.coverage_is_order_independent() {
                 "yes"
             } else {
@@ -68,8 +63,13 @@ fn main() -> Result<(), SramError> {
 
     println!();
     println!("per-kind detail for March SS under the paper's address order:");
-    let walk = MarchWalk::new(&library::march_ss(), &WordLineAfterWordLine, &organization);
-    let report = evaluate_coverage_on_walk(&walk, &faults, SweepOptions::fast());
+    let report = evaluate_coverage_interned(
+        &library::march_ss(),
+        &WordLineAfterWordLine,
+        &organization,
+        &faults,
+        SweepOptions::fast(),
+    );
     for (kind, (detected, total)) in report.by_kind() {
         println!("  {kind:<5} {detected}/{total}");
     }

@@ -10,7 +10,7 @@
 use sram_test_power::march_test::address_order::{
     AddressOrder, ColumnMajor, LinearOrder, PseudoRandomOrder, WordLineAfterWordLine,
 };
-use sram_test_power::march_test::coverage::evaluate_coverage;
+use sram_test_power::march_test::coverage::{evaluate_coverage_interned, SweepOptions};
 use sram_test_power::march_test::dof::verify_order_independence;
 use sram_test_power::march_test::faults::{standard_fault_list, static_fault_list};
 use sram_test_power::march_test::library;
@@ -70,13 +70,23 @@ fn coverage_hierarchy_between_algorithms_is_preserved_under_the_paper_order() {
     let faults = standard_fault_list(&organization);
     let order = WordLineAfterWordLine;
 
-    let mats = evaluate_coverage(&library::mats_plus(), &order, &organization, &faults);
-    let c_minus = evaluate_coverage(&library::march_c_minus(), &order, &organization, &faults);
-    let ss = evaluate_coverage(&library::march_ss(), &order, &organization, &faults);
+    let coverage = |test| {
+        evaluate_coverage_interned(
+            &test,
+            &order,
+            &organization,
+            &faults,
+            SweepOptions::default(),
+        )
+        .coverage()
+    };
+    let mats = coverage(library::mats_plus());
+    let c_minus = coverage(library::march_c_minus());
+    let ss = coverage(library::march_ss());
 
-    assert!(c_minus.coverage() >= mats.coverage());
-    assert!(ss.coverage() >= c_minus.coverage());
-    assert!(ss.coverage() > 0.85, "March SS coverage {}", ss.coverage());
+    assert!(c_minus >= mats);
+    assert!(ss >= c_minus);
+    assert!(ss > 0.85, "March SS coverage {ss}");
 }
 
 #[test]
@@ -88,7 +98,13 @@ fn table1_algorithms_detect_their_guaranteed_fault_classes() {
     let organization = ArrayOrganization::new(4, 8).unwrap();
     let faults = standard_fault_list(&organization);
     for test in library::table1_algorithms() {
-        let report = evaluate_coverage(&test, &WordLineAfterWordLine, &organization, &faults);
+        let report = evaluate_coverage_interned(
+            &test,
+            &WordLineAfterWordLine,
+            &organization,
+            &faults,
+            SweepOptions::default(),
+        );
         let by_kind = report.by_kind();
         let (saf_detected, saf_total) = by_kind["SAF"];
         assert_eq!(
