@@ -13,11 +13,12 @@
 //! `--threshold` (default 25 %), absolute `*_per_sec` throughputs by
 //! more than `--absolute-threshold` (default 50 % — CI runners and dev
 //! machines differ in raw speed, so only collapses are failures there).
-//! Every comparison is printed, so the CI log doubles as a throughput
-//! report.
+//! Both thresholds are fractions in [0, 1). Every comparison is printed,
+//! so the CI log doubles as a throughput report.
 //!
 //! Exit codes: `0` when every pair passes, `1` when a gated metric
-//! regressed, `2` for a malformed command line, `3` when a benchmark
+//! regressed, `2` for a malformed command line (a threshold outside
+//! [0, 1) included) or a malformed benchmark file, `3` when a benchmark
 //! file cannot be read.
 
 use bench::regression::{check_benchmarks, GateThresholds};
@@ -39,21 +40,11 @@ fn main() {
                 i += 3;
             }
             "--threshold" => {
-                thresholds.relative =
-                    args.get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| {
-                            die("--threshold needs a fraction like 0.25");
-                        });
+                thresholds.relative = fraction("--threshold", args.get(i + 1));
                 i += 2;
             }
             "--absolute-threshold" => {
-                thresholds.absolute =
-                    args.get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| {
-                            die("--absolute-threshold needs a fraction like 0.5");
-                        });
+                thresholds.absolute = fraction("--absolute-threshold", args.get(i + 1));
                 i += 2;
             }
             other => die(&format!("unknown argument '{other}'")),
@@ -103,6 +94,16 @@ fn main() {
         std::process::exit(1);
     }
     println!("benchmark regression gate passed");
+}
+
+/// The value of a threshold flag: a fraction in [0, 1). A metric fails
+/// when it drops below `1 - threshold` of its baseline, which never
+/// happens at a threshold of 1 or more, or of NaN.
+fn fraction(flag: &str, value: Option<&String>) -> f64 {
+    match value.and_then(|value| value.parse::<f64>().ok()) {
+        Some(fraction) if (0.0..1.0).contains(&fraction) => fraction,
+        _ => die(&format!("{flag} needs a fraction in [0, 1)")),
+    }
 }
 
 fn die(message: &str) -> ! {

@@ -23,7 +23,8 @@
 //! campaign section, the crash-safe campaign runner's jobs/sec against a
 //! direct per-job loop (skip with `--no-campaign`), and the daemon
 //! section, the dynamic-intake path's sustained jobs/sec and overload
-//! shed fraction (skip with `--no-daemon`).
+//! shed fraction (skip with `--no-daemon`). The binary prints the JSON
+//! document it writes.
 //!
 //! Exit codes: `0` on success, `2` for a malformed command line (before
 //! anything is measured or written), `3` when the output file cannot be
@@ -32,7 +33,7 @@
 use std::process::ExitCode;
 
 use bench::cli::{check_size, parse_size_list, FAULT_LIST_MIN_CELLS};
-use bench::throughput::FaultSimSweep;
+use bench::throughput::fault_sim_document;
 use campaign::cli::{Args, UsageError};
 
 const USAGE: &str = "usage: fault_sim_bench [options]
@@ -108,7 +109,10 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         None
     } else {
         let (dense_rows, dense_cols) = match args.value("--dense-size") {
-            Some(spec) => parse_size_list(spec, FAULT_LIST_MIN_CELLS, "--dense-size")?[0],
+            Some(spec) => match parse_size_list(spec, FAULT_LIST_MIN_CELLS, "--dense-size")?[..] {
+                [size] => size,
+                _ => return Err(UsageError::new("--dense-size", "takes exactly one size")),
+            },
             None => (1024, 1024),
         };
         let dense_faults: usize = args.parse_or("--dense-faults", 100_000)?;
@@ -124,109 +128,10 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         "# Fault-simulation sweep throughput ({} organizations, {passes} passes per variant)",
         organizations.len()
     );
-    let sweep = FaultSimSweep::measure(&organizations, passes, dense, campaign, daemon);
-    for result in &sweep.sizes {
-        println!(
-            "{}x{}: {} algorithms x {} faults, {} threads",
-            result.rows,
-            result.cols,
-            result.algorithms.len(),
-            result.fault_count,
-            result.threads
-        );
-        match result.baseline {
-            Some(baseline) => println!(
-                "  baseline (seed-style serial, full walks):  {:>12.1} faults/sec",
-                baseline.faults_per_sec
-            ),
-            None => println!("  baseline (seed-style serial):              skipped above 256x256"),
-        }
-        let vs_baseline = |speedup: Option<f64>| {
-            speedup.map_or_else(String::new, |s| format!("   ({s:.1}x vs baseline)"))
-        };
-        println!(
-            "  kernel serial (shared walk + early exit):  {:>12.1} faults/sec{}",
-            result.kernel_serial.faults_per_sec,
-            vs_baseline(result.speedup_serial())
-        );
-        println!(
-            "  kernel parallel (+ threaded sweep):        {:>12.1} faults/sec{}",
-            result.kernel_parallel.faults_per_sec,
-            vs_baseline(result.speedup_parallel())
-        );
-        println!(
-            "  collapsed serial (one run per class):      {:>12.1} faults/sec   ({:.1}x vs kernel)",
-            result.batched.faults_per_sec,
-            result.speedup_batched_vs_kernel()
-        );
-        println!(
-            "  collapsed, parallel set:                   {:>12.1} faults/sec   ({:.1}x vs kernel)",
-            result.batched_parallel.faults_per_sec,
-            result.speedup_batched_parallel_vs_kernel()
-        );
-    }
-
-    if let Some(section) = &sweep.dense {
-        println!(
-            "dense section at {}x{} ({}):",
-            section.rows, section.cols, section.algorithm
-        );
-        println!(
-            "  standard list ({} faults, collapsed):      {:>12.1} faults/sec",
-            section.standard_fault_count, section.standard.faults_per_sec
-        );
-        println!(
-            "  {} ({} faults, collapsed):        {:>12.1} faults/sec   ({:.2}x vs standard)",
-            section.population,
-            section.fault_count,
-            section.dense.faults_per_sec,
-            section.speedup_dense_vs_standard()
-        );
-        println!(
-            "  dense parallel ({} worker threads):        {:>12.1} faults/sec",
-            section.threads, section.dense_parallel.faults_per_sec
-        );
-        println!(
-            "  dense shuffled (same population):          {:>12.1} faults/sec   ({:.2}x vs ordered)",
-            section.dense_shuffled.faults_per_sec,
-            section.speedup_shuffled_vs_ordered()
-        );
-    }
-
-    if let Some(section) = &sweep.campaign {
-        println!("campaign section ({} jobs):", section.jobs);
-        println!(
-            "  direct per-job loop (no journal):          {:>12.1} jobs/sec",
-            section.direct_jobs_per_sec
-        );
-        println!(
-            "  journaled campaign (1 thread):             {:>12.1} jobs/sec   ({:.2}x vs direct)",
-            section.campaign_jobs_per_sec,
-            section.speedup_campaign_vs_direct()
-        );
-        println!(
-            "  journaled campaign ({} worker threads):     {:>12.1} jobs/sec",
-            section.threads, section.campaign_parallel_jobs_per_sec
-        );
-    }
-
-    if let Some(section) = &sweep.daemon {
-        println!(
-            "daemon section ({} jobs offered per pass):",
-            section.offered
-        );
-        println!(
-            "  sustained intake (spool + journal v2):     {:>12.1} jobs/sec",
-            section.intake_jobs_per_sec
-        );
-        println!(
-            "  overload shed (queue bound {}):             {:.0}% answered queue-full",
-            section.queue_limit,
-            section.shed_fraction * 100.0
-        );
-    }
-
-    if let Err(error) = std::fs::write(out, sweep.to_json()) {
+    let document = fault_sim_document(&organizations, passes, dense, campaign, daemon);
+    let text = format!("{document}\n");
+    print!("{text}");
+    if let Err(error) = std::fs::write(out, text) {
         eprintln!("fault_sim_bench: cannot write {out}: {error}");
         return Ok(ExitCode::from(3));
     }

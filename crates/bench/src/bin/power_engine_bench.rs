@@ -16,6 +16,7 @@
 //! row-replay kernel is asserted bit-identical to the full simulation at
 //! every size, and to the seed replica wherever the replica still runs.
 //! The default sweep is the ROADMAP's 64×64 → 1024×1024 scaling ladder.
+//! The binary prints the JSON document it writes.
 //!
 //! Exit codes: `0` on success, `2` for a malformed command line (before
 //! anything is measured or written), `3` when the output file cannot be
@@ -24,7 +25,7 @@
 use std::process::ExitCode;
 
 use bench::cli::parse_size_list;
-use bench::power_engine::power_engine_throughput;
+use bench::power_engine::power_engine_document;
 use campaign::cli::{Args, UsageError};
 
 const USAGE: &str = "usage: power_engine_bench [options]
@@ -70,40 +71,10 @@ fn run(args: &[String]) -> Result<ExitCode, UsageError> {
         "# Power-engine throughput ({} organizations, {passes} pass(es) per variant)",
         sizes.len()
     );
-    let result = power_engine_throughput(&sizes, passes);
-    for size in &result.sizes {
-        println!(
-            "{}x{}: {} cycles per Table 1 pass",
-            size.rows, size.cols, size.cycles_per_pass
-        );
-        match size.baseline {
-            Some(baseline) => println!(
-                "  baseline (seed-style schedule + serial):   {:>12.0} cycles/sec   (Table 1 in {:.2}s)",
-                baseline.cycles_per_sec, baseline.table1_seconds
-            ),
-            None => println!(
-                "  baseline (seed-style schedule + serial):   skipped above 256x256"
-            ),
-        }
-        let speedup = size
-            .speedup_table1()
-            .map_or_else(String::new, |s| format!(", {s:.1}x"));
-        println!(
-            "  engine (plan + row replay + parallel):     {:>12.0} cycles/sec   (Table 1 in {:.2}s{speedup})",
-            size.engine.cycles_per_sec, size.engine.table1_seconds,
-        );
-        println!(
-            "  simulated (cycle-by-cycle, serial):        {:>12.0} cycles/sec",
-            size.simulated.cycles_per_sec
-        );
-        println!(
-            "  replay kernel (serial):                    {:>12.0} cycles/sec   ({:.1}x vs simulated)",
-            size.replay_serial.cycles_per_sec,
-            size.speedup_replay_vs_simulated()
-        );
-    }
-
-    if let Err(error) = std::fs::write(out, result.to_json()) {
+    let document = power_engine_document(&sizes, passes);
+    let text = format!("{document}\n");
+    print!("{text}");
+    if let Err(error) = std::fs::write(out, text) {
         eprintln!("power_engine_bench: cannot write {out}: {error}");
         return Ok(ExitCode::from(3));
     }

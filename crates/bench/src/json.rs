@@ -1,13 +1,23 @@
-//! A minimal JSON reader for the benchmark baselines.
+//! A minimal JSON reader and writer for the benchmark documents.
 //!
 //! The workspace is offline and carries no serde, and the only JSON the
-//! tooling ever reads is the well-formed output of its own benchmark
-//! writers (`BENCH_fault_sim.json`, `BENCH_power_engine.json`). This is a
-//! small recursive-descent parser over exactly the JSON subset those
-//! writers emit: objects, arrays, strings (no escapes beyond `\"` and
-//! `\\`), numbers, booleans and `null`.
+//! tooling handles is its own benchmark documents (`BENCH_fault_sim.json`,
+//! `BENCH_power_engine.json`). The benchmark sections build a
+//! [`JsonValue`] and write it through its `Display` impl; `bench_check`
+//! reads the files back with [`parse`], a small recursive-descent parser
+//! over exactly the subset the writer emits: objects, arrays, strings (no
+//! escapes beyond `\"` and `\\`), numbers, booleans and `null`. Parsing
+//! a written value gives back the same value.
 
-/// A parsed JSON value.
+use std::fmt::{self, Write as _};
+
+/// Deepest nesting of arrays and objects [`parse`] accepts. The writers
+/// nest three levels; the cap keeps a hostile file from overflowing the
+/// stack of the recursive parser.
+const MAX_DEPTH: usize = 64;
+
+/// A JSON value: what [`parse`] returns and what the benchmark sections
+/// build.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.
@@ -25,6 +35,16 @@ pub enum JsonValue {
 }
 
 impl JsonValue {
+    /// An object with `members` in the given order.
+    pub fn object<'a>(members: impl IntoIterator<Item = (&'a str, JsonValue)>) -> Self {
+        JsonValue::Object(
+            members
+                .into_iter()
+                .map(|(key, value)| (key.to_string(), value))
+                .collect(),
+        )
+    }
+
     /// Member of an object by key, or `None` for other values / missing
     /// keys.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
@@ -62,16 +82,162 @@ impl JsonValue {
     }
 }
 
+#[cfg(test)]
+impl JsonValue {
+    /// An object's keys in order, empty for other values: what the schema
+    /// tests compare with the committed baselines.
+    pub(crate) fn keys(&self) -> Vec<&str> {
+        match self {
+            JsonValue::Object(members) => members.iter().map(|(key, _)| key.as_str()).collect(),
+            _ => Vec::new(),
+        }
+    }
+
+    /// The entry of a document's `sizes` array with `rows` rows.
+    pub(crate) fn size_entry(&self, rows: u32) -> &JsonValue {
+        self.get("sizes")
+            .and_then(JsonValue::as_array)
+            .and_then(|sizes| {
+                sizes.iter().find(|entry| {
+                    entry.get("rows").and_then(JsonValue::as_f64) == Some(f64::from(rows))
+                })
+            })
+            .expect("a sizes entry with these rows")
+    }
+
+    /// Asserts that every gated metric of an object (`*_per_sec`,
+    /// `speedup_*`) is a positive number.
+    pub(crate) fn assert_positive_rates(&self) {
+        for key in self.keys() {
+            if key.ends_with("_per_sec") || key.starts_with("speedup_") {
+                let value = self[key].as_f64();
+                assert!(value.is_some_and(|value| value > 0.0), "{key}: {value:?}");
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+impl std::ops::Index<&str> for JsonValue {
+    type Output = JsonValue;
+
+    /// The member `key` of an object; panics, naming it, when it is absent.
+    fn index(&self, key: &str) -> &JsonValue {
+        self.get(key)
+            .unwrap_or_else(|| panic!("no member {key:?} in {self}"))
+    }
+}
+
+impl From<f64> for JsonValue {
+    fn from(value: f64) -> Self {
+        JsonValue::Number(value)
+    }
+}
+
+macro_rules! json_from_count {
+    ($($count:ty),*) => {$(
+        impl From<$count> for JsonValue {
+            /// The count as a JSON number, exact up to 2^53.
+            fn from(value: $count) -> Self {
+                JsonValue::Number(value as f64)
+            }
+        }
+    )*};
+}
+
+json_from_count!(u32, u64, usize);
+
+impl From<bool> for JsonValue {
+    fn from(value: bool) -> Self {
+        JsonValue::Bool(value)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(value: &str) -> Self {
+        JsonValue::String(value.to_string())
+    }
+}
+
+impl fmt::Display for JsonValue {
+    /// Writes the value as indented JSON: two spaces per level, one array
+    /// element or object member per line. Numbers take Rust's shortest
+    /// form that parses back to the same `f64`; a non-finite number, which
+    /// JSON cannot hold, is written as `null`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_value(f, self, 0)
+    }
+}
+
+fn write_value(f: &mut fmt::Formatter<'_>, value: &JsonValue, depth: usize) -> fmt::Result {
+    match value {
+        JsonValue::Null => f.write_str("null"),
+        JsonValue::Bool(flag) => write!(f, "{flag}"),
+        JsonValue::Number(number) if number.is_finite() => write!(f, "{number}"),
+        JsonValue::Number(_) => f.write_str("null"),
+        JsonValue::String(text) => write_string(f, text),
+        JsonValue::Array(items) => {
+            write_block(f, depth, ('[', ']'), items.iter().map(|item| (None, item)))
+        }
+        JsonValue::Object(members) => write_block(
+            f,
+            depth,
+            ('{', '}'),
+            members
+                .iter()
+                .map(|(key, value)| (Some(key.as_str()), value)),
+        ),
+    }
+}
+
+/// Writes a container between `open` and `close`, one member per line,
+/// each preceded by its key if it has one.
+fn write_block<'a>(
+    f: &mut fmt::Formatter<'_>,
+    depth: usize,
+    (open, close): (char, char),
+    members: impl Iterator<Item = (Option<&'a str>, &'a JsonValue)>,
+) -> fmt::Result {
+    f.write_char(open)?;
+    let mut separator = "";
+    for (key, value) in members {
+        write!(f, "{separator}\n{:indent$}", "", indent = 2 * (depth + 1))?;
+        if let Some(key) = key {
+            write_string(f, key)?;
+            f.write_str(": ")?;
+        }
+        write_value(f, value, depth + 1)?;
+        separator = ",";
+    }
+    if !separator.is_empty() {
+        write!(f, "\n{:indent$}", "", indent = 2 * depth)?;
+    }
+    f.write_char(close)
+}
+
+/// Writes `text` as a string literal, escaping the two characters
+/// [`parse`] unescapes.
+fn write_string(f: &mut fmt::Formatter<'_>, text: &str) -> fmt::Result {
+    f.write_char('"')?;
+    for character in text.chars() {
+        if matches!(character, '"' | '\\') {
+            f.write_char('\\')?;
+        }
+        f.write_char(character)?;
+    }
+    f.write_char('"')
+}
+
 /// Parses a JSON document.
 ///
 /// # Errors
 ///
 /// Returns a human-readable message (with byte offset) on malformed
-/// input.
+/// input, including arrays and objects nested more than 64 deep.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_whitespace(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -94,11 +260,16 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses the value at `pos`, inside `depth` enclosing arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_whitespace(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::String(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
@@ -122,7 +293,7 @@ fn parse_literal(
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     skip_whitespace(bytes, pos);
@@ -135,7 +306,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         let key = parse_string(bytes, pos)?;
         skip_whitespace(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_whitespace(bytes, pos);
         match bytes.get(*pos) {
@@ -149,7 +320,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_whitespace(bytes, pos);
@@ -158,7 +329,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_whitespace(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -267,18 +438,47 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_the_real_writers() {
-        use crate::throughput::SweepTiming;
-        let result = crate::power_engine::PowerEngineThroughput {
-            algorithms: vec!["March C-".to_string()],
-            passes: 1,
-            threads: 4,
-            sizes: vec![],
-        };
-        assert!(parse(&result.to_json()).is_ok());
-        let _ = SweepTiming {
-            seconds: 1.0,
-            faults_per_sec: 2.0,
-        };
+    fn parses_what_it_writes() {
+        let doc = JsonValue::object([
+            ("nothing", JsonValue::Null),
+            ("yes", true.into()),
+            ("no", false.into()),
+            ("count", 155_189_248u64.into()),
+            ("rate", 4_796_197.634_512_7.into()),
+            ("ratio", (2.0f64 / 3.0).into()),
+            ("negative", (-1.5e-3).into()),
+            ("tiny", 5e-324.into()),
+            ("huge", 1.7e308.into()),
+            ("quoted", "say \"March \\ C-\" — ⇑⇓".into()),
+            (
+                "names",
+                JsonValue::Array(vec!["March C-".into(), "MATS+".into()]),
+            ),
+            ("empty_array", JsonValue::Array(vec![])),
+            ("empty_object", JsonValue::object([])),
+            (
+                "sizes",
+                JsonValue::Array(vec![
+                    JsonValue::object([("rows", 64u32.into()), ("cols", 64u32.into())]),
+                    JsonValue::Array(vec![JsonValue::Array(vec![1u32.into()])]),
+                ]),
+            ),
+        ]);
+        let text = doc.to_string();
+        assert_eq!(parse(&text), Ok(doc), "{text}");
+        assert!(text.contains("\"count\": 155189248,"), "{text}");
+        // JSON has no NaN or infinity.
+        let non_finite = JsonValue::Array(vec![f64::NAN.into(), f64::INFINITY.into()]);
+        let nulls = JsonValue::Array(vec![JsonValue::Null, JsonValue::Null]);
+        assert_eq!(parse(&non_finite.to_string()), Ok(nulls));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let error = parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(error.contains("at byte 64"), "{error}");
+        assert!(parse(&"{\"a\": ".repeat(100_000)).is_err());
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
     }
 }

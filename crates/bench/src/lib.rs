@@ -24,6 +24,7 @@ pub mod throughput;
 /// by both benchmarks so their skip semantics can never desynchronize.
 pub const BASELINE_CELL_CAP: u32 = 256 * 256;
 
+use json::JsonValue;
 use lp_precharge::prelude::*;
 use lp_precharge::report::reproduce_table1;
 use march_test::address_order::{AddressOrder, ColumnMajor, LinearOrder, WordLineAfterWordLine};
@@ -37,6 +38,27 @@ use power_model::report::Table1Row;
 use sram_model::config::{ArrayOrganization, SramConfig, TechnologyParams};
 use sram_model::error::SramError;
 use transient::prelude::*;
+
+/// The members every `BENCH_*.json` document opens with: its `benchmark`
+/// name, the Table 1 algorithms each size runs, the passes per variant,
+/// the worker threads available and one `sizes` entry per organization.
+fn document_head(
+    benchmark: &str,
+    passes: usize,
+    sizes: Vec<JsonValue>,
+) -> Vec<(&'static str, JsonValue)> {
+    let algorithms = library::table1_algorithms()
+        .iter()
+        .map(|test| test.name().into())
+        .collect();
+    vec![
+        ("benchmark", benchmark.into()),
+        ("algorithms", JsonValue::Array(algorithms)),
+        ("passes", passes.into()),
+        ("threads", march_test::parallel::max_threads().into()),
+        ("sizes", JsonValue::Array(sizes)),
+    ]
+}
 
 /// The paper's full-size experiment configuration (512×512, 0.13 µm).
 pub fn paper_config() -> SramConfig {

@@ -6,8 +6,11 @@
 //! [`SchedulePlan`] arrays + the row-replay kernel + the parallel Table 1
 //! harness) sustains, against a frozen replica of the seed
 //! implementation, so the speedup is tracked as a number instead of a
-//! claim. The `power_engine_bench` binary writes the result to
-//! `BENCH_power_engine.json`.
+//! claim. [`power_engine_document`] measures the whole
+//! `BENCH_power_engine.json` document, which the `power_engine_bench`
+//! binary prints and writes; each `sizes` entry is one function that lists
+//! its keys once, in the committed order, and computes its `speedup_*`
+//! ratios from the measured times.
 //!
 //! The baseline below deliberately preserves the seed's hot-path
 //! structure: address sequences re-materialised per element through
@@ -52,6 +55,8 @@ use sram_model::controller::MemoryController;
 use sram_model::energy::CycleEnergy;
 use sram_model::error::SramError;
 use sram_model::operation::{CycleCommand, MemOperation};
+
+use crate::json::JsonValue;
 
 /// Runs one March test in one mode with the seed's schedule structure:
 /// per-element address `Vec`s, one allocated command per cycle, full
@@ -205,149 +210,52 @@ pub fn baseline_table1(config: &SramConfig) -> Result<Vec<Table1Row>, SramError>
 
 pub use crate::BASELINE_CELL_CAP;
 
-/// Seconds and derived rate of one timed variant.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EngineTiming {
-    /// Simulated clock cycles per second.
-    pub cycles_per_sec: f64,
-    /// Wall-clock seconds of one full Table 1 pass (averaged over the
-    /// timed passes): all five algorithms in both operating modes.
-    pub table1_seconds: f64,
-}
-
-/// The engine throughput comparison for one array organization.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PowerEngineSize {
-    /// Array rows.
-    pub rows: u32,
-    /// Array columns.
-    pub cols: u32,
-    /// Clock cycles in one full Table 1 pass (all algorithms, both modes).
-    pub cycles_per_pass: u64,
-    /// The frozen seed-style engine; `None` above [`BASELINE_CELL_CAP`]
-    /// cells, where the reference loop is skipped.
-    pub baseline: Option<EngineTiming>,
-    /// The rebuilt engine (schedule plan + row replay + parallel rows).
-    pub engine: EngineTiming,
-    /// The row-replay kernel run serially (one session per algorithm and
-    /// mode through [`TestSession::run`]), the numerator of the
-    /// machine-relative gate metric.
-    pub replay_serial: EngineTiming,
-    /// The full cycle-by-cycle simulation run serially
-    /// ([`TestSession::run_fully_simulated`]) — the golden reference
-    /// path, current code, measured at every size.
-    pub simulated: EngineTiming,
-}
-
-impl PowerEngineSize {
-    /// `true` when the frozen seed-style baseline was skipped for this
-    /// size (above [`BASELINE_CELL_CAP`] cells).
-    pub fn baseline_skipped(&self) -> bool {
-        self.baseline.is_none()
+/// The `sizes` entry of one organization. The times are seconds per
+/// Table 1 pass (all algorithms in both modes) of the rebuilt engine, the
+/// row-replay kernel run serially and the full cycle-by-cycle simulation
+/// run serially; `baseline_seconds` is the seed replica's, `None` above
+/// [`BASELINE_CELL_CAP`] cells, where the baseline-relative keys are left
+/// out. `speedup_replay_vs_simulated`, both serial, both current code, is
+/// the machine-relative ratio written at every size, the analogue of the
+/// fault-sim sweep's `speedup_batched_vs_kernel`.
+fn size_entry(
+    (rows, cols): (u32, u32),
+    cycles_per_pass: u64,
+    baseline_seconds: Option<f64>,
+    [engine_seconds, replay_seconds, simulated_seconds]: [f64; 3],
+) -> JsonValue {
+    let rate = |seconds: f64| cycles_per_pass as f64 / seconds;
+    let (engine, replay, simulated) = (
+        rate(engine_seconds),
+        rate(replay_seconds),
+        rate(simulated_seconds),
+    );
+    let mut members = vec![
+        ("rows", rows.into()),
+        ("cols", cols.into()),
+        ("cycles_per_pass", cycles_per_pass.into()),
+        ("baseline_skipped", baseline_seconds.is_none().into()),
+    ];
+    if let Some(seconds) = baseline_seconds {
+        members.extend([
+            ("baseline_cycles_per_sec", rate(seconds).into()),
+            ("baseline_table1_seconds", seconds.into()),
+        ]);
     }
-
-    /// Throughput gain of the rebuilt engine in simulated cycles/second,
-    /// when the baseline replica was measured.
-    pub fn speedup_cycles(&self) -> Option<f64> {
-        self.baseline
-            .map(|baseline| self.engine.cycles_per_sec / baseline.cycles_per_sec)
+    members.extend([
+        ("engine_cycles_per_sec", engine.into()),
+        ("engine_table1_seconds", engine_seconds.into()),
+        ("replay_serial_cycles_per_sec", replay.into()),
+        ("simulated_cycles_per_sec", simulated.into()),
+    ]);
+    if let Some(seconds) = baseline_seconds {
+        members.extend([
+            ("speedup_cycles", (engine / rate(seconds)).into()),
+            ("speedup_table1", (seconds / engine_seconds).into()),
+        ]);
     }
-
-    /// Wall-time gain of one full Table 1 reproduction, when the baseline
-    /// replica was measured.
-    pub fn speedup_table1(&self) -> Option<f64> {
-        self.baseline
-            .map(|baseline| baseline.table1_seconds / self.engine.table1_seconds)
-    }
-
-    /// Throughput gain of the serial row-replay kernel over the serial
-    /// full simulation — the machine-relative metric measured at every
-    /// size (including the ones whose seed replica is skipped), the
-    /// analogue of the fault-sim sweep's `speedup_batched_vs_kernel`.
-    pub fn speedup_replay_vs_simulated(&self) -> f64 {
-        self.replay_serial.cycles_per_sec / self.simulated.cycles_per_sec
-    }
-}
-
-/// The full sweep over array organizations.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PowerEngineThroughput {
-    /// Names of the algorithms measured (the paper's Table 1 set).
-    pub algorithms: Vec<String>,
-    /// Timed passes per variant.
-    pub passes: usize,
-    /// Worker threads available to the parallel Table 1.
-    pub threads: usize,
-    /// One entry per organization, in sweep order.
-    pub sizes: Vec<PowerEngineSize>,
-}
-
-impl PowerEngineThroughput {
-    /// Renders the result as a JSON object (the workspace is offline and
-    /// carries no serde, so the fields are formatted by hand).
-    pub fn to_json(&self) -> String {
-        let algorithms = self
-            .algorithms
-            .iter()
-            .map(|name| format!("\"{name}\""))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let sizes = self
-            .sizes
-            .iter()
-            .map(|s| {
-                let mut fields = vec![
-                    format!("\"rows\": {}", s.rows),
-                    format!("\"cols\": {}", s.cols),
-                    format!("\"cycles_per_pass\": {}", s.cycles_per_pass),
-                    format!("\"baseline_skipped\": {}", s.baseline_skipped()),
-                ];
-                if let Some(baseline) = s.baseline {
-                    fields.push(format!(
-                        "\"baseline_cycles_per_sec\": {:.1}",
-                        baseline.cycles_per_sec
-                    ));
-                    fields.push(format!(
-                        "\"baseline_table1_seconds\": {:.4}",
-                        baseline.table1_seconds
-                    ));
-                }
-                fields.push(format!(
-                    "\"engine_cycles_per_sec\": {:.1}",
-                    s.engine.cycles_per_sec
-                ));
-                fields.push(format!(
-                    "\"engine_table1_seconds\": {:.4}",
-                    s.engine.table1_seconds
-                ));
-                fields.push(format!(
-                    "\"replay_serial_cycles_per_sec\": {:.1}",
-                    s.replay_serial.cycles_per_sec
-                ));
-                fields.push(format!(
-                    "\"simulated_cycles_per_sec\": {:.1}",
-                    s.simulated.cycles_per_sec
-                ));
-                if let Some(speedup) = s.speedup_cycles() {
-                    fields.push(format!("\"speedup_cycles\": {speedup:.2}"));
-                }
-                if let Some(speedup) = s.speedup_table1() {
-                    fields.push(format!("\"speedup_table1\": {speedup:.2}"));
-                }
-                fields.push(format!(
-                    "\"speedup_replay_vs_simulated\": {:.2}",
-                    s.speedup_replay_vs_simulated()
-                ));
-                format!("    {{\n      {}\n    }}", fields.join(",\n      "))
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            "{{\n  \"benchmark\": \"power_engine\",\n  \"algorithms\": [{algorithms}],\n  \
-             \"passes\": {},\n  \"threads\": {},\n  \"sizes\": [\n{sizes}\n  ]\n}}\n",
-            self.passes, self.threads,
-        )
-    }
+    members.push(("speedup_replay_vs_simulated", (replay / simulated).into()));
+    JsonValue::object(members)
 }
 
 fn config_for(rows: u32, cols: u32) -> SramConfig {
@@ -429,13 +337,14 @@ fn time_table1(passes: usize, mut run: impl FnMut()) -> f64 {
     start.elapsed().as_secs_f64() / passes as f64
 }
 
-/// Measures baseline vs. rebuilt engine throughput on one organization.
-/// The frozen seed replica is skipped above [`BASELINE_CELL_CAP`] cells.
+/// Measures baseline vs. rebuilt engine throughput on one organization
+/// and returns its `sizes` entry. The frozen seed replica is skipped
+/// above [`BASELINE_CELL_CAP`] cells.
 ///
 /// # Panics
 ///
 /// Panics if the organization is invalid or the engines diverge.
-pub fn power_engine_size(rows: u32, cols: u32, passes: usize) -> PowerEngineSize {
+pub fn power_engine_size(rows: u32, cols: u32, passes: usize) -> JsonValue {
     let config = config_for(rows, cols);
     assert_engine_equivalence(&config);
 
@@ -444,52 +353,39 @@ pub fn power_engine_size(rows: u32, cols: u32, passes: usize) -> PowerEngineSize
         .iter()
         .map(|test| 2 * test.total_operations(u64::from(organization.capacity())))
         .sum();
-    let timing = |seconds: f64| EngineTiming {
-        cycles_per_sec: cycles_per_pass as f64 / seconds,
-        table1_seconds: seconds,
-    };
 
     let baseline = (organization.capacity() <= BASELINE_CELL_CAP).then(|| {
-        timing(time_table1(passes, || {
+        time_table1(passes, || {
             std::hint::black_box(baseline_table1(&config).expect("baseline table 1"));
-        }))
+        })
     });
-    let engine_table1_seconds = time_table1(passes, || {
+    let engine_seconds = time_table1(passes, || {
         std::hint::black_box(reproduce_table1(&config).expect("rebuilt table 1"));
     });
     let session = TestSession::new(config);
-    let replay_serial_seconds = time_table1(passes, || serial_sessions_pass(&session, false));
+    let replay_seconds = time_table1(passes, || serial_sessions_pass(&session, false));
     let simulated_seconds = time_table1(passes, || serial_sessions_pass(&session, true));
 
-    PowerEngineSize {
-        rows,
-        cols,
+    size_entry(
+        (rows, cols),
         cycles_per_pass,
         baseline,
-        engine: timing(engine_table1_seconds),
-        replay_serial: timing(replay_serial_seconds),
-        simulated: timing(simulated_seconds),
-    }
+        [engine_seconds, replay_seconds, simulated_seconds],
+    )
 }
 
-/// Measures the full sweep: one [`PowerEngineSize`] per organization.
+/// Measures the whole `BENCH_power_engine.json` document: one `sizes`
+/// entry per organization ([`power_engine_size`]).
 ///
 /// # Panics
 ///
 /// Panics if any organization is invalid or any equivalence gate fails.
-pub fn power_engine_throughput(sizes: &[(u32, u32)], passes: usize) -> PowerEngineThroughput {
-    PowerEngineThroughput {
-        algorithms: library::table1_algorithms()
-            .iter()
-            .map(|t| t.name().to_string())
-            .collect(),
-        passes,
-        threads: march_test::parallel::max_threads(),
-        sizes: sizes
-            .iter()
-            .map(|&(rows, cols)| power_engine_size(rows, cols, passes))
-            .collect(),
-    }
+pub fn power_engine_document(sizes: &[(u32, u32)], passes: usize) -> JsonValue {
+    let sizes = sizes
+        .iter()
+        .map(|&(rows, cols)| power_engine_size(rows, cols, passes))
+        .collect();
+    JsonValue::object(crate::document_head("power_engine", passes, sizes))
 }
 
 #[cfg(test)]
@@ -503,64 +399,38 @@ mod tests {
         assert_engine_equivalence(&config_for(4, 8));
     }
 
+    /// The committed `BENCH_power_engine.json`: every entry written here
+    /// keeps its keys, in order.
+    fn committed() -> JsonValue {
+        crate::json::parse(include_str!("../../../BENCH_power_engine.json"))
+            .expect("the committed baseline parses")
+    }
+
     #[test]
     fn throughput_experiment_runs_and_reports_consistent_numbers() {
-        let result = power_engine_throughput(&[(4, 8)], 1);
-        assert_eq!(result.algorithms.len(), 5);
-        assert_eq!(result.sizes.len(), 1);
-        let size = &result.sizes[0];
-        assert_eq!(size.cycles_per_pass, 2 * 74 * 32);
-        assert!(!size.baseline_skipped(), "4x8 is far below the cap");
-        assert!(size.baseline.unwrap().cycles_per_sec > 0.0);
-        assert!(size.engine.cycles_per_sec > 0.0);
-        assert!(size.replay_serial.cycles_per_sec > 0.0);
-        assert!(size.simulated.cycles_per_sec > 0.0);
-        assert!(size.speedup_cycles().is_some());
-        assert!(size.speedup_replay_vs_simulated() > 0.0);
-        let json = result.to_json();
-        assert!(json.contains("\"benchmark\": \"power_engine\""));
-        assert!(json.contains("\"baseline_skipped\": false"));
-        assert!(json.contains("\"speedup_table1\""));
-        assert!(json.contains("\"speedup_replay_vs_simulated\""));
-        assert!(json.contains("March C-"));
+        let document = power_engine_document(&[(4, 8)], 1);
+        let committed = committed();
+        assert_eq!(document.keys(), committed.keys());
+        assert_eq!(document["algorithms"], committed["algorithms"]);
+        // 4x8 is far below the cap: the seed replica ran, as at 64x64.
+        let entry = document.size_entry(4);
+        assert_eq!(entry.keys(), committed.size_entry(64).keys());
+        assert_eq!(entry["cycles_per_pass"].as_f64(), Some(2.0 * 74.0 * 32.0));
+        entry.assert_positive_rates();
     }
 
     #[test]
     fn skipped_baseline_omits_relative_metrics_from_the_json() {
-        // Rendering is checked on a hand-built entry: actually measuring
+        // The entry is built from hand-written times: actually measuring
         // a >256x256 array is the (timed) benchmark binary's job, not a
         // unit test's.
-        let timing = |seconds: f64| EngineTiming {
-            cycles_per_sec: 1000.0 / seconds,
-            table1_seconds: seconds,
-        };
-        let result = PowerEngineThroughput {
-            algorithms: vec!["March C-".into()],
-            passes: 1,
-            threads: 1,
-            sizes: vec![PowerEngineSize {
-                rows: 1024,
-                cols: 1024,
-                cycles_per_pass: 1000,
-                baseline: None,
-                engine: timing(0.5),
-                replay_serial: timing(1.0),
-                simulated: timing(20.0),
-            }],
-        };
-        let size = &result.sizes[0];
-        assert!(size.baseline_skipped());
-        assert_eq!(size.speedup_cycles(), None);
-        assert_eq!(size.speedup_table1(), None);
-        assert!((size.speedup_replay_vs_simulated() - 20.0).abs() < 1e-9);
-        let json = result.to_json();
-        assert!(json.contains("\"baseline_skipped\": true"));
-        assert!(!json.contains("\"baseline_cycles_per_sec\""));
-        assert!(!json.contains("\"speedup_cycles\""));
-        assert!(!json.contains("\"speedup_table1\""));
-        assert!(json.contains("\"speedup_replay_vs_simulated\": 20.00"));
-        assert!(json.contains("\"replay_serial_cycles_per_sec\""));
-        assert!(json.contains("\"simulated_cycles_per_sec\""));
-        crate::json::parse(&json).expect("sweep JSON parses");
+        let entry = size_entry((1024, 1024), 1000, None, [0.5, 1.0, 20.0]);
+        assert_eq!(entry.keys(), committed().size_entry(512).keys());
+        assert_eq!(entry["baseline_skipped"], JsonValue::Bool(true));
+        assert_eq!(entry["engine_cycles_per_sec"].as_f64(), Some(2000.0));
+        assert_eq!(entry["engine_table1_seconds"].as_f64(), Some(0.5));
+        assert_eq!(entry["replay_serial_cycles_per_sec"].as_f64(), Some(1000.0));
+        assert_eq!(entry["simulated_cycles_per_sec"].as_f64(), Some(50.0));
+        assert_eq!(entry["speedup_replay_vs_simulated"].as_f64(), Some(20.0));
     }
 }

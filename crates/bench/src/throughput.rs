@@ -4,8 +4,11 @@
 //! fault sweeps; this module measures how many fault simulations per
 //! second the march kernel sustains and compares it against a frozen
 //! replica of the original (pre-kernel) implementation, so the speedup is
-//! tracked as a number instead of a claim. The `fault_sim_bench` binary
-//! writes the result to `BENCH_fault_sim.json`.
+//! tracked as a number instead of a claim. [`fault_sim_document`] measures
+//! the whole `BENCH_fault_sim.json` document, which the `fault_sim_bench`
+//! binary prints and writes. Each entry and section of it is one function
+//! that lists its keys once, in the committed order, and computes its
+//! `speedup_*` ratios from the measured rates.
 //!
 //! The baseline below deliberately preserves the seed's hot-path
 //! structure: one fresh memory allocation per fault, address sequences
@@ -25,8 +28,8 @@
 //! gate only on the batched-vs-kernel speedup — which is what makes the
 //! 1024×1024 sweep entries affordable.
 //!
-//! Besides the per-size ladder, [`dense_sweep`] measures the
-//! dense-population section: a generated ≥100k-fault population
+//! Besides the per-size ladder ([`fault_sim_throughput`]), [`dense_sweep`]
+//! measures the dense-population section: a generated ≥100k-fault population
 //! ([`march_test::faultgen::FaultGen`]) against the 48-fault standard
 //! list on the same 1024×1024 walk. The section also times a **shuffled
 //! copy** of the same population (`speedup_shuffled_vs_ordered` — the
@@ -53,6 +56,8 @@ use march_test::memory::{GoodMemory, MemoryModel};
 use march_test::parallel::max_threads;
 use march_test::rng::SplitMix64;
 use sram_model::config::ArrayOrganization;
+
+use crate::json::JsonValue;
 
 /// Seed of the committed dense benchmark populations: fixed so the
 /// generated workload — and therefore the committed throughput numbers —
@@ -129,230 +134,75 @@ fn detected_bits(report: &InternedSweep) -> Vec<bool> {
     report.codes().iter().map(OutcomeCode::detected).collect()
 }
 
-/// Seconds and derived rate of one timed sweep variant.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepTiming {
-    /// Wall-clock seconds for all passes of the variant.
-    pub seconds: f64,
-    /// Fault simulations per second.
-    pub faults_per_sec: f64,
+/// The `sizes` entry of one organization, from the faults/sec of the
+/// per-fault kernel (serial, parallel) and of the collapsed backend
+/// (serial, and with `parallel` set: the same path, since only per-fault
+/// work fans out); `baseline` is the seed replica's, `None` above
+/// [`BASELINE_CELL_CAP`] cells, where the baseline-relative keys are
+/// left out. `speedup_batched_vs_kernel`, serial against serial, is the
+/// machine-relative ratio written at every size.
+fn size_entry(
+    (rows, cols): (u32, u32),
+    fault_count: usize,
+    simulations_per_pass: usize,
+    baseline: Option<f64>,
+    [serial, parallel, batched, batched_parallel]: [f64; 4],
+) -> JsonValue {
+    let mut members = vec![
+        ("rows", rows.into()),
+        ("cols", cols.into()),
+        ("fault_count", fault_count.into()),
+        ("simulations_per_pass", simulations_per_pass.into()),
+        ("baseline_skipped", baseline.is_none().into()),
+    ];
+    members.extend(baseline.map(|rate| ("baseline_faults_per_sec", rate.into())));
+    members.extend([
+        ("kernel_serial_faults_per_sec", serial.into()),
+        ("kernel_parallel_faults_per_sec", parallel.into()),
+        ("batched_faults_per_sec", batched.into()),
+        ("batched_parallel_faults_per_sec", batched_parallel.into()),
+    ]);
+    if let Some(baseline) = baseline {
+        members.extend([
+            ("speedup_serial", (serial / baseline).into()),
+            ("speedup_parallel", (parallel / baseline).into()),
+            ("speedup_batched", (batched / baseline).into()),
+        ]);
+    }
+    members.push(("speedup_batched_vs_kernel", (batched / serial).into()));
+    JsonValue::object(members)
 }
 
-/// The full throughput comparison for one array organization.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultSimThroughput {
-    /// Array rows.
-    pub rows: u32,
-    /// Array columns.
-    pub cols: u32,
-    /// Names of the algorithms swept (the paper's Table 1 set).
-    pub algorithms: Vec<String>,
-    /// Number of faults in the standard list for this organization.
-    pub fault_count: usize,
-    /// Fault simulations per timed pass (`algorithms × fault_count`).
-    pub simulations_per_pass: usize,
-    /// Timed passes per variant.
-    pub passes: usize,
-    /// Worker threads available to the parallel variants.
-    pub threads: usize,
-    /// The frozen seed-style sweep; `None` above [`BASELINE_CELL_CAP`]
-    /// cells, where the reference loop is skipped.
-    pub baseline: Option<SweepTiming>,
-    /// Shared-walk + packed-memory + early-exit kernel, serial — the
-    /// per-fault kernel the collapsed backend is gated against.
-    pub kernel_serial: SweepTiming,
-    /// The same per-fault kernel fanned out across threads.
-    pub kernel_parallel: SweepTiming,
-    /// The collapsed backend (one simulation per equivalence class),
-    /// serial.
-    pub batched: SweepTiming,
-    /// The collapsed backend with `parallel` set: the same path, since
-    /// only per-fault work fans out.
-    pub batched_parallel: SweepTiming,
-}
-
-impl FaultSimThroughput {
-    /// `true` when the frozen seed-style baseline was skipped for this
-    /// size (above [`BASELINE_CELL_CAP`] cells).
-    pub fn baseline_skipped(&self) -> bool {
-        self.baseline.is_none()
-    }
-
-    /// Throughput gain of the serial kernel over the baseline, when the
-    /// baseline was measured.
-    pub fn speedup_serial(&self) -> Option<f64> {
-        self.baseline
-            .map(|baseline| self.kernel_serial.faults_per_sec / baseline.faults_per_sec)
-    }
-
-    /// Throughput gain of the parallel kernel over the baseline, when the
-    /// baseline was measured.
-    pub fn speedup_parallel(&self) -> Option<f64> {
-        self.baseline
-            .map(|baseline| self.kernel_parallel.faults_per_sec / baseline.faults_per_sec)
-    }
-
-    /// Throughput gain of the serial collapsed backend over the baseline,
-    /// when the baseline was measured.
-    pub fn speedup_batched(&self) -> Option<f64> {
-        self.baseline
-            .map(|baseline| self.batched.faults_per_sec / baseline.faults_per_sec)
-    }
-
-    /// Throughput gain of the serial collapsed backend over the serial
-    /// per-fault kernel — the machine-relative metric measured at every
-    /// size (including the ones whose baseline replica is skipped).
-    pub fn speedup_batched_vs_kernel(&self) -> f64 {
-        self.batched.faults_per_sec / self.kernel_serial.faults_per_sec
-    }
-
-    /// Throughput gain of the parallel collapsed backend over the parallel
-    /// per-fault kernel. Printed for context but deliberately **not**
-    /// written to the gated JSON: the per-fault parallel kernel scales
-    /// with the worker count while a collapsed sweep does not fan out,
-    /// so the ratio would not transfer between machines with different
-    /// core counts (unlike the serial-vs-serial
-    /// [`Self::speedup_batched_vs_kernel`], which the gate tracks).
-    pub fn speedup_batched_parallel_vs_kernel(&self) -> f64 {
-        self.batched_parallel.faults_per_sec / self.kernel_parallel.faults_per_sec
-    }
-
-    /// Renders this organization's measurements as one entry of the
-    /// sweep's `sizes` array. Baseline-relative fields only appear when
-    /// the baseline replica ran (`baseline_skipped` says so explicitly).
-    fn to_json_entry(&self) -> String {
-        let mut fields = vec![
-            format!("\"rows\": {}", self.rows),
-            format!("\"cols\": {}", self.cols),
-            format!("\"fault_count\": {}", self.fault_count),
-            format!("\"simulations_per_pass\": {}", self.simulations_per_pass),
-            format!("\"baseline_skipped\": {}", self.baseline_skipped()),
-        ];
-        if let Some(baseline) = self.baseline {
-            fields.push(format!(
-                "\"baseline_faults_per_sec\": {:.1}",
-                baseline.faults_per_sec
-            ));
-        }
-        fields.push(format!(
-            "\"kernel_serial_faults_per_sec\": {:.1}",
-            self.kernel_serial.faults_per_sec
-        ));
-        fields.push(format!(
-            "\"kernel_parallel_faults_per_sec\": {:.1}",
-            self.kernel_parallel.faults_per_sec
-        ));
-        fields.push(format!(
-            "\"batched_faults_per_sec\": {:.1}",
-            self.batched.faults_per_sec
-        ));
-        fields.push(format!(
-            "\"batched_parallel_faults_per_sec\": {:.1}",
-            self.batched_parallel.faults_per_sec
-        ));
-        if let Some(speedup) = self.speedup_serial() {
-            fields.push(format!("\"speedup_serial\": {speedup:.2}"));
-        }
-        if let Some(speedup) = self.speedup_parallel() {
-            fields.push(format!("\"speedup_parallel\": {speedup:.2}"));
-        }
-        if let Some(speedup) = self.speedup_batched() {
-            fields.push(format!("\"speedup_batched\": {speedup:.2}"));
-        }
-        fields.push(format!(
-            "\"speedup_batched_vs_kernel\": {:.2}",
-            self.speedup_batched_vs_kernel()
-        ));
-        format!("    {{\n      {}\n    }}", fields.join(",\n      "))
-    }
-}
-
-/// The dense-population section of the fault-sim benchmark: generated
-/// populations at scale versus the 48-fault standard list.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DenseSweepSection {
-    /// Array rows.
-    pub rows: u32,
-    /// Array columns.
-    pub cols: u32,
-    /// The single algorithm the section sweeps (dense timing is
-    /// per-walk, so one representative algorithm keeps it affordable).
-    pub algorithm: String,
-    /// Name of the generated population profile.
-    pub population: String,
-    /// Faults in the generated population.
-    pub fault_count: usize,
-    /// Faults in the standard comparison list.
-    pub standard_fault_count: usize,
-    /// Worker threads available to the parallel variant.
-    pub threads: usize,
-    /// The standard list through the collapsed backend, serial.
-    pub standard: SweepTiming,
-    /// The generated population through the collapsed backend, serial.
-    pub dense: SweepTiming,
-    /// The generated population with `parallel` set — the same collapsed
-    /// path, since only per-fault work fans out.
-    pub dense_parallel: SweepTiming,
-    /// The same population in a fixed shuffled order
-    /// ([`DENSE_SHUFFLE_SEED`]), serial — the population-order ablation.
-    pub dense_shuffled: SweepTiming,
-}
-
-impl DenseSweepSection {
-    /// Dense-population throughput relative to the standard list on the
-    /// same walk — the machine-relative metric guarding the acceptance
-    /// claim that generated populations sweep within 25 % of the
-    /// standard-list rate.
-    pub fn speedup_dense_vs_standard(&self) -> f64 {
-        self.dense.faults_per_sec / self.standard.faults_per_sec
-    }
-
-    /// Shuffled-population throughput relative to the generation-ordered
-    /// copy of the same population — machine-relative. Classification
-    /// and scatter are list-order passes, so this should stay near `1.0`;
-    /// the committed value is gated so scattered-access regressions fail
-    /// CI.
-    pub fn speedup_shuffled_vs_ordered(&self) -> f64 {
-        self.dense_shuffled.faults_per_sec / self.dense.faults_per_sec
-    }
-
-    /// Renders the section as the `dense` member of the sweep JSON.
-    fn to_json_entry(&self) -> String {
-        let fields = [
-            format!("\"rows\": {}", self.rows),
-            format!("\"cols\": {}", self.cols),
-            format!("\"algorithm\": \"{}\"", self.algorithm),
-            format!("\"population\": \"{}\"", self.population),
-            format!("\"fault_count\": {}", self.fault_count),
-            format!("\"standard_fault_count\": {}", self.standard_fault_count),
-            format!("\"threads\": {}", self.threads),
-            format!(
-                "\"standard_batched_faults_per_sec\": {:.1}",
-                self.standard.faults_per_sec
-            ),
-            format!(
-                "\"dense_batched_faults_per_sec\": {:.1}",
-                self.dense.faults_per_sec
-            ),
-            format!(
-                "\"dense_batched_parallel_faults_per_sec\": {:.1}",
-                self.dense_parallel.faults_per_sec
-            ),
-            format!(
-                "\"dense_shuffled_batched_faults_per_sec\": {:.1}",
-                self.dense_shuffled.faults_per_sec
-            ),
-            format!(
-                "\"speedup_dense_vs_standard\": {:.3}",
-                self.speedup_dense_vs_standard()
-            ),
-            format!(
-                "\"speedup_shuffled_vs_ordered\": {:.3}",
-                self.speedup_shuffled_vs_ordered()
-            ),
-        ];
-        format!("  {{\n    {}\n  }}", fields.join(",\n    "))
-    }
+/// The `dense` section, from the faults/sec of the standard list and of
+/// the generated population (serial, with `parallel` set, and in the
+/// fixed [`DENSE_SHUFFLE_SEED`] order), all collapsed on one walk.
+/// `speedup_dense_vs_standard` guards the acceptance claim that generated
+/// populations sweep within 25 % of the standard-list rate;
+/// `speedup_shuffled_vs_ordered` should stay near `1.0`, since
+/// classification and scatter are list-order passes.
+fn dense_section(
+    (rows, cols): (u32, u32),
+    algorithm: &str,
+    population: &str,
+    fault_count: usize,
+    standard_fault_count: usize,
+    [standard, dense, parallel, shuffled]: [f64; 4],
+) -> JsonValue {
+    JsonValue::object([
+        ("rows", rows.into()),
+        ("cols", cols.into()),
+        ("algorithm", algorithm.into()),
+        ("population", population.into()),
+        ("fault_count", fault_count.into()),
+        ("standard_fault_count", standard_fault_count.into()),
+        ("threads", max_threads().into()),
+        ("standard_batched_faults_per_sec", standard.into()),
+        ("dense_batched_faults_per_sec", dense.into()),
+        ("dense_batched_parallel_faults_per_sec", parallel.into()),
+        ("dense_shuffled_batched_faults_per_sec", shuffled.into()),
+        ("speedup_dense_vs_standard", (dense / standard).into()),
+        ("speedup_shuffled_vs_ordered", (shuffled / dense).into()),
+    ])
 }
 
 /// Measures the dense-population section on a `rows` × `cols` array with
@@ -370,7 +220,7 @@ impl DenseSweepSection {
 /// # Panics
 ///
 /// Panics if the organization is invalid or any equivalence gate fails.
-pub fn dense_sweep(rows: u32, cols: u32, fault_count: usize, passes: usize) -> DenseSweepSection {
+pub fn dense_sweep(rows: u32, cols: u32, fault_count: usize, passes: usize) -> JsonValue {
     let organization = ArrayOrganization::new(rows, cols).expect("valid organization");
     let order = march_test::address_order::WordLineAfterWordLine;
     let test = library::march_ss();
@@ -445,7 +295,7 @@ pub fn dense_sweep(rows: u32, cols: u32, fault_count: usize, passes: usize) -> D
     // back-to-back passes per round, so it stays cache-resident: the
     // deliberately harsh yardstick `speedup_dense_vs_standard` has gated
     // since the metric was introduced.
-    let timings = time_rotation(
+    let rates = time_rotation(
         passes,
         &mut [
             (standard.len(), &mut || {
@@ -478,24 +328,14 @@ pub fn dense_sweep(rows: u32, cols: u32, fault_count: usize, passes: usize) -> D
             }),
         ],
     );
-    let [standard_timing, dense_timing, dense_parallel_timing, dense_shuffled_timing] = timings[..]
-    else {
-        unreachable!("rotation returns one timing per variant");
-    };
-
-    DenseSweepSection {
-        rows,
-        cols,
-        algorithm: test.name().to_string(),
-        population: population.name.clone(),
-        fault_count: population.len(),
-        standard_fault_count: standard.len(),
-        threads: max_threads(),
-        standard: standard_timing,
-        dense: dense_timing,
-        dense_parallel: dense_parallel_timing,
-        dense_shuffled: dense_shuffled_timing,
-    }
+    dense_section(
+        (rows, cols),
+        test.name(),
+        &population.name,
+        population.len(),
+        standard.len(),
+        rates.try_into().expect("one rate per variant"),
+    )
 }
 
 /// The campaign-runner overhead section: the same fixed job list timed
@@ -510,49 +350,17 @@ pub fn dense_sweep(rows: u32, cols: u32, fault_count: usize, passes: usize) -> D
 ///   supposed to cost file appends, not throughput.
 /// * **campaign (max threads)** — the same campaign with the worker pool
 ///   fanned across cores; gated only as an absolute rate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignBenchSection {
-    /// Jobs in the fixed benchmark plan.
-    pub jobs: usize,
-    /// Worker threads available to the parallel variant.
-    pub threads: usize,
-    /// Jobs per second through the direct `run_job` loop.
-    pub direct_jobs_per_sec: f64,
-    /// Jobs per second through a single-threaded journaled campaign.
-    pub campaign_jobs_per_sec: f64,
-    /// Jobs per second through a max-thread journaled campaign.
-    pub campaign_parallel_jobs_per_sec: f64,
-}
-
-impl CampaignBenchSection {
-    /// Single-threaded campaign throughput relative to the direct loop —
-    /// machine-relative; near `1.0` means the journal and worker pool are
-    /// effectively free at per-job granularity.
-    pub fn speedup_campaign_vs_direct(&self) -> f64 {
-        self.campaign_jobs_per_sec / self.direct_jobs_per_sec
-    }
-
-    /// Renders the section as the `campaign` member of the sweep JSON.
-    fn to_json_entry(&self) -> String {
-        let fields = [
-            format!("\"jobs\": {}", self.jobs),
-            format!("\"threads\": {}", self.threads),
-            format!("\"direct_jobs_per_sec\": {:.1}", self.direct_jobs_per_sec),
-            format!(
-                "\"campaign_jobs_per_sec\": {:.1}",
-                self.campaign_jobs_per_sec
-            ),
-            format!(
-                "\"campaign_parallel_jobs_per_sec\": {:.1}",
-                self.campaign_parallel_jobs_per_sec
-            ),
-            format!(
-                "\"speedup_campaign_vs_direct\": {:.3}",
-                self.speedup_campaign_vs_direct()
-            ),
-        ];
-        format!("  {{\n    {}\n  }}", fields.join(",\n    "))
-    }
+///
+/// The section is built from the three variants' jobs/sec, in that order.
+fn campaign_section(jobs: usize, [direct, campaign, campaign_parallel]: [f64; 3]) -> JsonValue {
+    JsonValue::object([
+        ("jobs", jobs.into()),
+        ("threads", max_threads().into()),
+        ("direct_jobs_per_sec", direct.into()),
+        ("campaign_jobs_per_sec", campaign.into()),
+        ("campaign_parallel_jobs_per_sec", campaign_parallel.into()),
+        ("speedup_campaign_vs_direct", (campaign / direct).into()),
+    ])
 }
 
 /// The fixed campaign benchmark plan: 64×64, four seeds × the paper's
@@ -587,7 +395,7 @@ fn campaign_bench_plan() -> campaign::CampaignPlan {
 ///
 /// Panics if any job fails, any campaign run errors, or the campaign
 /// export diverges from the direct results.
-pub fn campaign_bench(passes: usize) -> CampaignBenchSection {
+pub fn campaign_bench(passes: usize) -> JsonValue {
     use campaign::{run_campaign, run_job, CampaignOptions, FaultInjector, Shard};
 
     let plan = campaign_bench_plan();
@@ -648,7 +456,7 @@ pub fn campaign_bench(passes: usize) -> CampaignBenchSection {
     };
     let mut serial_pass = || run(1);
     let mut parallel_pass = || run(max_threads());
-    let timings = time_rotation(
+    let rates = time_rotation(
         passes,
         &mut [
             (jobs, &mut direct_pass),
@@ -657,14 +465,7 @@ pub fn campaign_bench(passes: usize) -> CampaignBenchSection {
         ],
     );
     std::fs::remove_file(&journal).ok();
-
-    CampaignBenchSection {
-        jobs,
-        threads: max_threads(),
-        direct_jobs_per_sec: timings[0].faults_per_sec,
-        campaign_jobs_per_sec: timings[1].faults_per_sec,
-        campaign_parallel_jobs_per_sec: timings[2].faults_per_sec,
-    }
+    campaign_section(jobs, rates.try_into().expect("one rate per variant"))
 }
 
 /// The daemon-intake section: a fixed job stream pushed through the full
@@ -683,35 +484,22 @@ pub fn campaign_bench(passes: usize) -> CampaignBenchSection {
 ///   exact at measurement time and committed as documentation of the
 ///   backpressure contract (it carries no gate suffix — it cannot
 ///   regress without the assertion failing first).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DaemonBenchSection {
-    /// Jobs offered (and admitted) per intake pass.
-    pub jobs: usize,
-    /// Submissions offered in the overload pass.
-    pub offered: usize,
-    /// Queue bound of the overload pass.
-    pub queue_limit: usize,
-    /// Jobs per second through spool submit + admission + execution +
-    /// export, single-threaded.
-    pub intake_jobs_per_sec: f64,
-    /// Fraction of the overload pass's submissions shed with
-    /// `queue-full` — `(offered - queue_limit) / offered` by
-    /// construction.
-    pub shed_fraction: f64,
-}
-
-impl DaemonBenchSection {
-    /// Renders the section as the `daemon` member of the sweep JSON.
-    fn to_json_entry(&self) -> String {
-        let fields = [
-            format!("\"jobs\": {}", self.jobs),
-            format!("\"offered\": {}", self.offered),
-            format!("\"queue_limit\": {}", self.queue_limit),
-            format!("\"intake_jobs_per_sec\": {:.1}", self.intake_jobs_per_sec),
-            format!("\"shed_fraction\": {:.3}", self.shed_fraction),
-        ];
-        format!("  {{\n    {}\n  }}", fields.join(",\n    "))
-    }
+///
+/// Every pass offers (and admits) all `jobs`; the overload pass bounds
+/// the queue at `queue_limit`.
+fn daemon_section(
+    jobs: usize,
+    queue_limit: usize,
+    intake_jobs_per_sec: f64,
+    shed_fraction: f64,
+) -> JsonValue {
+    JsonValue::object([
+        ("jobs", jobs.into()),
+        ("offered", jobs.into()),
+        ("queue_limit", queue_limit.into()),
+        ("intake_jobs_per_sec", intake_jobs_per_sec.into()),
+        ("shed_fraction", shed_fraction.into()),
+    ])
 }
 
 /// The daemon benchmark's job stream: small 16×16 jobs so the measured
@@ -744,7 +532,7 @@ fn daemon_bench_jobs(count: u64) -> Vec<campaign::JobSpec> {
 ///
 /// Panics if any run errors, the export diverges from the static plan's,
 /// or the overload pass sheds anything but the expected overflow.
-pub fn daemon_bench(passes: usize) -> DaemonBenchSection {
+pub fn daemon_bench(passes: usize) -> JsonValue {
     use campaign::{
         run_campaign, run_daemon, CampaignOptions, DaemonOptions, FaultInjector, Shard, SpoolDir,
     };
@@ -820,147 +608,59 @@ pub fn daemon_bench(passes: usize) -> DaemonBenchSection {
 
     // The timed intake passes: full spool + admission + execution cycle
     // per pass, fresh directories each time so dedup never short-circuits.
-    let timing = time_passes(passes, jobs.len(), || {
-        run(&unique(), &unique(), usize::MAX);
-    });
-
-    DaemonBenchSection {
-        jobs: jobs.len(),
-        offered: jobs.len(),
-        queue_limit,
-        intake_jobs_per_sec: timing.faults_per_sec,
-        shed_fraction,
-    }
+    let intake = time_rotation(
+        passes,
+        &mut [(jobs.len(), &mut || {
+            run(&unique(), &unique(), usize::MAX);
+        })],
+    );
+    daemon_section(jobs.len(), queue_limit, intake[0], shed_fraction)
 }
 
-/// The `--organization` sweep: one [`FaultSimThroughput`] per array size,
-/// 64×64 up to 1024×1024 by default (the frozen baseline replica runs up
-/// to 256×256; larger entries gate on the batched-vs-kernel speedup),
-/// plus the optional dense-population section.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultSimSweep {
-    /// One entry per organization, in sweep order.
-    pub sizes: Vec<FaultSimThroughput>,
-    /// The dense-population section, when measured.
-    pub dense: Option<DenseSweepSection>,
-    /// The campaign-runner overhead section, when measured.
-    pub campaign: Option<CampaignBenchSection>,
-    /// The daemon-intake (dynamic admission) section, when measured.
-    pub daemon: Option<DaemonBenchSection>,
-}
-
-impl FaultSimSweep {
-    /// Measures every `(rows, cols)` organization in order, the
-    /// dense-population section when `dense` carries `(rows, cols,
-    /// fault_count)`, and the campaign-overhead and daemon-intake sections
-    /// when `campaign` and `daemon` are set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any organization is invalid or any equivalence gate
-    /// fails (see [`fault_sim_throughput`], [`dense_sweep`],
-    /// [`campaign_bench`] and [`daemon_bench`]).
-    pub fn measure(
-        organizations: &[(u32, u32)],
-        passes: usize,
-        dense: Option<(u32, u32, usize)>,
-        campaign: bool,
-        daemon: bool,
-    ) -> Self {
-        // The dense section runs first, on a pristine heap: the size
-        // ladder cycles gigabytes of walk arrays, and the fragmented
-        // address space it leaves behind measurably slows the
-        // large-working-set dense sweep (the compact standard list is
-        // unaffected, which would skew the gated ratio).
-        let dense =
-            dense.map(|(rows, cols, fault_count)| dense_sweep(rows, cols, fault_count, passes));
-        // The campaign section's gated metric is a ratio between
-        // variants timed back to back, so heap state cancels; it runs
-        // second, still ahead of the allocation-heavy size ladder.
-        let campaign = campaign.then(|| campaign_bench(passes));
-        let daemon = daemon.then(|| daemon_bench(passes));
-        Self {
-            sizes: organizations
-                .iter()
-                .map(|&(rows, cols)| fault_sim_throughput(rows, cols, passes))
-                .collect(),
-            dense,
-            campaign,
-            daemon,
-        }
-    }
-
-    /// Renders the sweep as a JSON object (the workspace is offline and
-    /// carries no serde, so the fields are formatted by hand).
-    pub fn to_json(&self) -> String {
-        let first = self.sizes.first();
-        let algorithms = first
-            .map(|s| {
-                s.algorithms
-                    .iter()
-                    .map(|name| format!("\"{name}\""))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            })
-            .unwrap_or_default();
-        let entries = self
-            .sizes
-            .iter()
-            .map(FaultSimThroughput::to_json_entry)
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let dense = self
-            .dense
-            .as_ref()
-            .map(|section| format!(",\n  \"dense\":\n{}", section.to_json_entry()))
-            .unwrap_or_default();
-        let campaign = self
-            .campaign
-            .as_ref()
-            .map(|section| format!(",\n  \"campaign\":\n{}", section.to_json_entry()))
-            .unwrap_or_default();
-        let daemon = self
-            .daemon
-            .as_ref()
-            .map(|section| format!(",\n  \"daemon\":\n{}", section.to_json_entry()))
-            .unwrap_or_default();
-        format!(
-            "{{\n  \"benchmark\": \"fault_sim_sweep\",\n  \"algorithms\": [{algorithms}],\n  \
-             \"passes\": {},\n  \"threads\": {},\n  \"sizes\": [\n{entries}\n  ]{dense}{campaign}{daemon}\n}}\n",
-            first.map_or(0, |s| s.passes),
-            first.map_or(0, |s| s.threads),
-        )
-    }
+/// Measures the whole `BENCH_fault_sim.json` document: one `sizes` entry
+/// per `(rows, cols)` organization ([`fault_sim_throughput`], 64×64 up to
+/// 1024×1024 by default), the `dense` section when `dense` carries
+/// `(rows, cols, fault_count)` ([`dense_sweep`]), and the `campaign` and
+/// `daemon` sections when `campaign` and `daemon` are set
+/// ([`campaign_bench`], [`daemon_bench`]).
+///
+/// # Panics
+///
+/// Panics if any organization is invalid or any equivalence gate fails.
+pub fn fault_sim_document(
+    organizations: &[(u32, u32)],
+    passes: usize,
+    dense: Option<(u32, u32, usize)>,
+    campaign: bool,
+    daemon: bool,
+) -> JsonValue {
+    // The dense section runs first, on a pristine heap: the size ladder
+    // cycles gigabytes of walk arrays, and the fragmented address space
+    // it leaves behind measurably slows the large-working-set dense
+    // sweep (the compact standard list is unaffected, which would skew
+    // the gated ratio).
+    let dense = dense
+        .map(|(rows, cols, fault_count)| ("dense", dense_sweep(rows, cols, fault_count, passes)));
+    // The campaign section's gated metric is a ratio between variants
+    // timed back to back, so heap state cancels; it runs second, still
+    // ahead of the allocation-heavy size ladder.
+    let campaign = campaign.then(|| ("campaign", campaign_bench(passes)));
+    let daemon = daemon.then(|| ("daemon", daemon_bench(passes)));
+    let sizes = organizations
+        .iter()
+        .map(|&(rows, cols)| fault_sim_throughput(rows, cols, passes))
+        .collect();
+    let mut members = crate::document_head("fault_sim_sweep", passes, sizes);
+    members.extend(dense.into_iter().chain(campaign).chain(daemon));
+    JsonValue::object(members)
 }
 
 /// Fast variants (the collapsed backend finishes a whole pass in well
 /// under a millisecond) would be noise-dominated by a fixed pass count,
-/// so pass groups repeat until at least this much wall time has
-/// accumulated per variant — the committed speedup metrics stay stable
-/// enough for the 25% CI gate.
+/// so [`time_rotation`] repeats passes until at least this much wall time
+/// has accumulated per variant — the committed speedup metrics stay
+/// stable enough for the 25% CI gate.
 const MIN_TIMING_SECONDS: f64 = 2.0;
-
-fn time_passes(passes: usize, simulations: usize, mut sweep: impl FnMut()) -> SweepTiming {
-    // One warm-up pass keeps lazy page faults and branch-predictor state
-    // out of the measurement.
-    sweep();
-    let mut executed = 0usize;
-    let start = Instant::now();
-    loop {
-        for _ in 0..passes {
-            sweep();
-        }
-        executed += passes;
-        if start.elapsed().as_secs_f64() >= MIN_TIMING_SECONDS {
-            break;
-        }
-    }
-    let seconds = start.elapsed().as_secs_f64();
-    SweepTiming {
-        seconds,
-        faults_per_sec: (executed * simulations) as f64 / seconds,
-    }
-}
 
 /// Rounds a [`time_rotation`] runs at least; each variant's share of a
 /// round is calibrated so that this many rounds reach
@@ -969,17 +669,19 @@ fn time_passes(passes: usize, simulations: usize, mut sweep: impl FnMut()) -> Sw
 const ROTATION_ROUNDS: usize = 8;
 
 /// Times several sweep variants in rotation inside **one** measurement
-/// span: every round runs each variant for its own number of passes,
+/// span and returns each variant's rate: the work of one pass (the
+/// variant's first field, in faults or jobs) times the passes run, per
+/// second. Every round runs each variant for its own number of passes,
 /// separately clocked, for at least [`ROTATION_ROUNDS`] rounds and until
 /// each variant has accumulated [`MIN_TIMING_SECONDS`].
 ///
 /// The committed gated metrics are *ratios between variants* of one size
-/// or section (`speedup_*`). Measured in disjoint windows — as
-/// [`time_passes`] would — a burst of runner interference (CPU steal on
-/// shared CI hardware) lands in one variant's window and corrupts the
-/// ratio even though neither engine changed. Interleaving spreads any
-/// such burst across all variants near-equally, so the ratios cancel the
-/// common-mode noise and only genuine engine regressions move them.
+/// or section (`speedup_*`). Measured in disjoint windows, a burst of
+/// runner interference (CPU steal on shared CI hardware) lands in one
+/// variant's window and corrupts the ratio even though neither engine
+/// changed. Interleaving spreads any such burst across all variants
+/// near-equally, so the ratios cancel the common-mode noise and only
+/// genuine engine regressions move them.
 ///
 /// Each variant's passes per round are calibrated from its timed
 /// warm-up, so every variant fills about the same slice of a round: the
@@ -989,11 +691,12 @@ const ROTATION_ROUNDS: usize = 8;
 /// pass counts, a fast one does not stretch the rotation by thousands of
 /// rounds, and even the slowest size interleaves its variants over
 /// [`ROTATION_ROUNDS`] rounds.
-fn time_rotation(passes: usize, variants: &mut [(usize, &mut dyn FnMut())]) -> Vec<SweepTiming> {
+fn time_rotation(passes: usize, variants: &mut [(usize, &mut dyn FnMut())]) -> Vec<f64> {
     let warm_ups: Vec<f64> = variants
         .iter_mut()
         .map(|(_, sweep)| {
-            // Warm-up, as in `time_passes`, clocked for calibration.
+            // One warm-up pass keeps lazy page faults and branch-predictor
+            // state out of the measurement; it is clocked for calibration.
             let clock = Instant::now();
             sweep();
             clock.elapsed().as_secs_f64()
@@ -1027,17 +730,15 @@ fn time_rotation(passes: usize, variants: &mut [(usize, &mut dyn FnMut())]) -> V
     variants
         .iter()
         .zip(executed.iter().zip(&seconds))
-        .map(|(&(simulations, _), (&passes, &elapsed))| SweepTiming {
-            seconds: elapsed,
-            faults_per_sec: (passes * simulations) as f64 / elapsed,
-        })
+        .map(|(&(work, _), (&passes, &elapsed))| (passes * work) as f64 / elapsed)
         .collect()
 }
 
 /// Measures baseline vs. per-fault-kernel vs. collapsed throughput for
 /// the standard fault list × Table 1 algorithms on a `rows` × `cols`
-/// array, running `passes` timed passes per variant. The frozen seed
-/// baseline is skipped above [`BASELINE_CELL_CAP`] cells.
+/// array, running at least `passes` timed passes per variant per round,
+/// and returns the organization's `sizes` entry. The frozen seed baseline
+/// is skipped above [`BASELINE_CELL_CAP`] cells.
 ///
 /// Before timing, the variants' coverage reports are checked to detect
 /// exactly the same fault sets — a benchmark of diverging sweeps would be
@@ -1048,7 +749,7 @@ fn time_rotation(passes: usize, variants: &mut [(usize, &mut dyn FnMut())]) -> V
 ///
 /// Panics if `rows * cols` is not a valid organization or any variant
 /// diverges.
-pub fn fault_sim_throughput(rows: u32, cols: u32, passes: usize) -> FaultSimThroughput {
+pub fn fault_sim_throughput(rows: u32, cols: u32, passes: usize) -> JsonValue {
     let organization = ArrayOrganization::new(rows, cols).expect("valid organization");
     let order = march_test::address_order::WordLineAfterWordLine;
     let faults = march_test::faults::standard_fault_list(&organization);
@@ -1150,25 +851,15 @@ pub fn fault_sim_throughput(rows: u32, cols: u32, passes: usize) -> FaultSimThro
         (simulations, &mut batched),
         (simulations, &mut batched_parallel),
     ]);
-    let mut timings = time_rotation(passes, &mut variants).into_iter();
-    let baseline = measure_baseline.then(|| timings.next().expect("baseline timing"));
-    let [kernel_serial, kernel_parallel, batched, batched_parallel] =
-        std::array::from_fn(|_| timings.next().expect("one timing per variant"));
-
-    FaultSimThroughput {
-        rows,
-        cols,
-        algorithms: tests.iter().map(|t| t.name().to_string()).collect(),
-        fault_count: faults.len(),
-        simulations_per_pass: simulations,
-        passes,
-        threads: max_threads(),
+    let mut rates = time_rotation(passes, &mut variants).into_iter();
+    let baseline = measure_baseline.then(|| rates.next().expect("baseline rate"));
+    size_entry(
+        (rows, cols),
+        faults.len(),
+        simulations,
         baseline,
-        kernel_serial,
-        kernel_parallel,
-        batched,
-        batched_parallel,
-    }
+        std::array::from_fn(|_| rates.next().expect("one rate per variant")),
+    )
 }
 
 #[cfg(test)]
@@ -1197,34 +888,33 @@ mod tests {
         }
     }
 
+    /// The committed `BENCH_fault_sim.json`: every entry and section
+    /// written here keeps its keys, in order.
+    fn committed() -> JsonValue {
+        crate::json::parse(include_str!("../../../BENCH_fault_sim.json"))
+            .expect("the committed baseline parses")
+    }
+
     #[test]
     fn throughput_experiment_runs_and_reports_consistent_numbers() {
-        let sweep = FaultSimSweep::measure(&[(4, 8)], 1, None, false, false);
-        assert_eq!(sweep.sizes.len(), 1);
-        let result = &sweep.sizes[0];
-        assert_eq!(result.algorithms.len(), 5);
+        let document = fault_sim_document(&[(4, 8)], 1, None, false, false);
+        let committed = committed();
+        // No dense, campaign or daemon section: the committed document's
+        // first five keys.
+        assert_eq!(document.keys(), committed.keys()[..5]);
         assert_eq!(
-            result.simulations_per_pass,
-            result.algorithms.len() * result.fault_count
+            document.get("algorithms").and_then(JsonValue::as_array),
+            committed.get("algorithms").and_then(JsonValue::as_array)
         );
-        assert!(!result.baseline_skipped(), "4x8 is far below the cap");
-        assert!(result.baseline.unwrap().faults_per_sec > 0.0);
-        assert!(result.kernel_serial.faults_per_sec > 0.0);
-        assert!(result.kernel_parallel.faults_per_sec > 0.0);
-        assert!(result.batched.faults_per_sec > 0.0);
-        assert!(result.batched_parallel.faults_per_sec > 0.0);
-        assert!(result.speedup_serial().is_some());
-        assert!(result.speedup_batched().is_some());
-        assert!(result.speedup_batched_vs_kernel() > 0.0);
-        let json = sweep.to_json();
-        assert!(json.contains("\"benchmark\": \"fault_sim_sweep\""));
-        assert!(json.contains("\"baseline_skipped\": false"));
-        assert!(json.contains("\"speedup_serial\""));
-        assert!(json.contains("\"batched_faults_per_sec\""));
-        assert!(json.contains("\"speedup_batched_vs_kernel\""));
-        assert!(json.contains("March C-"));
-        assert!(json.contains("\"sizes\""));
-        crate::json::parse(&json).expect("sweep JSON parses");
+        // 4x8 is far below the cap: the seed replica ran, as at 64x64.
+        let entry = document.size_entry(4);
+        assert_eq!(entry.keys(), committed.size_entry(64).keys());
+        assert_eq!(entry.get("baseline_skipped"), Some(&JsonValue::Bool(false)));
+        let count = |key: &str| entry.get(key).and_then(JsonValue::as_f64).expect(key);
+        assert_eq!(count("simulations_per_pass"), 5.0 * count("fault_count"));
+        entry.assert_positive_rates();
+        let text = document.to_string();
+        assert_eq!(crate::json::parse(&text), Ok(document), "{text}");
     }
 
     #[test]
@@ -1233,95 +923,31 @@ mod tests {
         // what matter here, the 1024x1024/100k acceptance numbers live in
         // the committed BENCH_fault_sim.json.
         let section = dense_sweep(32, 32, 600, 1);
-        assert_eq!(section.algorithm, "March SS");
-        assert!(section.fault_count >= 600);
-        assert_eq!(section.standard_fault_count, 48);
-        assert!(section.population.starts_with("dense-"));
-        assert!(section.standard.faults_per_sec > 0.0);
-        assert!(section.dense.faults_per_sec > 0.0);
-        assert!(section.dense_parallel.faults_per_sec > 0.0);
-        assert!(section.dense_shuffled.faults_per_sec > 0.0);
-        assert!(section.speedup_dense_vs_standard() > 0.0);
-        assert!(section.speedup_shuffled_vs_ordered() > 0.0);
-        let sweep = FaultSimSweep {
-            sizes: vec![],
-            dense: Some(section),
-            campaign: None,
-            daemon: None,
-        };
-        let json = sweep.to_json();
-        assert!(json.contains("\"dense\":"));
-        assert!(json.contains("\"threads\""));
-        assert!(json.contains("\"dense_batched_faults_per_sec\""));
-        assert!(json.contains("\"standard_batched_faults_per_sec\""));
-        assert!(json.contains("\"speedup_dense_vs_standard\""));
-        assert!(json.contains("\"dense_shuffled_batched_faults_per_sec\""));
-        assert!(json.contains("\"speedup_shuffled_vs_ordered\""));
-        assert!(!json.contains("packer"), "the packer section is retired");
-        crate::json::parse(&json).expect("sweep JSON parses");
-    }
-
-    #[test]
-    fn sweep_json_omits_the_dense_section_when_not_measured() {
-        let sweep = FaultSimSweep::measure(&[(4, 8)], 1, None, false, false);
-        assert!(sweep.dense.is_none());
-        assert!(sweep.campaign.is_none());
-        assert!(sweep.daemon.is_none());
-        let json = sweep.to_json();
-        assert!(!json.contains("\"dense\""));
-        assert!(!json.contains("\"campaign\""));
-        assert!(!json.contains("\"daemon\""));
-        crate::json::parse(&json).expect("sweep JSON parses");
+        assert_eq!(section.keys(), committed()["dense"].keys());
+        assert_eq!(section["algorithm"].as_str(), Some("March SS"));
+        assert!(section["population"]
+            .as_str()
+            .is_some_and(|name| name.starts_with("dense-")));
+        assert!(section["fault_count"]
+            .as_f64()
+            .is_some_and(|count| count >= 600.0));
+        assert_eq!(section["standard_fault_count"].as_f64(), Some(48.0));
+        section.assert_positive_rates();
     }
 
     #[test]
     fn campaign_section_renders_its_gated_fields() {
-        let section = CampaignBenchSection {
-            jobs: 20,
-            threads: 4,
-            direct_jobs_per_sec: 100.0,
-            campaign_jobs_per_sec: 95.0,
-            campaign_parallel_jobs_per_sec: 310.0,
-        };
-        assert!((section.speedup_campaign_vs_direct() - 0.95).abs() < 1e-12);
-        let sweep = FaultSimSweep {
-            sizes: vec![],
-            dense: None,
-            campaign: Some(section),
-            daemon: None,
-        };
-        let json = sweep.to_json();
-        assert!(json.contains("\"campaign\":"));
-        assert!(json.contains("\"direct_jobs_per_sec\": 100.0"));
-        assert!(json.contains("\"campaign_jobs_per_sec\": 95.0"));
-        assert!(json.contains("\"campaign_parallel_jobs_per_sec\": 310.0"));
-        assert!(json.contains("\"speedup_campaign_vs_direct\": 0.950"));
-        crate::json::parse(&json).expect("sweep JSON parses");
-    }
-
-    #[test]
-    fn daemon_section_renders_its_gated_fields() {
-        let section = DaemonBenchSection {
-            jobs: 24,
-            offered: 24,
-            queue_limit: 8,
-            intake_jobs_per_sec: 512.0,
-            shed_fraction: 2.0 / 3.0,
-        };
-        let sweep = FaultSimSweep {
-            sizes: vec![],
-            dense: None,
-            campaign: None,
-            daemon: Some(section),
-        };
-        let json = sweep.to_json();
-        assert!(json.contains("\"daemon\":"));
-        assert!(json.contains("\"jobs\": 24"));
-        assert!(json.contains("\"offered\": 24"));
-        assert!(json.contains("\"queue_limit\": 8"));
-        assert!(json.contains("\"intake_jobs_per_sec\": 512.0"));
-        assert!(json.contains("\"shed_fraction\": 0.667"));
-        crate::json::parse(&json).expect("sweep JSON parses");
+        let section = campaign_section(20, [100.0, 95.0, 310.0]);
+        assert_eq!(section.keys(), committed()["campaign"].keys());
+        assert_eq!(section["jobs"].as_f64(), Some(20.0));
+        assert_eq!(section["direct_jobs_per_sec"].as_f64(), Some(100.0));
+        assert_eq!(section["campaign_jobs_per_sec"].as_f64(), Some(95.0));
+        assert_eq!(
+            section["campaign_parallel_jobs_per_sec"].as_f64(),
+            Some(310.0)
+        );
+        let speedup = section["speedup_campaign_vs_direct"].as_f64().unwrap();
+        assert!((speedup - 0.95).abs() < 1e-12, "{speedup}");
     }
 
     #[test]
@@ -1331,12 +957,13 @@ mod tests {
         // just have to come out sane. (The committed acceptance numbers
         // live in BENCH_fault_sim.json.)
         let section = daemon_bench(1);
-        assert_eq!(section.jobs, 24);
-        assert_eq!(section.offered, 24);
-        assert_eq!(section.queue_limit, 8);
-        assert!(section.intake_jobs_per_sec > 0.0);
-        let expected = (24.0 - 8.0) / 24.0;
-        assert!((section.shed_fraction - expected).abs() < 1e-12);
+        assert_eq!(section.keys(), committed()["daemon"].keys());
+        assert_eq!(section["jobs"].as_f64(), Some(24.0));
+        assert_eq!(section["offered"].as_f64(), Some(24.0));
+        assert_eq!(section["queue_limit"].as_f64(), Some(8.0));
+        section.assert_positive_rates();
+        let shed = section["shed_fraction"].as_f64().unwrap();
+        assert!((shed - (24.0 - 8.0) / 24.0).abs() < 1e-12, "{shed}");
     }
 
     #[test]
@@ -1349,21 +976,11 @@ mod tests {
     #[test]
     fn baseline_replica_is_skipped_above_the_cell_cap() {
         // 272×256 = 69632 cells > the 256×256 cap: the frozen baseline
-        // must be skipped, its metrics omitted from the JSON, and the
+        // must be skipped and its metrics left out, as at 512x512, and the
         // batched-vs-kernel speedup still reported.
-        let sweep = FaultSimSweep::measure(&[(272, 256)], 1, None, false, false);
-        let result = &sweep.sizes[0];
-        assert!(result.baseline_skipped());
-        assert!(result.baseline.is_none());
-        assert_eq!(result.speedup_serial(), None);
-        assert_eq!(result.speedup_parallel(), None);
-        assert_eq!(result.speedup_batched(), None);
-        assert!(result.speedup_batched_vs_kernel() > 0.0);
-        let json = sweep.to_json();
-        assert!(json.contains("\"baseline_skipped\": true"));
-        assert!(!json.contains("\"baseline_faults_per_sec\""));
-        assert!(!json.contains("\"speedup_serial\""));
-        assert!(json.contains("\"speedup_batched_vs_kernel\""));
-        crate::json::parse(&json).expect("sweep JSON parses");
+        let entry = fault_sim_throughput(272, 256, 1);
+        assert_eq!(entry.keys(), committed().size_entry(512).keys());
+        assert_eq!(entry["baseline_skipped"], JsonValue::Bool(true));
+        entry.assert_positive_rates();
     }
 }

@@ -138,9 +138,29 @@ fn a_size_the_benchmark_cannot_run_exits_2_and_writes_nothing() {
             &["--organization", "1x2", "--no-dense"],
             "--organization",
         ),
+        // 2^32 cells: a capacity `u32` cannot hold.
+        (
+            fault_sim,
+            &["--organization", "65536x65536", "--no-dense"],
+            "--organization",
+        ),
         (
             fault_sim,
             &["--rows", "4", "--cols", "4", "--dense-size", "0x64"],
+            "--dense-size",
+        ),
+        (
+            fault_sim,
+            &[
+                "--rows",
+                "4",
+                "--cols",
+                "4",
+                "--dense-size",
+                "4x4,8x8",
+                "--dense-faults",
+                "10",
+            ],
             "--dense-size",
         ),
         (
@@ -171,5 +191,22 @@ fn a_size_the_benchmark_cannot_run_exits_2_and_writes_nothing() {
         assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
         assert!(written(&dir).is_empty(), "{binary} {args:?} wrote a file");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_threshold_that_switches_the_gate_off_exits_2() {
+    // A metric fails when it drops below `1 - threshold` of its baseline,
+    // which never happens at NaN or at a threshold of 1 or more: such a
+    // value would pass any regression.
+    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_power_engine.json");
+    for (flag, value) in [("--threshold", "nan"), ("--absolute-threshold", "1")] {
+        let output = Command::new(env!("CARGO_BIN_EXE_bench_check"))
+            .args(["--pair", baseline, baseline, flag, value])
+            .output()
+            .expect("spawn bench_check");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
     }
 }

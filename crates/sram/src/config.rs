@@ -19,7 +19,8 @@
 use crate::error::SramError;
 use transient::units::{Amps, Farads, Joules, Ohms, Seconds, Volts};
 
-/// Largest supported array side, chosen so `rows × cols` always fits `u32`.
+/// Largest supported array side. [`ArrayOrganization::new`] also rejects
+/// sides whose product `rows × cols` does not fit `u32`.
 pub const MAX_DIMENSION: u32 = 65_536;
 
 /// Number of rows and columns of the cell array.
@@ -36,7 +37,8 @@ impl ArrayOrganization {
     /// # Errors
     ///
     /// Returns [`SramError::InvalidOrganization`] if either dimension is
-    /// zero or larger than [`MAX_DIMENSION`].
+    /// zero or larger than [`MAX_DIMENSION`], or if the capacity
+    /// `rows × cols` exceeds `u32::MAX`.
     pub fn new(rows: u32, cols: u32) -> Result<Self, SramError> {
         if rows == 0 || cols == 0 {
             return Err(SramError::InvalidOrganization {
@@ -50,6 +52,13 @@ impl ArrayOrganization {
                 rows,
                 cols,
                 reason: "dimension exceeds the supported maximum",
+            });
+        }
+        if rows.checked_mul(cols).is_none() {
+            return Err(SramError::InvalidOrganization {
+                rows,
+                cols,
+                reason: "capacity exceeds u32::MAX cells",
             });
         }
         Ok(Self { rows, cols })
@@ -385,6 +394,11 @@ mod tests {
         assert!(ArrayOrganization::new(0, 4).is_err());
         assert!(ArrayOrganization::new(4, 0).is_err());
         assert!(ArrayOrganization::new(MAX_DIMENSION + 1, 4).is_err());
+        // The widest organization whose capacity fits u32, and one column
+        // more, which overflows it.
+        let widest = ArrayOrganization::new(MAX_DIMENSION, MAX_DIMENSION - 1).unwrap();
+        assert_eq!(widest.capacity(), 4_294_901_760);
+        assert!(ArrayOrganization::new(MAX_DIMENSION, MAX_DIMENSION).is_err());
         let org = ArrayOrganization::new(512, 512).unwrap();
         assert_eq!(org.capacity(), 262_144);
         assert_eq!(
